@@ -58,8 +58,11 @@ class Setpoint:
     feedforward_accel: Vec3 = VEC3_ZERO
 
 
-@dataclass
+@dataclass(frozen=True)
 class CascadedPidConfig:
+    """Controller gains and limits; frozen, because the engine's host
+    fast path takes an unchanged config object to mean unchanged gains."""
+
     pos_p: Vec3  # 1/s^2
     pos_i: Vec3  # 1/s^3
     pos_d: Vec3  # 1/s

@@ -21,28 +21,14 @@ def vec3(v) -> Vec3:
     return (float(x), float(y), float(z))
 
 
-def v_add(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
 
 
-def v_sub(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
-def v_scale(a: Vec3, s: float) -> Vec3:
-    return (a[0] * s, a[1] * s, a[2] * s)
 
 
-def v_dot(a: Vec3, b: Vec3) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def v_cross(a: Vec3, b: Vec3) -> Vec3:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
 
 
 def v_norm(a: Vec3) -> float:
@@ -90,8 +76,6 @@ def q_rotate(q: Quat, v: Vec3) -> Vec3:
     )
 
 
-def q_rotate_inverse(q: Quat, v: Vec3) -> Vec3:
-    return q_rotate(q_conjugate(q), v)
 
 
 def q_from_axis_angle(axis: Vec3, angle: float) -> Quat:
@@ -103,17 +87,6 @@ def q_from_axis_angle(axis: Vec3, angle: float) -> Quat:
     return (cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
 
 
-def q_to_matrix(q: Quat):
-    """Rows of the body-to-world rotation matrix as three tuples."""
-    w, x, y, z = q
-    xx, yy, zz = x * x, y * y, z * z
-    wx, wy, wz = w * x, w * y, w * z
-    xy, xz, yz = x * y, x * z, y * z
-    return (
-        (1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)),
-        (2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)),
-        (2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)),
-    )
 
 
 def q_body_z(q: Quat) -> Vec3:
@@ -151,16 +124,6 @@ def q_from_yaw(yaw: float) -> Quat:
     return (cos(half), 0.0, 0.0, sin(half))
 
 
-def quat_derivative(q: Quat, omega_body: Vec3) -> Quat:
-    """dq/dt = 0.5 * q * (0, omega)."""
-    w, x, y, z = q
-    ox, oy, oz = omega_body
-    return (
-        0.5 * (-x * ox - y * oy - z * oz),
-        0.5 * (w * ox + y * oz - z * oy),
-        0.5 * (w * oy - x * oz + z * ox),
-        0.5 * (w * oz + x * oy - y * ox),
-    )
 
 
 def attitude_from_thrust_direction(f_des: Vec3, yaw: float) -> Quat:
@@ -207,14 +170,3 @@ def _matrix_to_quat(r0, r1, r2) -> Quat:
         return q_normalize(((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s))
     s = sqrt(1.0 + m22 - m00 - m11) * 2.0
     return q_normalize(((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s))
-
-
-def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    from math import pi
-
-    while a > pi:
-        a -= 2.0 * pi
-    while a <= -pi:
-        a += 2.0 * pi
-    return a

@@ -247,9 +247,12 @@ def solve_bus(
     if surplus_p > 0.0 and surplus_s > 0.0:
         # Both conduct only inside the diode window, which is at most the
         # LiPo parallel-safety limit of 0.2 V per cell.
-        assert abs(v_p - v_s) <= PARALLEL_SAFE_V_PER_CELL * min(
+        if abs(v_p - v_s) > PARALLEL_SAFE_V_PER_CELL * min(
             primary.cell_count, secondary.cell_count
-        ), "simultaneous conduction outside the parallel-safe voltage window"
+        ):
+            raise PowertrainError(
+                "simultaneous conduction outside the parallel-safe voltage window"
+            )
 
     total_current = load_power / bus if bus > 0.0 else 0.0
     share = surplus_p + surplus_s

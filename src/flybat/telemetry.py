@@ -97,7 +97,7 @@ class TelemetryWriter:
 
     def __init__(self, path=None, keep_rows: bool = False):
         self.path = path
-        self.rows: list[TelemetryRow] | None = [] if keep_rows or path is None else None
+        self.rows: list[TelemetryRow] | None = [] if keep_rows else None
         self._fh = open(path, "w", encoding="utf-8", newline="\n") if path else None
         if self._fh is not None:
             self._fh.write(SCHEMA_LINE + "\n")

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import flybat
 from flybat.scenario import Scenario, build_world_inputs, default_scenario
+
+TESTS_DIR = Path(__file__).resolve().parent
+SRC_DIR = Path(flybat.__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -40,3 +48,20 @@ def scaled_mission_scenario(
     sc.sim.seed = seed
     sc.sim.duration = 2000.0
     return sc
+
+
+def run_optimized(code: str, *args: str) -> None:
+    """Run code in a fresh `python -O` interpreter (asserts stripped) that
+    can import flybat and the test modules; fail on a non-zero exit."""
+    path = [str(SRC_DIR), str(TESTS_DIR)]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

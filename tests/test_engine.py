@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import scaled_mission_scenario
+import flybat.engine
+from conftest import run_optimized, scaled_mission_scenario
 from flybat.dynamics import GRAVITY
 from flybat.engine import SimClock, SimNumericsError, World, step_world
 from flybat.powertrain import hover_power
@@ -29,7 +30,7 @@ def test_two_hover_steps_identical_rows_except_time():
     # battery-side columns (voltage, currents) creep by the one-step
     # discharge, which at hover is below a part per million
     sc = solo_scenario(duration=1.0, telemetry_hz=1000.0)
-    w = World(sc)
+    w = World(sc, keep_rows=True)
     w.step()
     w.step()
     a, b = w.writer.rows
@@ -49,7 +50,7 @@ def test_two_hover_steps_identical_rows_except_time():
 
 def test_exact_row_count_at_full_rate():
     sc = solo_scenario(duration=1.0, telemetry_hz=1000.0)
-    w = World(sc)
+    w = World(sc, keep_rows=True)
     w.run(1.0)
     assert len(w.writer.rows) == 1000
     times = [r.time for r in w.writer.rows]
@@ -71,7 +72,7 @@ def test_replay_same_seed_bitwise_identical():
 
 def test_hover_mean_power_matches_model():
     sc = solo_scenario(duration=20.0)
-    w = World(sc)
+    w = World(sc, keep_rows=True)
     w.run(20.0)
     rows = [r for r in w.writer.rows if r.time > 1.0]
     mean_power = sum(r.power for r in rows) / len(rows)
@@ -83,7 +84,7 @@ def test_docked_hover_mean_power_matches_combined_mass():
     sc = solo_scenario(duration=20.0)
     sc.mission.fleet_size = 1
     sc.mission.start_docked = True
-    w = World(sc)
+    w = World(sc, keep_rows=True)
     w.run(20.0)
     rows = [r for r in w.writer.rows if r.time > 2.0]
     mean_power = sum(r.power for r in rows) / len(rows)
@@ -172,3 +173,130 @@ def test_contact_diagnostic_nonnegative_through_mission():
     w.run(90.0)
     assert all(r.contact_normal_force >= 0.0 for r in w.writer.rows)
     assert any(r.contact_normal_force > 2.0 for r in w.writer.rows)  # docked at some point
+
+
+def test_world_without_path_keeps_no_rows_unless_asked():
+    w = World(solo_scenario(duration=1.0))
+    w.run(1.0)
+    assert w.writer.rows is None
+
+
+@pytest.mark.parametrize("inject", ["nan", "error"])
+def test_run_closes_telemetry_file_when_a_step_raises(tmp_path, inject):
+    w = World(solo_scenario(duration=5.0), telemetry_path=tmp_path / "t.csv")
+    fh = w.writer._fh
+    step = w.step
+
+    def faulty_step():
+        if w.step_index == 100:
+            if inject == "nan":
+                w.main_state = (0.0, 0.0, float("nan")) + w.main_state[3:]
+            else:
+                raise RuntimeError("injected")
+        step()
+
+    w.step = faulty_step
+    with pytest.raises(SimNumericsError if inject == "nan" else RuntimeError):
+        w.run(5.0)
+    assert fh.closed
+
+
+# --- quiescent-host fast path -----------------------------------------------
+
+
+@pytest.fixture
+def rk4_calls(monkeypatch):
+    """One-element list counting the engine's rk4_flat calls."""
+    calls = [0]
+    rk4 = flybat.engine.rk4_flat
+
+    def counted(*args):
+        calls[0] += 1
+        return rk4(*args)
+
+    monkeypatch.setattr(flybat.engine, "rk4_flat", counted)
+    return calls
+
+
+def _solo_1khz():
+    return solo_scenario(duration=5.0, telemetry_hz=1000.0), 5.0
+
+
+def _start_docked():
+    sc = solo_scenario(duration=5.0)
+    sc.mission.fleet_size = 1
+    sc.mission.start_docked = True
+    return sc, 5.0
+
+
+def _oscillating():
+    sc = solo_scenario(duration=5.0)
+    sc.mission.oscillation_amplitude = 0.3
+    sc.mission.oscillation_omega = 2.0
+    return sc, 5.0
+
+
+def _dock_and_undock():
+    # docks at 21.3 s, undocks at 36.0 s, lands at 43.7 s
+    sc = scaled_mission_scenario(name="fastpath", fleet_size=1, pack_scale=0.05, seed=2)
+    return sc, 45.0
+
+
+def _stepped(sc, duration, full_path):
+    w = World(sc, keep_rows=True)
+    n = round(duration / w.dt)
+    while w.step_index < n and not w.terminated:
+        if full_path:
+            # an equal but fresh tuple never matches the memo by identity
+            w.main_state = tuple(list(w.main_state))
+        w.step()
+    return w
+
+
+def _host_bits(w):
+    pid = w.main_pid
+    return [x.hex() for x in (*w.main_state, pid.ix, pid.iy, pid.iz, pid.iyaw)]
+
+
+@pytest.mark.parametrize(
+    "case,engages",
+    [(_solo_1khz, True), (_start_docked, True), (_oscillating, False), (_dock_and_undock, True)],
+    ids=["solo_1khz", "start_docked", "oscillating", "dock_and_undock"],
+)
+def test_fast_path_rows_match_full_path(rk4_calls, case, engages):
+    sc, duration = case()
+    fast = _stepped(sc, duration, full_path=False)
+    fast_calls, rk4_calls[0] = rk4_calls[0], 0
+    full = _stepped(sc, duration, full_path=True)
+    assert fast.step_index == full.step_index
+    assert [format_row(r) for r in fast.writer.rows] == [
+        format_row(r) for r in full.writer.rows
+    ]
+    assert fast.summary_totals() == full.summary_totals()
+    assert _host_bits(fast) == _host_bits(full)
+    # the case exercises the fast path (fewer host integrations) or, with
+    # a moving setpoint, never takes it
+    assert (fast_calls < rk4_calls[0]) is engages
+    if case is _dock_and_undock:
+        assert fast.dock_count >= 1 and fast.undock_count >= 1
+
+
+def test_quiescent_solo_hover_integrates_host_a_handful_of_times(rk4_calls):
+    w = World(solo_scenario(duration=2.0))
+    w.run(2.0)
+    assert w.step_index == 2000
+    assert rk4_calls[0] <= 5
+
+
+_OPTIMIZED_SOLO_RUN = """
+import sys
+from flybat.engine import World
+from test_engine import solo_scenario
+World(solo_scenario(duration=2.0, telemetry_hz=1000.0), telemetry_path=sys.argv[1]).run(2.0)
+"""
+
+
+def test_solo_hover_telemetry_same_under_optimize(tmp_path):
+    World(solo_scenario(duration=2.0, telemetry_hz=1000.0), telemetry_path=tmp_path / "a.csv").run(2.0)
+    run_optimized(_OPTIMIZED_SOLO_RUN, str(tmp_path / "b.csv"))
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()

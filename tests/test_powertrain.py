@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import run_optimized
 from flybat.powertrain import (
     ActiveSource,
     BatteryPack,
@@ -269,7 +270,7 @@ def test_bus_continuity_across_switch():
 
 def test_parallel_conduction_stays_in_safe_window(rng):
     # both sources conduct only within one diode drop, which never
-    # exceeds the 0.2 V/cell LiPo parallel limit (asserted in solve_bus)
+    # exceeds the 0.2 V/cell LiPo parallel limit (checked in solve_bus)
     seen_both = 0
     for _ in range(3000):
         v_soc = float(rng.uniform(0.3, 0.9))
@@ -281,6 +282,27 @@ def test_parallel_conduction_stays_in_safe_window(rng):
             seen_both += 1
             assert abs(ocv(p) - ocv(sec)) <= 0.2 * 3
     assert seen_both > 0
+
+
+def check_window_violation_raises():
+    # a diode drop wider than the window cannot be constructed, so force
+    # one: with 1.5 V both packs conduct although they are 0.9 V apart,
+    # past the 3 x 0.2 V parallel-safety limit
+    c = SwitchCircuit(diode_drop=0.05, secondary_present=True)
+    object.__setattr__(c, "diode_drop", 1.5)
+    primary = pack_at_soc(1.0, capacity_ah=2.2)  # 12.6 V
+    secondary = pack_at_soc(0.6)  # 11.7 V
+    with pytest.raises(PowertrainError, match="parallel-safe"):
+        solve_bus(c, primary, secondary, 100.0)
+
+
+def test_parallel_window_violation_raises():
+    check_window_violation_raises()
+
+
+def test_parallel_window_violation_raises_under_optimize():
+    # the check must survive `python -O`, which strips assert statements
+    run_optimized("import test_powertrain; test_powertrain.check_window_violation_raises()")
 
 
 def test_constant_power_current_monotone_as_pack_drains():
