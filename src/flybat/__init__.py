@@ -39,7 +39,7 @@ from .endurance import (
     normalized_curve,
     optimal_phi,
 )
-from .engine import MissionLog, SimClock, SimNumericsError, World, run, step_world
+from .engine import MissionLog, SimNumericsError, World
 from .mission import MissionConfig, MissionResult, MissionSummary, run_mission, summarize
 from .powertrain import (
     ActiveSource,

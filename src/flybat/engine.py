@@ -56,26 +56,35 @@ class SimNumericsError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SimClock:
-    """Integer-scaled simulation time: t is always step_index * dt."""
-
-    step_index: int
-    dt: float
-
-    @property
-    def t(self) -> float:
-        return self.step_index * self.dt
-
-
-@dataclass(frozen=True)
 class MissionEvent:
+    """One mission transition. uid is the flying battery it concerns, if
+    any; in_column is whether it shows in the telemetry events column."""
+
     t: float
     seq: int
     kind: str
-    data: str = ""
+    uid: int | None = None
+    detail: str = ""
+    in_column: bool = True
 
-    def label(self) -> str:
-        return f"{self.kind}:{self.data}" if self.data else self.kind
+
+def events_column(events: list[MissionEvent]) -> str:
+    """The telemetry events cell: the column events among events, in
+    order, as kind:uid:detail (empty parts left out) joined by ';'. Two
+    kinds keep their own token forms: contact_slip names no unit, and
+    depleted names the pack before the unit (depleted:own:1)."""
+    tokens = []
+    for e in events:
+        if not e.in_column:
+            continue
+        if e.uid is None or e.kind == "contact_slip":
+            parts = (e.kind, e.detail)
+        elif e.kind == "depleted":
+            parts = (e.kind, e.detail, str(e.uid))
+        else:
+            parts = (e.kind, str(e.uid), e.detail)
+        tokens.append(":".join(p for p in parts if p))
+    return ";".join(tokens)
 
 
 class MissionLog:
@@ -86,22 +95,11 @@ class MissionLog:
         self.totals: dict[str, float] = {}
         self.energy_drawn: dict[str, float] = {}
 
-    def append(self, t: float, kind: str, data: str = "") -> MissionEvent:
-        ev = MissionEvent(t, len(self.events), kind, data)
-        self.events.append(ev)
-        return ev
-
     def of_kind(self, kind: str) -> list[MissionEvent]:
         return [e for e in self.events if e.kind == kind]
 
     def phase_trace(self, unit_id: int) -> list[tuple[float, str]]:
-        out = []
-        for e in self.events:
-            if e.kind == "phase":
-                uid, _, phase = e.data.partition(" ")
-                if int(uid) == unit_id:
-                    out.append((e.t, phase))
-        return out
+        return [(e.t, e.detail) for e in self.events if e.kind == "phase" and e.uid == unit_id]
 
 
 class _Unit:
@@ -168,11 +166,12 @@ class World:
         from .scenario import build_world_inputs
 
         inp = build_world_inputs(scenario)
-        self.scenario = scenario
-        self.dt: float = inp.dt
+        sim, m = scenario.sim, scenario.mission
+        self.dt: float = sim.dt
+        self.duration: float = sim.duration
         self.step_index: int = 0
-        self.seed = inp.seed
-        self.rng = np.random.default_rng(inp.seed)
+        self.seed = sim.seed
+        self.rng = np.random.default_rng(sim.seed)
         self.rng_draws = 0
 
         # host vehicle
@@ -196,18 +195,16 @@ class World:
             1.0 / self.comp_params.mass,
             *inertia_rows(self.comp_params.inertia),
         )
-        hp = inp.hover_position
+        hp = (m.hover_x, m.hover_y, m.hover_z)
         self.hover_position = hp
         self.main_state = (
             hp[0], hp[1], hp[2],
             0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
         )
-        self.main_thrust = inp.main_params.mass * GRAVITY
         self.docked_unit: _Unit | None = None
 
         # powertrain
         self.primary: pt.BatteryPack = inp.primary
-        self.primary_capacity = inp.primary.capacity_wh
         self.circuit = pt.SwitchCircuit(diode_drop=inp.diode_drop)
         self.bus = pt.BusSample(
             pt.ocv(inp.primary) - inp.diode_drop, 0.0, 0.0, pt.ActiveSource.PRIMARY
@@ -219,8 +216,8 @@ class World:
 
         # docking / fleet
         self.thresholds: dk.DockThresholds = inp.thresholds
-        self.docking = inp.docking
-        self.mission = inp.mission
+        self.docking = scenario.docking
+        self.mission = m
         self.units: list[_Unit] = [
             _Unit(i, inp.fb_params, inp.fb_cfg, inp.fb_own_pack, inp.secondary, home)
             for i, home in enumerate(inp.homes)
@@ -244,8 +241,11 @@ class World:
         self.contact_normal = 0.0
         self.contact_friction = 0.0
         self.contact_log: list[tuple[float, float, float, float, float]] | None = None
-        self.planar_drag_coeff = inp.planar_drag_coeff
-        self._pending_events: list[str] = []
+        self.planar_drag_coeff = sim.planar_drag_coeff
+        # log.events[_row_mark:] are the events since the last telemetry
+        # row; _column_due is set when one of them shows in its column
+        self._row_mark = 0
+        self._column_due = False
         self._alt_err_abs_max = 0.0
         # quiescent-host memo (see step): the state tuple it holds for,
         # then (cfg, mass, inertia rows, ix, iy, iz, iyaw, packed inputs,
@@ -253,24 +253,31 @@ class World:
         self._host_memo_state: tuple | None = None
         self._host_memo: tuple = ()
 
-        self.telemetry_decim = max(1, round(1.0 / (inp.telemetry_hz * inp.dt)))
+        self.telemetry_decim = max(1, round(1.0 / (sim.telemetry_hz * sim.dt)))
         self.writer = TelemetryWriter(telemetry_path, keep_rows=keep_rows)
 
-        self.log.append(0.0, "takeoff", "main")
-        if inp.start_docked and self.units:
+        self._event(0.0, "takeoff", detail="main", in_column=False)
+        if m.start_docked and self.units:
             u = self.units[0]
             self.active_units.append(u)
             self._attach(u, electrical=True, t=0.0)
             self.circuit = pt.command_switch(self.circuit, pt.SwitchTarget.USE_SECONDARY)
-            self.log.append(0.0, "switch", "secondary")
+            self._event(0.0, "switch", detail="secondary", in_column=False)
             self.switch_count += 1
+
+    def _event(
+        self, t: float, kind: str, uid: int | None = None, detail: str = "", in_column: bool = True
+    ) -> None:
+        """Record one transition; a column event also forces a telemetry
+        row at the end of the step."""
+        events = self.log.events
+        events.append(MissionEvent(t, len(events), kind, uid, detail, in_column))
+        if in_column:
+            self._column_due = True
 
     # ------------------------------------------------------------------
     # geometry helpers
     # ------------------------------------------------------------------
-
-    def clock(self) -> SimClock:
-        return SimClock(self.step_index, self.dt)
 
     def main_position(self) -> tuple[float, float, float]:
         s = self.main_state
@@ -319,12 +326,11 @@ class World:
         if u not in self.active_units:
             self.active_units.append(u)
         self.incoming = u
-        self.log.append(t, "dispatch", str(u.uid))
-        self._pending_events.append(f"dispatch:{u.uid}")
+        self._event(t, "dispatch", u.uid)
 
     def _orchestrate(self, t: float) -> None:
         m = self.mission
-        if m.termination == "wall_clock" and t >= m.duration:
+        if m.termination == "wall_clock" and t >= self.duration:
             self._end_mission(t, "wall_clock")
             return
 
@@ -335,8 +341,7 @@ class World:
                 # secondary exhausted: back to primary, shed the unit,
                 # and launch the replacement in the same instant
                 self.circuit = pt.command_switch(self.circuit, pt.SwitchTarget.USE_PRIMARY)
-                self.log.append(t, "switch", "primary")
-                self._pending_events.append("switch:primary")
+                self._event(t, "switch", detail="primary")
                 self._command_undock(docked, t)
                 nxt = self._available_unit(t)
                 if nxt is not None:
@@ -359,15 +364,13 @@ class World:
 
     def _command_undock(self, u: _Unit, t: float) -> None:
         u.cmd_undock = True
-        self.log.append(t, "undock_command", str(u.uid))
-        self._pending_events.append(f"undock:{u.uid}")
+        self._event(t, "undock", u.uid)
 
     def _end_mission(self, t: float, reason: str) -> None:
         if not self.terminated:
             self.terminated = True
             self.termination_reason = reason
-            self.log.append(t, "mission_end", reason)
-            self._pending_events.append(f"mission_end:{reason}")
+            self._event(t, "mission_end", detail=reason)
 
     # ------------------------------------------------------------------
     # docking transitions
@@ -394,9 +397,8 @@ class World:
         u.thrust = 0.0
         self.main_pid.retune(self.comp_cfg, self.comp_params.mass)
         self.dock_count += 1
-        self.log.append(t, "phase", f"{u.uid} {dk.DockPhase.DOCKED.value}")
-        self.log.append(t, "dock", f"{u.uid} electrical={str(electrical).lower()}")
-        self._pending_events.append(f"dock:{u.uid}")
+        self._event(t, "phase", u.uid, dk.DockPhase.DOCKED.value, in_column=False)
+        self._event(t, "dock", u.uid)
         if electrical:
             self.circuit = pt.SwitchCircuit(
                 relay_closed=self.circuit.relay_closed,
@@ -404,12 +406,10 @@ class World:
                 secondary_present=True,
                 switch_command=self.circuit.switch_command,
             )
-            self.log.append(t, "contact", str(u.uid))
-            self._pending_events.append(f"contact:{u.uid}")
+            self._event(t, "contact", u.uid)
         else:
             self.contact_failure_count += 1
-            self.log.append(t, "contact_failure", str(u.uid))
-            self._pending_events.append(f"contact_failure:{u.uid}")
+            self._event(t, "contact_failure", u.uid)
         if self.incoming is u:
             self.incoming = None
 
@@ -457,8 +457,7 @@ class World:
         u.cmd_undock = False
         if u in self.active_units:
             self.active_units.remove(u)
-        self.log.append(t, "landing", str(u.uid))
-        self._pending_events.append(f"landing:{u.uid}")
+        self._event(t, "landing", u.uid)
         if self.mission.ground_recharge:
             u.available_at = t + self.mission.turnaround_delay
             u.own_pack = pt.BatteryPack.fresh(
@@ -473,7 +472,7 @@ class World:
                 u.secondary.mass,
                 u.secondary.internal_resistance,
             )
-            self.log.append(t + self.mission.turnaround_delay, "recharged", str(u.uid))
+            self._event(t, "recharged", u.uid, in_column=False)
         else:
             u.spent = True
 
@@ -490,8 +489,7 @@ class World:
                     self._detach(u, t)
                     u.phase = dk.DockPhase.UNDOCK_ASCEND
                     u.cmd_undock = False
-                    self.log.append(t, "phase", f"{u.uid} {u.phase.value}")
-                    self._pending_events.append(f"phase:{u.uid}:{u.phase.value}")
+                    self._event(t, "phase", u.uid, u.phase.value)
                 continue
             lateral, gap = self._rel_pose(u)
             altitude = u.state[2] - LEG_HEIGHT
@@ -507,13 +505,11 @@ class World:
                     # impact handled post-integration; ignore here
                     continue
                 if u.phase is dk.DockPhase.FREE_FALL and new_phase is dk.DockPhase.APPROACH_ABOVE:
-                    self.log.append(t, "bounce_off", str(u.uid))
-                    self._pending_events.append(f"bounce_off:{u.uid}")
+                    self._event(t, "bounce_off", u.uid)
                 u.phase = new_phase
                 if new_phase is dk.DockPhase.TAKEOFF:
                     u.cmd_dock = False
-                self.log.append(t, "phase", f"{u.uid} {new_phase.value}")
-                self._pending_events.append(f"phase:{u.uid}:{new_phase.value}")
+                self._event(t, "phase", u.uid, new_phase.value)
                 if new_phase is dk.DockPhase.GROUNDED:
                     self._on_grounded(u, t)
 
@@ -566,14 +562,10 @@ class World:
         """Advance the world one dt."""
         dt = self.dt
         t = self.step_index * dt
-        events = self._pending_events
 
+        # cheap finiteness test: a nan or inf anywhere makes the sum one
         ms = self.main_state
-        chk = (
-            ms[0] + ms[1] + ms[2] + ms[3] + ms[4] + ms[5] + ms[6] + ms[7] + ms[8]
-            + ms[9] + ms[10] + ms[11] + ms[12]
-        )
-        if chk != chk or chk in (float("inf"), float("-inf")):
+        if not math.isfinite(sum(ms)):
             raise SimNumericsError(self.step_index, "host dynamics")
 
         self._orchestrate(t)
@@ -626,10 +618,12 @@ class World:
                     )
                 zx, zy, zz = q_body_z((s[6], s[7], s[8], s[9]))
                 th = u.thrust
-                u.state = rk4_flat(
+                u.state = ns = rk4_flat(
                     s, dt, u.inv_mass, u.ii, u.jj,
                     zx * th, zy * th, zz * th, tqx, tqy, tqz,
                 )
+                if not math.isfinite(sum(ns)):
+                    raise SimNumericsError(self.step_index, f"unit {u.uid} dynamics")
 
         # --- host setpoint, downwash, control ---------------------------
         hx, hy, hz = self.hover_position
@@ -708,7 +702,6 @@ class World:
             atx, aty, atz = pid.attitude_flat(
                 ms[6], ms[7], ms[8], ms[9], ms[10], ms[11], ms[12], q_des, dt
             )
-            self.main_thrust = thrust
             zx, zy, zz = q_body_z((ms[6], ms[7], ms[8], ms[9]))
             self.main_state = ns = rk4_flat(
                 ms,
@@ -756,8 +749,7 @@ class World:
                 self.contact_normal >= 0.0
                 and self.contact_friction <= self.docking.mu * self.contact_normal
             ):
-                self.log.append(t, "contact_slip", str(docked.uid))
-                events.append("contact_slip")
+                self._event(t, "contact_slip", docked.uid)
 
         # --- free-fall impacts ------------------------------------------
         if airborne:
@@ -769,8 +761,7 @@ class World:
                     ay_h = (fy + zy * thrust) * inv_mass
                     az_h = (fz + zz * thrust) * inv_mass - GRAVITY
                     if ax_h * ax_h + ay_h * ay_h + az_h * az_h > 4.0:
-                        self.log.append(t, "platform_accel_warning", str(u.uid))
-                        events.append(f"platform_accel_warning:{u.uid}")
+                        self._event(t, "platform_accel_warning", u.uid)
                     lateral, gap = self._rel_pose(u)
                     if gap <= 0.0:
                         outcome = dk.capture_check(
@@ -788,14 +779,12 @@ class World:
                                 self.circuit = pt.command_switch(
                                     self.circuit, pt.SwitchTarget.USE_SECONDARY
                                 )
-                                self.log.append(t, "switch", "secondary")
-                                events.append("switch:secondary")
+                                self._event(t, "switch", detail="secondary")
                                 self.switch_count += 1
                         else:
                             u.phase = dk.DockPhase.APPROACH_ABOVE
-                            self.log.append(t, "bounce_off", str(u.uid))
-                            self.log.append(t, "phase", f"{u.uid} {u.phase.value}")
-                            events.append(f"bounce_off:{u.uid}")
+                            self._event(t, "bounce_off", u.uid)
+                            self._event(t, "phase", u.uid, u.phase.value, in_column=False)
 
         # --- powertrain --------------------------------------------------
         load = pt.total_rotor_power(thrust, self.k_thrust_main)
@@ -816,8 +805,7 @@ class World:
                 self.energy_drawn["primary"] += before - self.primary.energy_wh
                 self.time_on_primary += dt
                 if self.primary.energy_wh <= 0.0:
-                    self.log.append(t, "depleted", "primary")
-                    events.append("depleted:primary")
+                    self._event(t, "depleted", detail="primary")
             if i_s > 0.0 and docked is not None:
                 share = load * i_s / (i_p + i_s)
                 before = docked.secondary.energy_wh
@@ -830,8 +818,7 @@ class World:
                     self.energy_drawn[key] = drawn
                 self.time_on_secondary += dt
                 if docked.secondary.energy_wh <= 0.0:
-                    self.log.append(t, "depleted", f"secondary:{docked.uid}")
-                    events.append(f"depleted:secondary:{docked.uid}")
+                    self._event(t, "depleted", docked.uid, "secondary")
         if airborne:
             for u in airborne:
                 if u.thrust > 0.0 and u.own_pack.energy_wh > 0.0:
@@ -845,11 +832,10 @@ class World:
                     else:
                         self.energy_drawn[key] = drawn
                     if u.own_pack.energy_wh <= 0.0:
-                        self.log.append(t, "depleted", f"own:{u.uid}")
-                        events.append(f"depleted:own:{u.uid}")
+                        self._event(t, "depleted", u.uid, "own")
 
         # --- telemetry ----------------------------------------------------
-        if self.step_index % self.telemetry_decim == 0 or events:
+        if self.step_index % self.telemetry_decim == 0 or self._column_due:
             self._check_finite()
             self._write_row(t)
         self.step_index += 1
@@ -914,17 +900,18 @@ class World:
             fb_y=fb_pos[1],
             fb_z=fb_pos[2],
             contact_normal_force=self.contact_normal,
-            events=";".join(self._pending_events),
+            events=events_column(self.log.events[self._row_mark :]),
         )
         self.writer.write_row(row)
-        self._pending_events = []
+        self._row_mark = len(self.log.events)
+        self._column_due = False
 
     # ------------------------------------------------------------------
 
     def run(self, duration: float | None = None) -> MissionLog:
         """Step until termination or the duration guard elapses."""
         if duration is None:
-            duration = self.mission.duration
+            duration = self.duration
         if duration <= 0.0:
             raise ValueError(f"duration must be positive, got {duration}")
         n_steps = round(duration / self.dt)
@@ -971,15 +958,3 @@ class World:
                 v for k, v in self.energy_drawn.items() if k.endswith(".secondary")
             ),
         }
-
-
-def step_world(world: World, dt: float) -> World:
-    """Advance the world one step; dt must match the world's fixed step."""
-    if abs(dt - world.dt) > 1.0e-15:
-        raise ValueError(f"dt {dt} does not match the world's fixed step {world.dt}")
-    world.step()
-    return world
-
-
-def run(world: World, duration: float) -> MissionLog:
-    return world.run(duration)

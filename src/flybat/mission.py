@@ -105,7 +105,7 @@ def summarize(log: MissionLog, termination_reason: str = "") -> MissionSummary:
         raise ValueError("log has no totals; run the mission to completion first")
     if not termination_reason:
         ends = log.of_kind("mission_end")
-        termination_reason = ends[-1].data if ends else "unknown"
+        termination_reason = ends[-1].detail if ends else "unknown"
     return MissionSummary(
         total_time=t["total_time"],
         solo_equivalent_time=t["solo_equivalent_time"],

@@ -2,8 +2,10 @@
 
 Sections are [vehicles], [batteries], [circuit], [downwash], [control],
 [docking], [mission], and [sim]. Keys inside a section may be dotted
-(main.mass, primary.cells). Unknown sections or keys are rejected with
-their line number; missing keys take the documented defaults, which
+(main.mass, primary.cells). `#` and `;` open a comment at the start of a
+line or after whitespace; elsewhere they belong to the value. Unknown
+sections, unknown keys and keys set twice in one section are rejected
+with their line number; missing keys take the documented defaults, which
 reproduce the reference vehicles: host 0.820 kg / 27 N max thrust /
 203 mm props / 165 mm arms with a 3S 2.2 Ah 190 g primary pack, and the
 flying battery 0.320 kg / 8 N / 76 mm / 58 mm carrying a 3S 1.5 Ah
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import importlib.resources
 import os
+import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from typing import Any
@@ -34,6 +37,10 @@ TERMINATION_MODES = ("primary_depleted", "wall_clock")
 FF_MODES = ("model", "zero", "csv")
 
 SOLO_FLIGHT_TIME = 720.0  # s, the calibration anchor for the host's k_p
+
+# '#' or ';' opens a comment at the start of a line or after whitespace,
+# so values such as paths may contain both
+_COMMENT = re.compile(r"(?:^|\s)[#;]")
 
 
 class ScenarioError(ValueError):
@@ -251,9 +258,10 @@ def parse_scenario(text: str, name: str = "inline") -> Scenario:
     section_objs = {f.name: getattr(scenario, f.name) for f in fields(scenario) if f.name != "name"}
     current_section: str | None = None
     current_keys: dict[str, tuple] = {}
+    seen: dict[tuple[str, str], int] = {}
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].split(";", 1)[0].strip()
+        line = _COMMENT.split(rawline, 1)[0].strip()
         if not line:
             continue
         if line.startswith("["):
@@ -273,6 +281,12 @@ def parse_scenario(text: str, name: str = "inline") -> Scenario:
         key = key.strip()
         if key not in current_keys:
             raise ScenarioError(f"unknown key {key!r} in section [{current_section}]", lineno)
+        first = seen.setdefault((current_section, key), lineno)
+        if first != lineno:
+            raise ScenarioError(
+                f"duplicate key {key!r} in section [{current_section}], first set on line {first}",
+                lineno,
+            )
         path = current_keys[key]
         obj = section_objs[current_section]
         for attr in path[:-1]:
@@ -363,9 +377,9 @@ def battery_pack(spec: PackSpec) -> pt.BatteryPack:
 
 @dataclass
 class WorldInputs:
-    dt: float
-    seed: int
-    telemetry_hz: float
+    """Domain objects built from a scenario; World reads the plain
+    [sim] and [mission] values from the scenario itself."""
+
     main_params: VehicleParams
     fb_params: VehicleParams
     main_cfg: ctl.CascadedPidConfig
@@ -378,25 +392,7 @@ class WorldInputs:
     downwash: DownwashModel
     ff_map: ctl.FeedforwardMap
     thresholds: DockThresholds
-    docking: DockingSection
-    mission: "MissionRuntime"
-    hover_position: tuple[float, float, float]
     homes: list[tuple[float, float]]
-    planar_drag_coeff: float
-    start_docked: bool
-
-
-@dataclass
-class MissionRuntime:
-    fleet_size: int
-    ground_recharge: bool
-    turnaround_delay: float
-    termination: str
-    dispatch_delay: float
-    failure_redispatch_delay: float
-    duration: float
-    oscillation_amplitude: float
-    oscillation_omega: float
 
 
 def build_world_inputs(scenario: Scenario) -> WorldInputs:
@@ -463,9 +459,6 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
         )
 
     return WorldInputs(
-        dt=scenario.sim.dt,
-        seed=scenario.sim.seed,
-        telemetry_hz=scenario.sim.telemetry_hz,
         main_params=main,
         fb_params=fb,
         main_cfg=main_cfg,
@@ -478,20 +471,5 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
         downwash=downwash,
         ff_map=ff_map,
         thresholds=thresholds,
-        docking=dock,
-        mission=MissionRuntime(
-            fleet_size=m.fleet_size,
-            ground_recharge=m.ground_recharge,
-            turnaround_delay=m.turnaround_delay,
-            termination=m.termination,
-            dispatch_delay=m.dispatch_delay,
-            failure_redispatch_delay=m.failure_redispatch_delay,
-            duration=scenario.sim.duration,
-            oscillation_amplitude=m.oscillation_amplitude,
-            oscillation_omega=m.oscillation_omega,
-        ),
-        hover_position=(m.hover_x, m.hover_y, m.hover_z),
         homes=homes,
-        planar_drag_coeff=scenario.sim.planar_drag_coeff,
-        start_docked=m.start_docked,
     )

@@ -4,7 +4,7 @@ import pytest
 import flybat.engine
 from conftest import run_optimized, scaled_mission_scenario
 from flybat.dynamics import GRAVITY
-from flybat.engine import SimClock, SimNumericsError, World, step_world
+from flybat.engine import SimNumericsError, World
 from flybat.powertrain import hover_power
 from flybat.scenario import default_scenario
 from flybat.telemetry import format_row
@@ -18,11 +18,6 @@ def solo_scenario(duration=10.0, telemetry_hz=None):
     if telemetry_hz is not None:
         sc.sim.telemetry_hz = telemetry_hz
     return sc
-
-
-def test_clock_is_integer_scaled():
-    c = SimClock(step_index=12345, dt=0.001)
-    assert c.t == 12345 * 0.001
 
 
 def test_two_hover_steps_identical_rows_except_time():
@@ -130,12 +125,42 @@ def test_nan_halts_with_step_and_subsystem():
     assert "host dynamics" in str(exc.value)
 
 
-def test_step_world_rejects_mismatched_dt():
-    w = World(solo_scenario())
-    with pytest.raises(ValueError, match="fixed step"):
-        step_world(w, 0.002)
-    step_world(w, w.dt)
-    assert w.step_index == 1
+def test_nan_in_flying_battery_halts_on_its_step():
+    # caught right after the unit's integration, before the feedforward
+    # and downwash lookups take the non-finite position
+    sc = solo_scenario(duration=10.0)
+    sc.mission.fleet_size = 1
+    w = World(sc)
+    while w.step_index < 2000:  # dispatched at 1 s, climbing at 2 s
+        w.step()
+    u = w.units[0]
+    assert u.airborne
+    u.state = u.state[:3] + (float("nan"),) + u.state[4:]
+    with pytest.raises(SimNumericsError) as exc:
+        w.step()
+    assert exc.value.step_index == 2000
+    assert exc.value.subsystem == "unit 0 dynamics"
+
+
+def test_events_column_token_forms():
+    from flybat.engine import MissionEvent, events_column
+
+    events = [
+        MissionEvent(1.0, 0, "dispatch", 0),
+        MissionEvent(1.0, 1, "phase", 0, "takeoff"),
+        MissionEvent(1.0, 2, "switch", detail="secondary"),
+        MissionEvent(1.0, 3, "contact_slip", 1),
+        MissionEvent(1.0, 4, "depleted", detail="primary"),
+        MissionEvent(1.0, 5, "depleted", 2, "secondary"),
+        MissionEvent(1.0, 6, "depleted", 1, "own"),
+        MissionEvent(1.0, 7, "recharged", 1, in_column=False),
+        MissionEvent(1.0, 8, "mission_end", detail="primary_depleted"),
+    ]
+    assert events_column(events) == (
+        "dispatch:0;phase:0:takeoff;switch:secondary;contact_slip;depleted:primary;"
+        "depleted:secondary:2;depleted:own:1;mission_end:primary_depleted"
+    )
+    assert events_column(events[7:8]) == ""
 
 
 def test_run_rejects_bad_duration():

@@ -115,6 +115,20 @@ def test_parse_bad_value_and_stray_lines():
         parse_scenario("[mission]\ntermination = whenever\n")
 
 
+def test_parse_duplicate_key_names_key_and_line():
+    with pytest.raises(ScenarioError, match="duplicate key 'fleet_size'") as exc:
+        parse_scenario("[mission]\nfleet_size = 1\n[sim]\nseed = 2\n[mission]\nfleet_size = 3\n")
+    assert exc.value.line == 6
+
+
+def test_parse_comment_starts_at_line_start_or_after_whitespace():
+    sc = parse_scenario(
+        "[control]\n  # indented comment\nff_mode = csv\nff_csv_path = maps/run;2#b.csv\t; map\n"
+    )
+    assert sc.control.ff_mode == "csv"
+    assert sc.control.ff_csv_path == "maps/run;2#b.csv"
+
+
 def test_bundled_scenarios():
     solo = bundled_scenario("solo_hover")
     assert solo.mission.fleet_size == 0
