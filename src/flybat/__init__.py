@@ -6,7 +6,6 @@ from .control import (
     CascadedPid,
     CascadedPidConfig,
     FeedforwardMap,
-    Setpoint,
     build_ff_map,
     default_config,
     feedforward_lookup,
@@ -22,13 +21,10 @@ from .docking import (
 )
 from .dynamics import (
     ContactSolution,
-    RigidBodyState,
     VehicleParams,
-    Wrench,
     composite_params,
     contact_forces,
     contact_retained,
-    step_rigid_body,
 )
 from .endurance import (
     DesignComparison,

@@ -22,14 +22,8 @@ from math import hypot, sqrt
 
 import numpy as np
 
-from .dynamics import GRAVITY, RigidBodyState, VehicleParams
-from .geom import (
-    Quat,
-    Vec3,
-    VEC3_ZERO,
-    attitude_from_thrust_direction,
-    q_error_rotvec,
-)
+from .dynamics import GRAVITY, VehicleParams
+from .geom import Quat, Vec3, attitude_from_thrust_direction, q_error_rotvec
 
 log = logging.getLogger(__name__)
 
@@ -41,21 +35,6 @@ ATT_ZETA = 0.8
 
 class ControlError(ValueError):
     """Raised for invalid controller configuration."""
-
-
-@dataclass(frozen=True)
-class Setpoint:
-    """Position/yaw reference plus feedforward terms.
-
-    velocity is the reference velocity (zero for a fixed hover point);
-    feedforward_accel supports scripted maneuvers; feedforward_thrust is
-    the downwash-rejection term added directly to the total thrust."""
-
-    position: Vec3 = VEC3_ZERO
-    yaw: float = 0.0
-    feedforward_thrust: float = 0.0
-    velocity: Vec3 = VEC3_ZERO
-    feedforward_accel: Vec3 = VEC3_ZERO
 
 
 @dataclass(frozen=True)
@@ -133,26 +112,17 @@ class CascadedPid:
         self.cfg = cfg
         self.mass = mass
 
-    def position_control(
-        self, state: RigidBodyState, setpoint: Setpoint, dt: float
-    ) -> tuple[float, Quat]:
-        """Desired total thrust (N, clamped) and attitude for this step."""
-        if dt <= 0.0:
-            raise ControlError(f"dt must be positive, got {dt}")
-        return self.position_flat(
-            state.position[0], state.position[1], state.position[2],
-            state.velocity[0], state.velocity[1], state.velocity[2],
-            setpoint.position[0], setpoint.position[1], setpoint.position[2],
-            setpoint.velocity[0], setpoint.velocity[1], setpoint.velocity[2],
-            setpoint.feedforward_accel[0], setpoint.feedforward_accel[1],
-            setpoint.feedforward_accel[2],
-            setpoint.feedforward_thrust, setpoint.yaw, dt,
-        )
-
     def position_flat(
         self, px, py, pz, vx, vy, vz, rx, ry, rz, rvx, rvy, rvz,
         ffx, ffy, ffz, ff_thrust, yaw, dt,
     ) -> tuple[float, Quat]:
+        """Desired total thrust (N, clamped) and attitude for this step.
+
+        (rx, ry, rz) and yaw are the reference pose and (rvx, rvy, rvz)
+        the reference velocity (zero for a fixed hover point);
+        (ffx, ffy, ffz) is a feedforward acceleration for scripted
+        maneuvers, and ff_thrust the downwash-rejection term added
+        directly to the total thrust."""
         cfg = self.cfg
         ex, ey, ez = rx - px, ry - py, rz - pz
         lim = cfg.pos_int_limit
@@ -175,15 +145,8 @@ class CascadedPid:
         q_des = attitude_from_thrust_direction((fx, fy, fz), yaw)
         return thrust, q_des
 
-    def attitude_control(self, state: RigidBodyState, q_des: Quat, dt: float) -> Vec3:
-        """Body torque from PD on the rotation error plus yaw integral."""
-        q = state.attitude
-        w = state.angular_velocity
-        return self.attitude_flat(
-            q[0], q[1], q[2], q[3], w[0], w[1], w[2], q_des, dt
-        )
-
     def attitude_flat(self, qw, qx, qy, qz, wx, wy, wz, q_des, dt) -> Vec3:
+        """Body torque from PD on the rotation error plus yaw integral."""
         cfg = self.cfg
         ex, ey, ez = q_error_rotvec((qw, qx, qy, qz), q_des)
         lim = cfg.yaw_int_limit

@@ -16,56 +16,16 @@ bodies is neglected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
-from .geom import (
-    Quat,
-    Vec3,
-    QUAT_IDENTITY,
-    VEC3_ZERO,
-    q_normalize,
-    quat,
-    vec3,
-)
+from .geom import Vec3
 
 GRAVITY = 9.81
 
 
 class DynamicsError(ValueError):
-    """Raised for invalid dynamic states or parameters."""
-
-
-@dataclass(frozen=True)
-class RigidBodyState:
-    """State of one vehicle: position/velocity in the world frame,
-    attitude as a unit body-to-world quaternion, angular velocity in the
-    body frame."""
-
-    position: Vec3 = VEC3_ZERO
-    velocity: Vec3 = VEC3_ZERO
-    attitude: Quat = QUAT_IDENTITY
-    angular_velocity: Vec3 = VEC3_ZERO
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", vec3(self.position))
-        object.__setattr__(self, "velocity", vec3(self.velocity))
-        object.__setattr__(self, "attitude", quat(self.attitude))
-        object.__setattr__(self, "angular_velocity", vec3(self.angular_velocity))
-
-    def validate(self) -> None:
-        for name in ("position", "velocity", "attitude", "angular_velocity"):
-            if not all(isfinite(c) for c in getattr(self, name)):
-                raise DynamicsError(f"non-finite {name}: {getattr(self, name)}")
-        n = sum(c * c for c in self.attitude)
-        if abs(n - 1.0) > 1.0e-6:
-            raise DynamicsError(f"attitude norm {n**0.5:.9f} is not unit")
-
-    def renormalized(self) -> "RigidBodyState":
-        return RigidBodyState(
-            self.position, self.velocity, q_normalize(self.attitude), self.angular_velocity
-        )
+    """Raised for invalid vehicle parameters or contact inputs."""
 
 
 @dataclass
@@ -101,26 +61,6 @@ class VehicleParams:
 
 
 @dataclass(frozen=True)
-class Wrench:
-    """Applied force in the world frame and torque in the body frame.
-
-    Gravity is not part of the wrench; the integrator applies it."""
-
-    force: Vec3 = VEC3_ZERO
-    torque: Vec3 = VEC3_ZERO
-
-    def __post_init__(self):
-        object.__setattr__(self, "force", vec3(self.force))
-        object.__setattr__(self, "torque", vec3(self.torque))
-
-    def validate(self) -> None:
-        if not all(isfinite(c) for c in self.force):
-            raise DynamicsError(f"non-finite wrench force: {self.force}")
-        if not all(isfinite(c) for c in self.torque):
-            raise DynamicsError(f"non-finite wrench torque: {self.torque}")
-
-
-@dataclass(frozen=True)
 class ContactSolution:
     """Docked-contact requirement for zero relative acceleration.
 
@@ -134,18 +74,12 @@ class ContactSolution:
 
 
 # --------------------------------------------------------------------------
-# Fast flat-state integrator core (shared with the simulation engine)
+# Flat-state integrator core
 # --------------------------------------------------------------------------
 
+# one vehicle's state: world-frame position and velocity, unit
+# body-to-world attitude quaternion, body-frame angular velocity
 State13 = tuple  # (px,py,pz, vx,vy,vz, qw,qx,qy,qz, wx,wy,wz)
-
-
-def state_to_flat(s: RigidBodyState) -> State13:
-    return s.position + s.velocity + s.attitude + s.angular_velocity
-
-
-def flat_to_state(f: State13) -> RigidBodyState:
-    return RigidBodyState(f[0:3], f[3:6], f[6:10], f[10:13])
 
 
 def inertia_rows(inertia: np.ndarray):
@@ -159,7 +93,9 @@ def inertia_rows(inertia: np.ndarray):
 def rk4_flat(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz) -> State13:
     """One fixed step with the wrench held constant over the step.
 
-    The rotational states (quaternion, body rates) take a classical RK4
+    The force (fx, fy, fz) is world-frame and excludes gravity, which
+    the integrator adds; the torque (tx, ty, tz) is body-frame. The
+    rotational states (quaternion, body rates) take a classical RK4
     step (stages unrolled; this is the 1 kHz hot path); under a
     zero-order-hold force the translational RK4 stages collapse to the
     exact constant-acceleration update, which is applied in closed form.
@@ -282,39 +218,6 @@ def rk4_flat(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz) -> State13:
     )
 
 
-# --------------------------------------------------------------------------
-# Public operations
-# --------------------------------------------------------------------------
-
-
-def step_rigid_body(
-    state: RigidBodyState, params: VehicleParams, wrench: Wrench, dt: float
-) -> RigidBodyState:
-    """Advance one vehicle by one fixed RK4 step of length dt.
-
-    The wrench force is world-frame and excludes gravity, which the
-    integrator adds; torque is body-frame. Attitude is renormalized."""
-    if dt <= 0.0:
-        raise DynamicsError(f"dt must be positive, got {dt}")
-    state.validate()
-    wrench.validate()
-    ii, jj = inertia_rows(params.inertia)
-    flat = rk4_flat(
-        state_to_flat(state),
-        dt,
-        1.0 / params.mass,
-        ii,
-        jj,
-        wrench.force[0],
-        wrench.force[1],
-        wrench.force[2],
-        wrench.torque[0],
-        wrench.torque[1],
-        wrench.torque[2],
-    )
-    return flat_to_state(flat)
-
-
 def composite_params(
     main: VehicleParams, fb: VehicleParams, mount_offset: Vec3
 ) -> VehicleParams:
@@ -324,7 +227,7 @@ def composite_params(
     mount_offset points from the host's center of mass to the docked
     vehicle's center of mass, in host body axes. Thrust limits and the
     powertrain constant stay those of the host (its rotors do the work)."""
-    off = np.asarray(vec3(mount_offset))
+    off = np.asarray(mount_offset, dtype=float)
     m_m, m_fb = main.mass, fb.mass
     total = m_m + m_fb
     d_com = off * (m_fb / total)  # host COM -> combined COM

@@ -170,7 +170,6 @@ class World:
         self.dt: float = sim.dt
         self.duration: float = sim.duration
         self.step_index: int = 0
-        self.seed = sim.seed
         self.rng = np.random.default_rng(sim.seed)
         self.rng_draws = 0
 
@@ -241,6 +240,7 @@ class World:
         self.contact_normal = 0.0
         self.contact_friction = 0.0
         self.contact_log: list[tuple[float, float, float, float, float]] | None = None
+        self._slipping = False  # the docked contact slipped on the last step
         self.planar_drag_coeff = sim.planar_drag_coeff
         # log.events[_row_mark:] are the events since the last telemetry
         # row; _column_due is set when one of them shows in its column
@@ -392,6 +392,7 @@ class World:
             ms[6], ms[7], ms[8], ms[9], ms[10], ms[11], ms[12],
         )
         self.docked_unit = u
+        self._slipping = False
         u.phase = dk.DockPhase.DOCKED
         u.docked_since = t
         u.thrust = 0.0
@@ -745,11 +746,14 @@ class World:
                 self.contact_log.append(
                     (t, thrust + ext_axial, ext_planar, self.contact_normal, self.contact_friction)
                 )
-            if not (
+            slipping = not (
                 self.contact_normal >= 0.0
                 and self.contact_friction <= self.docking.mu * self.contact_normal
-            ):
+            )
+            # one event per slip episode, on the step the contact lets go
+            if slipping and not self._slipping:
                 self._event(t, "contact_slip", docked.uid)
+            self._slipping = slipping
 
         # --- free-fall impacts ------------------------------------------
         if airborne:

@@ -12,33 +12,6 @@ from math import atan2, cos, sin, sqrt
 Vec3 = tuple[float, float, float]
 Quat = tuple[float, float, float, float]
 
-QUAT_IDENTITY: Quat = (1.0, 0.0, 0.0, 0.0)
-VEC3_ZERO: Vec3 = (0.0, 0.0, 0.0)
-
-
-def vec3(v) -> Vec3:
-    x, y, z = v
-    return (float(x), float(y), float(z))
-
-
-
-
-
-
-
-
-
-
-
-
-def v_norm(a: Vec3) -> float:
-    return sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def quat(q) -> Quat:
-    w, x, y, z = q
-    return (float(w), float(x), float(y), float(z))
-
 
 def q_normalize(q: Quat) -> Quat:
     n = sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
@@ -76,19 +49,6 @@ def q_rotate(q: Quat, v: Vec3) -> Vec3:
     )
 
 
-
-
-def q_from_axis_angle(axis: Vec3, angle: float) -> Quat:
-    n = v_norm(axis)
-    if n == 0.0:
-        return QUAT_IDENTITY
-    half = 0.5 * angle
-    s = sin(half) / n
-    return (cos(half), axis[0] * s, axis[1] * s, axis[2] * s)
-
-
-
-
 def q_body_z(q: Quat) -> Vec3:
     """World-frame direction of the body z axis (thrust axis)."""
     w, x, y, z = q
@@ -113,17 +73,9 @@ def q_error_rotvec(q_current: Quat, q_desired: Quat) -> Vec3:
     return (x * k, y * k, z * k)
 
 
-def q_yaw(q: Quat) -> float:
-    """Yaw angle (rotation about world z) of a body-to-world quaternion."""
-    w, x, y, z = q
-    return atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
-
-
 def q_from_yaw(yaw: float) -> Quat:
     half = 0.5 * yaw
     return (cos(half), 0.0, 0.0, sin(half))
-
-
 
 
 def attitude_from_thrust_direction(f_des: Vec3, yaw: float) -> Quat:

@@ -115,13 +115,6 @@ class TelemetryWriter:
             self._fh = None
 
 
-def write_telemetry(rows, path) -> None:
-    w = TelemetryWriter(path)
-    for row in rows:
-        w.write_row(row)
-    w.close()
-
-
 def read_telemetry(source) -> list[TelemetryRow]:
     """Parse a telemetry file (path or file-like) back into rows."""
     if hasattr(source, "read"):

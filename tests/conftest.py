@@ -13,6 +13,10 @@ from flybat.scenario import Scenario, build_world_inputs, default_scenario
 TESTS_DIR = Path(__file__).resolve().parent
 SRC_DIR = Path(flybat.__file__).resolve().parent.parent
 
+# a vehicle at rest at the origin, level, as the flat 13-tuple
+# (px,py,pz, vx,vy,vz, qw,qx,qy,qz, wx,wy,wz)
+REST_STATE = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
 
 @pytest.fixture
 def rng():

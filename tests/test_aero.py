@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from conftest import REST_STATE
 from flybat.aero import AeroError, DownwashModel, align_torque, downwash_force
 from flybat.control import CascadedPid, default_config
-from flybat.dynamics import GRAVITY, RigidBodyState, VehicleParams, Wrench, step_rigid_body
+from flybat.dynamics import GRAVITY, VehicleParams, inertia_rows, rk4_flat
 from flybat.geom import q_body_z
 
 import numpy as np
@@ -71,25 +72,26 @@ def test_align_torque_sign_reduces_offset_in_closed_loop():
     )
     pid = CascadedPid(default_config(params), params.mass)
     upper = (0.08, 0.05, 0.4)  # offset in both axes
-    state = RigidBodyState()
+    ii, jj = inertia_rows(params.inertia)
+    state = REST_STATE
     dt = 0.001
     offset0 = math.hypot(upper[0] - 0.0, upper[1] - 0.0)
     for _ in range(4000):
         rel = (
-            upper[0] - state.position[0],
-            upper[1] - state.position[1],
-            upper[2] - state.position[2],
+            upper[0] - state[0],
+            upper[1] - state[1],
+            upper[2] - state[2],
         )
         tq = align_torque(MODEL, rel)
-        level_tq = pid.attitude_control(state, (1.0, 0.0, 0.0, 0.0), dt)
+        level_tq = pid.attitude_flat(*state[6:13], (1.0, 0.0, 0.0, 0.0), dt)
         thrust = params.mass * GRAVITY
-        zb = q_body_z(state.attitude)
-        wrench = Wrench(
-            force=(zb[0] * thrust, zb[1] * thrust, zb[2] * thrust),
-            torque=(tq[0] + level_tq[0], tq[1] + level_tq[1], tq[2] + level_tq[2]),
+        zb = q_body_z(state[6:10])
+        state = rk4_flat(
+            state, dt, 1.0 / params.mass, ii, jj,
+            zb[0] * thrust, zb[1] * thrust, zb[2] * thrust,
+            tq[0] + level_tq[0], tq[1] + level_tq[1], tq[2] + level_tq[2],
         )
-        state = step_rigid_body(state, params, wrench, dt)
-    offset_end = math.hypot(upper[0] - state.position[0], upper[1] - state.position[1])
+    offset_end = math.hypot(upper[0] - state[0], upper[1] - state[1])
     assert offset_end < 0.6 * offset0
 
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import REST_STATE
 from flybat.aero import DownwashModel, downwash_force
 from flybat.control import (
     CascadedPid,
     ControlError,
-    Setpoint,
     build_ff_map,
     default_config,
     default_edges,
@@ -17,8 +17,8 @@ from flybat.control import (
     map_from_model,
     zero_map,
 )
-from flybat.dynamics import GRAVITY, RigidBodyState, VehicleParams, Wrench, step_rigid_body
-from flybat.geom import q_body_z, q_error_rotvec, q_from_axis_angle, q_yaw
+from flybat.dynamics import GRAVITY, VehicleParams, inertia_rows, rk4_flat
+from flybat.geom import q_body_z, q_error_rotvec
 
 PARAMS = VehicleParams(
     mass=0.820, arm_length=0.165, prop_diameter=0.203, max_thrust=27.0,
@@ -26,8 +26,34 @@ PARAMS = VehicleParams(
 )
 
 
+INV_MASS = 1.0 / PARAMS.mass
+II, JJ = inertia_rows(PARAMS.inertia)
+
+
 def make_pid():
     return CascadedPid(default_config(PARAMS), PARAMS.mass)
+
+
+def position(pid, state, dt, ref=(0.0, 0.0, 0.0), ff_thrust=0.0):
+    """Hold a fixed reference point at zero yaw, no feedforward accel."""
+    return pid.position_flat(
+        *state[0:6], *ref, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ff_thrust, 0.0, dt
+    )
+
+
+def attitude(pid, state, q_des, dt):
+    return pid.attitude_flat(*state[6:13], q_des, dt)
+
+
+def q_from_axis_angle(axis, angle):
+    s = math.sin(0.5 * angle) / math.sqrt(axis[0] ** 2 + axis[1] ** 2 + axis[2] ** 2)
+    return (math.cos(0.5 * angle), axis[0] * s, axis[1] * s, axis[2] * s)
+
+
+def q_yaw(q):
+    """Yaw angle (rotation about world z) of a body-to-world quaternion."""
+    w, x, y, z = q
+    return math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +63,7 @@ def make_pid():
 
 def test_equilibrium_commands_weight_and_level():
     pid = make_pid()
-    thrust, q_des = pid.position_control(RigidBodyState(), Setpoint(), 0.001)
+    thrust, q_des = position(pid, REST_STATE, 0.001)
     assert thrust == pytest.approx(PARAMS.mass * GRAVITY, rel=1e-12)
     err = q_error_rotvec((1.0, 0.0, 0.0, 0.0), q_des)
     assert max(abs(c) for c in err) < 1e-9
@@ -45,7 +71,7 @@ def test_equilibrium_commands_weight_and_level():
 
 def test_feedforward_thrust_added_directly():
     pid = make_pid()
-    thrust, _ = pid.position_control(RigidBodyState(), Setpoint(feedforward_thrust=2.0), 0.001)
+    thrust, _ = position(pid, REST_STATE, 0.001, ff_thrust=2.0)
     assert thrust == pytest.approx(PARAMS.mass * GRAVITY + 2.0, rel=1e-12)
 
 
@@ -53,39 +79,36 @@ def test_integrator_trims_constant_vertical_disturbance():
     # closed loop against a steady -1 N force: the integral term must
     # converge until the commanded thrust carries the extra newton
     pid = make_pid()
-    state = RigidBodyState(position=(0.0, 0.0, 1.0))
-    sp = Setpoint(position=(0.0, 0.0, 1.0))
+    state = (0.0, 0.0, 1.0, *REST_STATE[3:])
+    ref = (0.0, 0.0, 1.0)
     dt = 0.001
     thrust = PARAMS.mass * GRAVITY
     for _ in range(30000):
-        thrust, q_des = pid.position_control(state, sp, dt)
-        torque = pid.attitude_control(state, q_des, dt)
-        zb = q_body_z(state.attitude)
-        wrench = Wrench(
-            force=(zb[0] * thrust, zb[1] * thrust, zb[2] * thrust - 1.0),
-            torque=torque,
+        thrust, q_des = position(pid, state, dt, ref)
+        torque = attitude(pid, state, q_des, dt)
+        zb = q_body_z(state[6:10])
+        state = rk4_flat(
+            state, dt, INV_MASS, II, JJ,
+            zb[0] * thrust, zb[1] * thrust, zb[2] * thrust - 1.0, *torque,
         )
-        state = step_rigid_body(state, PARAMS, wrench, dt)
     assert thrust - PARAMS.mass * GRAVITY == pytest.approx(1.0, rel=0.02)
-    assert abs(state.position[2] - 1.0) < 0.01
+    assert abs(state[2] - 1.0) < 0.01
 
 
 def test_commanded_thrust_clamped():
     pid = make_pid()
-    far = Setpoint(position=(0.0, 0.0, 100.0))
-    thrust, _ = pid.position_control(RigidBodyState(), far, 0.001)
+    thrust, _ = position(pid, REST_STATE, 0.001, ref=(0.0, 0.0, 100.0))
     assert thrust == PARAMS.max_thrust
     pid.reset()
-    below = Setpoint(feedforward_thrust=-100.0)
-    thrust, _ = pid.position_control(RigidBodyState(), below, 0.001)
+    thrust, _ = position(pid, REST_STATE, 0.001, ff_thrust=-100.0)
     assert thrust == 0.0
 
 
 def test_integrators_bounded():
     pid = make_pid()
-    sp = Setpoint(position=(50.0, -50.0, 50.0))
+    ref = (50.0, -50.0, 50.0)
     for _ in range(20000):
-        pid.position_control(RigidBodyState(), sp, 0.001)
+        position(pid, REST_STATE, 0.001, ref)
     lim = pid.cfg.pos_int_limit
     assert abs(pid.ix) <= lim and abs(pid.iy) <= lim and abs(pid.iz) <= lim
 
@@ -97,14 +120,14 @@ def test_integrators_bounded():
 
 def test_attitude_zero_error_zero_torque():
     pid = make_pid()
-    torque = pid.attitude_control(RigidBodyState(), (1.0, 0.0, 0.0, 0.0), 0.001)
+    torque = attitude(pid, REST_STATE, (1.0, 0.0, 0.0, 0.0), 0.001)
     assert max(abs(c) for c in torque) < 1e-12
 
 
 def test_attitude_small_step_linear_gain():
     pid = make_pid()
     q_des = q_from_axis_angle((1.0, 0.0, 0.0), 0.1)
-    torque = pid.attitude_control(RigidBodyState(), q_des, 0.001)
+    torque = attitude(pid, REST_STATE, q_des, 0.001)
     assert torque[0] == pytest.approx(pid.cfg.att_p[0] * 0.1, abs=1e-6)
     assert abs(torque[1]) < 1e-9
 
@@ -138,14 +161,14 @@ def test_attitude_step_settles_like_second_order_prediction():
     t_lin = _settle_time(lin_ts, lin_xs, step, 0.02 * step)
 
     q_des = q_from_axis_angle((1.0, 0.0, 0.0), step)
-    state = RigidBodyState()
+    state = REST_STATE
     sim_ts, sim_xs = [], []
     for i in range(8000):
-        torque = pid.attitude_control(state, q_des, dt)
-        state = step_rigid_body(
-            state, PARAMS, Wrench(force=(0, 0, PARAMS.mass * GRAVITY), torque=torque), dt
+        torque = attitude(pid, state, q_des, dt)
+        state = rk4_flat(
+            state, dt, INV_MASS, II, JJ, 0.0, 0.0, PARAMS.mass * GRAVITY, *torque
         )
-        roll = q_error_rotvec((1.0, 0.0, 0.0, 0.0), state.attitude)[0]
+        roll = q_error_rotvec((1.0, 0.0, 0.0, 0.0), state[6:10])[0]
         sim_ts.append(i * dt)
         sim_xs.append(roll)
     assert sim_xs[-1] == pytest.approx(step, rel=0.02)
@@ -157,18 +180,18 @@ def test_yaw_integral_removes_steady_yaw_error():
     # constant body-z disturbance torque; integral action must pull the
     # steady-state yaw error under half a degree
     pid = make_pid()
-    state = RigidBodyState()
+    state = REST_STATE
     dt = 0.001
     for _ in range(20000):
-        thrust, q_des = pid.position_control(state, Setpoint(), dt)
-        torque = pid.attitude_control(state, q_des, dt)
-        zb = q_body_z(state.attitude)
-        wrench = Wrench(
-            force=(zb[0] * thrust, zb[1] * thrust, zb[2] * thrust),
-            torque=(torque[0], torque[1], torque[2] + 0.02),
+        thrust, q_des = position(pid, state, dt)
+        torque = attitude(pid, state, q_des, dt)
+        zb = q_body_z(state[6:10])
+        state = rk4_flat(
+            state, dt, INV_MASS, II, JJ,
+            zb[0] * thrust, zb[1] * thrust, zb[2] * thrust,
+            torque[0], torque[1], torque[2] + 0.02,
         )
-        state = step_rigid_body(state, PARAMS, wrench, dt)
-    assert abs(math.degrees(q_yaw(state.attitude))) < 0.5
+    assert abs(math.degrees(q_yaw(state[6:10]))) < 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import REST_STATE
 from flybat.dynamics import (
     GRAVITY,
     ContactSolution,
     DynamicsError,
-    RigidBodyState,
     VehicleParams,
-    Wrench,
     composite_params,
     contact_forces,
     contact_retained,
-    step_rigid_body,
+    inertia_rows,
+    rk4_flat,
 )
 
 MAIN = dict(
@@ -44,27 +44,36 @@ def two_body_contact_oracle(m_m, m_fb, thrust, f_ext):
     return float(n), float(f)
 
 
+def flat_state(position=(0.0, 0.0, 0.0), velocity=(0.0, 0.0, 0.0), rates=(0.0, 0.0, 0.0)):
+    return (*position, *velocity, 1.0, 0.0, 0.0, 0.0, *rates)
+
+
+def step(state, p, dt, force=(0.0, 0.0, 0.0), torque=(0.0, 0.0, 0.0)):
+    ii, jj = inertia_rows(p.inertia)
+    return rk4_flat(state, dt, 1.0 / p.mass, ii, jj, *force, *torque)
+
+
 # ---------------------------------------------------------------------------
-# step_rigid_body
+# rk4_flat
 # ---------------------------------------------------------------------------
 
 
 def test_hover_holds_position():
     p = main_params()
-    state = RigidBodyState(position=(0.0, 0.0, 1.0))
-    wrench = Wrench(force=(0.0, 0.0, p.mass * GRAVITY))
+    state = flat_state(position=(0.0, 0.0, 1.0))
+    force = (0.0, 0.0, p.mass * GRAVITY)
     for _ in range(500):
-        state = step_rigid_body(state, p, wrench, 0.001)
-    assert max(abs(c) for c in (state.position[0], state.position[1], state.position[2] - 1.0)) < 1e-9
-    assert max(abs(c) for c in state.velocity) < 1e-9
+        state = step(state, p, 0.001, force=force)
+    assert max(abs(c) for c in (state[0], state[1], state[2] - 1.0)) < 1e-9
+    assert max(abs(c) for c in state[3:6]) < 1e-9
 
 
 def test_free_fall_velocity():
     p = main_params()
-    state = RigidBodyState()
+    state = REST_STATE
     for _ in range(100):
-        state = step_rigid_body(state, p, Wrench(), 0.01)
-    assert state.velocity[2] == pytest.approx(-9.81, abs=1e-6)
+        state = step(state, p, 0.01)
+    assert state[5] == pytest.approx(-9.81, abs=1e-6)
 
 
 def test_constant_upward_force_altitude_gain():
@@ -74,32 +83,32 @@ def test_constant_upward_force_altitude_gain():
     expected = 0.5 * a * 1.0**2
     assert expected == pytest.approx(0.981, abs=1e-12)
     force = (0.0, 0.0, p.mass * (GRAVITY + a))
-    state = RigidBodyState()
+    state = REST_STATE
     for _ in range(1000):
-        state = step_rigid_body(state, p, Wrench(force=force), 0.001)
-    assert state.position[2] == pytest.approx(expected, abs=1e-4)
+        state = step(state, p, 0.001, force=force)
+    assert state[2] == pytest.approx(expected, abs=1e-4)
 
 
 def test_torque_spins_body():
     p = main_params()
-    state = RigidBodyState()
+    state = REST_STATE
     for _ in range(100):
-        state = step_rigid_body(state, p, Wrench(torque=(0.008, 0.0, 0.0)), 0.001)
+        state = step(state, p, 0.001, torque=(0.008, 0.0, 0.0))
     # w = (tau / Ixx) * t
-    assert state.angular_velocity[0] == pytest.approx(0.1, rel=1e-6)
-    n = math.sqrt(sum(c * c for c in state.attitude))
+    assert state[10] == pytest.approx(0.1, rel=1e-6)
+    n = math.sqrt(sum(c * c for c in state[6:10]))
     assert n == pytest.approx(1.0, abs=1e-12)
 
 
-def test_non_finite_state_rejected_with_field_name():
+def test_collapsed_quaternion_gives_nan_attitude():
+    # a zero quaternion at zero rates stays zero through every stage, so
+    # its norm collapses; the step returns NaN for the engine's finite
+    # checks instead of raising ZeroDivisionError
     p = main_params()
-    bad = RigidBodyState(velocity=(0.0, float("nan"), 0.0))
-    with pytest.raises(DynamicsError, match="velocity"):
-        step_rigid_body(bad, p, Wrench(), 0.001)
-    with pytest.raises(DynamicsError, match="force"):
-        step_rigid_body(RigidBodyState(), p, Wrench(force=(float("inf"), 0, 0)), 0.001)
-    with pytest.raises(DynamicsError, match="dt"):
-        step_rigid_body(RigidBodyState(), p, Wrench(), 0.0)
+    state = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    nxt = step(state, p, 0.001)
+    assert all(math.isnan(c) for c in nxt[6:10])
+    assert nxt[10:] == (0.0, 0.0, 0.0)
 
 
 def test_zero_wrench_momentum_matches_gravity_impulse(rng):
@@ -107,14 +116,14 @@ def test_zero_wrench_momentum_matches_gravity_impulse(rng):
     # gravity impulse m*g*dt per step, with no numerical drift
     p = main_params()
     for _ in range(50):
-        v0 = tuple(rng.normal(scale=3.0, size=3))
-        w0 = tuple(rng.normal(scale=2.0, size=3))
-        state = RigidBodyState(velocity=v0, angular_velocity=w0)
+        v0 = tuple(rng.normal(scale=3.0, size=3).tolist())
+        w0 = tuple(rng.normal(scale=2.0, size=3).tolist())
+        state = flat_state(velocity=v0, rates=w0)
         dt = 0.001
-        nxt = step_rigid_body(state, p, Wrench(), dt)
-        assert abs(p.mass * (nxt.velocity[0] - v0[0])) < 1e-9
-        assert abs(p.mass * (nxt.velocity[1] - v0[1])) < 1e-9
-        assert abs(p.mass * (nxt.velocity[2] - v0[2]) + p.mass * GRAVITY * dt) < 1e-9
+        nxt = step(state, p, dt)
+        assert abs(p.mass * (nxt[3] - v0[0])) < 1e-9
+        assert abs(p.mass * (nxt[4] - v0[1])) < 1e-9
+        assert abs(p.mass * (nxt[5] - v0[2]) + p.mass * GRAVITY * dt) < 1e-9
 
 
 # ---------------------------------------------------------------------------

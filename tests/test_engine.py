@@ -3,7 +3,7 @@ import pytest
 
 import flybat.engine
 from conftest import run_optimized, scaled_mission_scenario
-from flybat.dynamics import GRAVITY
+from flybat.dynamics import GRAVITY, contact_forces, contact_retained
 from flybat.engine import SimNumericsError, World
 from flybat.powertrain import hover_power
 from flybat.scenario import default_scenario
@@ -140,6 +140,39 @@ def test_nan_in_flying_battery_halts_on_its_step():
         w.step()
     assert exc.value.step_index == 2000
     assert exc.value.subsystem == "unit 0 dynamics"
+
+
+def test_contact_slip_logged_once_per_slip_episode():
+    # criterion 6's docked 12 m/s^2 maneuver on a slippery mount: the
+    # contact slips and holds many times, and each slip episode is one
+    # event and at most one extra telemetry row
+    sc = default_scenario("maneuver")
+    sc.mission.fleet_size = 1
+    sc.mission.start_docked = True
+    sc.mission.termination = "wall_clock"
+    sc.mission.oscillation_omega = 3.0
+    sc.mission.oscillation_amplitude = 12.0 / 3.0**2
+    sc.sim.duration = 15.0
+    sc.sim.planar_drag_coeff = 0.08
+    sc.docking.contact_failure_probability = 0.0
+    sc.docking.mu = 0.02
+    world = World(sc, keep_rows=True)
+    world.contact_log = []
+    world.run(15.0)
+
+    assert not world.log.of_kind("undock")
+    m_m, m_fb = world.main_params.mass, world.fb_params.mass
+    held = [
+        contact_retained(contact_forces(m_m, m_fb, thrust, planar), sc.docking.mu)
+        for _, thrust, planar, _, _ in world.contact_log
+    ]
+    assert len(held) == 15000
+    onsets = sum(
+        1 for i, ok in enumerate(held) if not ok and (i == 0 or held[i - 1])
+    )
+    assert onsets >= 2
+    assert len(world.log.of_kind("contact_slip")) == onsets
+    assert len(world.writer.rows) <= 1500 + onsets
 
 
 def test_events_column_token_forms():

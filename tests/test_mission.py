@@ -74,7 +74,10 @@ def test_event_ordering_and_switch_preconditions(std_run):
 
 
 def test_event_ordering_fuzzed_over_seeds():
-    for seed, turnaround in ((7, 5.0), (21, 5.0), (1001, 5.0), (7, 60.0)):
+    # each scaled mission makes one contact draw at p = 0.5: seed 7 draws
+    # 0.625 (contact), seed 2 draws 0.262 (failure, undock, redispatch)
+    retried = False
+    for seed, turnaround in ((7, 5.0), (2, 5.0), (7, 60.0)):
         sc = scaled_mission_scenario(
             name=f"fuzz{seed}",
             fleet_size=2,
@@ -98,6 +101,12 @@ def test_event_ordering_fuzzed_over_seeds():
                     if x.seq < e.seq and x.kind == "contact"
                 ]
                 assert prior
+        for f in result.log.of_kind("contact_failure"):
+            undock = [x for x in result.log.of_kind("undock") if x.seq > f.seq and x.uid == f.uid]
+            if undock and any(x.seq > undock[0].seq for x in result.log.of_kind("dispatch")):
+                retried = True
+    # the seed set must keep covering a failed contact and its retry
+    assert retried
 
 
 def test_primary_conducts_only_between_undock_and_contact(std_run):

@@ -1,0 +1,77 @@
+"""Every top-level function and class in `flybat`, and every non-dunder
+method, has a caller in the package or the benchmark harness.
+
+A reference is any use of the name outside its own definition: a load,
+an attribute, an import (so an export from `flybat/__init__.py` counts),
+a keyword argument, or an identifier string such as the ones
+`perfbench/tracer.py` patches by name. Tests do not count.
+"""
+
+import ast
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+PACKAGE = REPO / "src" / "flybat"
+PERFBENCH = REPO / "perfbench"
+
+# public or oracle entry points that only tests call, each with its reason
+ALLOWED = {
+    "export_map_csv": "writes the map format that import_map_csv reads",
+    "scenario_keys": "lists the settable scenario keys for users",
+    "golden_section_argmax": "criterion 1's numeric oracle for the endurance peak",
+    "MissionLog.phase_trace": "criterion 9 times docking from a unit's phase trace",
+    "World.pin_unit": "criterion 11 calibrates the feedforward map through it",
+    "CascadedPid.integral_accel_z": "criterion 11 reads the learned thrust offset",
+}
+
+
+def _references(path: Path):
+    """(name, line) of every use of a name in one file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2], node.lineno
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                yield node.value, node.lineno
+
+
+def _definitions(path: Path):
+    """(qualified name, node) of top-level defs and non-dunder methods."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not (
+                    member.name.startswith("__") and member.name.endswith("__")
+                ):
+                    yield f"{node.name}.{member.name}", member
+
+
+def test_every_helper_has_a_caller():
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for path in [*PACKAGE.glob("*.py"), *PERFBENCH.rglob("*.py")]:
+        for name, line in _references(path):
+            refs.setdefault(name, []).append((path, line))
+
+    defined = set()
+    uncalled = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname, node in _definitions(path):
+            defined.add(qualname)
+            own = (path, node.lineno, node.end_lineno)
+            name = qualname.rpartition(".")[2]
+            called = any(
+                not (p == own[0] and own[1] <= line <= own[2]) for p, line in refs.get(name, ())
+            )
+            if not called and qualname not in ALLOWED:
+                uncalled.append(f"{path.name}: {qualname}")
+    assert not uncalled, "no caller in src/flybat or perfbench: " + ", ".join(uncalled)
+    # an allow-list entry whose definition is gone must go too
+    assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)

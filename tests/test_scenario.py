@@ -13,11 +13,11 @@ from flybat.telemetry import (
     SCHEMA_LINE,
     TelemetryError,
     TelemetryRow,
+    TelemetryWriter,
     dump_telemetry,
     format_row,
     parse_row,
     read_telemetry,
-    write_telemetry,
 )
 
 
@@ -181,14 +181,21 @@ def _row(t=0.25):
     )
 
 
+def _write_file(rows, path):
+    writer = TelemetryWriter(path)
+    for row in rows:
+        writer.write_row(row)
+    writer.close()
+
+
 def test_round_trip_is_byte_exact(tmp_path):
     rows = [_row(0.01 * i) for i in range(50)]
     path = tmp_path / "telemetry.csv"
-    write_telemetry(rows, path)
+    _write_file(rows, path)
     first = path.read_bytes()
     back = read_telemetry(path)
     path2 = tmp_path / "telemetry2.csv"
-    write_telemetry(back, path2)
+    _write_file(back, path2)
     assert path2.read_bytes() == first
 
 
@@ -210,7 +217,7 @@ def test_parse_row_field_count():
 def test_dump_matches_file_writer(tmp_path):
     rows = [_row(), _row(0.5)]
     path = tmp_path / "t.csv"
-    write_telemetry(rows, path)
+    _write_file(rows, path)
     assert dump_telemetry(rows) == path.read_text()
 
 
