@@ -286,15 +286,23 @@ def time_to_depletion(
 ) -> float:
     """Seconds until the pack empties under a constant-power load, with
     I^2 R losses computed from the bus-side current. Used for endurance
-    calibration and solo-equivalent reporting."""
+    calibration and solo-equivalent reporting.
+
+    Each step does the float operations of `ocv` and
+    `discharge(pack, load_power, dt, current=...)` in the same order, on
+    the remaining energy as a plain float, so the result is bit-identical
+    to stepping a BatteryPack without allocating one per step."""
     if load_power <= 0.0:
         return float("inf")
+    cap, cells, r = pack.capacity_wh, pack.cell_count, pack.internal_resistance
+    energy = pack.energy_wh
     t = 0.0
-    p = pack
-    while not p.is_depleted:
-        bus = ocv(p) - diode_drop
+    # discharge clamps a negative or NaN energy to zero; the loop test
+    # stops on either just the same
+    while energy > 0.0:
+        bus = ocv_per_cell(energy / cap) * cells - diode_drop
         current = load_power / bus if bus > 0.0 else 0.0
-        p = discharge(p, load_power, dt, current=current)
+        energy = energy - (load_power + current * current * r) * dt / 3600.0
         t += dt
         if t > 1.0e7:
             raise PowertrainError("pack does not deplete")
@@ -310,7 +318,9 @@ def solve_kp_for_endurance(
 ) -> float:
     """Powertrain constant k_p such that hovering at vehicle_mass
     depletes the pack in target_time seconds, including resistive and
-    bus losses. Bisection on the shadow discharge integration."""
+    bus losses. Bisection on the shadow discharge integration, between
+    k_p = 1 and four times the lossless k_p; raises PowertrainError when
+    the pack empties before target_time even at k_p = 1."""
     if target_time <= 0.0:
         raise PowertrainError("target_time must be positive")
 
@@ -322,8 +332,18 @@ def solve_kp_for_endurance(
     )
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            # the bracket cannot shrink further and mid is the result
+            break
         if flight_time(mid) > target_time:
             lo = mid
         else:
             hi = mid
+    if lo == 1.0:
+        t_floor = flight_time(1.0)
+        if t_floor <= target_time:
+            raise PowertrainError(
+                f"no k_p >= 1 reaches a {target_time:g} s hover: at k_p = 1 "
+                f"the pack empties after {t_floor:g} s"
+            )
     return 0.5 * (lo + hi)

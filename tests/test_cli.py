@@ -182,6 +182,30 @@ def test_sweep_contact_failure_probability_monotone(tmp_path):
     assert ext[0] >= ext[1] >= ext[2]
 
 
+def test_sweep_csv_identical_across_worker_counts(tmp_path):
+    scenario = write_scaled_scenario(tmp_path / "scaled.cfg", duration=40.0, pack_scale=0.05)
+    csvs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"workers_{workers}"
+        code = main(
+            [
+                "sweep",
+                "--scenario", str(scenario),
+                "--param", "docking.contact_failure_probability",
+                "--range", "0,0.5,1.0",
+                "--out", str(out),
+                "--workers", workers,
+            ]
+        )
+        assert code == 0
+        csvs.append((out / "sweep_docking_contact_failure_probability.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    lines = csvs[0].decode().splitlines()
+    i_fail = lines[0].split(",").index("contact_failures")
+    # the contact succeeds at p = 0 and fails at p = 0.5 (seed 3) and 1
+    assert [ln.split(",")[i_fail] for ln in lines[1:]] == ["0", "1", "1"]
+
+
 def test_sweep_turnaround_delay_monotone(tmp_path):
     # single reusable unit: a longer ground turnaround can only reduce
     # the achievable extension

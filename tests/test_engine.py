@@ -5,8 +5,8 @@ import flybat.engine
 from conftest import run_optimized, scaled_mission_scenario
 from flybat.dynamics import GRAVITY, contact_forces, contact_retained
 from flybat.engine import SimNumericsError, World
-from flybat.powertrain import hover_power
-from flybat.scenario import default_scenario
+from flybat.powertrain import PowertrainError, hover_power
+from flybat.scenario import default_scenario, set_scenario_value
 from flybat.telemetry import format_row
 
 
@@ -200,6 +200,16 @@ def test_run_rejects_bad_duration():
     w = World(solo_scenario())
     with pytest.raises(ValueError):
         w.run(0.0)
+
+
+def test_world_rejects_unreachable_solo_flight_time():
+    # a 0.05 Ah primary cannot hold a 5 kg host up for the 720 s solo
+    # flight that calibrates its k_p
+    sc = solo_scenario()
+    set_scenario_value(sc, "batteries.primary.capacity_ah", "0.05")
+    set_scenario_value(sc, "vehicles.main.mass", "5")
+    with pytest.raises(PowertrainError, match="720 s hover"):
+        World(sc)
 
 
 def test_platform_acceleration_warning_during_free_fall():

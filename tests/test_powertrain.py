@@ -1,6 +1,10 @@
-import pytest
+import math
 
-from conftest import run_optimized
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import full_scale_main_kp, run_optimized
 from flybat.powertrain import (
     ActiveSource,
     BatteryPack,
@@ -15,9 +19,13 @@ from flybat.powertrain import (
     ocv_per_cell,
     rotor_power,
     solve_bus,
+    solve_kp_for_endurance,
     time_to_depletion,
     total_rotor_power,
 )
+
+# property tests draw the same examples on every run
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 G = 9.81
 
@@ -168,6 +176,123 @@ def test_discharge_conserves_energy(rng):
 
 
 # ---------------------------------------------------------------------------
+# time_to_depletion / k_p calibration
+# ---------------------------------------------------------------------------
+
+
+def reference_time_to_depletion(pack, load_power, dt, diode_drop):
+    # steps a BatteryPack through ocv and discharge, one copy per step
+    if load_power <= 0.0:
+        return float("inf")
+    t = 0.0
+    p = pack
+    while not p.is_depleted:
+        bus = ocv(p) - diode_drop
+        current = load_power / bus if bus > 0.0 else 0.0
+        p = discharge(p, load_power, dt, current=current)
+        t += dt
+        if t > 1.0e7:
+            raise PowertrainError("pack does not deplete")
+    return t
+
+
+def reference_solve_kp(pack, vehicle_mass, target_time, dt, diode_drop):
+    # the plain 60-step bisection; returns (k_p, final lower bound)
+    lo, hi = 1.0, 4.0 * pack.capacity_wh * 3600.0 / (
+        target_time * vehicle_mass * math.sqrt(vehicle_mass)
+    )
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        load = hover_power(vehicle_mass, mid)
+        if reference_time_to_depletion(pack, load, dt, diode_drop) > target_time:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), lo
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    cells=st.integers(1, 12),
+    capacity_ah=st.floats(0.01, 10.0),
+    soc=st.floats(0.0, 1.0),
+    r=st.floats(0.0, 0.5),
+    dt=st.floats(0.01, 1.0),
+    # past ~3 V per cell the bus collapses and the current is taken as 0
+    diode_drop=st.one_of(st.floats(0.0, 0.2), st.floats(3.0, 50.0)),
+    lossless_steps=st.integers(1, 3000),
+)
+def test_time_to_depletion_bit_identical_to_pack_stepping(
+    cells, capacity_ah, soc, r, dt, diode_drop, lossless_steps
+):
+    full = BatteryPack.fresh(cells, capacity_ah, 0.1, internal_resistance=r)
+    pack = BatteryPack(cells, capacity_ah, 0.1, soc * full.capacity_wh, full.capacity_wh, r)
+    # a load that would empty the full pack in about lossless_steps steps
+    load = full.capacity_wh * 3600.0 / (lossless_steps * dt)
+    expected = reference_time_to_depletion(pack, load, dt, diode_drop)
+    assert time_to_depletion(pack, load, dt, diode_drop).hex() == expected.hex()
+
+
+def test_time_to_depletion_edge_loads_match_pack_stepping():
+    pack = pack_3s_15(r=0.025)
+    for load in (0.0, -1.0, float("nan"), 1.0e300):
+        expected = reference_time_to_depletion(pack, load, 0.1, 0.05)
+        assert time_to_depletion(pack, load, 0.1, 0.05).hex() == expected.hex()
+    empty = pack_3s_15(energy=0.0)
+    assert time_to_depletion(empty, 100.0) == 0.0
+    # a load too small to empty the pack trips the 1e7 s guard (after
+    # ten 1e6 s steps here)
+    for depletes in (reference_time_to_depletion, time_to_depletion):
+        with pytest.raises(PowertrainError, match="does not deplete"):
+            depletes(pack, 1.0e-9, 1.0e6, 0.05)
+
+
+@settings(PROPERTY, max_examples=15)
+@given(
+    cells=st.integers(1, 6),
+    capacity_ah=st.floats(0.01, 3.0),
+    r=st.floats(0.0, 0.1),
+    # the k_p that would empty the pack in target_time without losses;
+    # below about 1 the target is out of reach
+    lossless_kp=st.floats(0.3, 30.0),
+    target_time=st.floats(5.0, 120.0),
+    dt=st.sampled_from((0.05, 0.1, 0.2)),
+    diode_drop=st.floats(0.01, 0.2),
+)
+def test_solve_kp_matches_reference_bisection(
+    cells, capacity_ah, r, lossless_kp, target_time, dt, diode_drop
+):
+    pack = BatteryPack.fresh(cells, capacity_ah, 0.1, internal_resistance=r)
+    vehicle_mass = (pack.capacity_wh * 3600.0 / (target_time * lossless_kp)) ** (2.0 / 3.0)
+    k_ref, lo = reference_solve_kp(pack, vehicle_mass, target_time, dt, diode_drop)
+    if lo == 1.0:
+        # the lower bound never moved: the target is out of reach
+        with pytest.raises(PowertrainError, match=f"{target_time:g} s"):
+            solve_kp_for_endurance(pack, vehicle_mass, target_time, dt, diode_drop)
+    else:
+        k = solve_kp_for_endurance(pack, vehicle_mass, target_time, dt, diode_drop)
+        assert k.hex() == k_ref.hex()
+
+
+def test_default_calibrated_kp_bits():
+    # the host k_p that anchors the 720 s solo flight of the default
+    # scenario, and the plain bisection's result on the same pack
+    expected = "0x1.417b1cf9e528cp+7"
+    assert full_scale_main_kp().hex() == expected
+    pack = BatteryPack.fresh(3, 2.2, 0.19, internal_resistance=0.025)
+    assert reference_solve_kp(pack, 0.82, 720.0, 0.1, 0.05)[0].hex() == expected
+
+
+def test_unreachable_endurance_target_raises():
+    # 0.185 Wh cannot hover a 5 kg vehicle for 720 s at any k_p >= 1:
+    # at k_p = 1 it flies 58.5 s
+    pack = BatteryPack.fresh(1, 0.05, 0.01)
+    assert time_to_depletion(pack, hover_power(5.0, 1.0)) == pytest.approx(58.5)
+    with pytest.raises(PowertrainError, match="720 s hover.* 58.5 s"):
+        solve_kp_for_endurance(pack, 5.0, 720.0)
+
+
+# ---------------------------------------------------------------------------
 # solve_bus / command_switch
 # ---------------------------------------------------------------------------
 
@@ -251,6 +376,79 @@ def test_no_reverse_current_randomized(rng):
             assert s.bus_voltage * (s.current_primary + s.current_secondary) == pytest.approx(
                 load, rel=1e-9, abs=1e-9
             )
+
+
+def circuit_with_drop(drop, relay_closed=True, secondary_present=True):
+    # a drop past 0.2 V cannot be constructed, so it is forced
+    c = SwitchCircuit(relay_closed, min(drop, 0.2), secondary_present)
+    object.__setattr__(c, "diode_drop", drop)
+    return c
+
+
+@st.composite
+def bus_cases(draw):
+    cells_p = draw(st.integers(1, 6))
+    cells_s = draw(st.one_of(st.just(cells_p), st.integers(1, 6)))
+    primary = pack_at_soc(draw(st.floats(0.0, 1.0)), cells=cells_p, capacity_ah=2.2)
+    secondary = pack_at_soc(draw(st.floats(0.0, 1.0)), cells=cells_s)
+    if draw(st.integers(0, 3)) == 0:
+        secondary = None
+    present = secondary is not None and draw(st.integers(0, 3)) > 0
+    relay_closed = draw(st.integers(0, 3)) > 0 or not present
+    # drops past 0.2 V let two sources far enough apart both conduct
+    drop = draw(st.one_of(st.floats(0.001, 0.2), st.floats(0.2, 1.5)))
+    c = circuit_with_drop(drop, relay_closed, present)
+    load = draw(st.one_of(st.just(0.0), st.floats(0.001, 500.0)))
+    return c, primary, secondary, load
+
+
+@settings(PROPERTY, max_examples=400)
+@given(bus_cases())
+# both conduct inside the window, both conduct outside it, nothing live
+@example((SwitchCircuit(diode_drop=0.1, secondary_present=True), pack_at_soc(0.5), pack_at_soc(0.5), 80.0))
+@example((circuit_with_drop(1.5), pack_at_soc(1.0, capacity_ah=2.2), pack_at_soc(0.6), 100.0))
+@example((SwitchCircuit(), pack_at_soc(0.0), None, 50.0))
+def test_solve_bus_properties(case):
+    c, primary, secondary, load = case
+    v_p = ocv(primary) if c.relay_closed and not primary.is_depleted else None
+    v_s = None
+    if c.secondary_present and secondary is not None and not secondary.is_depleted:
+        v_s = ocv(secondary)
+    live = [v for v in (v_p, v_s) if v is not None]
+    bus = max(live) - c.diode_drop if live else 0.0
+    conducts_p = v_p is not None and v_p > bus
+    conducts_s = v_s is not None and v_s > bus
+    outside_window = (
+        conducts_p
+        and conducts_s
+        and abs(v_p - v_s) > 0.2 * min(primary.cell_count, secondary.cell_count)
+    )
+    # a constructible circuit (drop <= 0.2 V) never leaves the window
+    assert not (outside_window and c.diode_drop <= 0.2)
+    if outside_window:
+        with pytest.raises(PowertrainError, match="parallel-safe"):
+            solve_bus(c, primary, secondary, load)
+        return
+    s = solve_bus(c, primary, secondary, load)
+    # no reverse current
+    assert s.current_primary >= 0.0 and s.current_secondary >= 0.0
+    expected_source = {
+        (True, True): ActiveSource.BOTH,
+        (True, False): ActiveSource.PRIMARY,
+        (False, True): ActiveSource.SECONDARY,
+        (False, False): ActiveSource.NONE,
+    }[(conducts_p, conducts_s)]
+    assert s.active_source is expected_source
+    if s.active_source is ActiveSource.NONE:
+        assert (s.bus_voltage, s.current_primary, s.current_secondary) == (0.0, 0.0, 0.0)
+        return
+    assert s.bus_voltage == bus > 0.0
+    assert math.isclose(s.current_total, load / bus, rel_tol=4 * 2.0**-52)
+    if load > 0.0:
+        # a source carries current exactly when it conducts
+        assert (s.current_primary > 0.0, s.current_secondary > 0.0) == (conducts_p, conducts_s)
+    else:
+        assert s.current_primary == s.current_secondary == 0.0
 
 
 def test_bus_continuity_across_switch():
