@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import endurance as en
 from .engine import SimNumericsError
 from .mission import run_mission
+from .powertrain import PowertrainError
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -54,6 +55,11 @@ def cmd_run(args) -> int:
     summary_path = os.path.join(out, f"{scenario.name}_summary.csv")
     try:
         result = run_mission(None, scenario, telemetry_path=telemetry_path, seed=args.seed)
+    except PowertrainError as exc:
+        # the scenario asks for a powertrain that cannot exist, such as
+        # an unreachable k_p calibration
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SimNumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -157,6 +163,9 @@ def cmd_sweep(args) -> int:
     try:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(lambda v: _sweep_one(base, args.param, v), values))
+    except PowertrainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SimNumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -103,7 +103,10 @@ class MissionLog:
 
 
 class _Unit:
-    """One flying battery: small quadcopter + its secondary pack."""
+    """One flying battery: small quadcopter + its secondary pack. The
+    pack specs are shared by the fleet; own_wh and secondary_wh are this
+    unit's remaining energies, and the *_drawn_wh totals stay None until
+    the pack first delivers energy."""
 
     __slots__ = (
         "uid",
@@ -115,6 +118,10 @@ class _Unit:
         "pid",
         "own_pack",
         "secondary",
+        "own_wh",
+        "secondary_wh",
+        "own_drawn_wh",
+        "secondary_drawn_wh",
         "state",
         "phase",
         "ref",
@@ -138,6 +145,10 @@ class _Unit:
         self.pid = CascadedPid(cfg, params.mass)
         self.own_pack = own_pack
         self.secondary = secondary
+        self.own_wh = own_pack.capacity_wh
+        self.secondary_wh = secondary.capacity_wh
+        self.own_drawn_wh: float | None = None
+        self.secondary_drawn_wh: float | None = None
         self.home = home
         self.state = (
             home[0], home[1], GROUND_COM,
@@ -204,9 +215,11 @@ class World:
 
         # powertrain
         self.primary: pt.BatteryPack = inp.primary
-        self.circuit = pt.SwitchCircuit(diode_drop=inp.diode_drop)
+        self.primary_wh = inp.primary.capacity_wh
+        drop = scenario.circuit.diode_drop
+        self.circuit = pt.SwitchCircuit(diode_drop=drop)
         self.bus = pt.BusSample(
-            pt.ocv(inp.primary) - inp.diode_drop, 0.0, 0.0, pt.ActiveSource.PRIMARY
+            pt.ocv(self.primary, self.primary_wh) - drop, 0.0, 0.0, pt.ActiveSource.PRIMARY
         )
 
         # aero / feedforward
@@ -232,7 +245,9 @@ class World:
         self.termination_reason = ""
         self.time_on_primary = 0.0
         self.time_on_secondary = 0.0
-        self.energy_drawn: dict[str, float] = {"primary": 0.0}
+        self.primary_drawn_wh = 0.0
+        # units in the order their secondaries first delivered energy
+        self._secondary_draw_order: list[_Unit] = []
         self.switch_count = 0
         self.contact_failure_count = 0
         self.dock_count = 0
@@ -337,7 +352,7 @@ class World:
         docked = self.docked_unit
         if docked is not None:
             electrical = self.circuit.secondary_present
-            if electrical and docked.secondary.energy_wh <= 0.0:
+            if electrical and docked.secondary_wh <= 0.0:
                 # secondary exhausted: back to primary, shed the unit,
                 # and launch the replacement in the same instant
                 self.circuit = pt.command_switch(self.circuit, pt.SwitchTarget.USE_PRIMARY)
@@ -357,7 +372,7 @@ class World:
             if nxt is not None:
                 self._dispatch(nxt, t)
 
-        if self.primary.energy_wh <= 0.0 and not (
+        if self.primary_wh <= 0.0 and not (
             self.docked_unit is not None and self.circuit.secondary_present
         ):
             self._end_mission(t, "primary_depleted")
@@ -461,18 +476,8 @@ class World:
         self._event(t, "landing", u.uid)
         if self.mission.ground_recharge:
             u.available_at = t + self.mission.turnaround_delay
-            u.own_pack = pt.BatteryPack.fresh(
-                u.own_pack.cell_count,
-                u.own_pack.capacity_ah,
-                u.own_pack.mass,
-                u.own_pack.internal_resistance,
-            )
-            u.secondary = pt.BatteryPack.fresh(
-                u.secondary.cell_count,
-                u.secondary.capacity_ah,
-                u.secondary.mass,
-                u.secondary.internal_resistance,
-            )
+            u.own_wh = u.own_pack.capacity_wh
+            u.secondary_wh = u.secondary.capacity_wh
             self._event(t, "recharged", u.uid, in_column=False)
         else:
             u.spent = True
@@ -602,7 +607,7 @@ class World:
                     u.thrust = self.pinned_thrust
                     continue
                 s = u.state
-                if u.phase is dk.DockPhase.FREE_FALL or u.own_pack.energy_wh <= 0.0:
+                if u.phase is dk.DockPhase.FREE_FALL or u.own_wh <= 0.0:
                     u.thrust = 0.0
                     tqx = tqy = tqz = 0.0
                 else:
@@ -793,8 +798,13 @@ class World:
         # --- powertrain --------------------------------------------------
         load = pt.total_rotor_power(thrust, self.k_thrust_main)
         docked = self.docked_unit
-        secondary = docked.secondary if docked is not None else None
-        bus = pt.solve_bus(self.circuit, self.primary, secondary, load)
+        if docked is None:
+            bus = pt.solve_bus(self.circuit, self.primary, self.primary_wh, None, 0.0, load)
+        else:
+            bus = pt.solve_bus(
+                self.circuit, self.primary, self.primary_wh,
+                docked.secondary, docked.secondary_wh, load,
+            )
         self.bus = bus
         if bus.active_source is pt.ActiveSource.NONE:
             if load > 0.0:
@@ -804,38 +814,35 @@ class World:
             i_s = bus.current_secondary
             if i_p > 0.0:
                 share = load * i_p / (i_p + i_s)
-                before = self.primary.energy_wh
-                self.primary = pt.discharge(self.primary, share, dt, current=i_p)
-                self.energy_drawn["primary"] += before - self.primary.energy_wh
+                before = self.primary_wh
+                self.primary_wh = left = pt.discharge(self.primary, before, share, dt, current=i_p)
+                self.primary_drawn_wh += before - left
                 self.time_on_primary += dt
-                if self.primary.energy_wh <= 0.0:
+                if left <= 0.0:
                     self._event(t, "depleted", detail="primary")
             if i_s > 0.0 and docked is not None:
                 share = load * i_s / (i_p + i_s)
-                before = docked.secondary.energy_wh
-                docked.secondary = pt.discharge(docked.secondary, share, dt, current=i_s)
-                key = f"unit{docked.uid}.secondary"
-                drawn = before - docked.secondary.energy_wh
-                if key in self.energy_drawn:
-                    self.energy_drawn[key] += drawn
-                else:
-                    self.energy_drawn[key] = drawn
+                before = docked.secondary_wh
+                docked.secondary_wh = left = pt.discharge(
+                    docked.secondary, before, share, dt, current=i_s
+                )
+                if docked.secondary_drawn_wh is None:
+                    docked.secondary_drawn_wh = 0.0
+                    self._secondary_draw_order.append(docked)
+                docked.secondary_drawn_wh += before - left
                 self.time_on_secondary += dt
-                if docked.secondary.energy_wh <= 0.0:
+                if left <= 0.0:
                     self._event(t, "depleted", docked.uid, "secondary")
         if airborne:
             for u in airborne:
-                if u.thrust > 0.0 and u.own_pack.energy_wh > 0.0:
+                if u.thrust > 0.0 and u.own_wh > 0.0:
                     p_fb = pt.total_rotor_power(u.thrust, u.k_thrust)
-                    before = u.own_pack.energy_wh
-                    u.own_pack = pt.discharge(u.own_pack, p_fb, dt)
-                    key = f"unit{u.uid}.own"
-                    drawn = before - u.own_pack.energy_wh
-                    if key in self.energy_drawn:
-                        self.energy_drawn[key] += drawn
-                    else:
-                        self.energy_drawn[key] = drawn
-                    if u.own_pack.energy_wh <= 0.0:
+                    before = u.own_wh
+                    u.own_wh = left = pt.discharge(u.own_pack, before, p_fb, dt)
+                    if u.own_drawn_wh is None:
+                        u.own_drawn_wh = 0.0
+                    u.own_drawn_wh += before - left
+                    if left <= 0.0:
                         self._event(t, "depleted", u.uid, "own")
 
         # --- telemetry ----------------------------------------------------
@@ -929,19 +936,22 @@ class World:
         if not self.terminated:
             self._end_mission(t_end, "duration_guard")
         self.log.totals = self.summary_totals()
-        self.log.energy_drawn = dict(self.energy_drawn)
+        # keyed by pack, for the packs that delivered energy
+        drawn = {"primary": self.primary_drawn_wh}
+        for u in self._secondary_draw_order:
+            drawn[f"unit{u.uid}.secondary"] = u.secondary_drawn_wh
+        for u in self.units:
+            if u.own_drawn_wh is not None:
+                drawn[f"unit{u.uid}.own"] = u.own_drawn_wh
+        self.log.energy_drawn = drawn
         return self.log
 
     def solo_equivalent_time(self) -> float:
-        """Hover time of the host alone on a fresh primary pack."""
-        fresh = pt.BatteryPack.fresh(
-            self.primary.cell_count,
-            self.primary.capacity_ah,
-            self.primary.mass,
-            self.primary.internal_resistance,
-        )
+        """Hover time of the host alone on a full primary pack."""
         load = pt.hover_power(self.main_params.mass, self.main_params.k_p)
-        return pt.time_to_depletion(fresh, load, dt=0.1, diode_drop=self.circuit.diode_drop)
+        return pt.time_to_depletion(
+            self.primary, self.primary.capacity_wh, load, 0.1, self.circuit.diode_drop
+        )
 
     def summary_totals(self) -> dict[str, float]:
         t_total = self.step_index * self.dt
@@ -957,8 +967,7 @@ class World:
             "time_on_primary": self.time_on_primary,
             "time_on_secondary": self.time_on_secondary,
             "max_altitude_error": self._alt_err_abs_max,
-            "primary_energy_wh": self.energy_drawn.get("primary", 0.0),
-            "secondary_energy_wh": sum(
-                v for k, v in self.energy_drawn.items() if k.endswith(".secondary")
-            ),
+            "primary_energy_wh": self.primary_drawn_wh,
+            # summed in first-draw order, which fixes the float rounding
+            "secondary_energy_wh": sum(u.secondary_drawn_wh for u in self._secondary_draw_order),
         }

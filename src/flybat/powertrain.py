@@ -1,7 +1,8 @@
 """Battery packs, rotor power, and the behavioral battery-switching circuit.
 
-The pack model is energy-based: state of charge is remaining energy over
-initial energy, mapped to an open-circuit voltage through a fixed
+The pack model is energy-based: a pack is an immutable spec and its
+remaining energy a plain float; state of charge is remaining energy over
+capacity, mapped to an open-circuit voltage through a fixed
 piecewise-linear LiPo curve (4.20 V/cell full, 3.00 V/cell empty). Rotor
 aerodynamic power scales as thrust**1.5; hover electric power is
 k_p * total_mass**1.5.
@@ -16,9 +17,10 @@ lower voltage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from math import sqrt
+from typing import NamedTuple
 
 GRAVITY = 9.81
 CELL_FULL_V = 4.2
@@ -53,48 +55,22 @@ class ActiveSource(Enum):
 
 @dataclass(frozen=True)
 class BatteryPack:
-    """One LiPo pack. energy_wh is the remaining energy; capacity_wh the
-    energy when full. Default full energy is capacity_ah * cells * 3.7 V
-    nominal per cell."""
+    """One LiPo pack's fixed spec. capacity_wh is the energy when full,
+    capacity_ah * cells * 3.7 V nominal per cell; the remaining energy
+    is a plain float the caller carries next to the spec."""
 
     cell_count: int
     capacity_ah: float
     mass: float
-    energy_wh: float
-    capacity_wh: float
     internal_resistance: float = 0.025
-
-    @staticmethod
-    def fresh(
-        cell_count: int, capacity_ah: float, mass: float, internal_resistance: float = 0.025
-    ) -> "BatteryPack":
-        energy = capacity_ah * cell_count * 3.7
-        return BatteryPack(
-            cell_count=cell_count,
-            capacity_ah=capacity_ah,
-            mass=mass,
-            energy_wh=energy,
-            capacity_wh=energy,
-            internal_resistance=internal_resistance,
-        )
+    capacity_wh: float = field(init=False)
 
     def __post_init__(self):
         if self.cell_count < 1:
             raise PowertrainError(f"cell_count must be >= 1, got {self.cell_count}")
+        object.__setattr__(self, "capacity_wh", self.capacity_ah * self.cell_count * 3.7)
         if self.capacity_wh <= 0.0:
             raise PowertrainError("capacity_wh must be positive")
-        if not -1.0e-12 <= self.energy_wh <= self.capacity_wh * (1.0 + 1.0e-12):
-            raise PowertrainError(
-                f"energy_wh {self.energy_wh} outside [0, {self.capacity_wh}]"
-            )
-
-    @property
-    def soc(self) -> float:
-        return max(0.0, min(1.0, self.energy_wh / self.capacity_wh))
-
-    @property
-    def is_depleted(self) -> bool:
-        return self.energy_wh <= 0.0
 
 
 @dataclass(frozen=True)
@@ -115,8 +91,7 @@ class SwitchCircuit:
             raise PowertrainError("relay cannot be open without a secondary source")
 
 
-@dataclass(frozen=True)
-class BusSample:
+class BusSample(NamedTuple):
     """Electrical state of the load bus at one instant."""
 
     bus_voltage: float
@@ -165,9 +140,9 @@ _OCV_SEGMENTS = tuple(
 )
 
 
-def ocv(pack: BatteryPack) -> float:
-    """Open-circuit voltage of the whole pack from its state of charge."""
-    return ocv_per_cell(pack.energy_wh / pack.capacity_wh) * pack.cell_count
+def ocv(pack: BatteryPack, energy_wh: float) -> float:
+    """Open-circuit voltage of the whole pack holding energy_wh."""
+    return ocv_per_cell(energy_wh / pack.capacity_wh) * pack.cell_count
 
 
 def ocv_per_cell(soc: float) -> float:
@@ -181,65 +156,61 @@ def ocv_per_cell(soc: float) -> float:
     return CELL_FULL_V
 
 
-def _drained(pack: BatteryPack, energy_wh: float) -> BatteryPack:
-    """Copy of pack with new remaining energy; skips revalidation since
-    the value is already clamped to [0, capacity]."""
-    new = BatteryPack.__new__(BatteryPack)
-    d = new.__dict__
-    d.update(pack.__dict__)
-    d["energy_wh"] = energy_wh
-    return new
-
-
 def discharge(
-    pack: BatteryPack, load_power: float, dt: float, current: float | None = None
-) -> BatteryPack:
-    """Remove load_power*dt plus the I^2 R loss from the pack.
+    pack: BatteryPack, energy_wh: float, load_power: float, dt: float, current: float | None = None
+) -> float:
+    """Remaining energy after removing load_power*dt plus the I^2 R loss
+    from a pack holding energy_wh.
 
-    current defaults to load_power / ocv(pack); the simulation passes the
-    bus-apportioned current so the energy audit reconstructs losses from
-    telemetry exactly. Energy clamps at zero; callers detect depletion
-    through is_depleted."""
+    current defaults to load_power / ocv(pack, energy_wh); the simulation
+    passes the bus-apportioned current so the energy audit reconstructs
+    losses from telemetry exactly. The result clamps at zero, which is
+    how callers detect depletion."""
     if load_power < 0.0:
         raise PowertrainError(f"load_power must be non-negative, got {load_power}")
     if load_power == 0.0:
-        return pack
+        return energy_wh
     if current is None:
-        v = ocv(pack)
+        v = ocv(pack, energy_wh)
         current = load_power / v if v > 0.0 else 0.0
     loss = current * current * pack.internal_resistance
-    energy = pack.energy_wh - (load_power + loss) * dt / 3600.0
-    return _drained(pack, energy if energy > 0.0 else 0.0)
+    energy = energy_wh - (load_power + loss) * dt / 3600.0
+    return energy if energy > 0.0 else 0.0
 
 
 def solve_bus(
     circuit: SwitchCircuit,
     primary: BatteryPack,
+    primary_wh: float,
     secondary: BatteryPack | None,
+    secondary_wh: float,
     load_power: float,
 ) -> BusSample:
     """Steady-state bus sample for the diode-OR circuit under a constant
-    power load.
+    power load, with the primary holding primary_wh and the secondary
+    (if any) secondary_wh.
 
     The source with the highest open-circuit voltage sets the bus one
     diode drop below it; any other source within the drop window
     conducts too, splitting current in proportion to voltage surplus.
-    Depleted packs and a disconnected primary (relay open) do not
-    conduct. With no conducting source the sample reports a collapsed
-    bus (active_source NONE, zero volts)."""
+    Empty packs and a disconnected primary (relay open) do not conduct.
+    With no conducting source the sample reports a collapsed bus
+    (active_source NONE, zero volts)."""
     if load_power < 0.0:
         raise PowertrainError(f"load_power must be non-negative, got {load_power}")
     v_p = None
-    if circuit.relay_closed and not primary.is_depleted:
-        v_p = ocv(primary)
+    if circuit.relay_closed and primary_wh > 0.0:
+        v_p = ocv(primary, primary_wh)
     v_s = None
-    if circuit.secondary_present and secondary is not None and not secondary.is_depleted:
-        v_s = ocv(secondary)
+    if circuit.secondary_present and secondary is not None and secondary_wh > 0.0:
+        v_s = ocv(secondary, secondary_wh)
 
-    if v_p is None and v_s is None:
-        return BusSample(0.0, 0.0, 0.0, ActiveSource.NONE)
-
-    v_top = max(v for v in (v_p, v_s) if v is not None)
+    if v_s is None:
+        if v_p is None:
+            return BusSample(0.0, 0.0, 0.0, ActiveSource.NONE)
+        v_top = v_p
+    else:
+        v_top = v_s if v_p is None or v_s > v_p else v_p
     bus = v_top - circuit.diode_drop
     surplus_p = max(0.0, (v_p - bus)) if v_p is not None else 0.0
     surplus_s = max(0.0, (v_s - bus)) if v_s is not None else 0.0
@@ -282,20 +253,25 @@ def command_switch(circuit: SwitchCircuit, target: SwitchTarget) -> SwitchCircui
 
 
 def time_to_depletion(
-    pack: BatteryPack, load_power: float, dt: float = 0.1, diode_drop: float = 0.05
+    pack: BatteryPack,
+    energy_wh: float,
+    load_power: float,
+    dt: float = 0.1,
+    diode_drop: float = 0.05,
 ) -> float:
-    """Seconds until the pack empties under a constant-power load, with
-    I^2 R losses computed from the bus-side current. Used for endurance
-    calibration and solo-equivalent reporting.
+    """Seconds until a pack holding energy_wh empties under a
+    constant-power load, with I^2 R losses computed from the bus-side
+    current. Used for endurance calibration and solo-equivalent
+    reporting.
 
     Each step does the float operations of `ocv` and
-    `discharge(pack, load_power, dt, current=...)` in the same order, on
-    the remaining energy as a plain float, so the result is bit-identical
-    to stepping a BatteryPack without allocating one per step."""
+    `discharge(pack, energy, load_power, dt, current=...)` in the same
+    order, inline: the k_p bisection runs this loop some 400 k times, and
+    a call per step would make World() measurably slower to build."""
     if load_power <= 0.0:
         return float("inf")
     cap, cells, r = pack.capacity_wh, pack.cell_count, pack.internal_resistance
-    energy = pack.energy_wh
+    energy = energy_wh
     t = 0.0
     # discharge clamps a negative or NaN energy to zero; the loop test
     # stops on either just the same
@@ -317,7 +293,7 @@ def solve_kp_for_endurance(
     diode_drop: float = 0.05,
 ) -> float:
     """Powertrain constant k_p such that hovering at vehicle_mass
-    depletes the pack in target_time seconds, including resistive and
+    depletes the full pack in target_time seconds, including resistive and
     bus losses. Bisection on the shadow discharge integration, between
     k_p = 1 and four times the lossless k_p; raises PowertrainError when
     the pack empties before target_time even at k_p = 1."""
@@ -325,7 +301,9 @@ def solve_kp_for_endurance(
         raise PowertrainError("target_time must be positive")
 
     def flight_time(k_p: float) -> float:
-        return time_to_depletion(pack, hover_power(vehicle_mass, k_p), dt, diode_drop)
+        return time_to_depletion(
+            pack, pack.capacity_wh, hover_power(vehicle_mass, k_p), dt, diode_drop
+        )
 
     lo, hi = 1.0, 4.0 * pack.capacity_wh * 3600.0 / (
         target_time * vehicle_mass * sqrt(vehicle_mass)

@@ -354,7 +354,7 @@ def set_scenario_value(scenario: Scenario, dotted_key: str, raw: str) -> None:
 def _calibrated_main_kp(
     cells: int, capacity_ah: float, mass: float, resistance: float, vehicle_mass: float, diode_drop: float
 ) -> float:
-    pack = pt.BatteryPack.fresh(cells, capacity_ah, mass, resistance)
+    pack = pt.BatteryPack(cells, capacity_ah, mass, resistance)
     return pt.solve_kp_for_endurance(
         pack, vehicle_mass, SOLO_FLIGHT_TIME, dt=0.1, diode_drop=diode_drop
     )
@@ -372,13 +372,13 @@ def vehicle_params(spec: VehicleSpec, k_p: float | None = None) -> VehicleParams
 
 
 def battery_pack(spec: PackSpec) -> pt.BatteryPack:
-    return pt.BatteryPack.fresh(spec.cells, spec.capacity_ah, spec.mass, spec.internal_resistance)
+    return pt.BatteryPack(spec.cells, spec.capacity_ah, spec.mass, spec.internal_resistance)
 
 
 @dataclass
 class WorldInputs:
     """Domain objects built from a scenario; World reads the plain
-    [sim] and [mission] values from the scenario itself."""
+    [sim], [mission] and [circuit] values from the scenario itself."""
 
     main_params: VehicleParams
     fb_params: VehicleParams
@@ -388,7 +388,6 @@ class WorldInputs:
     primary: pt.BatteryPack
     secondary: pt.BatteryPack
     fb_own_pack: pt.BatteryPack
-    diode_drop: float
     downwash: DownwashModel
     ff_map: ctl.FeedforwardMap
     thresholds: DockThresholds
@@ -467,7 +466,6 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
         primary=battery_pack(b.primary),
         secondary=battery_pack(b.secondary),
         fb_own_pack=battery_pack(b.fb),
-        diode_drop=scenario.circuit.diode_drop,
         downwash=downwash,
         ff_map=ff_map,
         thresholds=thresholds,

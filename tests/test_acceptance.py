@@ -233,16 +233,12 @@ def test_criterion_07_switching_safety():
     rng = np.random.default_rng(707)
     violations = 0
     parallel_checked = 0
+    p = BatteryPack(3, 2.2, 0.19)
     for _ in range(1000):
-        cap_p = BatteryPack.fresh(3, 2.2, 0.19)
-        cap_s = BatteryPack.fresh(3, 1.5, 0.135)
-        p = BatteryPack(3, 2.2, 0.19, float(rng.uniform(0, 1)) * cap_p.capacity_wh, cap_p.capacity_wh)
+        p_wh = float(rng.uniform(0, 1)) * p.capacity_wh
         has_secondary = rng.random() < 0.85
-        s = (
-            BatteryPack(3, 1.5, 0.135, float(rng.uniform(0, 1)) * cap_s.capacity_wh, cap_s.capacity_wh)
-            if has_secondary
-            else None
-        )
+        s = BatteryPack(3, 1.5, 0.135) if has_secondary else None
+        s_wh = float(rng.uniform(0, 1)) * s.capacity_wh if has_secondary else 0.0
         circuit = SwitchCircuit(diode_drop=float(rng.uniform(0.02, 0.2)), secondary_present=has_secondary)
         for _ in range(8):
             cmd = rng.random()
@@ -251,17 +247,17 @@ def test_criterion_07_switching_safety():
             elif cmd < 0.8:
                 circuit = command_switch(circuit, SwitchTarget.USE_PRIMARY)
             load = float(rng.uniform(0.0, 300.0))
-            sample = solve_bus(circuit, p, s, load)
+            sample = solve_bus(circuit, p, p_wh, s, s_wh, load)
             if sample.current_primary < 0.0 or sample.current_secondary < 0.0:
                 violations += 1
-            live = (circuit.relay_closed and not p.is_depleted) or (
-                has_secondary and s is not None and not s.is_depleted
+            live = (circuit.relay_closed and p_wh > 0.0) or (
+                has_secondary and s is not None and s_wh > 0.0
             )
             if live and sample.bus_voltage <= 0.0:
                 violations += 1
             if sample.active_source is ActiveSource.BOTH:
                 parallel_checked += 1
-                if abs(ocv(p) - ocv(s)) > 0.2 * 3:
+                if abs(ocv(p, p_wh) - ocv(s, s_wh)) > 0.2 * 3:
                     violations += 1
     ok = violations == 0
     report(
@@ -278,25 +274,27 @@ def test_criterion_07_switching_safety():
 
 
 def test_criterion_08_discharge_behavior():
-    inp = build_world_inputs(default_scenario())
+    sc = default_scenario()
+    inp = build_world_inputs(sc)
     load = hover_power(1.140, inp.main_params.k_p)
     pack = inp.secondary
-    primary = BatteryPack.fresh(3, 2.2, 0.19)
+    energy = pack.capacity_wh
+    primary = BatteryPack(3, 2.2, 0.19)
     # relay open: the secondary alone carries the constant-power load
     circuit = command_switch(
-        SwitchCircuit(diode_drop=inp.diode_drop, secondary_present=True),
+        SwitchCircuit(diode_drop=sc.circuit.diode_drop, secondary_present=True),
         SwitchTarget.USE_SECONDARY,
     )
     dt = 0.01
     decim = 10
     volts, amps = [], []
     i = 0
-    while not pack.is_depleted:
-        sample = solve_bus(circuit, primary, pack, load)
+    while energy > 0.0:
+        sample = solve_bus(circuit, primary, primary.capacity_wh, pack, energy, load)
         if i % decim == 0:
-            volts.append(ocv(pack))
+            volts.append(ocv(pack, energy))
             amps.append(sample.current_secondary)
-        pack = discharge(pack, load, dt, current=sample.current_secondary)
+        energy = discharge(pack, energy, load, dt, current=sample.current_secondary)
         i += 1
     v = np.array(volts)
     a = np.array(amps)

@@ -100,6 +100,31 @@ def test_run_numeric_blowup_exits_3(tmp_path, capsys):
     assert "step" in err
 
 
+# a 0.05 Ah primary cannot hold a 5 kg host up for the 720 s solo flight
+# that calibrates its k_p
+UNREACHABLE_KP = """
+[vehicles]
+main.mass = 5
+
+[batteries]
+primary.capacity_ah = 0.05
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["sweep", "--param", "docking.mu", "--range", "0.5"]],
+    ids=["run", "sweep"],
+)
+def test_unreachable_kp_exits_config_error(tmp_path, capsys, command):
+    scenario = tmp_path / "heavy.cfg"
+    scenario.write_text(UNREACHABLE_KP)
+    code = main([*command[:1], "--scenario", str(scenario), "--out", str(tmp_path), *command[1:]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no k_p >= 1 reaches a 720 s hover")
+
+
 def test_out_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("FLYBAT_OUT", str(tmp_path / "envout"))
     scenario = write_scaled_scenario(tmp_path / "scaled.cfg", duration=20.0, fleet_size=0)

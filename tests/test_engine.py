@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ from conftest import run_optimized, scaled_mission_scenario
 from flybat.dynamics import GRAVITY, contact_forces, contact_retained
 from flybat.engine import SimNumericsError, World
 from flybat.powertrain import PowertrainError, hover_power
-from flybat.scenario import default_scenario, set_scenario_value
+from flybat.scenario import bundled_scenario, default_scenario, set_scenario_value
 from flybat.telemetry import format_row
 
 
@@ -105,8 +109,8 @@ def test_energy_audit_short_run():
     integral_wh = (
         np.trapezoid(p, t) + np.trapezoid(ip**2 * r_p + isec**2 * r_s, t)
     ) / 3600.0
-    drawn = w.energy_drawn["primary"] + sum(
-        v for k, v in w.energy_drawn.items() if k.endswith(".secondary")
+    drawn = w.primary_drawn_wh + sum(
+        u.secondary_drawn_wh for u in w.units if u.secondary_drawn_wh is not None
     )
     assert integral_wh == pytest.approx(drawn, rel=1e-3)
 
@@ -356,15 +360,85 @@ def test_quiescent_solo_hover_integrates_host_a_handful_of_times(rk4_calls):
     assert rk4_calls[0] <= 5
 
 
-_OPTIMIZED_SOLO_RUN = """
+def _churn_start_docked():
+    # unit 0 starts docked on a 0.05 Ah secondary that empties at 9.8 s;
+    # it undocks and lands while unit 1 flies in, and unit 1's capture
+    # draws the contact outcome at 30.1 s
+    sc = default_scenario("churn")
+    sc.batteries.secondary.capacity_ah = 0.05
+    sc.docking.contact_failure_probability = 0.3
+    sc.mission.fleet_size = 4
+    sc.mission.start_docked = True
+    sc.sim.seed = 1000
+    return sc, 31.0
+
+
+OPTIMIZE_CASES = {
+    "solo_hover": lambda: (solo_scenario(duration=2.0, telemetry_hz=1000.0), 2.0),
+    "paper_demo_60s": lambda: (bundled_scenario("paper_demo"), 60.0),
+    "churn_start_docked": _churn_start_docked,
+}
+
+
+def write_case_telemetry(case, path):
+    sc, duration = OPTIMIZE_CASES[case]()
+    World(sc, telemetry_path=path).run(duration)
+
+
+_OPTIMIZED_RUN = """
 import sys
-from flybat.engine import World
-from test_engine import solo_scenario
-World(solo_scenario(duration=2.0, telemetry_hz=1000.0), telemetry_path=sys.argv[1]).run(2.0)
+from test_engine import write_case_telemetry
+write_case_telemetry(sys.argv[1], sys.argv[2])
 """
 
 
-def test_solo_hover_telemetry_same_under_optimize(tmp_path):
-    World(solo_scenario(duration=2.0, telemetry_hz=1000.0), telemetry_path=tmp_path / "a.csv").run(2.0)
-    run_optimized(_OPTIMIZED_SOLO_RUN, str(tmp_path / "b.csv"))
+def _check_same_under_optimize(tmp_path, case):
+    write_case_telemetry(case, tmp_path / "a.csv")
+    run_optimized(_OPTIMIZED_RUN, case, str(tmp_path / "b.csv"))
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_solo_hover_telemetry_same_under_optimize(tmp_path):
+    _check_same_under_optimize(tmp_path, "solo_hover")
+
+
+@pytest.mark.parametrize("case", ["paper_demo_60s", "churn_start_docked"])
+def test_mission_telemetry_same_under_optimize(tmp_path, case):
+    _check_same_under_optimize(tmp_path, case)
+
+
+# --- benchmark tracer bindings -----------------------------------------------
+
+
+def _perfbench_tracer():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_counts_powertrain_calls_and_restores_bindings():
+    # the benchmark's per-layer metrics wrap pt.solve_bus and pt.discharge
+    # on the powertrain module; an engine that bound them another way
+    # would read zero calls there rather than fail
+    tracer = _perfbench_tracer()
+    targets = []
+    for module, cls, attr, *_ in (*tracer.TIMED, *tracer.PHASED, tracer.CLI_RUN_MISSION):
+        owner = importlib.import_module(module)
+        targets.append((getattr(owner, cls) if cls else owner, attr))
+    before = [vars(owner).get(attr) for owner, attr in targets]
+
+    sc = solo_scenario(duration=1.0)
+    sc.mission.fleet_size = 1
+    sc.mission.start_docked = True
+    tr = tracer.Tracer()
+    with tr:
+        w = World(sc)
+        w.run(1.0)
+    run = tr.snapshot()["tables"]["run"]
+    assert w.step_index == 1000
+    assert run["powertrain.solve_bus"][0] == w.step_index
+    assert run["powertrain.discharge"][0] > 0
+    after = [vars(owner).get(attr) for owner, attr in targets]
+    assert all(a is b for a, b in zip(after, before))

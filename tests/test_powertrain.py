@@ -30,23 +30,18 @@ PROPERTY = settings(deadline=None, derandomize=True, database=None)
 G = 9.81
 
 
-def pack_3s_22(energy=None, r=0.0):
-    p = BatteryPack.fresh(3, 2.2, 0.190, internal_resistance=r)
-    if energy is not None:
-        p = BatteryPack(3, 2.2, 0.190, energy, p.capacity_wh, r)
-    return p
+def pack_3s_22(r=0.0):
+    return BatteryPack(3, 2.2, 0.190, internal_resistance=r)
 
 
-def pack_3s_15(energy=None, r=0.0):
-    p = BatteryPack.fresh(3, 1.5, 0.135, internal_resistance=r)
-    if energy is not None:
-        p = BatteryPack(3, 1.5, 0.135, energy, p.capacity_wh, r)
-    return p
+def pack_3s_15(r=0.0):
+    return BatteryPack(3, 1.5, 0.135, internal_resistance=r)
 
 
 def pack_at_soc(soc, cells=3, capacity_ah=1.5, r=0.0):
-    full = BatteryPack.fresh(cells, capacity_ah, 0.1, internal_resistance=r)
-    return BatteryPack(cells, capacity_ah, 0.1, soc * full.capacity_wh, full.capacity_wh, r)
+    """(spec, remaining energy) of a pack at the given state of charge."""
+    pack = BatteryPack(cells, capacity_ah, 0.1, internal_resistance=r)
+    return pack, soc * pack.capacity_wh
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +98,8 @@ def test_hover_kp_calibrated_from_solo_flight():
 
 
 def test_ocv_full_and_empty():
-    assert ocv(pack_at_soc(1.0)) == pytest.approx(12.6, abs=1e-12)
-    assert ocv(pack_at_soc(0.0)) == pytest.approx(9.0, abs=1e-12)
+    assert ocv(*pack_at_soc(1.0)) == pytest.approx(12.6, abs=1e-12)
+    assert ocv(*pack_at_soc(0.0)) == pytest.approx(9.0, abs=1e-12)
 
 
 def test_ocv_interpolation_oracle_mid_segment():
@@ -112,8 +107,8 @@ def test_ocv_interpolation_oracle_mid_segment():
     soc = 0.55
     v_oracle = 3.70 + (4.05 - 3.70) * (soc - 0.2) / (0.9 - 0.2)
     assert v_oracle == pytest.approx(3.875, abs=1e-12)
-    assert ocv(pack_at_soc(soc)) == pytest.approx(3 * v_oracle, abs=1e-12)
-    assert ocv(pack_at_soc(soc)) == pytest.approx(11.625, abs=1e-9)
+    assert ocv(*pack_at_soc(soc)) == pytest.approx(3 * v_oracle, abs=1e-12)
+    assert ocv(*pack_at_soc(soc)) == pytest.approx(11.625, abs=1e-9)
 
 
 def test_ocv_monotone_in_soc():
@@ -139,8 +134,9 @@ def test_discharge_energy_integration_oracle():
     expected = p.capacity_wh / 150.0 * 3600.0
     assert expected == pytest.approx(399.6, abs=1e-9)
     t, dt = 0.0, 0.05
-    while not p.is_depleted:
-        p = discharge(p, 150.0, dt)
+    e = p.capacity_wh
+    while e > 0.0:
+        e = discharge(p, e, 150.0, dt)
         t += dt
     assert t == pytest.approx(expected, abs=2 * dt)
     assert t / 60.0 == pytest.approx(6.66, abs=0.02)
@@ -148,31 +144,32 @@ def test_discharge_energy_integration_oracle():
 
 def test_discharge_zero_load_is_identity():
     p = pack_3s_15()
-    assert discharge(p, 0.0, 10.0) == p
+    assert discharge(p, p.capacity_wh, 0.0, 10.0) == p.capacity_wh
 
 
 def test_discharge_primary_round_trip_anchors_solo_flight():
     p = pack_3s_22(r=0.0)
-    t = time_to_depletion(p, 122.1, dt=0.05, diode_drop=0.05)
+    t = time_to_depletion(p, p.capacity_wh, 122.1, dt=0.05, diode_drop=0.05)
     assert t == pytest.approx(720.0, rel=0.02)
 
 
 def test_discharge_conserves_energy(rng):
     p = pack_3s_15(r=0.025)
+    e = p.capacity_wh
     removed = 0.0
     dt = 0.1
     for _ in range(500):
         load = float(rng.uniform(0.0, 200.0))
-        current = load / ocv(p) if ocv(p) > 0 else 0.0
-        before = p.energy_wh
-        p = discharge(p, load, dt, current=current)
-        if p.energy_wh > 0.0:
+        current = load / ocv(p, e) if ocv(p, e) > 0 else 0.0
+        before = e
+        e = discharge(p, e, load, dt, current=current)
+        if e > 0.0:
             removed += (load + current * current * p.internal_resistance) * dt / 3600.0
-            assert before - p.energy_wh == pytest.approx(
+            assert before - e == pytest.approx(
                 (load + current**2 * p.internal_resistance) * dt / 3600.0, rel=1e-6
             )
     with pytest.raises(PowertrainError):
-        discharge(p, -1.0, dt)
+        discharge(p, e, -1.0, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +177,17 @@ def test_discharge_conserves_energy(rng):
 # ---------------------------------------------------------------------------
 
 
-def reference_time_to_depletion(pack, load_power, dt, diode_drop):
-    # steps a BatteryPack through ocv and discharge, one copy per step
+def reference_time_to_depletion(pack, energy_wh, load_power, dt, diode_drop):
+    # steps the remaining energy through ocv and discharge, one call each
+    # per step
     if load_power <= 0.0:
         return float("inf")
     t = 0.0
-    p = pack
-    while not p.is_depleted:
-        bus = ocv(p) - diode_drop
+    e = energy_wh
+    while e > 0.0:
+        bus = ocv(pack, e) - diode_drop
         current = load_power / bus if bus > 0.0 else 0.0
-        p = discharge(p, load_power, dt, current=current)
+        e = discharge(pack, e, load_power, dt, current=current)
         t += dt
         if t > 1.0e7:
             raise PowertrainError("pack does not deplete")
@@ -204,7 +202,7 @@ def reference_solve_kp(pack, vehicle_mass, target_time, dt, diode_drop):
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         load = hover_power(vehicle_mass, mid)
-        if reference_time_to_depletion(pack, load, dt, diode_drop) > target_time:
+        if reference_time_to_depletion(pack, pack.capacity_wh, load, dt, diode_drop) > target_time:
             lo = mid
         else:
             hi = mid
@@ -225,26 +223,25 @@ def reference_solve_kp(pack, vehicle_mass, target_time, dt, diode_drop):
 def test_time_to_depletion_bit_identical_to_pack_stepping(
     cells, capacity_ah, soc, r, dt, diode_drop, lossless_steps
 ):
-    full = BatteryPack.fresh(cells, capacity_ah, 0.1, internal_resistance=r)
-    pack = BatteryPack(cells, capacity_ah, 0.1, soc * full.capacity_wh, full.capacity_wh, r)
+    pack, energy = pack_at_soc(soc, cells, capacity_ah, r)
     # a load that would empty the full pack in about lossless_steps steps
-    load = full.capacity_wh * 3600.0 / (lossless_steps * dt)
-    expected = reference_time_to_depletion(pack, load, dt, diode_drop)
-    assert time_to_depletion(pack, load, dt, diode_drop).hex() == expected.hex()
+    load = pack.capacity_wh * 3600.0 / (lossless_steps * dt)
+    expected = reference_time_to_depletion(pack, energy, load, dt, diode_drop)
+    assert time_to_depletion(pack, energy, load, dt, diode_drop).hex() == expected.hex()
 
 
 def test_time_to_depletion_edge_loads_match_pack_stepping():
     pack = pack_3s_15(r=0.025)
+    full = pack.capacity_wh
     for load in (0.0, -1.0, float("nan"), 1.0e300):
-        expected = reference_time_to_depletion(pack, load, 0.1, 0.05)
-        assert time_to_depletion(pack, load, 0.1, 0.05).hex() == expected.hex()
-    empty = pack_3s_15(energy=0.0)
-    assert time_to_depletion(empty, 100.0) == 0.0
+        expected = reference_time_to_depletion(pack, full, load, 0.1, 0.05)
+        assert time_to_depletion(pack, full, load, 0.1, 0.05).hex() == expected.hex()
+    assert time_to_depletion(pack, 0.0, 100.0) == 0.0
     # a load too small to empty the pack trips the 1e7 s guard (after
     # ten 1e6 s steps here)
     for depletes in (reference_time_to_depletion, time_to_depletion):
         with pytest.raises(PowertrainError, match="does not deplete"):
-            depletes(pack, 1.0e-9, 1.0e6, 0.05)
+            depletes(pack, full, 1.0e-9, 1.0e6, 0.05)
 
 
 @settings(PROPERTY, max_examples=15)
@@ -262,7 +259,7 @@ def test_time_to_depletion_edge_loads_match_pack_stepping():
 def test_solve_kp_matches_reference_bisection(
     cells, capacity_ah, r, lossless_kp, target_time, dt, diode_drop
 ):
-    pack = BatteryPack.fresh(cells, capacity_ah, 0.1, internal_resistance=r)
+    pack = BatteryPack(cells, capacity_ah, 0.1, internal_resistance=r)
     vehicle_mass = (pack.capacity_wh * 3600.0 / (target_time * lossless_kp)) ** (2.0 / 3.0)
     k_ref, lo = reference_solve_kp(pack, vehicle_mass, target_time, dt, diode_drop)
     if lo == 1.0:
@@ -279,15 +276,15 @@ def test_default_calibrated_kp_bits():
     # scenario, and the plain bisection's result on the same pack
     expected = "0x1.417b1cf9e528cp+7"
     assert full_scale_main_kp().hex() == expected
-    pack = BatteryPack.fresh(3, 2.2, 0.19, internal_resistance=0.025)
+    pack = BatteryPack(3, 2.2, 0.19, internal_resistance=0.025)
     assert reference_solve_kp(pack, 0.82, 720.0, 0.1, 0.05)[0].hex() == expected
 
 
 def test_unreachable_endurance_target_raises():
     # 0.185 Wh cannot hover a 5 kg vehicle for 720 s at any k_p >= 1:
     # at k_p = 1 it flies 58.5 s
-    pack = BatteryPack.fresh(1, 0.05, 0.01)
-    assert time_to_depletion(pack, hover_power(5.0, 1.0)) == pytest.approx(58.5)
+    pack = BatteryPack(1, 0.05, 0.01)
+    assert time_to_depletion(pack, pack.capacity_wh, hover_power(5.0, 1.0)) == pytest.approx(58.5)
     with pytest.raises(PowertrainError, match="720 s hover.* 58.5 s"):
         solve_kp_for_endurance(pack, 5.0, 720.0)
 
@@ -300,8 +297,8 @@ def test_unreachable_endurance_target_raises():
 def test_bus_single_source():
     c = SwitchCircuit(diode_drop=0.05)
     primary = pack_at_soc(0.5, capacity_ah=2.2)  # 11.1 V nominal region
-    s = solve_bus(c, primary, None, 100.0)
-    assert s.bus_voltage == pytest.approx(ocv(primary) - 0.05, abs=1e-12)
+    s = solve_bus(c, *primary, None, 0.0, 100.0)
+    assert s.bus_voltage == pytest.approx(ocv(*primary) - 0.05, abs=1e-12)
     assert s.current_secondary == 0.0
     assert s.current_primary == pytest.approx(100.0 / s.bus_voltage, rel=1e-12)
     assert s.active_source is ActiveSource.PRIMARY
@@ -311,8 +308,8 @@ def test_bus_higher_voltage_source_wins():
     c = SwitchCircuit(diode_drop=0.05, secondary_present=True)
     primary = pack_at_soc(0.4667, capacity_ah=2.2)  # ~11.5 V
     secondary = pack_at_soc(1.0)  # 12.6 V
-    assert ocv(primary) == pytest.approx(11.5, abs=0.1)
-    s = solve_bus(c, primary, secondary, 150.0)
+    assert ocv(*primary) == pytest.approx(11.5, abs=0.1)
+    s = solve_bus(c, *primary, *secondary, 150.0)
     assert s.active_source is ActiveSource.SECONDARY
     assert s.current_primary == 0.0
     assert s.current_secondary > 0.0
@@ -322,17 +319,17 @@ def test_bus_relay_open_forces_lower_voltage_secondary():
     c = SwitchCircuit(relay_closed=False, diode_drop=0.05, secondary_present=True)
     primary = pack_at_soc(1.0, capacity_ah=2.2)  # 12.6 V
     secondary = pack_at_soc(0.0222)  # ~9.6 V
-    assert ocv(secondary) == pytest.approx(9.6, abs=0.2)
-    s = solve_bus(c, primary, secondary, 100.0)
+    assert ocv(*secondary) == pytest.approx(9.6, abs=0.2)
+    s = solve_bus(c, *primary, *secondary, 100.0)
     assert s.active_source is ActiveSource.SECONDARY
     assert s.current_primary == 0.0
-    assert s.bus_voltage == pytest.approx(ocv(secondary) - 0.05, abs=1e-12)
+    assert s.bus_voltage == pytest.approx(ocv(*secondary) - 0.05, abs=1e-12)
 
 
 def test_bus_collapse_when_no_source():
     c = SwitchCircuit(diode_drop=0.05)
     dead = pack_at_soc(0.0, capacity_ah=2.2)
-    s = solve_bus(c, dead, None, 50.0)
+    s = solve_bus(c, *dead, None, 0.0, 50.0)
     assert s.active_source is ActiveSource.NONE
     assert s.bus_voltage == 0.0
     assert s.current_primary == 0.0 and s.current_secondary == 0.0
@@ -360,15 +357,15 @@ def test_no_reverse_current_randomized(rng):
     for _ in range(2000):
         p = pack_at_soc(float(rng.uniform(0.0, 1.0)), capacity_ah=2.2)
         s_soc = float(rng.uniform(0.0, 1.0))
-        sec = pack_at_soc(s_soc) if rng.random() < 0.8 else None
-        relay_closed = bool(rng.random() < 0.7) or sec is None
+        sec = pack_at_soc(s_soc) if rng.random() < 0.8 else (None, 0.0)
+        relay_closed = bool(rng.random() < 0.7) or sec[0] is None
         c = SwitchCircuit(
             relay_closed=relay_closed,
             diode_drop=float(rng.uniform(0.01, 0.2)),
-            secondary_present=sec is not None,
+            secondary_present=sec[0] is not None,
         )
         load = float(rng.uniform(0.0, 400.0))
-        s = solve_bus(c, p, sec, load)
+        s = solve_bus(c, *p, *sec, load)
         assert s.current_primary >= 0.0
         assert s.current_secondary >= 0.0
         # load power balance when a source is live
@@ -392,8 +389,8 @@ def bus_cases(draw):
     primary = pack_at_soc(draw(st.floats(0.0, 1.0)), cells=cells_p, capacity_ah=2.2)
     secondary = pack_at_soc(draw(st.floats(0.0, 1.0)), cells=cells_s)
     if draw(st.integers(0, 3)) == 0:
-        secondary = None
-    present = secondary is not None and draw(st.integers(0, 3)) > 0
+        secondary = (None, 0.0)
+    present = secondary[0] is not None and draw(st.integers(0, 3)) > 0
     relay_closed = draw(st.integers(0, 3)) > 0 or not present
     # drops past 0.2 V let two sources far enough apart both conduct
     drop = draw(st.one_of(st.floats(0.001, 0.2), st.floats(0.2, 1.5)))
@@ -407,13 +404,13 @@ def bus_cases(draw):
 # both conduct inside the window, both conduct outside it, nothing live
 @example((SwitchCircuit(diode_drop=0.1, secondary_present=True), pack_at_soc(0.5), pack_at_soc(0.5), 80.0))
 @example((circuit_with_drop(1.5), pack_at_soc(1.0, capacity_ah=2.2), pack_at_soc(0.6), 100.0))
-@example((SwitchCircuit(), pack_at_soc(0.0), None, 50.0))
+@example((SwitchCircuit(), pack_at_soc(0.0), (None, 0.0), 50.0))
 def test_solve_bus_properties(case):
-    c, primary, secondary, load = case
-    v_p = ocv(primary) if c.relay_closed and not primary.is_depleted else None
+    c, (primary, primary_wh), (secondary, secondary_wh), load = case
+    v_p = ocv(primary, primary_wh) if c.relay_closed and primary_wh > 0.0 else None
     v_s = None
-    if c.secondary_present and secondary is not None and not secondary.is_depleted:
-        v_s = ocv(secondary)
+    if c.secondary_present and secondary is not None and secondary_wh > 0.0:
+        v_s = ocv(secondary, secondary_wh)
     live = [v for v in (v_p, v_s) if v is not None]
     bus = max(live) - c.diode_drop if live else 0.0
     conducts_p = v_p is not None and v_p > bus
@@ -427,9 +424,9 @@ def test_solve_bus_properties(case):
     assert not (outside_window and c.diode_drop <= 0.2)
     if outside_window:
         with pytest.raises(PowertrainError, match="parallel-safe"):
-            solve_bus(c, primary, secondary, load)
+            solve_bus(c, primary, primary_wh, secondary, secondary_wh, load)
         return
-    s = solve_bus(c, primary, secondary, load)
+    s = solve_bus(c, primary, primary_wh, secondary, secondary_wh, load)
     # no reverse current
     assert s.current_primary >= 0.0 and s.current_secondary >= 0.0
     expected_source = {
@@ -455,12 +452,12 @@ def test_bus_continuity_across_switch():
     primary = pack_at_soc(0.8, capacity_ah=2.2)
     secondary = pack_at_soc(0.9)
     c = SwitchCircuit(diode_drop=0.05, secondary_present=True)
-    lo = min(ocv(primary), ocv(secondary)) - 0.05
-    before = solve_bus(c, primary, secondary, 120.0)
+    lo = min(ocv(*primary), ocv(*secondary)) - 0.05
+    before = solve_bus(c, *primary, *secondary, 120.0)
     c2 = command_switch(c, SwitchTarget.USE_SECONDARY)
-    after = solve_bus(c2, primary, secondary, 120.0)
+    after = solve_bus(c2, *primary, *secondary, 120.0)
     c3 = command_switch(c2, SwitchTarget.USE_PRIMARY)
-    back = solve_bus(c3, primary, secondary, 120.0)
+    back = solve_bus(c3, *primary, *secondary, 120.0)
     for s in (before, after, back):
         assert s.bus_voltage >= lo - 1e-12
         assert s.bus_voltage > 0.0
@@ -475,10 +472,10 @@ def test_parallel_conduction_stays_in_safe_window(rng):
         p = pack_at_soc(v_soc, capacity_ah=2.2)
         sec = pack_at_soc(float(rng.uniform(v_soc - 0.02, v_soc + 0.02)))
         c = SwitchCircuit(diode_drop=0.1, secondary_present=True)
-        s = solve_bus(c, p, sec, 100.0)
+        s = solve_bus(c, *p, *sec, 100.0)
         if s.active_source is ActiveSource.BOTH:
             seen_both += 1
-            assert abs(ocv(p) - ocv(sec)) <= 0.2 * 3
+            assert abs(ocv(*p) - ocv(*sec)) <= 0.2 * 3
     assert seen_both > 0
 
 
@@ -491,7 +488,7 @@ def check_window_violation_raises():
     primary = pack_at_soc(1.0, capacity_ah=2.2)  # 12.6 V
     secondary = pack_at_soc(0.6)  # 11.7 V
     with pytest.raises(PowertrainError, match="parallel-safe"):
-        solve_bus(c, primary, secondary, 100.0)
+        solve_bus(c, *primary, *secondary, 100.0)
 
 
 def test_parallel_window_violation_raises():
@@ -505,13 +502,14 @@ def test_parallel_window_violation_raises_under_optimize():
 
 def test_constant_power_current_monotone_as_pack_drains():
     p = pack_3s_15(r=0.025)
+    e = p.capacity_wh
     c = SwitchCircuit(diode_drop=0.05)
     load = 150.0
     prev_i = 0.0
     prev_v = float("inf")
-    while not p.is_depleted:
-        s = solve_bus(c, p, None, load)
+    while e > 0.0:
+        s = solve_bus(c, p, e, None, 0.0, load)
         assert s.bus_voltage <= prev_v + 1e-12
         assert s.current_primary >= prev_i - 1e-12
         prev_v, prev_i = s.bus_voltage, s.current_primary
-        p = discharge(p, load, 0.25, current=s.current_primary)
+        e = discharge(p, e, load, 0.25, current=s.current_primary)
