@@ -17,13 +17,14 @@ the vehicle inertia.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import hypot, sqrt
+from math import atan2, cos, hypot, sin, sqrt
 
 import numpy as np
 
 from .dynamics import GRAVITY, VehicleParams
-from .geom import Quat, Vec3, attitude_from_thrust_direction, q_error_rotvec
+from .geom import Quat, Vec3, q_from_yaw
 
 log = logging.getLogger(__name__)
 
@@ -137,18 +138,72 @@ class CascadedPid:
         az = cfg.pos_p[2] * ez + cfg.pos_i[2] * iz + cfg.pos_d[2] * (rvz - vz) + ffz
         m = self.mass
         fx, fy, fz = m * ax, m * ay, m * (az + GRAVITY)
-        thrust = sqrt(fx * fx + fy * fy + fz * fz) + ff_thrust
+        n = sqrt(fx * fx + fy * fy + fz * fz)
+        thrust = n + ff_thrust
         if thrust < 0.0:
             thrust = 0.0
         elif thrust > cfg.max_thrust:
             thrust = cfg.max_thrust
-        q_des = attitude_from_thrust_direction((fx, fy, fz), yaw)
-        return thrust, q_des
+        # Attitude whose body z axis points along (fx, fy, fz) at the given
+        # yaw, or pure yaw when that force is near zero or points straight
+        # down. One 1 kHz call per vehicle, so the triad, the rotation
+        # matrix to quaternion step and the normalisation are written out;
+        # tests/test_control.py checks them bit for bit against the
+        # composed helpers.
+        if n < 1.0e-9:
+            return thrust, q_from_yaw(yaw)
+        zx, zy, zz = fx / n, fy / n, fz / n
+        if zz < -0.999999:
+            return thrust, q_from_yaw(yaw)
+        # x_c is the yaw heading; y_b = z_b x x_c, then x_b = y_b x z_b
+        cx, cy = cos(yaw), sin(yaw)
+        yx = zy * 0.0 - zz * cy
+        yy = zz * cx - zx * 0.0
+        yz = zx * cy - zy * cx
+        yn = sqrt(yx * yx + yy * yy + yz * yz)
+        yx, yy, yz = yx / yn, yy / yn, yz / yn
+        xx = yy * zz - yz * zy
+        xy = yz * zx - yx * zz
+        xz = yx * zy - yy * zx
+        # the matrix with columns x_b, y_b, z_b as a quaternion
+        tr = xx + yy + zz
+        if tr > 0.0:
+            s = sqrt(tr + 1.0) * 2.0
+            w, x, y, z = 0.25 * s, (yz - zy) / s, (zx - xz) / s, (xy - yx) / s
+        elif xx > yy and xx > zz:
+            s = sqrt(1.0 + xx - yy - zz) * 2.0
+            w, x, y, z = (yz - zy) / s, 0.25 * s, (yx + xy) / s, (zx + xz) / s
+        elif yy > zz:
+            s = sqrt(1.0 + yy - xx - zz) * 2.0
+            w, x, y, z = (zx - xz) / s, (yx + xy) / s, 0.25 * s, (zy + yz) / s
+        else:
+            s = sqrt(1.0 + zz - xx - yy) * 2.0
+            w, x, y, z = (xy - yx) / s, (zx + xz) / s, (zy + yz) / s, 0.25 * s
+        inv = 1.0 / sqrt(w * w + x * x + y * y + z * z)
+        return thrust, (w * inv, x * inv, y * inv, z * inv)
 
     def attitude_flat(self, qw, qx, qy, qz, wx, wy, wz, q_des, dt) -> Vec3:
-        """Body torque from PD on the rotation error plus yaw integral."""
+        """Body torque from PD on the rotation error plus yaw integral.
+
+        The error is the body-frame axis-angle rotation taking (qw, qx, qy,
+        qz) to q_des along the shortest arc: the scalar part of
+        conj(q) * q_des is forced non-negative before the rotation vector
+        is taken."""
         cfg = self.cfg
-        ex, ey, ez = q_error_rotvec((qw, qx, qy, qz), q_des)
+        dw, dx, dy, dz = q_des
+        nx, ny, nz = -qx, -qy, -qz
+        w = qw * dw - nx * dx - ny * dy - nz * dz
+        x = qw * dx + nx * dw + ny * dz - nz * dy
+        y = qw * dy - nx * dz + ny * dw + nz * dx
+        z = qw * dz + nx * dy - ny * dx + nz * dw
+        if w < 0.0:
+            w, x, y, z = -w, -x, -y, -z
+        s = sqrt(x * x + y * y + z * z)
+        if s < 1.0e-12:
+            ex, ey, ez = 2.0 * x, 2.0 * y, 2.0 * z
+        else:
+            k = 2.0 * atan2(s, w) / s
+            ex, ey, ez = x * k, y * k, z * k
         lim = cfg.yaw_int_limit
         iyaw = self.iyaw + ez * dt
         self.iyaw = iyaw = lim if iyaw > lim else (-lim if iyaw < -lim else iyaw)
@@ -179,7 +234,8 @@ FF_GAP_BINS = 11
 class FeedforwardMap:
     """Extra host thrust, binned over (lateral offset, vertical gap) of
     the vehicle above. Values sit at bin centers; lookups interpolate
-    bilinearly between centers and read zero outside the binned area."""
+    bilinearly between centers and read zero outside the binned area.
+    The bins are fixed at construction; values may be edited in place."""
 
     lat_edges: np.ndarray  # (nl+1,)
     gap_edges: np.ndarray  # (ng+1,)
@@ -198,6 +254,9 @@ class FeedforwardMap:
             raise ControlError("feedforward thrust entries must be non-negative")
         self._lat_centers = 0.5 * (self.lat_edges[:-1] + self.lat_edges[1:])
         self._gap_centers = 0.5 * (self.gap_edges[:-1] + self.gap_edges[1:])
+        # the per-step lookup reads plain floats
+        self._lat_grid = (tuple(self._lat_centers.tolist()), float(self.lat_edges[-1]))
+        self._gap_grid = (tuple(self._gap_centers.tolist()), float(self.gap_edges[-1]))
 
     @property
     def lat_centers(self) -> np.ndarray:
@@ -223,16 +282,16 @@ def zero_map(lat_edges=None, gap_edges=None) -> FeedforwardMap:
     )
 
 
-def _interp_axis(centers: np.ndarray, x: float) -> tuple[int, int, float]:
+def _interp_axis(centers: tuple[float, ...], x: float) -> tuple[int, int, float]:
     """Clamped linear interpolation weights on a center grid."""
     if x <= centers[0]:
         return 0, 0, 0.0
     if x >= centers[-1]:
         n = len(centers) - 1
         return n, n, 0.0
-    j = int(np.searchsorted(centers, x)) - 1
-    t = (x - centers[j]) / (centers[j + 1] - centers[j])
-    return j, j + 1, float(t)
+    j = bisect_left(centers, x) - 1
+    c0 = centers[j]
+    return j, j + 1, (x - c0) / (centers[j + 1] - c0)
 
 
 def feedforward_lookup(ff_map: FeedforwardMap, rel_pos: Vec3) -> float:
@@ -243,14 +302,16 @@ def feedforward_lookup(ff_map: FeedforwardMap, rel_pos: Vec3) -> float:
     if gap < 0.0:
         return 0.0
     lateral = hypot(rel_pos[0], rel_pos[1])
-    if lateral > ff_map.lat_edges[-1] or gap > ff_map.gap_edges[-1]:
+    lat_centers, lat_max = ff_map._lat_grid
+    gap_centers, gap_max = ff_map._gap_grid
+    if lateral > lat_max or gap > gap_max:
         return 0.0
-    i0, i1, ti = _interp_axis(ff_map._lat_centers, lateral)
-    j0, j1, tj = _interp_axis(ff_map._gap_centers, gap)
-    v = ff_map.values
-    a = v[i0, j0] * (1.0 - tj) + v[i0, j1] * tj
-    b = v[i1, j0] * (1.0 - tj) + v[i1, j1] * tj
-    return float(a * (1.0 - ti) + b * ti)
+    i0, i1, ti = _interp_axis(lat_centers, lateral)
+    j0, j1, tj = _interp_axis(gap_centers, gap)
+    v = ff_map.values.item
+    a = v(i0, j0) * (1.0 - tj) + v(i0, j1) * tj
+    b = v(i1, j0) * (1.0 - tj) + v(i1, j1) * tj
+    return a * (1.0 - ti) + b * ti
 
 
 def build_ff_map(

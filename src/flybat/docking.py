@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import isfinite
 
 
 class DockingError(ValueError):
@@ -30,6 +31,20 @@ class DockPhase(Enum):
     UNDOCK_ASCEND = "undock_ascend"
     DEPART = "depart"
     LANDING = "landing"
+
+
+# The phases as module constants for code that compares them every step:
+# on Python 3.11 each attribute read on an Enum class (DockPhase.DOCKED)
+# goes through a slow metaclass hook.
+GROUNDED = DockPhase.GROUNDED
+TAKEOFF = DockPhase.TAKEOFF
+APPROACH_ABOVE = DockPhase.APPROACH_ABOVE
+DESCEND = DockPhase.DESCEND
+FREE_FALL = DockPhase.FREE_FALL
+DOCKED = DockPhase.DOCKED
+UNDOCK_ASCEND = DockPhase.UNDOCK_ASCEND
+DEPART = DockPhase.DEPART
+LANDING = DockPhase.LANDING
 
 
 # Transition graph: phase -> phases reachable in one step.
@@ -104,64 +119,60 @@ def fsm_step(
     rel_pose is (lateral offset, vertical gap) between the vehicle's leg
     plane and the platform surface; altitude is height above ground."""
     lateral, gap = rel_pose
-    if not all(map(_finite, (lateral, gap, altitude))):
+    if not (isfinite(lateral) and isfinite(gap) and isfinite(altitude)):
         raise DockingError(f"non-finite relative pose ({lateral}, {gap}, {altitude})")
 
-    if phase is DockPhase.GROUNDED:
-        return DockPhase.TAKEOFF if commands.dock else DockPhase.GROUNDED
+    if phase is GROUNDED:
+        return TAKEOFF if commands.dock else GROUNDED
 
-    if phase is DockPhase.TAKEOFF:
+    if phase is TAKEOFF:
         if gap >= thresholds.hover_above_gap - ALT_REACHED_TOL:
-            return DockPhase.APPROACH_ABOVE
-        return DockPhase.TAKEOFF
+            return APPROACH_ABOVE
+        return TAKEOFF
 
-    if phase is DockPhase.APPROACH_ABOVE:
+    if phase is APPROACH_ABOVE:
         centered = lateral <= thresholds.lateral_capture_radius
         at_gap = abs(gap - thresholds.hover_above_gap) <= ALT_REACHED_TOL
-        return DockPhase.DESCEND if (centered and at_gap) else DockPhase.APPROACH_ABOVE
+        return DESCEND if (centered and at_gap) else APPROACH_ABOVE
 
-    if phase is DockPhase.DESCEND:
+    if phase is DESCEND:
         if (
             lateral <= thresholds.lateral_capture_radius
             and gap <= thresholds.drop_height
         ):
-            return DockPhase.FREE_FALL
+            return FREE_FALL
         if lateral > 4.0 * thresholds.lateral_capture_radius:
             # drifted well off center: climb back and retry
-            return DockPhase.APPROACH_ABOVE
-        return DockPhase.DESCEND
+            return APPROACH_ABOVE
+        return DESCEND
 
-    if phase is DockPhase.FREE_FALL:
+    if phase is FREE_FALL:
         if lateral > thresholds.lateral_capture_radius:
             # bounce-off: outside the funnel, abort and retry
-            return DockPhase.APPROACH_ABOVE
+            return APPROACH_ABOVE
         if gap <= 0.0:
-            return DockPhase.DOCKED
-        return DockPhase.FREE_FALL
+            return DOCKED
+        return FREE_FALL
 
-    if phase is DockPhase.DOCKED:
-        return DockPhase.UNDOCK_ASCEND if commands.undock else DockPhase.DOCKED
+    if phase is DOCKED:
+        return UNDOCK_ASCEND if commands.undock else DOCKED
 
-    if phase is DockPhase.UNDOCK_ASCEND:
+    if phase is UNDOCK_ASCEND:
         if gap >= thresholds.hover_above_gap - GAP_REACHED_TOL:
-            return DockPhase.DEPART
-        return DockPhase.UNDOCK_ASCEND
+            return DEPART
+        return UNDOCK_ASCEND
 
-    if phase is DockPhase.DEPART:
+    if phase is DEPART:
         # the engine slews the reference to the landing point; hand over
         # to LANDING once clear of the platform funnel region
         if lateral >= 10.0 * thresholds.lateral_capture_radius:
-            return DockPhase.LANDING
-        return DockPhase.DEPART
+            return LANDING
+        return DEPART
 
-    if phase is DockPhase.LANDING:
-        return DockPhase.GROUNDED if altitude <= GROUND_TOL else DockPhase.LANDING
+    if phase is LANDING:
+        return GROUNDED if altitude <= GROUND_TOL else LANDING
 
     raise DockingError(f"unknown phase {phase}")
-
-
-def _finite(x: float) -> bool:
-    return x == x and abs(x) != float("inf")
 
 
 def capture_check(

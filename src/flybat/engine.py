@@ -24,6 +24,17 @@ from . import docking as dk
 from . import powertrain as pt
 from .aero import DownwashModel, align_torque, downwash_force
 from .control import CascadedPid, feedforward_lookup
+from .docking import (
+    APPROACH_ABOVE,
+    DEPART,
+    DESCEND,
+    DOCKED,
+    FREE_FALL,
+    GROUNDED,
+    LANDING,
+    TAKEOFF,
+    UNDOCK_ASCEND,
+)
 from .dynamics import (
     GRAVITY,
     VehicleParams,
@@ -44,6 +55,16 @@ GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
 # setpoint/feedforward/wrench inputs (bytes tell -0.0 from 0.0)
 _HOST_FIXED_POINT = struct.Struct("17d")
 _HOST_INPUTS = struct.Struct("12d")
+
+# read on every step; an Enum class attribute read is slow on Python 3.11
+NO_SOURCE = pt.ActiveSource.NONE
+
+# the four possible FSM command sets, keyed by (dock, undock)
+_DOCK_COMMANDS = {
+    (dock, undock): dk.DockCommands(dock=dock, undock=undock)
+    for dock in (False, True)
+    for undock in (False, True)
+}
 
 
 class SimNumericsError(RuntimeError):
@@ -154,7 +175,7 @@ class _Unit:
             home[0], home[1], GROUND_COM,
             0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
         )
-        self.phase = dk.DockPhase.GROUNDED
+        self.phase = GROUNDED
         self.ref = [home[0], home[1], GROUND_COM]
         self.ref_v = [0.0, 0.0, 0.0]
         self.available_at = 0.0
@@ -167,7 +188,7 @@ class _Unit:
 
     @property
     def airborne(self) -> bool:
-        return self.phase not in (dk.DockPhase.GROUNDED, dk.DockPhase.DOCKED)
+        return self.phase not in (GROUNDED, DOCKED)
 
 
 class World:
@@ -205,6 +226,8 @@ class World:
             1.0 / self.comp_params.mass,
             *inertia_rows(self.comp_params.inertia),
         )
+        # the docked unit's share of the composite's mass (contact loads)
+        self._docked_mass_share = inp.fb_params.mass / self.comp_params.mass
         hp = (m.hover_x, m.hover_y, m.hover_z)
         self.hover_position = hp
         self.main_state = (
@@ -267,6 +290,9 @@ class World:
         # (thrust, zx, zy, zz))
         self._host_memo_state: tuple | None = None
         self._host_memo: tuple = ()
+        # (main_state, docked_unit, platform point): the point for the
+        # host state and docked unit it holds for, matched by identity
+        self._platform_memo: tuple = (None, None, None)
 
         self.telemetry_decim = max(1, round(1.0 / (sim.telemetry_hz * sim.dt)))
         self.writer = TelemetryWriter(telemetry_path, keep_rows=keep_rows)
@@ -302,10 +328,18 @@ class World:
         return (s[0] - off[0], s[1] - off[1], s[2] - off[2])
 
     def _platform_point(self) -> tuple[float, float, float]:
-        p = self.main_position()
+        """Platform surface center; computed once per host state, since
+        every write to main_state or docked_unit replaces the object."""
         s = self.main_state
+        docked = self.docked_unit
+        memo = self._platform_memo
+        if memo[0] is s and memo[1] is docked:
+            return memo[2]
+        p = self.main_position()
         off = q_rotate((s[6], s[7], s[8], s[9]), (0.0, 0.0, PLATFORM_HEIGHT))
-        return (p[0] + off[0], p[1] + off[1], p[2] + off[2])
+        plat = (p[0] + off[0], p[1] + off[1], p[2] + off[2])
+        self._platform_memo = (s, docked, plat)
+        return plat
 
     def _rel_pose(self, u: _Unit) -> tuple[float, float]:
         """(lateral, leg-plane to platform-surface gap) for the FSM."""
@@ -319,7 +353,7 @@ class World:
         """Hold one unit kinematically at rel_pos from the host COM with
         a fixed rotor thrust (feedforward-map calibration support)."""
         u = self.units[uid]
-        u.phase = dk.DockPhase.APPROACH_ABOVE
+        u.phase = APPROACH_ABOVE
         if u not in self.active_units:
             self.active_units.append(u)
         self.pinned_rel = rel_pos
@@ -331,7 +365,7 @@ class World:
 
     def _available_unit(self, t: float) -> _Unit | None:
         for u in self.units:
-            if u.phase is dk.DockPhase.GROUNDED and not u.spent and t >= u.available_at:
+            if u.phase is GROUNDED and not u.spent and t >= u.available_at:
                 return u
         return None
 
@@ -408,12 +442,12 @@ class World:
         )
         self.docked_unit = u
         self._slipping = False
-        u.phase = dk.DockPhase.DOCKED
+        u.phase = DOCKED
         u.docked_since = t
         u.thrust = 0.0
         self.main_pid.retune(self.comp_cfg, self.comp_params.mass)
         self.dock_count += 1
-        self._event(t, "phase", u.uid, dk.DockPhase.DOCKED.value, in_column=False)
+        self._event(t, "phase", u.uid, DOCKED.value, in_column=False)
         self._event(t, "dock", u.uid)
         if electrical:
             self.circuit = pt.SwitchCircuit(
@@ -490,10 +524,10 @@ class World:
         for u in tuple(self.active_units):
             if self.pinned_rel is not None and u is self.units[0]:
                 continue
-            if u.phase is dk.DockPhase.DOCKED:
+            if u.phase is DOCKED:
                 if u.cmd_undock:
                     self._detach(u, t)
-                    u.phase = dk.DockPhase.UNDOCK_ASCEND
+                    u.phase = UNDOCK_ASCEND
                     u.cmd_undock = False
                     self._event(t, "phase", u.uid, u.phase.value)
                 continue
@@ -504,19 +538,19 @@ class World:
                 self.thresholds,
                 (lateral, gap),
                 altitude,
-                dk.DockCommands(dock=u.cmd_dock, undock=u.cmd_undock),
+                _DOCK_COMMANDS[u.cmd_dock, u.cmd_undock],
             )
             if new_phase is not u.phase:
-                if new_phase is dk.DockPhase.DOCKED:
+                if new_phase is DOCKED:
                     # impact handled post-integration; ignore here
                     continue
-                if u.phase is dk.DockPhase.FREE_FALL and new_phase is dk.DockPhase.APPROACH_ABOVE:
+                if u.phase is FREE_FALL and new_phase is APPROACH_ABOVE:
                     self._event(t, "bounce_off", u.uid)
                 u.phase = new_phase
-                if new_phase is dk.DockPhase.TAKEOFF:
+                if new_phase is TAKEOFF:
                     u.cmd_dock = False
                 self._event(t, "phase", u.uid, new_phase.value)
-                if new_phase is dk.DockPhase.GROUNDED:
+                if new_phase is GROUNDED:
                     self._on_grounded(u, t)
 
     def _unit_target(self, u: _Unit):
@@ -526,17 +560,17 @@ class World:
         cfg = self.docking
         approach_z = plat[2] + th.hover_above_gap + LEG_HEIGHT
         ph = u.phase
-        if ph is dk.DockPhase.TAKEOFF:
+        if ph is TAKEOFF:
             return (u.home[0], u.home[1], approach_z), cfg.vertical_speed
-        if ph is dk.DockPhase.APPROACH_ABOVE:
+        if ph is APPROACH_ABOVE:
             return (plat[0], plat[1], approach_z), cfg.approach_speed
-        if ph is dk.DockPhase.DESCEND:
+        if ph is DESCEND:
             return (plat[0], plat[1], plat[2] + th.drop_height + LEG_HEIGHT), th.descent_rate
-        if ph is dk.DockPhase.UNDOCK_ASCEND:
+        if ph is UNDOCK_ASCEND:
             return (plat[0], plat[1], approach_z), cfg.vertical_speed
-        if ph is dk.DockPhase.DEPART:
+        if ph is DEPART:
             return (u.home[0], u.home[1], approach_z), cfg.depart_speed
-        if ph is dk.DockPhase.LANDING:
+        if ph is LANDING:
             return (u.home[0], u.home[1], GROUND_COM), cfg.vertical_speed
         return None, 0.0
 
@@ -578,7 +612,10 @@ class World:
         if self.terminated:
             self._write_row(t)
             return
-        if self.active_units:
+        active = self.active_units
+        docked = self.docked_unit
+        # a lone docked unit has FSM work only when told to undock
+        if active and (docked is None or len(active) > 1 or docked.cmd_undock):
             try:
                 self._step_fsms(t)
             except dk.DockingError as exc:
@@ -587,15 +624,15 @@ class World:
         # --- flying battery controls and integration -------------------
         docked = self.docked_unit
         ms = self.main_state
-        if docked is None:
-            mpx, mpy, mpz = ms[0], ms[1], ms[2]
-        else:
-            off = q_rotate((ms[6], ms[7], ms[8], ms[9]), self.d_com)
-            mpx, mpy, mpz = ms[0] - off[0], ms[1] - off[1], ms[2] - off[2]
-
         airborne = None
-        if self.active_units:
-            airborne = [u for u in self.active_units if u.phase is not dk.DockPhase.DOCKED]
+        if active and (docked is None or len(active) > 1):
+            airborne = [u for u in active if u.phase is not DOCKED]
+        if airborne:
+            if docked is None:
+                mpx, mpy, mpz = ms[0], ms[1], ms[2]
+            else:
+                off = q_rotate((ms[6], ms[7], ms[8], ms[9]), self.d_com)
+                mpx, mpy, mpz = ms[0] - off[0], ms[1] - off[1], ms[2] - off[2]
             for u in airborne:
                 if self.pinned_rel is not None and u is self.units[0]:
                     u.state = (
@@ -607,7 +644,7 @@ class World:
                     u.thrust = self.pinned_thrust
                     continue
                 s = u.state
-                if u.phase is dk.DockPhase.FREE_FALL or u.own_wh <= 0.0:
+                if u.phase is FREE_FALL or u.own_wh <= 0.0:
                     u.thrust = 0.0
                     tqx = tqy = tqz = 0.0
                 else:
@@ -708,7 +745,11 @@ class World:
             atx, aty, atz = pid.attitude_flat(
                 ms[6], ms[7], ms[8], ms[9], ms[10], ms[11], ms[12], q_des, dt
             )
-            zx, zy, zz = q_body_z((ms[6], ms[7], ms[8], ms[9]))
+            # q_body_z of the host attitude, written out
+            qw, qx, qy, qz = ms[6], ms[7], ms[8], ms[9]
+            zx = 2.0 * (qx * qz + qw * qy)
+            zy = 2.0 * (qy * qz - qw * qx)
+            zz = 1.0 - 2.0 * (qx * qx + qy * qy)
             self.main_state = ns = rk4_flat(
                 ms,
                 dt,
@@ -744,7 +785,7 @@ class World:
             ext_axial = drag_fx * zx + drag_fy * zy
             pl2 = drag_fx * drag_fx + drag_fy * drag_fy - ext_axial * ext_axial
             ext_planar = math.sqrt(pl2) if pl2 > 0.0 else 0.0
-            ratio = self.fb_params.mass / self.comp_params.mass
+            ratio = self._docked_mass_share
             self.contact_normal = ratio * (thrust + ext_axial)
             self.contact_friction = ratio * ext_planar
             if self.contact_log is not None:
@@ -763,7 +804,7 @@ class World:
         # --- free-fall impacts ------------------------------------------
         if airborne:
             for u in airborne:
-                if u.phase is dk.DockPhase.FREE_FALL:
+                if u.phase is FREE_FALL:
                     # the drop assumes a quasi-static platform; flag the
                     # assumption when the host accelerates hard mid-fall
                     ax_h = (fx + zx * thrust) * inv_mass
@@ -791,7 +832,7 @@ class World:
                                 self._event(t, "switch", detail="secondary")
                                 self.switch_count += 1
                         else:
-                            u.phase = dk.DockPhase.APPROACH_ABOVE
+                            u.phase = APPROACH_ABOVE
                             self._event(t, "bounce_off", u.uid)
                             self._event(t, "phase", u.uid, u.phase.value, in_column=False)
 
@@ -806,7 +847,7 @@ class World:
                 docked.secondary, docked.secondary_wh, load,
             )
         self.bus = bus
-        if bus.active_source is pt.ActiveSource.NONE:
+        if bus.active_source is NO_SOURCE:
             if load > 0.0:
                 self._end_mission(t, "primary_depleted")
         else:

@@ -198,12 +198,13 @@ def solve_bus(
     (active_source NONE, zero volts)."""
     if load_power < 0.0:
         raise PowertrainError(f"load_power must be non-negative, got {load_power}")
+    # ocv() written out: one call per 1 kHz step
     v_p = None
     if circuit.relay_closed and primary_wh > 0.0:
-        v_p = ocv(primary, primary_wh)
+        v_p = ocv_per_cell(primary_wh / primary.capacity_wh) * primary.cell_count
     v_s = None
     if circuit.secondary_present and secondary is not None and secondary_wh > 0.0:
-        v_s = ocv(secondary, secondary_wh)
+        v_s = ocv_per_cell(secondary_wh / secondary.capacity_wh) * secondary.cell_count
 
     if v_s is None:
         if v_p is None:
@@ -212,8 +213,16 @@ def solve_bus(
     else:
         v_top = v_s if v_p is None or v_s > v_p else v_p
     bus = v_top - circuit.diode_drop
-    surplus_p = max(0.0, (v_p - bus)) if v_p is not None else 0.0
-    surplus_s = max(0.0, (v_s - bus)) if v_s is not None else 0.0
+    # d if d > 0.0 else 0.0 is max(0.0, d), nan and -0.0 included
+    surplus_p = surplus_s = 0.0
+    if v_p is not None:
+        d = v_p - bus
+        if d > 0.0:
+            surplus_p = d
+    if v_s is not None:
+        d = v_s - bus
+        if d > 0.0:
+            surplus_s = d
 
     if surplus_p > 0.0 and surplus_s > 0.0:
         # Both conduct only inside the diode window, which is at most the

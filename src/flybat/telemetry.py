@@ -9,36 +9,16 @@ reproduces the bytes.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 SCHEMA_LINE = "# schema=1"
-COLUMNS = (
-    "time",
-    "bus_voltage",
-    "current_total",
-    "current_primary",
-    "current_secondary",
-    "power",
-    "active_source",
-    "main_x",
-    "main_y",
-    "main_z",
-    "fb_id",
-    "fb_phase",
-    "fb_x",
-    "fb_y",
-    "fb_z",
-    "contact_normal_force",
-    "events",
-)
 
 
 class TelemetryError(ValueError):
     """Raised for malformed telemetry files."""
 
 
-@dataclass(frozen=True)
-class TelemetryRow:
+class TelemetryRow(NamedTuple):
     time: float
     bus_voltage: float
     current_total: float
@@ -58,22 +38,17 @@ class TelemetryRow:
     events: str = ""
 
 
-assert tuple(f.name for f in fields(TelemetryRow)) == COLUMNS
+COLUMNS = TelemetryRow._fields
 
 _FLOAT_COLS = frozenset(
     c for c in COLUMNS if c not in ("active_source", "fb_id", "fb_phase", "events")
 )
+# one field per column: 9 significant digits for floats, str() for the rest
+_ROW_FORMAT = ",".join("{:.9g}" if c in _FLOAT_COLS else "{!s}" for c in COLUMNS)
 
 
 def format_row(row: TelemetryRow) -> str:
-    parts = []
-    for name in COLUMNS:
-        v = getattr(row, name)
-        if name in _FLOAT_COLS:
-            parts.append(f"{v:.9g}")
-        else:
-            parts.append(str(v))
-    return ",".join(parts)
+    return _ROW_FORMAT.format(*row)
 
 
 def parse_row(line: str) -> TelemetryRow:

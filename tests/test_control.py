@@ -1,13 +1,18 @@
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import REST_STATE
 from flybat.aero import DownwashModel, downwash_force
 from flybat.control import (
     CascadedPid,
     ControlError,
+    FeedforwardMap,
     build_ff_map,
     default_config,
     default_edges,
@@ -18,7 +23,7 @@ from flybat.control import (
     zero_map,
 )
 from flybat.dynamics import GRAVITY, VehicleParams, inertia_rows, rk4_flat
-from flybat.geom import q_body_z, q_error_rotvec
+from flybat.geom import q_body_z, q_from_yaw
 
 PARAMS = VehicleParams(
     mass=0.820, arm_length=0.165, prop_diameter=0.203, max_thrust=27.0,
@@ -54,6 +59,146 @@ def q_yaw(q):
     """Yaw angle (rotation about world z) of a body-to-world quaternion."""
     w, x, y, z = q
     return math.atan2(2.0 * (w * z + x * y), 1.0 - 2.0 * (y * y + z * z))
+
+
+# property tests draw the same examples on every run
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
+
+
+def bits(*xs):
+    return struct.pack(f"{len(xs)}d", *xs)
+
+
+# ---------------------------------------------------------------------------
+# reference control chain: the quaternion helpers that CascadedPid's
+# position_flat and attitude_flat write out, composed as separate functions
+# ---------------------------------------------------------------------------
+
+
+def q_normalize(q):
+    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    inv = 1.0 / n
+    return (q[0] * inv, q[1] * inv, q[2] * inv, q[3] * inv)
+
+
+def q_multiply(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def q_conjugate(q):
+    return (q[0], -q[1], -q[2], -q[3])
+
+
+def q_error_rotvec(q_current, q_desired):
+    """Body-frame axis-angle rotation taking q_current to q_desired,
+    along the shortest arc."""
+    e = q_multiply(q_conjugate(q_current), q_desired)
+    w, x, y, z = e
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1.0e-12:
+        return (2.0 * x, 2.0 * y, 2.0 * z)
+    angle = 2.0 * math.atan2(s, w)
+    k = angle / s
+    return (x * k, y * k, z * k)
+
+
+def matrix_to_quat(r0, r1, r2):
+    """(quaternion, branch taken) of a rotation matrix given by rows."""
+    m00, m01, m02 = r0
+    m10, m11, m12 = r1
+    m20, m21, m22 = r2
+    tr = m00 + m11 + m22
+    if tr > 0.0:
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = ((0.25 * s), (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s)
+        return q_normalize(q), "trace"
+    if m00 > m11 and m00 > m22:
+        s = math.sqrt(1.0 + m00 - m11 - m22) * 2.0
+        q = ((m21 - m12) / s, 0.25 * s, (m01 + m10) / s, (m02 + m20) / s)
+        return q_normalize(q), "m00"
+    if m11 > m22:
+        s = math.sqrt(1.0 + m11 - m00 - m22) * 2.0
+        q = ((m02 - m20) / s, (m01 + m10) / s, 0.25 * s, (m12 + m21) / s)
+        return q_normalize(q), "m11"
+    s = math.sqrt(1.0 + m22 - m00 - m11) * 2.0
+    q = ((m10 - m01) / s, (m02 + m20) / s, (m12 + m21) / s, 0.25 * s)
+    return q_normalize(q), "m22"
+
+
+def attitude_from_thrust_direction(f_des, yaw):
+    """(quaternion whose body z axis points along f_des at the given yaw,
+    path taken); pure yaw when f_des is near zero or points straight down."""
+    fx, fy, fz = f_des
+    n = math.sqrt(fx * fx + fy * fy + fz * fz)
+    if n < 1.0e-9:
+        return q_from_yaw(yaw), "zero_force"
+    zx, zy, zz = fx / n, fy / n, fz / n
+    if zz < -0.999999:
+        return q_from_yaw(yaw), "straight_down"
+    cx, cy = math.cos(yaw), math.sin(yaw)
+    yx = zy * 0.0 - zz * cy
+    yy = zz * cx - zx * 0.0
+    yz = zx * cy - zy * cx
+    yn = math.sqrt(yx * yx + yy * yy + yz * yz)
+    yx, yy, yz = yx / yn, yy / yn, yz / yn
+    xx = yy * zz - yz * zy
+    xy = yz * zx - yx * zz
+    xz = yx * zy - yy * zx
+    return matrix_to_quat((xx, yx, zx), (xy, yy, zy), (xz, yz, zz))
+
+
+class ReferencePid(CascadedPid):
+    """CascadedPid with its control chain composed from the helpers
+    above; path records the attitude construction's last branch."""
+
+    path = None
+
+    def position_flat(
+        self, px, py, pz, vx, vy, vz, rx, ry, rz, rvx, rvy, rvz,
+        ffx, ffy, ffz, ff_thrust, yaw, dt,
+    ):
+        cfg = self.cfg
+        ex, ey, ez = rx - px, ry - py, rz - pz
+        lim = cfg.pos_int_limit
+        ix = self.ix + ex * dt
+        iy = self.iy + ey * dt
+        iz = self.iz + ez * dt
+        self.ix = ix = lim if ix > lim else (-lim if ix < -lim else ix)
+        self.iy = iy = lim if iy > lim else (-lim if iy < -lim else iy)
+        self.iz = iz = lim if iz > lim else (-lim if iz < -lim else iz)
+        ax = cfg.pos_p[0] * ex + cfg.pos_i[0] * ix + cfg.pos_d[0] * (rvx - vx) + ffx
+        ay = cfg.pos_p[1] * ey + cfg.pos_i[1] * iy + cfg.pos_d[1] * (rvy - vy) + ffy
+        az = cfg.pos_p[2] * ez + cfg.pos_i[2] * iz + cfg.pos_d[2] * (rvz - vz) + ffz
+        m = self.mass
+        fx, fy, fz = m * ax, m * ay, m * (az + GRAVITY)
+        thrust = math.sqrt(fx * fx + fy * fy + fz * fz) + ff_thrust
+        if thrust < 0.0:
+            thrust = 0.0
+        elif thrust > cfg.max_thrust:
+            thrust = cfg.max_thrust
+        q_des, self.path = attitude_from_thrust_direction((fx, fy, fz), yaw)
+        return thrust, q_des
+
+    def attitude_flat(self, qw, qx, qy, qz, wx, wy, wz, q_des, dt):
+        cfg = self.cfg
+        ex, ey, ez = q_error_rotvec((qw, qx, qy, qz), q_des)
+        lim = cfg.yaw_int_limit
+        iyaw = self.iyaw + ez * dt
+        self.iyaw = iyaw = lim if iyaw > lim else (-lim if iyaw < -lim else iyaw)
+        return (
+            cfg.att_p[0] * ex - cfg.att_d[0] * wx,
+            cfg.att_p[1] * ey - cfg.att_d[1] * wy,
+            cfg.att_p[2] * ez - cfg.att_d[2] * wz + cfg.yaw_i * iyaw,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +340,145 @@ def test_yaw_integral_removes_steady_yaw_error():
 
 
 # ---------------------------------------------------------------------------
+# the written-out control chain against ReferencePid, bit for bit
+# ---------------------------------------------------------------------------
+
+LEVEL = (1.0, 0.0, 0.0, 0.0)
+
+# (desired force, yaw, attitude path): with unit mass, zero errors and
+# zero integrators, the feedforward acceleration (fx, fy, fz - g) asks
+# position_flat for this force
+FORCE_PATHS = [
+    ((0.0, 0.0, 1.0), 0.0, "trace"),
+    ((1.0, 0.0, -0.5), 0.0, "m00"),
+    ((-0.5, 1.0, -0.5), 3.0, "m11"),
+    ((0.0, 0.0, 1.0), 3.0, "m22"),
+    ((0.0, 0.0, 0.0), 0.0, "zero_force"),
+    ((0.0, 0.0, -1.0), 0.0, "straight_down"),
+]
+
+# (current attitude, desired attitude, error path)
+ERROR_PATHS = [
+    ((0.6, 0.8, 0.0, 0.0), LEVEL, "plain"),
+    ((-0.5, 0.5, 0.5, 0.5), LEVEL, "flip"),  # conj(q) * q_des has w < 0
+    (LEVEL, LEVEL, "small_angle"),  # s == 0
+    (LEVEL, (1.0, 0.0, 0.0, 1e-13), "small_angle"),  # 0 < s < 1e-12
+]
+
+
+def force_args(force):
+    fx, fy, fz = force
+    return (0.0,) * 12 + (fx, fy, fz - GRAVITY, 0.0)
+
+
+def error_path(q, q_des):
+    w, x, y, z = q_multiply(q_conjugate(q), q_des)
+    if math.sqrt(x * x + y * y + z * z) < 1.0e-12:
+        return "small_angle"
+    return "flip" if w < 0.0 else "plain"
+
+
+def run_chain(pid, ints, pos_args, att_args):
+    """Bits of one position + attitude step from integrators ints (the
+    thrust, attitude and torque, or the error raised), then of the
+    integrators after it."""
+    pid.ix, pid.iy, pid.iz, pid.iyaw = ints
+    try:
+        thrust, q_des = pid.position_flat(*pos_args)
+    except ZeroDivisionError:
+        out = b"ZeroDivisionError"
+    else:
+        out = bits(thrust, *q_des, *pid.attitude_flat(*att_args, q_des, pos_args[-1]))
+    return out, bits(pid.ix, pid.iy, pid.iz, pid.iyaw)
+
+
+@pytest.mark.parametrize("force, yaw, path", FORCE_PATHS)
+def test_force_examples_reach_each_attitude_path(force, yaw, path):
+    pid = ReferencePid(default_config(PARAMS), 1.0)
+    pid.position_flat(*force_args(force), yaw, 0.001)
+    assert pid.path == path
+
+
+@pytest.mark.parametrize("q, q_des, path", ERROR_PATHS)
+def test_error_examples_reach_each_error_path(q, q_des, path):
+    assert error_path(q, q_des) == path
+
+
+def _floats(bound):
+    """Floats within +-bound, scaled off the round numbers hypothesis
+    favours so that most carry full mantissas: a change in the order of
+    float operations then shows in the last bit."""
+    return st.floats(-1.0, 1.0).map(lambda v: v * (bound * 0.9876543210987654))
+
+
+def _force_example(force, yaw):
+    return example(
+        mass=1.0, ints=(0.0,) * 4, pos=force_args(force), yaw=yaw, dt=0.001, att=REST_STATE[6:13]
+    )
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    mass=st.sampled_from([1.0, PARAMS.mass]),
+    ints=st.tuples(*[_floats(3.0)] * 4),
+    pos=st.tuples(*[_floats(20.0)] * 16),
+    yaw=_floats(4.0),
+    dt=st.sampled_from([0.001, 0.01]),
+    att=st.tuples(*[_floats(1.0)] * 4, *[_floats(10.0)] * 3),
+)
+@_force_example(*FORCE_PATHS[0][:2])
+@_force_example(*FORCE_PATHS[1][:2])
+@_force_example(*FORCE_PATHS[2][:2])
+@_force_example(*FORCE_PATHS[3][:2])
+@_force_example(*FORCE_PATHS[4][:2])
+@_force_example(*FORCE_PATHS[5][:2])
+@_force_example((1.0, 0.0, 0.0), 0.0)  # z_b along the heading: both divide by zero
+def test_position_and_attitude_match_reference_bit_for_bit(mass, ints, pos, yaw, dt, att):
+    cfg = default_config(PARAMS)
+    pos_args = (*pos, yaw, dt)
+    fused = run_chain(CascadedPid(cfg, mass), ints, pos_args, att)
+    assert fused == run_chain(ReferencePid(cfg, mass), ints, pos_args, att)
+
+
+def test_position_and_attitude_match_reference_on_uniform_draws():
+    # hypothesis favours special values and small edits of one example;
+    # uniform draws reach generic roundings in every matrix branch
+    rnd = random.Random(7)
+    cfg = default_config(PARAMS)
+    for _ in range(4000):
+        ints = tuple(rnd.uniform(-3.0, 3.0) for _ in range(4))
+        pos_args = (*(rnd.uniform(-20.0, 20.0) for _ in range(16)), rnd.uniform(-4.0, 4.0), 0.001)
+        att = (*(rnd.uniform(-1.0, 1.0) for _ in range(4)), *(rnd.uniform(-10.0, 10.0) for _ in range(3)))
+        fused = run_chain(CascadedPid(cfg, PARAMS.mass), ints, pos_args, att)
+        assert fused == run_chain(ReferencePid(cfg, PARAMS.mass), ints, pos_args, att), pos_args
+
+
+def _error_example(q, q_des):
+    return example(q=q, q_des=q_des, rates=(0.5, -0.25, 2.0), iyaw=0.1, dt=0.001)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(
+    q=st.tuples(*[_floats(1.0)] * 4),
+    q_des=st.tuples(*[_floats(1.0)] * 4),
+    rates=st.tuples(*[_floats(10.0)] * 3),
+    iyaw=_floats(1.0),
+    dt=st.sampled_from([0.001, 0.01]),
+)
+@_error_example(*ERROR_PATHS[0][:2])
+@_error_example(*ERROR_PATHS[1][:2])
+@_error_example(*ERROR_PATHS[2][:2])
+@_error_example(*ERROR_PATHS[3][:2])
+def test_attitude_matches_reference_bit_for_bit(q, q_des, rates, iyaw, dt):
+    cfg = default_config(PARAMS)
+    out = []
+    for pid in (CascadedPid(cfg, PARAMS.mass), ReferencePid(cfg, PARAMS.mass)):
+        pid.iyaw = iyaw
+        out.append(bits(*pid.attitude_flat(*q, *rates, q_des, dt), pid.iyaw))
+    assert out[0] == out[1]
+
+
+# ---------------------------------------------------------------------------
 # feedforward map
 # ---------------------------------------------------------------------------
 
@@ -225,6 +509,80 @@ def test_lookup_cell_center_averages_four_nodes():
     lat = 0.5 * (m.lat_centers[2] + m.lat_centers[3])
     gap = 0.5 * (m.gap_centers[2] + m.gap_centers[3])
     assert feedforward_lookup(m, (lat, 0.0, gap)) == pytest.approx(2.5, abs=1e-9)
+
+
+def numpy_interp_axis(centers, x):
+    if x <= centers[0]:
+        return 0, 0, 0.0
+    if x >= centers[-1]:
+        n = len(centers) - 1
+        return n, n, 0.0
+    j = int(np.searchsorted(centers, x)) - 1
+    t = (x - centers[j]) / (centers[j + 1] - centers[j])
+    return j, j + 1, float(t)
+
+
+def numpy_feedforward_lookup(ff_map, rel_pos):
+    """feedforward_lookup on the map's numpy arrays and numpy scalars."""
+    gap = rel_pos[2]
+    if gap < 0.0:
+        return 0.0
+    lateral = math.hypot(rel_pos[0], rel_pos[1])
+    if lateral > ff_map.lat_edges[-1] or gap > ff_map.gap_edges[-1]:
+        return 0.0
+    i0, i1, ti = numpy_interp_axis(ff_map.lat_centers, lateral)
+    j0, j1, tj = numpy_interp_axis(ff_map.gap_centers, gap)
+    v = ff_map.values
+    a = v[i0, j0] * (1.0 - tj) + v[i0, j1] * tj
+    b = v[i1, j0] * (1.0 - tj) + v[i1, j1] * tj
+    return float(a * (1.0 - ti) + b * ti)
+
+
+def _edges(max_bins):
+    steps = st.lists(st.floats(0.01, 0.5), min_size=1, max_size=max_bins)
+    return steps.map(lambda ds: np.cumsum([0.0, *ds]))
+
+
+def _axis_point(edges, centers):
+    """On a center, on an edge, outside the support or anywhere."""
+    marks = [*edges.tolist(), *centers.tolist()]
+    return st.one_of(
+        st.sampled_from(marks),
+        st.floats(-0.5, float(edges[-1]) + 0.5),
+        st.sampled_from([-1e-300, -0.0, 0.0, float(edges[-1]) * (1 + 1e-15), 1e9]),
+    )
+
+
+def test_float_lookup_matches_numpy_lookup_on_centers_and_edges():
+    m = zero_map()
+    # edited in place after construction, as calibration code does
+    m.values[2, 3] = 1.5
+    m.values[3, 3] = 0.25
+    m.values[8, 10] = 2.0
+    for x in (*m.lat_centers, *m.lat_edges, -0.2, 0.45):
+        for g in (*m.gap_centers, *m.gap_edges, -0.1, -0.0, 1.2):
+            rel = (float(x), 0.0, float(g))
+            assert bits(feedforward_lookup(m, rel)) == bits(numpy_feedforward_lookup(m, rel)), rel
+
+
+@PROPERTY
+@given(data=st.data())
+def test_float_lookup_matches_numpy_lookup_bit_for_bit(data):
+    lat = data.draw(_edges(9))
+    gap = data.draw(_edges(11))
+    shape = (len(lat) - 1, len(gap) - 1)
+    n = shape[0] * shape[1]
+    flat = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+    m = FeedforwardMap(lat, gap, np.array(flat).reshape(shape))
+    i = data.draw(st.integers(0, shape[0] - 1))
+    j = data.draw(st.integers(0, shape[1] - 1))
+    m.values[i, j] = data.draw(st.floats(0.0, 10.0))
+    for _ in range(8):
+        x = data.draw(_axis_point(m.lat_edges, m.lat_centers))
+        g = data.draw(_axis_point(m.gap_edges, m.gap_centers))
+        angle = data.draw(st.sampled_from([0.0, 0.5, 2.0]))
+        rel = (x * math.cos(angle), x * math.sin(angle), g)
+        assert bits(feedforward_lookup(m, rel)) == bits(numpy_feedforward_lookup(m, rel)), rel
 
 
 def test_build_map_empty_telemetry_warns(caplog):

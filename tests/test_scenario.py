@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from flybat.scenario import (
@@ -10,6 +12,7 @@ from flybat.scenario import (
     set_scenario_value,
 )
 from flybat.telemetry import (
+    COLUMNS,
     SCHEMA_LINE,
     TelemetryError,
     TelemetryRow,
@@ -225,3 +228,25 @@ def test_format_parse_identity():
     row = _row()
     again = parse_row(format_row(row))
     assert format_row(again) == format_row(row)
+
+
+def _format_row_per_field(row):
+    """format_row as a loop over the columns: 9 significant digits for
+    the float columns, str() for the rest."""
+    text = ("active_source", "fb_id", "fb_phase", "events")
+    return ",".join(
+        str(getattr(row, c)) if c in text else f"{getattr(row, c):.9g}" for c in COLUMNS
+    )
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, -1e-300, 5e-324, 1.0 / 3.0]
+)
+def test_format_row_matches_per_field_formatting(value):
+    floats = [c for c in COLUMNS if c not in ("active_source", "fb_id", "fb_phase", "events")]
+    row = _row()._replace(**{c: value for c in floats}, fb_id=-1, fb_phase="none", events="")
+    assert format_row(row) == _format_row_per_field(row)
+    mixed = _row()._replace(main_y=value, fb_id=-7, active_source="none")
+    assert format_row(mixed) == _format_row_per_field(mixed)
+    assert format_row(mixed).split(",")[COLUMNS.index("main_y")] == f"{value:.9g}"
+
