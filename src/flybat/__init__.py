@@ -8,6 +8,7 @@ from .control import (
     FeedforwardMap,
     build_ff_map,
     default_config,
+    export_map_csv,
     feedforward_lookup,
 )
 from .docking import (

@@ -47,10 +47,10 @@ def cmd_run(args) -> int:
         if args.duration is not None:
             scenario.sim.duration = args.duration
             scenario.validate()
+        out = _out_dir(args.out)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = _out_dir(args.out)
     telemetry_path = os.path.join(out, f"{scenario.name}_telemetry.csv")
     summary_path = os.path.join(out, f"{scenario.name}_summary.csv")
     try:
@@ -155,10 +155,10 @@ def cmd_sweep(args) -> int:
         # validate the parameter name and value casts up front
         for v in values:
             set_scenario_value(copy.deepcopy(base), args.param, v)
+        out = _out_dir(args.out)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = _out_dir(args.out)
     path = os.path.join(out, f"sweep_{args.param.replace('.', '_')}.csv")
     try:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:

@@ -145,11 +145,11 @@ class CascadedPid:
         elif thrust > cfg.max_thrust:
             thrust = cfg.max_thrust
         # Attitude whose body z axis points along (fx, fy, fz) at the given
-        # yaw, or pure yaw when that force is near zero or points straight
-        # down. One 1 kHz call per vehicle, so the triad, the rotation
-        # matrix to quaternion step and the normalisation are written out;
-        # tests/test_control.py checks them bit for bit against the
-        # composed helpers.
+        # yaw, or pure yaw when that force is near zero, points straight
+        # down or lies along the yaw heading. One 1 kHz call per vehicle,
+        # so the triad, the rotation matrix to quaternion step and the
+        # normalisation are written out; tests/test_control.py checks them
+        # bit for bit against the composed helpers.
         if n < 1.0e-9:
             return thrust, q_from_yaw(yaw)
         zx, zy, zz = fx / n, fy / n, fz / n
@@ -161,6 +161,8 @@ class CascadedPid:
         yy = zz * cx - zx * 0.0
         yz = zx * cy - zy * cx
         yn = sqrt(yx * yx + yy * yy + yz * yz)
+        if yn == 0.0:
+            return thrust, q_from_yaw(yaw)
         yx, yy, yz = yx / yn, yy / yn, yz / yn
         xx = yy * zz - yz * zy
         xy = yz * zx - yx * zz
@@ -212,12 +214,6 @@ class CascadedPid:
             cfg.att_p[1] * ey - cfg.att_d[1] * wy,
             cfg.att_p[2] * ez - cfg.att_d[2] * wz + cfg.yaw_i * iyaw,
         )
-
-    @property
-    def integral_accel_z(self) -> float:
-        """Integral contribution to vertical acceleration (m/s^2); the
-        thrust offset it sustains is mass * integral_accel_z."""
-        return self.cfg.pos_i[2] * self.iz
 
 
 # --------------------------------------------------------------------------

@@ -94,25 +94,6 @@ def optimal_phi() -> float:
     return OPTIMAL_PHI
 
 
-def golden_section_argmax(f, lo: float, hi: float, tol: float = 1.0e-12) -> float:
-    """Golden-section search for the maximizer of a unimodal function."""
-    invphi = (sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 @dataclass(frozen=True)
 class DesignComparison:
     """Observed configuration versus the phi = 2/3 design at equal m0."""

@@ -119,9 +119,6 @@ class MissionLog:
     def of_kind(self, kind: str) -> list[MissionEvent]:
         return [e for e in self.events if e.kind == kind]
 
-    def phase_trace(self, unit_id: int) -> list[tuple[float, str]]:
-        return [(e.t, e.detail) for e in self.events if e.kind == "phase" and e.uid == unit_id]
-
 
 class _Unit:
     """One flying battery: small quadcopter + its secondary pack. The
@@ -259,8 +256,6 @@ class World:
         ]
         self.active_units: list[_Unit] = []
         self.incoming: _Unit | None = None
-        self.pinned_rel: tuple[float, float, float] | None = None
-        self.pinned_thrust = 0.0
 
         # bookkeeping
         self.log = MissionLog()
@@ -277,7 +272,6 @@ class World:
         self.undock_count = 0
         self.contact_normal = 0.0
         self.contact_friction = 0.0
-        self.contact_log: list[tuple[float, float, float, float, float]] | None = None
         self._slipping = False  # the docked contact slipped on the last step
         self.planar_drag_coeff = sim.planar_drag_coeff
         # log.events[_row_mark:] are the events since the last telemetry
@@ -348,16 +342,6 @@ class World:
         lateral = math.hypot(s[0] - plat[0], s[1] - plat[1])
         gap = (s[2] - LEG_HEIGHT) - plat[2]
         return lateral, gap
-
-    def pin_unit(self, uid: int, rel_pos: tuple[float, float, float], thrust: float) -> None:
-        """Hold one unit kinematically at rel_pos from the host COM with
-        a fixed rotor thrust (feedforward-map calibration support)."""
-        u = self.units[uid]
-        u.phase = APPROACH_ABOVE
-        if u not in self.active_units:
-            self.active_units.append(u)
-        self.pinned_rel = rel_pos
-        self.pinned_thrust = thrust
 
     # ------------------------------------------------------------------
     # mission policy
@@ -522,8 +506,6 @@ class World:
 
     def _step_fsms(self, t: float) -> None:
         for u in tuple(self.active_units):
-            if self.pinned_rel is not None and u is self.units[0]:
-                continue
             if u.phase is DOCKED:
                 if u.cmd_undock:
                     self._detach(u, t)
@@ -598,6 +580,33 @@ class World:
             ref_v[1] = dy * kv
             ref_v[2] = dz * kv
 
+    def _fly_unit(self, u: _Unit, dt: float) -> None:
+        """Control and integrate one airborne unit over dt."""
+        s = u.state
+        if u.phase is FREE_FALL or u.own_wh <= 0.0:
+            u.thrust = 0.0
+            tqx = tqy = tqz = 0.0
+        else:
+            self._update_unit_ref(u)
+            pid = u.pid
+            u.thrust, q_des = pid.position_flat(
+                s[0], s[1], s[2], s[3], s[4], s[5],
+                u.ref[0], u.ref[1], u.ref[2],
+                u.ref_v[0], u.ref_v[1], u.ref_v[2],
+                0.0, 0.0, 0.0, 0.0, 0.0, dt,
+            )
+            tqx, tqy, tqz = pid.attitude_flat(
+                s[6], s[7], s[8], s[9], s[10], s[11], s[12], q_des, dt
+            )
+        zx, zy, zz = q_body_z((s[6], s[7], s[8], s[9]))
+        th = u.thrust
+        u.state = ns = rk4_flat(
+            s, dt, u.inv_mass, u.ii, u.jj,
+            zx * th, zy * th, zz * th, tqx, tqy, tqz,
+        )
+        if not math.isfinite(sum(ns)):
+            raise SimNumericsError(self.step_index, f"unit {u.uid} dynamics")
+
     def step(self) -> None:
         """Advance the world one dt."""
         dt = self.dt
@@ -634,39 +643,7 @@ class World:
                 off = q_rotate((ms[6], ms[7], ms[8], ms[9]), self.d_com)
                 mpx, mpy, mpz = ms[0] - off[0], ms[1] - off[1], ms[2] - off[2]
             for u in airborne:
-                if self.pinned_rel is not None and u is self.units[0]:
-                    u.state = (
-                        mpx + self.pinned_rel[0],
-                        mpy + self.pinned_rel[1],
-                        mpz + self.pinned_rel[2],
-                        0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
-                    )
-                    u.thrust = self.pinned_thrust
-                    continue
-                s = u.state
-                if u.phase is FREE_FALL or u.own_wh <= 0.0:
-                    u.thrust = 0.0
-                    tqx = tqy = tqz = 0.0
-                else:
-                    self._update_unit_ref(u)
-                    pid = u.pid
-                    u.thrust, q_des = pid.position_flat(
-                        s[0], s[1], s[2], s[3], s[4], s[5],
-                        u.ref[0], u.ref[1], u.ref[2],
-                        u.ref_v[0], u.ref_v[1], u.ref_v[2],
-                        0.0, 0.0, 0.0, 0.0, 0.0, dt,
-                    )
-                    tqx, tqy, tqz = pid.attitude_flat(
-                        s[6], s[7], s[8], s[9], s[10], s[11], s[12], q_des, dt
-                    )
-                zx, zy, zz = q_body_z((s[6], s[7], s[8], s[9]))
-                th = u.thrust
-                u.state = ns = rk4_flat(
-                    s, dt, u.inv_mass, u.ii, u.jj,
-                    zx * th, zy * th, zz * th, tqx, tqy, tqz,
-                )
-                if not math.isfinite(sum(ns)):
-                    raise SimNumericsError(self.step_index, f"unit {u.uid} dynamics")
+                self._fly_unit(u, dt)
 
         # --- host setpoint, downwash, control ---------------------------
         hx, hy, hz = self.hover_position
@@ -788,10 +765,6 @@ class World:
             ratio = self._docked_mass_share
             self.contact_normal = ratio * (thrust + ext_axial)
             self.contact_friction = ratio * ext_planar
-            if self.contact_log is not None:
-                self.contact_log.append(
-                    (t, thrust + ext_axial, ext_planar, self.contact_normal, self.contact_friction)
-                )
             slipping = not (
                 self.contact_normal >= 0.0
                 and self.contact_friction <= self.docking.mu * self.contact_normal

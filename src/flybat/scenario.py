@@ -313,18 +313,6 @@ def bundled_scenario(name: str) -> Scenario:
     return parse_scenario(text, name=name)
 
 
-def scenario_keys() -> list[str]:
-    """All settable keys as section.key[.subkey] strings."""
-    scenario = default_scenario()
-    out = []
-    for f in fields(scenario):
-        if f.name == "name":
-            continue
-        for key in _section_keys(getattr(scenario, f.name)):
-            out.append(f"{f.name}.{key}")
-    return out
-
-
 def set_scenario_value(scenario: Scenario, dotted_key: str, raw: str) -> None:
     """Apply one override like `docking.contact_failure_probability = 0.5`."""
     parts = dotted_key.split(".")

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import flybat
+from flybat.control import CascadedPid
 from flybat.scenario import Scenario, build_world_inputs, default_scenario
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -69,3 +71,64 @@ def run_optimized(code: str, *args: str) -> None:
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def golden_section_argmax(f, lo: float, hi: float, tol: float = 1.0e-12) -> float:
+    """Golden-section search for the maximizer of a unimodal function."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+class _ThrustProbe(CascadedPid):
+    """A host controller that keeps the thrust of its last position step."""
+
+    thrust = None
+
+    def position_flat(self, *args):
+        self.thrust, q_des = super().position_flat(*args)
+        return self.thrust, q_des
+
+
+def docked_contact_trace(world, steps: int) -> list[tuple[float, float, float, float]]:
+    """Step a world whose unit stays docked, and give per step (thrust
+    along the host z axis, planar load, contact_normal, contact_friction).
+    The thrust is the host controller's output plus the axial part of the
+    planar drag; the drag is rebuilt from the host state before the step."""
+    pid = world.main_pid
+    probe = _ThrustProbe(pid.cfg, pid.mass)
+    probe.ix, probe.iy, probe.iz, probe.iyaw = pid.ix, pid.iy, pid.iz, pid.iyaw
+    world.main_pid = probe
+    coeff = world.planar_drag_coeff
+    trace = []
+    for _ in range(steps):
+        ms = world.main_state
+        probe.thrust = None
+        world.step()
+        assert probe.thrust is not None and world.docked_unit is not None
+        vx, vy = ms[3], ms[4]
+        vmag = math.sqrt(vx * vx + vy * vy)
+        drag_fx = drag_fy = 0.0
+        if coeff > 0.0 and vmag > 0.0:
+            c = coeff * vmag
+            drag_fx, drag_fy = -c * vx, -c * vy
+        qw, qx, qy, qz = ms[6], ms[7], ms[8], ms[9]
+        zx = 2.0 * (qx * qz + qw * qy)
+        zy = 2.0 * (qy * qz - qw * qx)
+        axial = drag_fx * zx + drag_fy * zy
+        pl2 = drag_fx * drag_fx + drag_fy * drag_fy - axial * axial
+        planar = math.sqrt(pl2) if pl2 > 0.0 else 0.0
+        trace.append((probe.thrust + axial, planar, world.contact_normal, world.contact_friction))
+    return trace

@@ -8,11 +8,11 @@ import time
 import numpy as np
 import pytest
 
+from conftest import docked_contact_trace, golden_section_argmax
 from flybat.control import build_ff_map, zero_map
-from flybat.docking import maneuver_durations
+from flybat.docking import APPROACH_ABOVE, maneuver_durations
 from flybat.dynamics import GRAVITY, contact_forces, contact_retained
 from flybat.endurance import (
-    golden_section_argmax,
     normalized_curve,
     normalized_flight_time,
     optimal_phi,
@@ -185,8 +185,7 @@ def test_criterion_06_maneuver_retention():
     sc.sim.planar_drag_coeff = 0.08
     sc.docking.contact_failure_probability = 0.0
     world = World(sc, keep_rows=True)
-    world.contact_log = []
-    world.run(30.0)
+    trace = docked_contact_trace(world, 30_000)
 
     mu = sc.docking.mu
     m_m = world.main_params.mass
@@ -196,7 +195,7 @@ def test_criterion_06_maneuver_retention():
     worst = 0.0
     peak_friction = 0.0
     peak_thrust = 0.0
-    for t, thrust_eff, ext_planar, normal, friction in world.contact_log:
+    for thrust_eff, ext_planar, normal, friction in trace:
         # independent two-body solve: zero relative acceleration along
         # the thrust axis and the platform plane
         a = np.array([[inv_both, 0.0], [0.0, inv_both]])
@@ -325,7 +324,8 @@ def test_criterion_09_docking_timing():
     sc.docking.contact_failure_probability = 0.0
     sc.sim.duration = 120.0
     result = run_mission(None, sc)
-    dock, undock = maneuver_durations(result.log.phase_trace(0))
+    trace = [(e.t, e.detail) for e in result.log.of_kind("phase") if e.uid == 0]
+    dock, undock = maneuver_durations(trace)
     ok = dock is not None and undock is not None and 15.0 <= dock <= 30.0 and 5.0 <= undock <= 12.0
     report(9, "docking-timing", ok, f"dock={dock and round(dock,2)}s undock={undock and round(undock,2)}s")
 
@@ -351,6 +351,31 @@ def test_criterion_10_determinism(demo_run, out_dir):
 # ---------------------------------------------------------------------------
 
 
+class _PinnedWorld(World):
+    """A world whose unit 0, once pinned, is held kinematically at a
+    fixed offset from the host COM, level, with a fixed rotor thrust."""
+
+    def pin(self, rel, thrust):
+        u = self.units[0]
+        u.phase = APPROACH_ABOVE
+        if u not in self.active_units:
+            self.active_units.append(u)
+        self.pin_rel = rel
+        self.pin_thrust = thrust
+
+    def _step_fsms(self, t):
+        pass
+
+    def _fly_unit(self, u, dt):
+        p = self.main_position()
+        rel = self.pin_rel
+        u.state = (
+            p[0] + rel[0], p[1] + rel[1], p[2] + rel[2],
+            0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        )
+        u.thrust = self.pin_thrust
+
+
 def _hover_under_downwash_rms(ff_map, rel, seconds=20.0):
     sc = default_scenario("ff_test")
     sc.mission.fleet_size = 1
@@ -358,10 +383,10 @@ def _hover_under_downwash_rms(ff_map, rel, seconds=20.0):
     sc.mission.dispatch_delay = 1e9
     sc.control.ff_mode = "zero"
     sc.sim.duration = seconds
-    world = World(sc, keep_rows=True)
+    world = _PinnedWorld(sc, keep_rows=True)
     if ff_map is not None:
         world.ff_map = ff_map
-    world.pin_unit(0, rel, thrust=0.320 * GRAVITY)
+    world.pin(rel, thrust=0.320 * GRAVITY)
     world.run(seconds)
     z = np.array([r.main_z for r in world.writer.rows])
     return float(np.sqrt(np.mean((z - sc.mission.hover_z) ** 2)))
@@ -376,16 +401,18 @@ def test_criterion_11_feedforward_efficacy():
     sc.mission.dispatch_delay = 1e9
     sc.control.ff_mode = "zero"
     sc.sim.duration = 1e9
-    world = World(sc, keep_rows=True)
+    world = _PinnedWorld(sc, keep_rows=True)
+    pid = world.main_pid
     base = zero_map()
     samples = []
     dwell_steps = 8000
     for lat in base.lat_centers[:3]:
         for gap in base.gap_centers:
-            world.pin_unit(0, (float(lat), 0.0, float(gap)), thrust=0.320 * GRAVITY)
+            world.pin((float(lat), 0.0, float(gap)), thrust=0.320 * GRAVITY)
             for _ in range(dwell_steps):
                 world.step()
-            offset = world.main_pid.integral_accel_z * world.main_params.mass
+            # the thrust offset the vertical position integral sustains
+            offset = pid.cfg.pos_i[2] * pid.iz * world.main_params.mass
             samples.append(((float(lat), 0.0, float(gap)), offset))
     ff_map = build_ff_map(samples)
 

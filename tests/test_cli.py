@@ -125,6 +125,22 @@ def test_unreachable_kp_exits_config_error(tmp_path, capsys, command):
     assert err.startswith("error: no k_p >= 1 reaches a 720 s hover")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["sweep", "--param", "docking.mu", "--range", "0.5"]],
+    ids=["run", "sweep"],
+)
+def test_unusable_out_exits_config_error(tmp_path, capsys, command):
+    scenario = write_scaled_scenario(tmp_path / "scaled.cfg", duration=20.0, fleet_size=0)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    code = main([*command[:1], "--scenario", str(scenario), "--out", str(out), *command[1:]])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_out_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("FLYBAT_OUT", str(tmp_path / "envout"))
     scenario = write_scaled_scenario(tmp_path / "scaled.cfg", duration=20.0, fleet_size=0)

@@ -380,15 +380,10 @@ def error_path(q, q_des):
 
 def run_chain(pid, ints, pos_args, att_args):
     """Bits of one position + attitude step from integrators ints (the
-    thrust, attitude and torque, or the error raised), then of the
-    integrators after it."""
+    thrust, attitude and torque), then of the integrators after it."""
     pid.ix, pid.iy, pid.iz, pid.iyaw = ints
-    try:
-        thrust, q_des = pid.position_flat(*pos_args)
-    except ZeroDivisionError:
-        out = b"ZeroDivisionError"
-    else:
-        out = bits(thrust, *q_des, *pid.attitude_flat(*att_args, q_des, pos_args[-1]))
+    thrust, q_des = pid.position_flat(*pos_args)
+    out = bits(thrust, *q_des, *pid.attitude_flat(*att_args, q_des, pos_args[-1]))
     return out, bits(pid.ix, pid.iy, pid.iz, pid.iyaw)
 
 
@@ -432,12 +427,23 @@ def _force_example(force, yaw):
 @_force_example(*FORCE_PATHS[3][:2])
 @_force_example(*FORCE_PATHS[4][:2])
 @_force_example(*FORCE_PATHS[5][:2])
-@_force_example((1.0, 0.0, 0.0), 0.0)  # z_b along the heading: both divide by zero
 def test_position_and_attitude_match_reference_bit_for_bit(mass, ints, pos, yaw, dt, att):
     cfg = default_config(PARAMS)
     pos_args = (*pos, yaw, dt)
     fused = run_chain(CascadedPid(cfg, mass), ints, pos_args, att)
     assert fused == run_chain(ReferencePid(cfg, mass), ints, pos_args, att)
+
+
+@pytest.mark.parametrize("fx", [1.0, -1.0])
+def test_force_along_heading_falls_back_to_pure_yaw(fx):
+    # a horizontal force along the yaw heading leaves the triad's y axis
+    # z_b x x_c at zero length: the composed reference divides by zero,
+    # and position_flat holds the heading instead
+    cfg = default_config(PARAMS)
+    pos_args = (*force_args((fx, 0.0, 0.0)), 0.0, 0.001)
+    with pytest.raises(ZeroDivisionError):
+        ReferencePid(cfg, 1.0).position_flat(*pos_args)
+    assert CascadedPid(cfg, 1.0).position_flat(*pos_args) == (1.0, q_from_yaw(0.0))
 
 
 def test_position_and_attitude_match_reference_on_uniform_draws():

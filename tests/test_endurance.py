@@ -2,12 +2,12 @@ import math
 
 import pytest
 
+from conftest import golden_section_argmax
 from flybat.endurance import (
     EnduranceError,
     EnduranceInputs,
     design_comparison,
     flight_time,
-    golden_section_argmax,
     normalized_curve,
     normalized_flight_time,
     optimal_phi,

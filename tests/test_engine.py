@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import flybat.engine
-from conftest import run_optimized, scaled_mission_scenario
+from conftest import docked_contact_trace, run_optimized, scaled_mission_scenario
+from flybat.docking import DOCKED, GROUNDED, TRANSITIONS, DockPhase
 from flybat.dynamics import GRAVITY, contact_forces, contact_retained
 from flybat.engine import SimNumericsError, World
 from flybat.powertrain import PowertrainError, hover_power
@@ -161,14 +162,13 @@ def test_contact_slip_logged_once_per_slip_episode():
     sc.docking.contact_failure_probability = 0.0
     sc.docking.mu = 0.02
     world = World(sc, keep_rows=True)
-    world.contact_log = []
-    world.run(15.0)
+    trace = docked_contact_trace(world, 15_000)
 
     assert not world.log.of_kind("undock")
     m_m, m_fb = world.main_params.mass, world.fb_params.mass
     held = [
         contact_retained(contact_forces(m_m, m_fb, thrust, planar), sc.docking.mu)
-        for _, thrust, planar, _, _ in world.contact_log
+        for thrust, planar, _, _ in trace
     ]
     assert len(held) == 15000
     onsets = sum(
@@ -245,6 +245,33 @@ def test_contact_diagnostic_nonnegative_through_mission():
     w.run(90.0)
     assert all(r.contact_normal_force >= 0.0 for r in w.writer.rows)
     assert any(r.contact_normal_force > 2.0 for r in w.writer.rows)  # docked at some point
+
+
+@pytest.mark.parametrize("start_docked", [False, True], ids=["grounded", "start_docked"])
+def test_phase_events_walk_the_fsm_graph(start_docked):
+    # seed 2 fails two of its contact draws at p = 0.3, so the walk takes
+    # in the undock and redispatch after a failed contact
+    sc = scaled_mission_scenario(
+        name="graph", fleet_size=3, contact_failure_probability=0.3, seed=2
+    )
+    sc.mission.start_docked = start_docked
+    log = World(sc).run()
+    assert log.of_kind("contact_failure")
+    phases = log.of_kind("phase")
+    # ground recharge turns units 0 and 1 around; unit 2 stays grounded
+    assert {e.uid for e in phases} == {0, 1}
+    for uid in (0, 1):
+        walk = [e for e in phases if e.uid == uid]
+        prev = GROUNDED
+        if start_docked and uid == 0:
+            # attached at t = 0, never grounded first
+            first = walk.pop(0)
+            assert (first.t, first.detail) == (0.0, DOCKED.value)
+            prev = DOCKED
+        for e in walk:
+            phase = DockPhase(e.detail)
+            assert phase in TRANSITIONS[prev], (uid, e.t, prev, phase)
+            prev = phase
 
 
 def test_world_without_path_keeps_no_rows_unless_asked():

@@ -15,14 +15,7 @@ PACKAGE = REPO / "src" / "flybat"
 PERFBENCH = REPO / "perfbench"
 
 # public or oracle entry points that only tests call, each with its reason
-ALLOWED = {
-    "export_map_csv": "writes the map format that import_map_csv reads",
-    "scenario_keys": "lists the settable scenario keys for users",
-    "golden_section_argmax": "criterion 1's numeric oracle for the endurance peak",
-    "MissionLog.phase_trace": "criterion 9 times docking from a unit's phase trace",
-    "World.pin_unit": "criterion 11 calibrates the feedforward map through it",
-    "CascadedPid.integral_accel_z": "criterion 11 reads the learned thrust offset",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _references(path: Path):

@@ -8,7 +8,6 @@ from flybat.scenario import (
     build_world_inputs,
     default_scenario,
     parse_scenario,
-    scenario_keys,
     set_scenario_value,
 )
 from flybat.telemetry import (
@@ -154,7 +153,6 @@ def test_set_scenario_value():
         set_scenario_value(sc, "docking.grip", "1")
     with pytest.raises(ScenarioError):
         set_scenario_value(sc, "nope.key", "1")
-    assert "docking.contact_failure_probability" in scenario_keys()
 
 
 # ---------------------------------------------------------------------------
