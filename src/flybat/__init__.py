@@ -37,7 +37,7 @@ from .endurance import (
     optimal_phi,
 )
 from .engine import MissionLog, SimNumericsError, World
-from .mission import MissionConfig, MissionResult, MissionSummary, run_mission, summarize
+from .mission import MissionResult, MissionSummary, run_mission, summarize
 from .powertrain import (
     ActiveSource,
     BatteryPack,

@@ -1,6 +1,7 @@
 """Command-line front end: run missions, analyze endurance, sweep parameters.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 bad input (any ValueError, which every flybat
+input error is, or OSError), 3 numeric failure (SimNumericsError).
 FLYBAT_OUT sets the default output directory.
 """
 
@@ -14,8 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import endurance as en
 from .engine import SimNumericsError
-from .mission import run_mission
-from .powertrain import PowertrainError
+from .mission import MissionSummary, run_mission
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -42,27 +42,14 @@ def _out_dir(arg: str | None) -> str:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = _resolve_scenario(args.scenario)
-        if args.duration is not None:
-            scenario.sim.duration = args.duration
-            scenario.validate()
-        out = _out_dir(args.out)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    scenario = _resolve_scenario(args.scenario)
+    if args.duration is not None:
+        scenario.sim.duration = args.duration
+        scenario.validate()
+    out = _out_dir(args.out)
     telemetry_path = os.path.join(out, f"{scenario.name}_telemetry.csv")
     summary_path = os.path.join(out, f"{scenario.name}_summary.csv")
-    try:
-        result = run_mission(None, scenario, telemetry_path=telemetry_path, seed=args.seed)
-    except PowertrainError as exc:
-        # the scenario asks for a powertrain that cannot exist, such as
-        # an unreachable k_p calibration
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimNumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = run_mission(None, scenario, telemetry_path=telemetry_path, seed=args.seed)
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(result.summary.to_csv())
     print(result.summary.to_table())
@@ -72,13 +59,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        if not 0.0 <= args.phi < 1.0:
-            raise ScenarioError(f"phi must be in [0, 1), got {args.phi}")
-        inputs = en.EnduranceInputs(m0=args.m0, phi=args.phi, gamma=args.gamma, k_p=args.k_p)
-    except (ScenarioError, en.EnduranceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    inputs = en.EnduranceInputs(m0=args.m0, phi=args.phi, gamma=args.gamma, k_p=args.k_p)
     report = en.flight_time(inputs)
     print(f"phi                 {args.phi:.9g}")
     print(f"total_mass_kg       {report.total_mass:.9g}")
@@ -107,10 +88,11 @@ def _parse_range(spec: str) -> list[str]:
     if not spec:
         return []
     if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ScenarioError(f"range must be start:stop:count, got {spec!r}")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            start, stop, count = spec.split(":")
+            start, stop, count = float(start), float(stop), int(count)
+        except ValueError:
+            raise ScenarioError(f"range must be start:stop:count, got {spec!r}") from None
         if count < 1:
             raise ScenarioError("range count must be >= 1")
         if count == 1:
@@ -120,6 +102,7 @@ def _parse_range(spec: str) -> list[str]:
     return [v.strip() for v in spec.split(",") if v.strip()]
 
 
+# MissionSummary fields, one sweep CSV column each
 SWEEP_METRICS = (
     "total_time_s",
     "solo_equivalent_time_s",
@@ -131,48 +114,26 @@ SWEEP_METRICS = (
 )
 
 
-def _sweep_one(base: Scenario, param: str, value: str):
+def _sweep_one(base: Scenario, param: str, value: str) -> MissionSummary:
     scenario = copy.deepcopy(base)
     set_scenario_value(scenario, param, value)
-    result = run_mission(None, scenario)
-    s = result.summary
-    return (
-        value,
-        s.total_time,
-        s.solo_equivalent_time,
-        s.extension_factor,
-        s.switch_count,
-        s.contact_failures,
-        s.time_on_primary,
-        s.time_on_secondary,
-    )
+    return run_mission(None, scenario).summary
 
 
 def cmd_sweep(args) -> int:
-    try:
-        base = _resolve_scenario(args.scenario)
-        values = _parse_range(args.range)
-        # validate the parameter name and value casts up front
-        for v in values:
-            set_scenario_value(copy.deepcopy(base), args.param, v)
-        out = _out_dir(args.out)
-    except (ScenarioError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    base = _resolve_scenario(args.scenario)
+    values = _parse_range(args.range)
+    # validate the parameter name and value casts up front
+    for v in values:
+        set_scenario_value(copy.deepcopy(base), args.param, v)
+    out = _out_dir(args.out)
     path = os.path.join(out, f"sweep_{args.param.replace('.', '_')}.csv")
-    try:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(lambda v: _sweep_one(base, args.param, v), values))
-    except PowertrainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimNumericsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+        summaries = list(pool.map(lambda v: _sweep_one(base, args.param, v), values))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("value," + ",".join(SWEEP_METRICS) + "\n")
-        for row in rows:
-            fh.write(row[0] + "," + ",".join(f"{x:.9g}" for x in row[1:]) + "\n")
+        for v, s in zip(values, summaries):
+            fh.write(v + "," + ",".join(f"{getattr(s, k):.9g}" for k in SWEEP_METRICS) + "\n")
     print(f"sweep: {path}")
     return EXIT_OK
 
@@ -216,8 +177,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """The one place errors become exit codes: every flybat input error
+    is a ValueError, and a failed file operation an OSError."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SimNumericsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

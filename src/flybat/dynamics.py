@@ -23,6 +23,10 @@ from .geom import Vec3
 
 GRAVITY = 9.81
 
+PLATFORM_HEIGHT = 0.10  # m, platform surface above host COM
+LEG_HEIGHT = 0.05  # m, docked vehicle COM above its leg plane
+MOUNT_OFFSET = (0.0, 0.0, PLATFORM_HEIGHT + LEG_HEIGHT)  # host COM -> docked COM
+
 
 class DynamicsError(ValueError):
     """Raised for invalid vehicle parameters or contact inputs."""
@@ -38,8 +42,6 @@ class VehicleParams:
     """
 
     mass: float
-    arm_length: float
-    prop_diameter: float
     max_thrust: float
     inertia: np.ndarray
     k_p: float
@@ -240,8 +242,6 @@ def composite_params(
     inertia = main.inertia + parallel_axis(m_m, d_main) + fb.inertia + parallel_axis(m_fb, d_fb)
     return VehicleParams(
         mass=total,
-        arm_length=main.arm_length,
-        prop_diameter=main.prop_diameter,
         max_thrust=main.max_thrust,
         inertia=inertia,
         k_p=main.k_p,

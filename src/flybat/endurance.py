@@ -16,8 +16,8 @@ battery beyond two thirds of the vehicle mass shortens the flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import sqrt
+from dataclasses import dataclass, fields
+from math import isfinite, sqrt
 
 OPTIMAL_PHI = 2.0 / 3.0
 
@@ -34,6 +34,10 @@ class EnduranceInputs:
     k_p: float  # W/kg^1.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isfinite(value):
+                raise EnduranceError(f"{f.name} must be finite, got {value}")
         if self.m0 <= 0.0:
             raise EnduranceError(f"m0 must be positive, got {self.m0}")
         if not 0.0 <= self.phi < 1.0:
@@ -113,8 +117,8 @@ def design_comparison(solo: EnduranceInputs, solo_observed_time: float) -> Desig
 
     Only the ratio gamma/k_p is identifiable from a single observed
     time; gamma and k_p individually are not."""
-    if solo_observed_time <= 0.0:
-        raise EnduranceError("observed time must be positive")
+    if not (isfinite(solo_observed_time) and solo_observed_time > 0.0):
+        raise EnduranceError(f"observed time must be positive and finite, got {solo_observed_time}")
     norm = normalized_flight_time(solo.phi)
     if norm <= 0.0:
         raise EnduranceError("cannot calibrate from a zero-battery configuration")

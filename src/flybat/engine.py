@@ -37,18 +37,17 @@ from .docking import (
 )
 from .dynamics import (
     GRAVITY,
+    LEG_HEIGHT,
+    MOUNT_OFFSET,
+    PLATFORM_HEIGHT,
     VehicleParams,
     composite_com_offset,
-    composite_params,
     inertia_rows,
     rk4_flat,
 )
 from .geom import q_body_z, q_rotate
 from .telemetry import TelemetryRow, TelemetryWriter
 
-PLATFORM_HEIGHT = 0.10  # m, platform surface above host COM
-LEG_HEIGHT = 0.05  # m, docked vehicle COM above its leg plane
-MOUNT_OFFSET = (0.0, 0.0, PLATFORM_HEIGHT + LEG_HEIGHT)  # host COM -> docked COM
 GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
 
 # bit patterns for the host fast path: state + integrators, and the
@@ -113,7 +112,7 @@ class MissionLog:
 
     def __init__(self):
         self.events: list[MissionEvent] = []
-        self.totals: dict[str, float] = {}
+        self.totals: dict[str, float | int] = {}
         self.energy_drawn: dict[str, float] = {}
 
     def of_kind(self, kind: str) -> list[MissionEvent]:
@@ -205,9 +204,7 @@ class World:
         # host vehicle
         self.main_params: VehicleParams = inp.main_params
         self.fb_params: VehicleParams = inp.fb_params
-        self.comp_params: VehicleParams = composite_params(
-            inp.main_params, inp.fb_params, MOUNT_OFFSET
-        )
+        self.comp_params: VehicleParams = inp.comp_params
         self.d_com = composite_com_offset(
             inp.main_params.mass, inp.fb_params.mass, MOUNT_OFFSET
         )
@@ -967,20 +964,21 @@ class World:
             self.primary, self.primary.capacity_wh, load, 0.1, self.circuit.diode_drop
         )
 
-    def summary_totals(self) -> dict[str, float]:
+    def summary_totals(self) -> dict[str, float | int]:
+        """Every MissionSummary field the run itself fixes, by name."""
         t_total = self.step_index * self.dt
         solo = self.solo_equivalent_time()
         return {
-            "total_time": t_total,
-            "solo_equivalent_time": solo,
+            "total_time_s": t_total,
+            "solo_equivalent_time_s": solo,
             "extension_factor": t_total / solo if solo > 0.0 else float("nan"),
-            "switch_count": float(self.switch_count),
-            "contact_failures": float(self.contact_failure_count),
-            "dock_count": float(self.dock_count),
-            "undock_count": float(self.undock_count),
-            "time_on_primary": self.time_on_primary,
-            "time_on_secondary": self.time_on_secondary,
-            "max_altitude_error": self._alt_err_abs_max,
+            "switch_count": self.switch_count,
+            "contact_failures": self.contact_failure_count,
+            "dock_count": self.dock_count,
+            "undock_count": self.undock_count,
+            "time_on_primary_s": self.time_on_primary,
+            "time_on_secondary_s": self.time_on_secondary,
+            "max_altitude_error_m": self._alt_err_abs_max,
             "primary_energy_wh": self.primary_drawn_wh,
             # summed in first-draw order, which fixes the float rounding
             "secondary_energy_wh": sum(u.secondary_drawn_wh for u in self._secondary_draw_order),

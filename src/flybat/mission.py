@@ -12,49 +12,41 @@ landed units with fresh packs.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .engine import MissionLog, World
 from .scenario import MissionSection, Scenario
 
-MissionConfig = MissionSection
-
 
 @dataclass
 class MissionSummary:
-    total_time: float
-    solo_equivalent_time: float
+    """The results of one mission. The field names are the summary CSV
+    keys and the keys of `World.summary_totals()`, apart from the last
+    two, which come from the run's end."""
+
+    total_time_s: float
+    solo_equivalent_time_s: float
     extension_factor: float
     switch_count: int
     contact_failures: int
     dock_count: int
     undock_count: int
-    time_on_primary: float
-    time_on_secondary: float
-    max_altitude_error: float
+    time_on_primary_s: float
+    time_on_secondary_s: float
+    max_altitude_error_m: float
     primary_energy_wh: float
     secondary_energy_wh: float
     termination_reason: str
-    energy_drawn: dict[str, float]
+    energy_drawn: dict[str, float]  # one energy_<pack>_wh row per pack, sorted
 
     def as_rows(self) -> list[tuple[str, str]]:
-        rows = [
-            ("total_time_s", f"{self.total_time:.9g}"),
-            ("solo_equivalent_time_s", f"{self.solo_equivalent_time:.9g}"),
-            ("extension_factor", f"{self.extension_factor:.9g}"),
-            ("switch_count", str(self.switch_count)),
-            ("contact_failures", str(self.contact_failures)),
-            ("dock_count", str(self.dock_count)),
-            ("undock_count", str(self.undock_count)),
-            ("time_on_primary_s", f"{self.time_on_primary:.9g}"),
-            ("time_on_secondary_s", f"{self.time_on_secondary:.9g}"),
-            ("max_altitude_error_m", f"{self.max_altitude_error:.9g}"),
-            ("primary_energy_wh", f"{self.primary_energy_wh:.9g}"),
-            ("secondary_energy_wh", f"{self.secondary_energy_wh:.9g}"),
-            ("termination_reason", self.termination_reason),
-        ]
-        for key in sorted(self.energy_drawn):
-            rows.append((f"energy_{key}_wh", f"{self.energy_drawn[key]:.9g}"))
+        rows = []
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, dict):
+                rows += [(f"energy_{k}_wh", f"{v[k]:.9g}") for k in sorted(v)]
+            else:
+                rows.append((f.name, f"{v:.9g}" if isinstance(v, float) else str(v)))
         return rows
 
     def to_csv(self) -> str:
@@ -74,12 +66,11 @@ class MissionSummary:
 class MissionResult:
     log: MissionLog
     summary: MissionSummary
-    telemetry_path: str | None
     world: World
 
 
 def run_mission(
-    config: MissionConfig | None,
+    config: MissionSection | None,
     scenario: Scenario,
     telemetry_path=None,
     seed: int | None = None,
@@ -95,30 +86,16 @@ def run_mission(
     world = World(sc, telemetry_path=telemetry_path, keep_rows=keep_rows)
     log = world.run(sc.sim.duration)
     summary = summarize(log, termination_reason=world.termination_reason)
-    return MissionResult(log=log, summary=summary, telemetry_path=telemetry_path, world=world)
+    return MissionResult(log=log, summary=summary, world=world)
 
 
 def summarize(log: MissionLog, termination_reason: str = "") -> MissionSummary:
     """Summary table from a completed mission log."""
-    t = log.totals
-    if not t:
+    if not log.totals:
         raise ValueError("log has no totals; run the mission to completion first")
     if not termination_reason:
         ends = log.of_kind("mission_end")
         termination_reason = ends[-1].detail if ends else "unknown"
     return MissionSummary(
-        total_time=t["total_time"],
-        solo_equivalent_time=t["solo_equivalent_time"],
-        extension_factor=t["extension_factor"],
-        switch_count=int(t["switch_count"]),
-        contact_failures=int(t["contact_failures"]),
-        dock_count=int(t["dock_count"]),
-        undock_count=int(t["undock_count"]),
-        time_on_primary=t["time_on_primary"],
-        time_on_secondary=t["time_on_secondary"],
-        max_altitude_error=t["max_altitude_error"],
-        primary_energy_wh=t["primary_energy_wh"],
-        secondary_energy_wh=t["secondary_energy_wh"],
-        termination_reason=termination_reason,
-        energy_drawn=dict(log.energy_drawn),
+        **log.totals, termination_reason=termination_reason, energy_drawn=dict(log.energy_drawn)
     )

@@ -6,10 +6,10 @@ Sections are [vehicles], [batteries], [circuit], [downwash], [control],
 line or after whitespace; elsewhere they belong to the value. Unknown
 sections, unknown keys and keys set twice in one section are rejected
 with their line number; missing keys take the documented defaults, which
-reproduce the reference vehicles: host 0.820 kg / 27 N max thrust /
-203 mm props / 165 mm arms with a 3S 2.2 Ah 190 g primary pack, and the
-flying battery 0.320 kg / 8 N / 76 mm / 58 mm carrying a 3S 1.5 Ah
-135 g secondary and powered by its own 2S 0.8 Ah 45 g pack.
+reproduce the reference vehicles: host 0.820 kg / 27 N max thrust with a
+3S 2.2 Ah 190 g primary pack, and the flying battery 0.320 kg / 8 N
+carrying a 3S 1.5 Ah 135 g secondary and powered by its own 2S 0.8 Ah
+45 g pack.
 
 Two golden scenarios ship with the package: `solo_hover` (the host
 alone, hovering to primary depletion) and `paper_demo` (the full
@@ -19,6 +19,7 @@ dock-switch-undock-repeat mission).
 from __future__ import annotations
 
 import importlib.resources
+import math
 import os
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -31,7 +32,7 @@ from . import control as ctl
 from . import powertrain as pt
 from .aero import DownwashModel
 from .docking import DockThresholds
-from .dynamics import VehicleParams
+from .dynamics import MOUNT_OFFSET, VehicleParams, composite_params
 
 TERMINATION_MODES = ("primary_depleted", "wall_clock")
 FF_MODES = ("model", "zero", "csv")
@@ -60,8 +61,6 @@ class ScenarioError(ValueError):
 @dataclass
 class VehicleSpec:
     mass: float
-    arm_length: float
-    prop_diameter: float
     max_thrust: float
     k_p: float
     inertia_xx: float
@@ -82,8 +81,6 @@ class VehiclesSection:
     main: VehicleSpec = field(
         default_factory=lambda: VehicleSpec(
             mass=0.820,
-            arm_length=0.165,
-            prop_diameter=0.203,
             max_thrust=27.0,
             k_p=0.0,  # 0 = calibrate from the 720 s solo flight
             inertia_xx=0.008,
@@ -94,8 +91,6 @@ class VehiclesSection:
     fb: VehicleSpec = field(
         default_factory=lambda: VehicleSpec(
             mass=0.320,
-            arm_length=0.058,
-            prop_diameter=0.076,
             max_thrust=8.0,
             k_p=250.0,
             inertia_xx=0.0007,
@@ -202,9 +197,11 @@ class Scenario:
             )
         if self.mission.fleet_size < 0:
             raise ScenarioError("mission.fleet_size must be >= 0")
-        if self.sim.dt <= 0.0 or self.sim.duration <= 0.0:
-            raise ScenarioError("sim.dt and sim.duration must be positive")
-        if self.sim.telemetry_hz <= 0.0 or self.sim.telemetry_hz > 1.0 / self.sim.dt + 1e-9:
+        for key in ("dt", "duration", "telemetry_hz"):
+            value = getattr(self.sim, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ScenarioError(f"sim.{key} must be positive and finite, got {value}")
+        if self.sim.telemetry_hz > 1.0 / self.sim.dt + 1e-9:
             raise ScenarioError("sim.telemetry_hz must be in (0, 1/dt]")
         if not 0.0 <= self.docking.contact_failure_probability <= 1.0:
             raise ScenarioError("docking.contact_failure_probability must be in [0, 1]")
@@ -351,8 +348,6 @@ def _calibrated_main_kp(
 def vehicle_params(spec: VehicleSpec, k_p: float | None = None) -> VehicleParams:
     return VehicleParams(
         mass=spec.mass,
-        arm_length=spec.arm_length,
-        prop_diameter=spec.prop_diameter,
         max_thrust=spec.max_thrust,
         inertia=np.diag([spec.inertia_xx, spec.inertia_yy, spec.inertia_zz]),
         k_p=spec.k_p if k_p is None else k_p,
@@ -370,6 +365,7 @@ class WorldInputs:
 
     main_params: VehicleParams
     fb_params: VehicleParams
+    comp_params: VehicleParams  # the docked pair as one body
     main_cfg: ctl.CascadedPidConfig
     comp_cfg: ctl.CascadedPidConfig
     fb_cfg: ctl.CascadedPidConfig
@@ -399,11 +395,8 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
     fb = vehicle_params(v.fb)
 
     c = scenario.control
-    from .dynamics import composite_params as make_composite
-    from .engine import MOUNT_OFFSET
-
     main_cfg = ctl.default_config(main, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
-    comp = make_composite(main, fb, MOUNT_OFFSET)
+    comp = composite_params(main, fb, MOUNT_OFFSET)
     comp_cfg = ctl.default_config(comp, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
     fb_cfg = ctl.default_config(fb, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
 
@@ -448,6 +441,7 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
     return WorldInputs(
         main_params=main,
         fb_params=fb,
+        comp_params=comp,
         main_cfg=main_cfg,
         comp_cfg=comp_cfg,
         fb_cfg=fb_cfg,

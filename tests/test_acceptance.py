@@ -106,7 +106,7 @@ def test_criterion_02_normalized_time_at_reference():
 
 def test_criterion_03_solo_hover(solo_run):
     result, _, runtime = solo_run
-    total = result.summary.total_time
+    total = result.summary.total_time_s
     ok = (
         result.summary.termination_reason == "primary_depleted"
         and abs(total - 720.0) <= 0.02 * 720.0
@@ -128,8 +128,8 @@ def test_criterion_03_solo_hover(solo_run):
 def test_criterion_04_mission_extension(solo_run, demo_run):
     solo_result, _, _ = solo_run
     demo_result, _, runtime = demo_run
-    solo_time = solo_result.summary.total_time
-    extension = demo_result.summary.total_time / solo_time
+    solo_time = solo_result.summary.total_time_s
+    extension = demo_result.summary.total_time_s / solo_time
     ok = (
         4.0 <= extension <= 5.5
         and demo_result.summary.contact_failures == 0
@@ -139,7 +139,7 @@ def test_criterion_04_mission_extension(solo_run, demo_run):
         4,
         "mission-extension",
         ok,
-        f"extension={extension:.3f} total={demo_result.summary.total_time:.0f}s "
+        f"extension={extension:.3f} total={demo_result.summary.total_time_s:.0f}s "
         f"runtime={runtime:.0f}s",
     )
 

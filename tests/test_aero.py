@@ -67,7 +67,7 @@ def test_align_torque_sign_reduces_offset_in_closed_loop():
     # lower vehicle holds altitude and tries to stay level; the induced
     # torque alone must tilt it toward the point beneath the upper one
     params = VehicleParams(
-        mass=0.820, arm_length=0.165, prop_diameter=0.203, max_thrust=27.0,
+        mass=0.820, max_thrust=27.0,
         inertia=np.diag([0.008, 0.008, 0.014]), k_p=164.4,
     )
     pid = CascadedPid(default_config(params), params.mass)

@@ -141,6 +141,72 @@ def test_unusable_out_exits_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# (scenario file text or None, command and its own arguments, a word the
+# message must hold): every bad input, through `run` and, where it is a
+# scenario key, through `sweep` as the swept value
+BAD_INPUTS = {
+    "run-peak_force_ratio": ("[downwash]\npeak_force_ratio = 2\n", ["run"], "peak_force_ratio"),
+    "sweep-peak_force_ratio": (
+        "", ["sweep", "--param", "downwash.peak_force_ratio", "--range", "2"], "peak_force_ratio"
+    ),
+    "run-drop_height": ("[docking]\ndrop_height = 0.5\n", ["run"], "drop_height"),
+    "sweep-drop_height": (
+        "", ["sweep", "--param", "docking.drop_height", "--range", "0.5"], "drop_height"
+    ),
+    "run-max_thrust": ("[vehicles]\nmain.max_thrust = 5\n", ["run"], "max_thrust"),
+    "sweep-max_thrust": (
+        "", ["sweep", "--param", "vehicles.main.max_thrust", "--range", "5"], "max_thrust"
+    ),
+    "run-pos_zeta": ("[control]\npos_zeta = -1\n", ["run"], "position gains"),
+    "sweep-pos_zeta": (
+        "", ["sweep", "--param", "control.pos_zeta", "--range=-1"], "position gains"
+    ),
+    "run-ff_csv_missing": (
+        "[control]\nff_mode = csv\nff_csv_path = no_such_map.csv\n", ["run"], "no_such_map.csv"
+    ),
+    "sweep-ff_csv_missing": (
+        "[control]\nff_mode = csv\n",
+        ["sweep", "--param", "control.ff_csv_path", "--range", "no_such_map.csv"],
+        "no_such_map.csv",
+    ),
+    **{
+        f"{cmd}-{key}={value}": (
+            f"[sim]\n{key} = {value}\n" if cmd == "run" else "",
+            ["run"] if cmd == "run" else ["sweep", "--param", f"sim.{key}", "--range", value],
+            f"sim.{key}",
+        )
+        for cmd in ("run", "sweep")
+        for key in ("dt", "duration", "telemetry_hz")
+        for value in ("nan", "inf")
+    },
+    "run-duration_flag_inf": ("", ["run", "--duration", "inf"], "sim.duration"),
+    "sweep-range_not_numbers": (
+        "", ["sweep", "--param", "docking.mu", "--range", "a:b:3"], "a:b:3"
+    ),
+    "analyze-curve_csv_directory": (
+        None, ["analyze", "--m0", "0.63", "--phi", "0.5", "--curve-csv", "."], "directory"
+    ),
+    **{
+        f"analyze-{flag}=nan": (
+            None, ["analyze", "--m0", "0.63", "--phi", "0.5", f"--{flag}", "nan"], "nan"
+        )
+        for flag in ("m0", "phi", "gamma", "k-p", "observed-time")
+    },
+}
+
+
+@pytest.mark.parametrize("text,argv,word", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_config_error_in_one_line(tmp_path, monkeypatch, capsys, text, argv, word):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        (tmp_path / "bad.cfg").write_text(text)
+        argv = [argv[0], "--scenario", "bad.cfg", "--out", "out", *argv[1:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert word in err
+
+
 def test_out_dir_env_default(tmp_path, monkeypatch):
     monkeypatch.setenv("FLYBAT_OUT", str(tmp_path / "envout"))
     scenario = write_scaled_scenario(tmp_path / "scaled.cfg", duration=20.0, fleet_size=0)

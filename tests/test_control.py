@@ -26,7 +26,7 @@ from flybat.dynamics import GRAVITY, VehicleParams, inertia_rows, rk4_flat
 from flybat.geom import q_body_z, q_from_yaw
 
 PARAMS = VehicleParams(
-    mass=0.820, arm_length=0.165, prop_diameter=0.203, max_thrust=27.0,
+    mass=0.820, max_thrust=27.0,
     inertia=np.diag([0.008, 0.008, 0.014]), k_p=164.4,
 )
 

@@ -17,11 +17,11 @@ from flybat.dynamics import (
 )
 
 MAIN = dict(
-    mass=0.820, arm_length=0.165, prop_diameter=0.203, max_thrust=27.0,
+    mass=0.820, max_thrust=27.0,
     inertia=np.diag([0.008, 0.008, 0.014]), k_p=164.4,
 )
 FB = dict(
-    mass=0.320, arm_length=0.058, prop_diameter=0.076, max_thrust=8.0,
+    mass=0.320, max_thrust=8.0,
     inertia=np.diag([0.0007, 0.0007, 0.0012]), k_p=250.0,
 )
 
@@ -136,7 +136,6 @@ def test_composite_mass_is_reference_docked_mass():
     assert comp.mass == pytest.approx(1.140, abs=1e-12)
     assert comp.max_thrust == 27.0
     assert comp.k_p == main_params().k_p
-    assert comp.arm_length == MAIN["arm_length"]
 
 
 def test_composite_vanishing_second_mass_is_identity():
@@ -152,8 +151,8 @@ def test_composite_point_mass_parallel_axis_oracle():
     # two 1 kg point masses 0.1 m apart along z: the pair inertia about a
     # transverse axis through the COM is mu*d^2 with mu the reduced mass
     eps = np.eye(3) * 1e-9
-    a = VehicleParams(1.0, 0.1, 0.1, 20.0, eps, 100.0)
-    b = VehicleParams(1.0, 0.1, 0.1, 20.0, eps, 100.0)
+    a = VehicleParams(1.0, 20.0, eps, 100.0)
+    b = VehicleParams(1.0, 20.0, eps, 100.0)
     d = 0.1
     mu = 1.0 * 1.0 / (1.0 + 1.0)
     expected = mu * d * d

@@ -49,6 +49,21 @@ def test_flight_time_rejects_bad_phi():
         EnduranceInputs(m0=0.63, phi=-0.1, gamma=128.0, k_p=160.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["m0", "phi", "gamma", "k_p"])
+def test_inputs_reject_non_finite(field, bad):
+    good = dict(m0=M0_REF, phi=PHI_REF, gamma=GAMMA_REF, k_p=KP_REF)
+    with pytest.raises(EnduranceError, match=field):
+        EnduranceInputs(**{**good, field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+def test_design_comparison_rejects_bad_observed_time(bad):
+    solo = EnduranceInputs(m0=M0_REF, phi=PHI_REF, gamma=GAMMA_REF, k_p=KP_REF)
+    with pytest.raises(EnduranceError, match="observed time"):
+        design_comparison(solo, bad)
+
+
 def test_normalized_curve_values():
     assert normalized_flight_time(2.0 / 3.0) == pytest.approx(1.0, abs=1e-15)
     assert normalized_flight_time(0.0) == 0.0

@@ -22,7 +22,7 @@ def test_mission_with_switches_extends_flight(std_run):
     s = result.summary
     assert s.switch_count >= 1
     assert s.termination_reason == "primary_depleted"
-    assert s.total_time > s.solo_equivalent_time
+    assert s.total_time_s > s.solo_equivalent_time_s
     assert s.extension_factor > 1.0
 
 
@@ -31,7 +31,7 @@ def test_solo_degenerate_mission_matches_solo_time():
     s = result.summary
     assert s.switch_count == 0
     assert s.dock_count == 0
-    assert s.total_time == pytest.approx(s.solo_equivalent_time, rel=0.02)
+    assert s.total_time_s == pytest.approx(s.solo_equivalent_time_s, rel=0.02)
 
 
 def test_certain_contact_failure_never_switches():
@@ -49,7 +49,7 @@ def test_certain_contact_failure_never_switches():
     # the primary pays for everything, including carrying the dead weight
     # and rejecting downwash during the retries, so the mission is
     # strictly shorter than the solo hover
-    assert s.total_time < s.solo_equivalent_time
+    assert s.total_time_s < s.solo_equivalent_time_s
     # energy oracle: everything came out of the primary
     assert s.primary_energy_wh == pytest.approx(24.42 * 0.08, rel=1e-6)
     assert s.secondary_energy_wh == 0.0
@@ -91,7 +91,7 @@ def test_event_ordering_fuzzed_over_seeds():
         keys = [(e.t, e.seq) for e in result.log.events]
         assert keys == sorted(keys)
         # a long turnaround outlasts the mission; nothing is logged after it
-        assert keys[-1][0] <= result.summary.total_time
+        assert keys[-1][0] <= result.summary.total_time_s
         for e in result.log.events:
             if e.kind == "switch" and e.detail == "secondary":
                 # a contact event at the same timestamp precedes it
@@ -133,7 +133,7 @@ def test_primary_conducts_only_between_undock_and_contact(std_run):
 
 def test_altitude_band_held_throughout(std_run):
     result, _ = std_run
-    assert result.summary.max_altitude_error < 0.25
+    assert result.summary.max_altitude_error_m < 0.25
 
 
 def test_summary_bookkeeping_consistent(std_run):

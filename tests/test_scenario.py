@@ -33,12 +33,8 @@ def test_default_vehicle_and_pack_values():
     v, b = sc.vehicles, sc.batteries
     assert v.main.mass == 0.820
     assert v.main.max_thrust == 27.0
-    assert v.main.prop_diameter == 0.203
-    assert v.main.arm_length == 0.165
     assert v.fb.mass == 0.320
     assert v.fb.max_thrust == 8.0
-    assert v.fb.prop_diameter == 0.076
-    assert v.fb.arm_length == 0.058
     assert (b.primary.cells, b.primary.capacity_ah, b.primary.mass) == (3, 2.2, 0.190)
     assert (b.secondary.cells, b.secondary.capacity_ah, b.secondary.mass) == (3, 1.5, 0.135)
     assert (b.fb.cells, b.fb.capacity_ah, b.fb.mass) == (2, 0.8, 0.045)
