@@ -92,13 +92,14 @@ def default_config(
 
 
 class CascadedPid:
-    """One controller instance per vehicle; holds integrator state."""
+    """One controller instance per vehicle; holds integrator state. The
+    gains of cfg are also kept as two flat tuples, which the 1 kHz loops
+    unpack into locals."""
 
-    __slots__ = ("cfg", "mass", "ix", "iy", "iz", "iyaw")
+    __slots__ = ("cfg", "mass", "pos_gains", "att_gains", "ix", "iy", "iz", "iyaw")
 
     def __init__(self, cfg: CascadedPidConfig, mass: float):
-        self.cfg = cfg
-        self.mass = mass
+        self.retune(cfg, mass)
         self.reset()
 
     def reset(self) -> None:
@@ -112,6 +113,8 @@ class CascadedPid:
         carry over since they act in acceleration units."""
         self.cfg = cfg
         self.mass = mass
+        self.pos_gains = (*cfg.pos_p, *cfg.pos_i, *cfg.pos_d, cfg.pos_int_limit, cfg.max_thrust)
+        self.att_gains = (*cfg.att_p, *cfg.att_d, cfg.yaw_i, cfg.yaw_int_limit)
 
     def position_flat(
         self, px, py, pz, vx, vy, vz, rx, ry, rz, rvx, rvy, rvz,
@@ -124,26 +127,25 @@ class CascadedPid:
         (ffx, ffy, ffz) is a feedforward acceleration for scripted
         maneuvers, and ff_thrust the downwash-rejection term added
         directly to the total thrust."""
-        cfg = self.cfg
+        kpx, kpy, kpz, kix, kiy, kiz, kdx, kdy, kdz, lim, max_thrust = self.pos_gains
         ex, ey, ez = rx - px, ry - py, rz - pz
-        lim = cfg.pos_int_limit
         ix = self.ix + ex * dt
         iy = self.iy + ey * dt
         iz = self.iz + ez * dt
         self.ix = ix = lim if ix > lim else (-lim if ix < -lim else ix)
         self.iy = iy = lim if iy > lim else (-lim if iy < -lim else iy)
         self.iz = iz = lim if iz > lim else (-lim if iz < -lim else iz)
-        ax = cfg.pos_p[0] * ex + cfg.pos_i[0] * ix + cfg.pos_d[0] * (rvx - vx) + ffx
-        ay = cfg.pos_p[1] * ey + cfg.pos_i[1] * iy + cfg.pos_d[1] * (rvy - vy) + ffy
-        az = cfg.pos_p[2] * ez + cfg.pos_i[2] * iz + cfg.pos_d[2] * (rvz - vz) + ffz
+        ax = kpx * ex + kix * ix + kdx * (rvx - vx) + ffx
+        ay = kpy * ey + kiy * iy + kdy * (rvy - vy) + ffy
+        az = kpz * ez + kiz * iz + kdz * (rvz - vz) + ffz
         m = self.mass
         fx, fy, fz = m * ax, m * ay, m * (az + GRAVITY)
         n = sqrt(fx * fx + fy * fy + fz * fz)
         thrust = n + ff_thrust
         if thrust < 0.0:
             thrust = 0.0
-        elif thrust > cfg.max_thrust:
-            thrust = cfg.max_thrust
+        elif thrust > max_thrust:
+            thrust = max_thrust
         # Attitude whose body z axis points along (fx, fy, fz) at the given
         # yaw, or pure yaw when that force is near zero, points straight
         # down or lies along the yaw heading. One 1 kHz call per vehicle,
@@ -191,7 +193,6 @@ class CascadedPid:
         qz) to q_des along the shortest arc: the scalar part of
         conj(q) * q_des is forced non-negative before the rotation vector
         is taken."""
-        cfg = self.cfg
         dw, dx, dy, dz = q_des
         nx, ny, nz = -qx, -qy, -qz
         w = qw * dw - nx * dx - ny * dy - nz * dz
@@ -206,13 +207,13 @@ class CascadedPid:
         else:
             k = 2.0 * atan2(s, w) / s
             ex, ey, ez = x * k, y * k, z * k
-        lim = cfg.yaw_int_limit
+        kpx, kpy, kpz, kdx, kdy, kdz, kiyaw, lim = self.att_gains
         iyaw = self.iyaw + ez * dt
         self.iyaw = iyaw = lim if iyaw > lim else (-lim if iyaw < -lim else iyaw)
         return (
-            cfg.att_p[0] * ex - cfg.att_d[0] * wx,
-            cfg.att_p[1] * ey - cfg.att_d[1] * wy,
-            cfg.att_p[2] * ez - cfg.att_d[2] * wz + cfg.yaw_i * iyaw,
+            kpx * ex - kdx * wx,
+            kpy * ey - kdy * wy,
+            kpz * ez - kdz * wz + kiyaw * iyaw,
         )
 
 

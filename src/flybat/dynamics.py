@@ -84,24 +84,33 @@ class ContactSolution:
 State13 = tuple  # (px,py,pz, vx,vy,vz, qw,qx,qy,qz, wx,wy,wz)
 
 
-def inertia_rows(inertia: np.ndarray):
-    """Inertia and its inverse as flat row tuples for the unrolled core."""
+def principal_inertia(inertia: np.ndarray):
+    """(ixx, iyy, izz) and the diagonal of the inverse, for rk4_flat; an
+    off-diagonal entry raises DynamicsError naming it."""
+    for r, c in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        if inertia[r, c] != 0.0:
+            raise DynamicsError(
+                f"inertia[{r}, {c}] = {float(inertia[r, c])!r}: bodies are "
+                "integrated about their principal axes, so it must be 0"
+            )
     inv = np.linalg.inv(inertia)
-    i = tuple(float(x) for x in inertia.reshape(-1))
-    j = tuple(float(x) for x in inv.reshape(-1))
-    return i, j
+    return (
+        (float(inertia[0, 0]), float(inertia[1, 1]), float(inertia[2, 2])),
+        (float(inv[0, 0]), float(inv[1, 1]), float(inv[2, 2])),
+    )
 
 
 def rk4_flat(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz) -> State13:
     """One fixed step with the wrench held constant over the step.
 
-    The force (fx, fy, fz) is world-frame and excludes gravity, which
-    the integrator adds; the torque (tx, ty, tz) is body-frame. The
-    rotational states (quaternion, body rates) take a classical RK4
-    step (stages unrolled; this is the 1 kHz hot path); under a
-    zero-order-hold force the translational RK4 stages collapse to the
-    exact constant-acceleration update, which is applied in closed form.
-    The attitude is renormalized after the combine."""
+    ii and jj are the principal moments of inertia and their inverses
+    (principal_inertia). The force (fx, fy, fz) is world-frame and
+    excludes gravity, which the integrator adds; the torque (tx, ty, tz)
+    is body-frame. The rotational states (quaternion, body rates) take a
+    classical RK4 step (stages unrolled; this is the 1 kHz hot path);
+    under a zero-order-hold force the translational RK4 stages collapse
+    to the exact constant-acceleration update, which is applied in closed
+    form. The attitude is renormalized after the combine."""
     ax = fx * inv_mass
     ay = fy * inv_mass
     az = fz * inv_mass - GRAVITY
@@ -116,23 +125,20 @@ def rk4_flat(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz) -> State13:
     nvy = vy + ay * dt
     nvz = vz + az * dt
 
-    i0, i1, i2, i3, i4, i5, i6, i7, i8 = ii
-    j0, j1, j2, j3, j4, j5, j6, j7, j8 = jj
+    ixx, iyy, izz = ii
+    jxx, jyy, jzz = jj
 
-    # stage 1
-    lx = i0 * wx + i1 * wy + i2 * wz
-    ly = i3 * wx + i4 * wy + i5 * wz
-    lz = i6 * wx + i7 * wy + i8 * wz
-    mx = tx - (wy * lz - wz * ly)
-    my = ty - (wz * lx - wx * lz)
-    mz = tz - (wx * ly - wy * lx)
+    # stage 1; body rates follow Euler's equations, J (t - w x I w)
+    lx = ixx * wx
+    ly = iyy * wy
+    lz = izz * wz
     a_qw = 0.5 * (-qx * wx - qy * wy - qz * wz)
     a_qx = 0.5 * (qw * wx + qy * wz - qz * wy)
     a_qy = 0.5 * (qw * wy - qx * wz + qz * wx)
     a_qz = 0.5 * (qw * wz + qx * wy - qy * wx)
-    a_wx = j0 * mx + j1 * my + j2 * mz
-    a_wy = j3 * mx + j4 * my + j5 * mz
-    a_wz = j6 * mx + j7 * my + j8 * mz
+    a_wx = jxx * (tx - (wy * lz - wz * ly))
+    a_wy = jyy * (ty - (wz * lx - wx * lz))
+    a_wz = jzz * (tz - (wx * ly - wy * lx))
 
     # stage 2
     h = 0.5 * dt
@@ -143,19 +149,16 @@ def rk4_flat(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz) -> State13:
     swx = wx + h * a_wx
     swy = wy + h * a_wy
     swz = wz + h * a_wz
-    lx = i0 * swx + i1 * swy + i2 * swz
-    ly = i3 * swx + i4 * swy + i5 * swz
-    lz = i6 * swx + i7 * swy + i8 * swz
-    mx = tx - (swy * lz - swz * ly)
-    my = ty - (swz * lx - swx * lz)
-    mz = tz - (swx * ly - swy * lx)
+    lx = ixx * swx
+    ly = iyy * swy
+    lz = izz * swz
     b_qw = 0.5 * (-sqx * swx - sqy * swy - sqz * swz)
     b_qx = 0.5 * (sqw * swx + sqy * swz - sqz * swy)
     b_qy = 0.5 * (sqw * swy - sqx * swz + sqz * swx)
     b_qz = 0.5 * (sqw * swz + sqx * swy - sqy * swx)
-    b_wx = j0 * mx + j1 * my + j2 * mz
-    b_wy = j3 * mx + j4 * my + j5 * mz
-    b_wz = j6 * mx + j7 * my + j8 * mz
+    b_wx = jxx * (tx - (swy * lz - swz * ly))
+    b_wy = jyy * (ty - (swz * lx - swx * lz))
+    b_wz = jzz * (tz - (swx * ly - swy * lx))
 
     # stage 3
     sqw = qw + h * b_qw
@@ -165,19 +168,16 @@ def rk4_flat(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz) -> State13:
     swx = wx + h * b_wx
     swy = wy + h * b_wy
     swz = wz + h * b_wz
-    lx = i0 * swx + i1 * swy + i2 * swz
-    ly = i3 * swx + i4 * swy + i5 * swz
-    lz = i6 * swx + i7 * swy + i8 * swz
-    mx = tx - (swy * lz - swz * ly)
-    my = ty - (swz * lx - swx * lz)
-    mz = tz - (swx * ly - swy * lx)
+    lx = ixx * swx
+    ly = iyy * swy
+    lz = izz * swz
     c_qw = 0.5 * (-sqx * swx - sqy * swy - sqz * swz)
     c_qx = 0.5 * (sqw * swx + sqy * swz - sqz * swy)
     c_qy = 0.5 * (sqw * swy - sqx * swz + sqz * swx)
     c_qz = 0.5 * (sqw * swz + sqx * swy - sqy * swx)
-    c_wx = j0 * mx + j1 * my + j2 * mz
-    c_wy = j3 * mx + j4 * my + j5 * mz
-    c_wz = j6 * mx + j7 * my + j8 * mz
+    c_wx = jxx * (tx - (swy * lz - swz * ly))
+    c_wy = jyy * (ty - (swz * lx - swx * lz))
+    c_wz = jzz * (tz - (swx * ly - swy * lx))
 
     # stage 4
     sqw = qw + dt * c_qw
@@ -187,19 +187,16 @@ def rk4_flat(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz) -> State13:
     swx = wx + dt * c_wx
     swy = wy + dt * c_wy
     swz = wz + dt * c_wz
-    lx = i0 * swx + i1 * swy + i2 * swz
-    ly = i3 * swx + i4 * swy + i5 * swz
-    lz = i6 * swx + i7 * swy + i8 * swz
-    mx = tx - (swy * lz - swz * ly)
-    my = ty - (swz * lx - swx * lz)
-    mz = tz - (swx * ly - swy * lx)
+    lx = ixx * swx
+    ly = iyy * swy
+    lz = izz * swz
     d_qw = 0.5 * (-sqx * swx - sqy * swy - sqz * swz)
     d_qx = 0.5 * (sqw * swx + sqy * swz - sqz * swy)
     d_qy = 0.5 * (sqw * swy - sqx * swz + sqz * swx)
     d_qz = 0.5 * (sqw * swz + sqx * swy - sqy * swx)
-    d_wx = j0 * mx + j1 * my + j2 * mz
-    d_wy = j3 * mx + j4 * my + j5 * mz
-    d_wz = j6 * mx + j7 * my + j8 * mz
+    d_wx = jxx * (tx - (swy * lz - swz * ly))
+    d_wy = jyy * (ty - (swz * lx - swx * lz))
+    d_wz = jzz * (tz - (swx * ly - swy * lx))
 
     sixth = dt / 6.0
     nqw = qw + sixth * (a_qw + 2.0 * (b_qw + c_qw) + d_qw)

@@ -42,10 +42,10 @@ from .dynamics import (
     PLATFORM_HEIGHT,
     VehicleParams,
     composite_com_offset,
-    inertia_rows,
+    principal_inertia,
     rk4_flat,
 )
-from .geom import q_body_z, q_rotate
+from .geom import q_rotate
 from .telemetry import TelemetryRow, TelemetryWriter
 
 GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
@@ -142,7 +142,6 @@ class _Unit:
         "state",
         "phase",
         "ref",
-        "ref_v",
         "home",
         "available_at",
         "spent",
@@ -158,7 +157,7 @@ class _Unit:
         self.params = params
         self.k_thrust = pt.k_thrust_from_kp(params.k_p)
         self.inv_mass = 1.0 / params.mass
-        self.ii, self.jj = inertia_rows(params.inertia)
+        self.ii, self.jj = principal_inertia(params.inertia)
         self.pid = CascadedPid(cfg, params.mass)
         self.own_pack = own_pack
         self.secondary = secondary
@@ -173,7 +172,6 @@ class _Unit:
         )
         self.phase = GROUNDED
         self.ref = [home[0], home[1], GROUND_COM]
-        self.ref_v = [0.0, 0.0, 0.0]
         self.available_at = 0.0
         self.spent = False
         self.cmd_dock = False
@@ -212,13 +210,15 @@ class World:
         self.comp_cfg = inp.comp_cfg
         self.main_pid = CascadedPid(inp.main_cfg, inp.main_params.mass)
         self.k_thrust_main = pt.k_thrust_from_kp(inp.main_params.k_p)
-        self._main_solo_rows = (
+        # (1/mass, principal moments, their inverses) for rk4_flat, of the
+        # host alone and of the docked pair
+        self._main_solo_body = (
             1.0 / inp.main_params.mass,
-            *inertia_rows(inp.main_params.inertia),
+            *principal_inertia(inp.main_params.inertia),
         )
-        self._main_comp_rows = (
+        self._main_comp_body = (
             1.0 / self.comp_params.mass,
-            *inertia_rows(self.comp_params.inertia),
+            *principal_inertia(self.comp_params.inertia),
         )
         # the docked unit's share of the composite's mass (contact loads)
         self._docked_mass_share = inp.fb_params.mass / self.comp_params.mass
@@ -277,7 +277,7 @@ class World:
         self._column_due = False
         self._alt_err_abs_max = 0.0
         # quiescent-host memo (see step): the state tuple it holds for,
-        # then (cfg, mass, inertia rows, ix, iy, iz, iyaw, packed inputs,
+        # then (cfg, mass, body constants, ix, iy, iz, iyaw, packed inputs,
         # (thrust, zx, zy, zz))
         self._host_memo_state: tuple | None = None
         self._host_memo: tuple = ()
@@ -462,7 +462,6 @@ class World:
             0.0, 0.0, 0.0,
         )
         u.ref = [u.state[0], u.state[1], u.state[2]]
-        u.ref_v = [0.0, 0.0, 0.0]
         u.pid.reset()
         u.docked_since = None
         self.docked_unit = None
@@ -502,20 +501,25 @@ class World:
     # ------------------------------------------------------------------
 
     def _step_fsms(self, t: float) -> None:
+        plat = None  # the platform point, until a detach moves it
         for u in tuple(self.active_units):
             if u.phase is DOCKED:
                 if u.cmd_undock:
                     self._detach(u, t)
+                    plat = None
                     u.phase = UNDOCK_ASCEND
                     u.cmd_undock = False
                     self._event(t, "phase", u.uid, u.phase.value)
                 continue
-            lateral, gap = self._rel_pose(u)
-            altitude = u.state[2] - LEG_HEIGHT
+            if plat is None:
+                plat = self._platform_point()
+            # _rel_pose, written out: altitude is the leg plane's height
+            s = u.state
+            altitude = s[2] - LEG_HEIGHT
             new_phase = dk.fsm_step(
                 u.phase,
                 self.thresholds,
-                (lateral, gap),
+                (math.hypot(s[0] - plat[0], s[1] - plat[1]), altitude - plat[2]),
                 altitude,
                 _DOCK_COMMANDS[u.cmd_dock, u.cmd_undock],
             )
@@ -532,74 +536,73 @@ class World:
                 if new_phase is GROUNDED:
                     self._on_grounded(u, t)
 
-    def _unit_target(self, u: _Unit):
-        """(target point, slew speed) for the unit's current phase."""
-        plat = self._platform_point()
-        th = self.thresholds
-        cfg = self.docking
-        approach_z = plat[2] + th.hover_above_gap + LEG_HEIGHT
-        ph = u.phase
-        if ph is TAKEOFF:
-            return (u.home[0], u.home[1], approach_z), cfg.vertical_speed
-        if ph is APPROACH_ABOVE:
-            return (plat[0], plat[1], approach_z), cfg.approach_speed
-        if ph is DESCEND:
-            return (plat[0], plat[1], plat[2] + th.drop_height + LEG_HEIGHT), th.descent_rate
-        if ph is UNDOCK_ASCEND:
-            return (plat[0], plat[1], approach_z), cfg.vertical_speed
-        if ph is DEPART:
-            return (u.home[0], u.home[1], approach_z), cfg.depart_speed
-        if ph is LANDING:
-            return (u.home[0], u.home[1], GROUND_COM), cfg.vertical_speed
-        return None, 0.0
-
-    def _update_unit_ref(self, u: _Unit) -> None:
-        target, speed = self._unit_target(u)
-        ref, ref_v = u.ref, u.ref_v
-        if target is None:
-            ref_v[0] = ref_v[1] = ref_v[2] = 0.0
-            return
-        dx = target[0] - ref[0]
-        dy = target[1] - ref[1]
-        dz = target[2] - ref[2]
-        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-        step = speed * self.dt
-        if dist <= step or dist == 0.0:
-            ref[0], ref[1], ref[2] = target
-            ref_v[0] = ref_v[1] = ref_v[2] = 0.0
-        else:
-            k = step / dist
-            ref[0] += dx * k
-            ref[1] += dy * k
-            ref[2] += dz * k
-            kv = speed / dist
-            ref_v[0] = dx * kv
-            ref_v[1] = dy * kv
-            ref_v[2] = dz * kv
-
-    def _fly_unit(self, u: _Unit, dt: float) -> None:
-        """Control and integrate one airborne unit over dt."""
+    def _fly_unit(self, u: _Unit, dt: float, plat) -> None:
+        """Control and integrate one airborne unit over dt, given this
+        step's platform point."""
         s = u.state
         if u.phase is FREE_FALL or u.own_wh <= 0.0:
             u.thrust = 0.0
             tqx = tqy = tqz = 0.0
         else:
-            self._update_unit_ref(u)
+            # the reference slews toward this phase's goal at its speed
+            ph = u.phase
+            th = self.thresholds
+            cfg = self.docking
+            approach_z = plat[2] + th.hover_above_gap + LEG_HEIGHT
+            if ph is APPROACH_ABOVE:
+                gx, gy, gz, speed = plat[0], plat[1], approach_z, cfg.approach_speed
+            elif ph is DESCEND:
+                gx, gy, gz = plat[0], plat[1], plat[2] + th.drop_height + LEG_HEIGHT
+                speed = th.descent_rate
+            elif ph is TAKEOFF:
+                gx, gy, gz, speed = u.home[0], u.home[1], approach_z, cfg.vertical_speed
+            elif ph is UNDOCK_ASCEND:
+                gx, gy, gz, speed = plat[0], plat[1], approach_z, cfg.vertical_speed
+            elif ph is DEPART:
+                gx, gy, gz, speed = u.home[0], u.home[1], approach_z, cfg.depart_speed
+            elif ph is LANDING:
+                gx, gy, gz, speed = u.home[0], u.home[1], GROUND_COM, cfg.vertical_speed
+            else:
+                gx = None
+            ref = u.ref
+            if gx is None:
+                rvx = rvy = rvz = 0.0
+            else:
+                dx = gx - ref[0]
+                dy = gy - ref[1]
+                dz = gz - ref[2]
+                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+                step = speed * dt
+                if dist <= step or dist == 0.0:
+                    ref[0], ref[1], ref[2] = gx, gy, gz
+                    rvx = rvy = rvz = 0.0
+                else:
+                    k = step / dist
+                    ref[0] += dx * k
+                    ref[1] += dy * k
+                    ref[2] += dz * k
+                    kv = speed / dist
+                    rvx = dx * kv
+                    rvy = dy * kv
+                    rvz = dz * kv
             pid = u.pid
             u.thrust, q_des = pid.position_flat(
                 s[0], s[1], s[2], s[3], s[4], s[5],
-                u.ref[0], u.ref[1], u.ref[2],
-                u.ref_v[0], u.ref_v[1], u.ref_v[2],
+                ref[0], ref[1], ref[2], rvx, rvy, rvz,
                 0.0, 0.0, 0.0, 0.0, 0.0, dt,
             )
             tqx, tqy, tqz = pid.attitude_flat(
                 s[6], s[7], s[8], s[9], s[10], s[11], s[12], q_des, dt
             )
-        zx, zy, zz = q_body_z((s[6], s[7], s[8], s[9]))
-        th = u.thrust
+        # thrust along the body z axis of the unit's attitude
+        qw, qx, qy, qz = s[6], s[7], s[8], s[9]
+        thrust = u.thrust
         u.state = ns = rk4_flat(
             s, dt, u.inv_mass, u.ii, u.jj,
-            zx * th, zy * th, zz * th, tqx, tqy, tqz,
+            2.0 * (qx * qz + qw * qy) * thrust,
+            2.0 * (qy * qz - qw * qx) * thrust,
+            (1.0 - 2.0 * (qx * qx + qy * qy)) * thrust,
+            tqx, tqy, tqz,
         )
         if not math.isfinite(sum(ns)):
             raise SimNumericsError(self.step_index, f"unit {u.uid} dynamics")
@@ -639,8 +642,9 @@ class World:
             else:
                 off = q_rotate((ms[6], ms[7], ms[8], ms[9]), self.d_com)
                 mpx, mpy, mpz = ms[0] - off[0], ms[1] - off[1], ms[2] - off[2]
+            plat = self._platform_point()
             for u in airborne:
-                self._fly_unit(u, dt)
+                self._fly_unit(u, dt, plat)
 
         # --- host setpoint, downwash, control ---------------------------
         hx, hy, hz = self.hover_position
@@ -694,14 +698,14 @@ class World:
         # Objects are matched by identity (any write replaces them), the
         # inputs bit for bit.
         pid = self.main_pid
-        rows = self._main_solo_rows if docked is None else self._main_comp_rows
-        inv_mass, ii, jj = rows
+        body = self._main_solo_body if docked is None else self._main_comp_body
+        inv_mass, ii, jj = body
         memo = self._host_memo
         if (
             ms is self._host_memo_state
             and pid.cfg is memo[0]
             and pid.mass is memo[1]
-            and rows is memo[2]
+            and body is memo[2]
             and pid.ix is memo[3]
             and pid.iy is memo[4]
             and pid.iz is memo[5]
@@ -719,7 +723,7 @@ class World:
             atx, aty, atz = pid.attitude_flat(
                 ms[6], ms[7], ms[8], ms[9], ms[10], ms[11], ms[12], q_des, dt
             )
-            # q_body_z of the host attitude, written out
+            # body z axis (thrust axis) of the host attitude
             qw, qx, qy, qz = ms[6], ms[7], ms[8], ms[9]
             zx = 2.0 * (qx * qz + qw * qy)
             zy = 2.0 * (qy * qz - qw * qx)
@@ -752,7 +756,7 @@ class World:
                 self._alt_err_abs_max = alt_err
             if ns == ms:
                 inputs = (hx, hy, hz, svx, sax, ff, fx, fy, fz, tx, ty, tz)
-                self._arm_host_memo(ms, ints, rows, inputs, (thrust, zx, zy, zz))
+                self._arm_host_memo(ms, ints, body, inputs, (thrust, zx, zy, zz))
 
         # --- docked contact diagnostic ---------------------------------
         if docked is not None:
@@ -862,7 +866,7 @@ class World:
             self._write_row(t)
         self.step_index += 1
 
-    def _arm_host_memo(self, ms, ints, rows, inputs, outputs) -> None:
+    def _arm_host_memo(self, ms, ints, body, inputs, outputs) -> None:
         """Arm the host fast path if the step just taken from state ms and
         integrators ints mapped both onto themselves bit for bit."""
         pid = self.main_pid
@@ -871,7 +875,7 @@ class World:
         if now != ints or _HOST_FIXED_POINT.pack(*ns, *now) != _HOST_FIXED_POINT.pack(*ms, *ints):
             return
         self._host_memo_state = ns
-        self._host_memo = (pid.cfg, pid.mass, rows, *now, _HOST_INPUTS.pack(*inputs), outputs)
+        self._host_memo = (pid.cfg, pid.mass, body, *now, _HOST_INPUTS.pack(*inputs), outputs)
 
     def _check_finite(self) -> None:
         if not all(map(math.isfinite, self.main_state)):

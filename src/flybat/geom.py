@@ -28,12 +28,6 @@ def q_rotate(q: Quat, v: Vec3) -> Vec3:
     )
 
 
-def q_body_z(q: Quat) -> Vec3:
-    """World-frame direction of the body z axis (thrust axis)."""
-    w, x, y, z = q
-    return (2.0 * (x * z + w * y), 2.0 * (y * z - w * x), 1.0 - 2.0 * (x * x + y * y))
-
-
 def q_from_yaw(yaw: float) -> Quat:
     half = 0.5 * yaw
     return (cos(half), 0.0, 0.0, sin(half))

@@ -138,6 +138,14 @@ _OCV_SEGMENTS = tuple(
     (s0, v0, (v1 - v0) / (s1 - s0), s1)
     for (s0, v0), (s1, v1) in zip(OCV_KNOTS, OCV_KNOTS[1:])
 )
+# the segments as module constants for ocv_per_cell's unrolled chain;
+# each segment starts at the knot the one before it ends at
+(
+    (_OCV_S0, _OCV_V0, _OCV_K0, _OCV_S1),
+    (_OCV_S1, _OCV_V1, _OCV_K1, _OCV_S2),
+    (_OCV_S2, _OCV_V2, _OCV_K2, _OCV_S3),
+    (_OCV_S3, _OCV_V3, _OCV_K3, _OCV_S4),
+) = _OCV_SEGMENTS
 
 
 def ocv(pack: BatteryPack, energy_wh: float) -> float:
@@ -146,13 +154,20 @@ def ocv(pack: BatteryPack, energy_wh: float) -> float:
 
 
 def ocv_per_cell(soc: float) -> float:
+    """OCV_KNOTS interpolated, clamped outside [0, 1]; NaN reads as full.
+    A hot path (every step, and the k_p bisection), hence unrolled."""
     if soc <= 0.0:
         return CELL_EMPTY_V
     if soc >= 1.0:
         return CELL_FULL_V
-    for s0, v0, slope, s1 in _OCV_SEGMENTS:
-        if soc <= s1:
-            return v0 + slope * (soc - s0)
+    if soc <= _OCV_S1:
+        return _OCV_V0 + _OCV_K0 * (soc - _OCV_S0)
+    if soc <= _OCV_S2:
+        return _OCV_V1 + _OCV_K1 * (soc - _OCV_S1)
+    if soc <= _OCV_S3:
+        return _OCV_V2 + _OCV_K2 * (soc - _OCV_S2)
+    if soc <= _OCV_S4:
+        return _OCV_V3 + _OCV_K3 * (soc - _OCV_S3)
     return CELL_FULL_V
 
 

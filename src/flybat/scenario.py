@@ -23,7 +23,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Any
 
 import numpy as np
@@ -186,6 +186,11 @@ class Scenario:
     sim: SimSection = field(default_factory=SimSection)
 
     def validate(self) -> None:
+        for sec in (f.name for f in fields(self) if f.name != "name"):
+            for key, path in _section_keys(getattr(self, sec)).items():
+                value = reduce(getattr, path, getattr(self, sec))
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ScenarioError(f"{sec}.{key} must be finite, got {value}")
         if self.mission.termination not in TERMINATION_MODES:
             raise ScenarioError(
                 f"mission.termination must be one of {TERMINATION_MODES}, "
@@ -199,8 +204,8 @@ class Scenario:
             raise ScenarioError("mission.fleet_size must be >= 0")
         for key in ("dt", "duration", "telemetry_hz"):
             value = getattr(self.sim, key)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ScenarioError(f"sim.{key} must be positive and finite, got {value}")
+            if not value > 0.0:
+                raise ScenarioError(f"sim.{key} must be positive, got {value}")
         if self.sim.telemetry_hz > 1.0 / self.sim.dt + 1e-9:
             raise ScenarioError("sim.telemetry_hz must be in (0, 1/dt]")
         if not 0.0 <= self.docking.contact_failure_probability <= 1.0:

@@ -20,6 +20,13 @@ SRC_DIR = Path(flybat.__file__).resolve().parent.parent
 REST_STATE = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def q_body_z(q):
+    """World-frame direction of the body z axis (thrust axis) of unit
+    quaternion q = (w, x, y, z)."""
+    w, x, y, z = q
+    return (2.0 * (x * z + w * y), 2.0 * (y * z - w * x), 1.0 - 2.0 * (x * x + y * y))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

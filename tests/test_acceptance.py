@@ -366,7 +366,7 @@ class _PinnedWorld(World):
     def _step_fsms(self, t):
         pass
 
-    def _fly_unit(self, u, dt):
+    def _fly_unit(self, u, dt, plat):
         p = self.main_position()
         rel = self.pin_rel
         u.state = (

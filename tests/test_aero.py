@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from conftest import REST_STATE
+from conftest import REST_STATE, q_body_z
 from flybat.aero import AeroError, DownwashModel, align_torque, downwash_force
 from flybat.control import CascadedPid, default_config
-from flybat.dynamics import GRAVITY, VehicleParams, inertia_rows, rk4_flat
-from flybat.geom import q_body_z
+from flybat.dynamics import GRAVITY, VehicleParams, principal_inertia, rk4_flat
 
 import numpy as np
 
@@ -72,7 +71,7 @@ def test_align_torque_sign_reduces_offset_in_closed_loop():
     )
     pid = CascadedPid(default_config(params), params.mass)
     upper = (0.08, 0.05, 0.4)  # offset in both axes
-    ii, jj = inertia_rows(params.inertia)
+    ii, jj = principal_inertia(params.inertia)
     state = REST_STATE
     dt = 0.001
     offset0 = math.hypot(upper[0] - 0.0, upper[1] - 0.0)

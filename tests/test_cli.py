@@ -180,6 +180,19 @@ BAD_INPUTS = {
         for value in ("nan", "inf")
     },
     "run-duration_flag_inf": ("", ["run", "--duration", "inf"], "sim.duration"),
+    # non-finite values of keys outside [sim], on a 2 s scenario
+    **{
+        f"run-{key}={value}": (
+            f"[sim]\nduration = 2\n[{section}]\n{key} = {value}\n", ["run"], f"{section}.{key}"
+        )
+        for section, key, value in (
+            ("mission", "hover_z", "nan"),
+            ("docking", "mu", "nan"),
+            ("mission", "dispatch_delay", "inf"),
+            ("vehicles", "main.mass", "nan"),
+        )
+    },
+    "sweep-mu=nan": ("", ["sweep", "--param", "docking.mu", "--range", "nan"], "docking.mu"),
     "sweep-range_not_numbers": (
         "", ["sweep", "--param", "docking.mu", "--range", "a:b:3"], "a:b:3"
     ),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REST_STATE
+from conftest import REST_STATE, q_body_z
 from flybat.aero import DownwashModel, downwash_force
 from flybat.control import (
     CascadedPid,
@@ -22,8 +22,8 @@ from flybat.control import (
     map_from_model,
     zero_map,
 )
-from flybat.dynamics import GRAVITY, VehicleParams, inertia_rows, rk4_flat
-from flybat.geom import q_body_z, q_from_yaw
+from flybat.dynamics import GRAVITY, VehicleParams, principal_inertia, rk4_flat
+from flybat.geom import q_from_yaw
 
 PARAMS = VehicleParams(
     mass=0.820, max_thrust=27.0,
@@ -32,7 +32,7 @@ PARAMS = VehicleParams(
 
 
 INV_MASS = 1.0 / PARAMS.mass
-II, JJ = inertia_rows(PARAMS.inertia)
+II, JJ = principal_inertia(PARAMS.inertia)
 
 
 def make_pid():

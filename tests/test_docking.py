@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flybat.docking import (
+    ALT_REACHED_TOL,
+    GAP_REACHED_TOL,
+    GROUND_TOL,
     ContactOutcome,
     DockCommands,
     DockPhase,
@@ -70,6 +77,60 @@ def test_fsm_never_leaves_declared_graph(rng):
         if nxt is DockPhase.FREE_FALL and phase is DockPhase.DESCEND:
             assert lateral <= TH.lateral_capture_radius
             assert gap <= TH.drop_height
+
+
+def _around(*points):
+    """Each point and its neighbouring floats on either side."""
+    out = []
+    for p in points:
+        out += [math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)]
+    return st.sampled_from(out)
+
+
+# every value an fsm_step comparison tests against, as fsm_step computes it
+_LATERAL = _around(
+    0.0, TH.lateral_capture_radius, 4.0 * TH.lateral_capture_radius,
+    10.0 * TH.lateral_capture_radius,
+) | st.floats(0.0, 4.0)
+_GAP = _around(
+    0.0, TH.drop_height, TH.hover_above_gap - ALT_REACHED_TOL,
+    TH.hover_above_gap + ALT_REACHED_TOL, TH.hover_above_gap - GAP_REACHED_TOL,
+) | st.floats(-2.0, 1.0)
+_ALTITUDE = _around(GROUND_TOL) | st.floats(-0.1, 3.0)
+_COMMANDS = st.sampled_from(
+    [DockCommands(dock=d, undock=u) for d in (False, True) for u in (False, True)]
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    phase=st.sampled_from(list(DockPhase)),
+    lateral=_LATERAL,
+    gap=_GAP,
+    altitude=_ALTITUDE,
+    commands=_COMMANDS,
+)
+def test_fsm_step_walks_the_graph_at_every_threshold(phase, lateral, gap, altitude, commands):
+    nxt = fsm_step(phase, TH, (lateral, gap), altitude, commands)
+    assert nxt is phase or nxt in TRANSITIONS[phase]
+    if phase is DockPhase.GROUNDED and nxt is not phase:
+        assert commands.dock
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    phase=st.sampled_from(list(DockPhase)),
+    pose=st.tuples(_LATERAL, _GAP, _ALTITUDE),
+    which=st.integers(0, 2),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    commands=_COMMANDS,
+)
+def test_fsm_step_rejects_any_non_finite_input(phase, pose, which, bad, commands):
+    pose = list(pose)
+    pose[which] = bad
+    lateral, gap, altitude = pose
+    with pytest.raises(DockingError, match="non-finite"):
+        fsm_step(phase, TH, (lateral, gap), altitude, commands)
 
 
 def test_fsm_rejects_non_finite_pose():
@@ -176,7 +237,6 @@ def test_hundred_consecutive_dock_cycles_all_capture():
             0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
         )
         u.ref = [u.state[0], u.state[1], u.state[2]]
-        u.ref_v = [0.0, 0.0, 0.0]
         u.pid.reset()
         u.phase = DockPhase.APPROACH_ABOVE
         if u not in world.active_units:

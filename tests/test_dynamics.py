@@ -1,18 +1,22 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REST_STATE
 from flybat.dynamics import (
     GRAVITY,
+    MOUNT_OFFSET,
     ContactSolution,
     DynamicsError,
     VehicleParams,
     composite_params,
     contact_forces,
     contact_retained,
-    inertia_rows,
+    principal_inertia,
     rk4_flat,
 )
 
@@ -49,8 +53,216 @@ def flat_state(position=(0.0, 0.0, 0.0), velocity=(0.0, 0.0, 0.0), rates=(0.0, 0
 
 
 def step(state, p, dt, force=(0.0, 0.0, 0.0), torque=(0.0, 0.0, 0.0)):
-    ii, jj = inertia_rows(p.inertia)
+    ii, jj = principal_inertia(p.inertia)
     return rk4_flat(state, dt, 1.0 / p.mass, ii, jj, *force, *torque)
+
+
+# ---------------------------------------------------------------------------
+# reference: the general-inertia kernel rk4_flat replaced, unchanged
+# ---------------------------------------------------------------------------
+
+
+def inertia_rows(inertia: np.ndarray):
+    """Inertia and its inverse as flat row tuples for rk4_general."""
+    inv = np.linalg.inv(inertia)
+    i = tuple(float(x) for x in inertia.reshape(-1))
+    j = tuple(float(x) for x in inv.reshape(-1))
+    return i, j
+
+
+def rk4_general(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz):
+    """rk4_flat for a full 3x3 inertia, as it was before the kernel moved
+    to principal axes. One fixed step with the wrench held constant.
+
+    The force (fx, fy, fz) is world-frame and excludes gravity, which
+    the integrator adds; the torque (tx, ty, tz) is body-frame. The
+    rotational states (quaternion, body rates) take a classical RK4
+    step (stages unrolled; this is the 1 kHz hot path); under a
+    zero-order-hold force the translational RK4 stages collapse to the
+    exact constant-acceleration update, which is applied in closed form.
+    The attitude is renormalized after the combine."""
+    ax = fx * inv_mass
+    ay = fy * inv_mass
+    az = fz * inv_mass - GRAVITY
+    px, py, pz, vx, vy, vz = s[0], s[1], s[2], s[3], s[4], s[5]
+    qw, qx, qy, qz, wx, wy, wz = s[6], s[7], s[8], s[9], s[10], s[11], s[12]
+
+    half_dt2 = 0.5 * dt * dt
+    npx = px + vx * dt + ax * half_dt2
+    npy = py + vy * dt + ay * half_dt2
+    npz = pz + vz * dt + az * half_dt2
+    nvx = vx + ax * dt
+    nvy = vy + ay * dt
+    nvz = vz + az * dt
+
+    i0, i1, i2, i3, i4, i5, i6, i7, i8 = ii
+    j0, j1, j2, j3, j4, j5, j6, j7, j8 = jj
+
+    # stage 1
+    lx = i0 * wx + i1 * wy + i2 * wz
+    ly = i3 * wx + i4 * wy + i5 * wz
+    lz = i6 * wx + i7 * wy + i8 * wz
+    mx = tx - (wy * lz - wz * ly)
+    my = ty - (wz * lx - wx * lz)
+    mz = tz - (wx * ly - wy * lx)
+    a_qw = 0.5 * (-qx * wx - qy * wy - qz * wz)
+    a_qx = 0.5 * (qw * wx + qy * wz - qz * wy)
+    a_qy = 0.5 * (qw * wy - qx * wz + qz * wx)
+    a_qz = 0.5 * (qw * wz + qx * wy - qy * wx)
+    a_wx = j0 * mx + j1 * my + j2 * mz
+    a_wy = j3 * mx + j4 * my + j5 * mz
+    a_wz = j6 * mx + j7 * my + j8 * mz
+
+    # stage 2
+    h = 0.5 * dt
+    sqw = qw + h * a_qw
+    sqx = qx + h * a_qx
+    sqy = qy + h * a_qy
+    sqz = qz + h * a_qz
+    swx = wx + h * a_wx
+    swy = wy + h * a_wy
+    swz = wz + h * a_wz
+    lx = i0 * swx + i1 * swy + i2 * swz
+    ly = i3 * swx + i4 * swy + i5 * swz
+    lz = i6 * swx + i7 * swy + i8 * swz
+    mx = tx - (swy * lz - swz * ly)
+    my = ty - (swz * lx - swx * lz)
+    mz = tz - (swx * ly - swy * lx)
+    b_qw = 0.5 * (-sqx * swx - sqy * swy - sqz * swz)
+    b_qx = 0.5 * (sqw * swx + sqy * swz - sqz * swy)
+    b_qy = 0.5 * (sqw * swy - sqx * swz + sqz * swx)
+    b_qz = 0.5 * (sqw * swz + sqx * swy - sqy * swx)
+    b_wx = j0 * mx + j1 * my + j2 * mz
+    b_wy = j3 * mx + j4 * my + j5 * mz
+    b_wz = j6 * mx + j7 * my + j8 * mz
+
+    # stage 3
+    sqw = qw + h * b_qw
+    sqx = qx + h * b_qx
+    sqy = qy + h * b_qy
+    sqz = qz + h * b_qz
+    swx = wx + h * b_wx
+    swy = wy + h * b_wy
+    swz = wz + h * b_wz
+    lx = i0 * swx + i1 * swy + i2 * swz
+    ly = i3 * swx + i4 * swy + i5 * swz
+    lz = i6 * swx + i7 * swy + i8 * swz
+    mx = tx - (swy * lz - swz * ly)
+    my = ty - (swz * lx - swx * lz)
+    mz = tz - (swx * ly - swy * lx)
+    c_qw = 0.5 * (-sqx * swx - sqy * swy - sqz * swz)
+    c_qx = 0.5 * (sqw * swx + sqy * swz - sqz * swy)
+    c_qy = 0.5 * (sqw * swy - sqx * swz + sqz * swx)
+    c_qz = 0.5 * (sqw * swz + sqx * swy - sqy * swx)
+    c_wx = j0 * mx + j1 * my + j2 * mz
+    c_wy = j3 * mx + j4 * my + j5 * mz
+    c_wz = j6 * mx + j7 * my + j8 * mz
+
+    # stage 4
+    sqw = qw + dt * c_qw
+    sqx = qx + dt * c_qx
+    sqy = qy + dt * c_qy
+    sqz = qz + dt * c_qz
+    swx = wx + dt * c_wx
+    swy = wy + dt * c_wy
+    swz = wz + dt * c_wz
+    lx = i0 * swx + i1 * swy + i2 * swz
+    ly = i3 * swx + i4 * swy + i5 * swz
+    lz = i6 * swx + i7 * swy + i8 * swz
+    mx = tx - (swy * lz - swz * ly)
+    my = ty - (swz * lx - swx * lz)
+    mz = tz - (swx * ly - swy * lx)
+    d_qw = 0.5 * (-sqx * swx - sqy * swy - sqz * swz)
+    d_qx = 0.5 * (sqw * swx + sqy * swz - sqz * swy)
+    d_qy = 0.5 * (sqw * swy - sqx * swz + sqz * swx)
+    d_qz = 0.5 * (sqw * swz + sqx * swy - sqy * swx)
+    d_wx = j0 * mx + j1 * my + j2 * mz
+    d_wy = j3 * mx + j4 * my + j5 * mz
+    d_wz = j6 * mx + j7 * my + j8 * mz
+
+    sixth = dt / 6.0
+    nqw = qw + sixth * (a_qw + 2.0 * (b_qw + c_qw) + d_qw)
+    nqx = qx + sixth * (a_qx + 2.0 * (b_qx + c_qx) + d_qx)
+    nqy = qy + sixth * (a_qy + 2.0 * (b_qy + c_qy) + d_qy)
+    nqz = qz + sixth * (a_qz + 2.0 * (b_qz + c_qz) + d_qz)
+    nwx = wx + sixth * (a_wx + 2.0 * (b_wx + c_wx) + d_wx)
+    nwy = wy + sixth * (a_wy + 2.0 * (b_wy + c_wy) + d_wy)
+    nwz = wz + sixth * (a_wz + 2.0 * (b_wz + c_wz) + d_wz)
+    qn = (nqw * nqw + nqx * nqx + nqy * nqy + nqz * nqz) ** 0.5
+    # a collapsed norm means the state already blew up; propagate NaN to
+    # the engine's finite checks instead of dividing by zero
+    inv = 1.0 / qn if qn > 0.0 else float("nan")
+    return (
+        npx, npy, npz, nvx, nvy, nvz,
+        nqw * inv, nqx * inv, nqy * inv, nqz * inv,
+        nwx, nwy, nwz,
+    )
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def assert_matches_general(state, dt, inv_mass, inertia, wrench):
+    """rk4_flat on principal axes against rk4_general with the full
+    inertia: every nonzero output bit for bit, zeros zero in both."""
+    new = rk4_flat(state, dt, inv_mass, *principal_inertia(inertia), *wrench)
+    ref = rk4_general(state, dt, inv_mass, *inertia_rows(inertia), *wrench)
+    for k, (a, b) in enumerate(zip(new, ref)):
+        if b == 0.0:
+            assert a == 0.0, (k, a, b)
+        elif math.isnan(b):
+            assert math.isnan(a), (k, a, b)
+        else:
+            assert _bits(a) == _bits(b), (k, a, b)
+    return new, ref
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.5e-310, 1.0, -1.0])
+_VALUE = _SPECIAL | st.floats(-20.0, 20.0, allow_nan=False)
+_MOMENT = st.floats(1.0e-5, 2.0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    moments=st.tuples(_MOMENT, _MOMENT, _MOMENT),
+    state=st.tuples(*[_VALUE] * 13),
+    wrench=st.tuples(*[_VALUE] * 6),
+    inv_mass=st.floats(0.05, 50.0),
+    dt=st.sampled_from([0.001, 0.0005, 0.01]),
+)
+def test_rk4_flat_matches_general_kernel_on_diagonal_inertia(moments, state, wrench, inv_mass, dt):
+    # dropping the exactly-zero off-diagonal products may flip the sign
+    # of a zero output, and nothing else
+    assert_matches_general(state, dt, inv_mass, np.diag(moments), wrench)
+
+
+def test_rk4_flat_matches_general_kernel_bit_for_bit_without_zeros(rng):
+    for p in (main_params(), fb_params(), composite_params(main_params(), fb_params(), MOUNT_OFFSET)):
+        for _ in range(200):
+            state = tuple(rng.normal(scale=2.0, size=13).tolist())
+            wrench = tuple(rng.normal(scale=5.0, size=6).tolist())
+            new, ref = assert_matches_general(state, 0.001, 1.0 / p.mass, p.inertia, wrench)
+            assert all(x != 0.0 for x in ref)
+            assert [_bits(x) for x in new] == [_bits(x) for x in ref]
+
+
+def test_principal_inertia_rejects_off_diagonal_entry():
+    for r, c in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)):
+        inertia = np.diag([0.008, 0.008, 0.014])
+        inertia[r, c] = 1.0e-6
+        with pytest.raises(DynamicsError, match=rf"inertia\[{r}, {c}\] = 1e-06"):
+            principal_inertia(inertia)
+
+
+def test_principal_inertia_of_default_composite():
+    comp = composite_params(main_params(), fb_params(), MOUNT_OFFSET)
+    ii, jj = principal_inertia(comp.inertia)
+    inv = np.linalg.inv(comp.inertia)
+    assert ii == tuple(float(x) for x in np.diag(comp.inertia))
+    assert jj == tuple(float(x) for x in np.diag(inv))
+    # the products rk4_flat leaves out are exactly zero
+    assert not np.any(inv[~np.eye(3, dtype=bool)])
 
 
 # ---------------------------------------------------------------------------

@@ -469,3 +469,34 @@ def test_benchmark_tracer_counts_powertrain_calls_and_restores_bindings():
     assert run["powertrain.discharge"][0] > 0
     after = [vars(owner).get(attr) for owner, attr in targets]
     assert all(a is b for a, b in zip(after, before))
+
+
+# run-phase calls of every binding the benchmark tracer wraps, over the
+# first 25 s of paper_demo (dispatch, approach, free-fall capture, docked
+# hover); a rebinding that hides calls from the tracer changes these
+PAPER_DEMO_25S_CALLS = {
+    "engine.step": 25_000,
+    "dynamics.rk4_flat": 41_486,
+    "control.position_flat": 41_401,
+    "control.attitude_flat": 41_401,
+    "control.feedforward_lookup": 20_207,
+    "aero.downwash_force": 20_207,
+    "aero.align_torque": 20_207,
+    "docking.fsm_step": 20_292,
+    "docking.capture_check": 1,
+    "powertrain.solve_bus": 25_000,
+    "powertrain.discharge": 45_207,
+    "telemetry.write_row": 2_504,
+}
+
+
+def test_benchmark_tracer_counts_paper_demo_prefix_calls():
+    tracer = _perfbench_tracer()
+    tr = tracer.Tracer()
+    with tr:
+        World(bundled_scenario("paper_demo")).run(25.0)
+    snap = tr.snapshot()
+    run = snap["tables"]["run"]
+    assert {name: run[name][0] for name in PAPER_DEMO_25S_CALLS} == PAPER_DEMO_25S_CALLS
+    assert snap["counts"]["engine.airborne_unit_steps"] == 20_291
+    assert snap["counts"]["engine.repeat_steps"] == 3_806

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import full_scale_main_kp, run_optimized
 from flybat.powertrain import (
+    _OCV_SEGMENTS,
+    CELL_EMPTY_V,
+    CELL_FULL_V,
+    OCV_KNOTS,
     ActiveSource,
     BatteryPack,
     PowertrainError,
@@ -119,6 +124,29 @@ def test_ocv_monotone_in_soc():
         prev = v
     assert ocv_per_cell(-0.5) == 3.0
     assert ocv_per_cell(1.5) == 4.2
+
+
+def _ocv_per_cell_loop(soc):
+    """ocv_per_cell as the loop over the segments it unrolls."""
+    if soc <= 0.0:
+        return CELL_EMPTY_V
+    if soc >= 1.0:
+        return CELL_FULL_V
+    for s0, v0, slope, s1 in _OCV_SEGMENTS:
+        if soc <= s1:
+            return v0 + slope * (soc - s0)
+    return CELL_FULL_V
+
+
+def test_ocv_per_cell_matches_segment_loop_bit_for_bit(rng):
+    socs = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+    for knot, _ in OCV_KNOTS:
+        socs += [math.nextafter(knot, -math.inf), knot, math.nextafter(knot, math.inf)]
+    socs += rng.uniform(-0.1, 1.1, size=20000).tolist()
+    for soc in socs:
+        a, b = ocv_per_cell(soc), _ocv_per_cell_loop(soc)
+        assert struct.pack("<d", a) == struct.pack("<d", b), soc
+    assert ocv_per_cell(math.nan) == CELL_FULL_V
 
 
 # ---------------------------------------------------------------------------

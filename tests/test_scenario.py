@@ -1,9 +1,12 @@
 import math
+from dataclasses import fields
+from functools import reduce
 
 import pytest
 
 from flybat.scenario import (
     ScenarioError,
+    _section_keys,
     bundled_scenario,
     build_world_inputs,
     default_scenario,
@@ -149,6 +152,38 @@ def test_set_scenario_value():
         set_scenario_value(sc, "docking.grip", "1")
     with pytest.raises(ScenarioError):
         set_scenario_value(sc, "nope.key", "1")
+
+
+def _float_keys():
+    """(section, dotted key) of every float-valued scenario key."""
+    sc = default_scenario()
+    return [
+        (f.name, key)
+        for f in fields(sc)
+        if f.name != "name"
+        for key, path in _section_keys(getattr(sc, f.name)).items()
+        if isinstance(reduce(getattr, path, getattr(sc, f.name)), float)
+    ]
+
+
+FLOAT_KEYS = _float_keys()
+
+
+def test_float_keys_cover_every_section():
+    assert {section for section, _ in FLOAT_KEYS} == {
+        "vehicles", "batteries", "circuit", "downwash", "control", "docking", "mission", "sim"
+    }
+    assert len(FLOAT_KEYS) > 40
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_non_finite_value_names_its_key(section, key, value):
+    with pytest.raises(ScenarioError, match=rf"^{section}\.{key} must be finite"):
+        parse_scenario(f"[{section}]\n{key} = {value}\n")
+    sc = default_scenario()
+    with pytest.raises(ScenarioError, match=rf"^{section}\.{key} must be finite"):
+        set_scenario_value(sc, f"{section}.{key}", value)
 
 
 # ---------------------------------------------------------------------------
