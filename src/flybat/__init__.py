@@ -15,7 +15,6 @@ from .docking import (
     ContactOutcome,
     DockCommands,
     DockPhase,
-    DockThresholds,
     capture_check,
     fsm_step,
     maneuver_durations,

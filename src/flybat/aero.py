@@ -20,24 +20,15 @@ from math import exp, sqrt
 from .geom import Vec3
 
 
-class AeroError(ValueError):
-    """Raised for invalid downwash model parameters."""
-
-
-@dataclass(frozen=True)
+@dataclass
 class DownwashModel:
+    """The scenario's [downwash] section; `Scenario.validate` checks the
+    ranges."""
+
     peak_force_ratio: float = 0.25  # fraction of upper thrust at zero offset, zero gap
     lateral_decay: float = 0.12  # m, roughly the small vehicle's prop span
     vertical_decay: float = 0.5  # m
     align_torque_gain: float = 0.05  # N*m per m of lateral offset at zero gap
-
-    def __post_init__(self):
-        if not 0.0 < self.peak_force_ratio <= 1.0:
-            raise AeroError(f"peak_force_ratio {self.peak_force_ratio} outside (0, 1]")
-        if self.lateral_decay <= 0.0 or self.vertical_decay <= 0.0:
-            raise AeroError("decay lengths must be positive")
-        if self.align_torque_gain <= 0.0:
-            raise AeroError("align_torque_gain must be positive")
 
 
 def _envelope(model: DownwashModel, lateral: float, gap: float) -> float:

@@ -8,9 +8,9 @@ The host vehicle adds a feedforward thrust looked up from a map over the
 relative position of the vehicle above it; the small vehicle flies the
 same cascade without the feedforward term.
 
-Default gains come from pole placement on the double-integrator
-approximation: position loop at 2 rad/s, attitude loop at 15 rad/s, both
-with damping 0.8. Attitude gains are stated in torque units, scaled by
+Gains come from pole placement on the double-integrator approximation,
+at the natural frequencies and damping ratios of the scenario's
+[control] section. Attitude gains are stated in torque units, scaled by
 the vehicle inertia.
 """
 
@@ -27,11 +27,6 @@ from .dynamics import GRAVITY, VehicleParams
 from .geom import Quat, Vec3, q_from_yaw
 
 log = logging.getLogger(__name__)
-
-POS_WN = 2.0  # rad/s
-POS_ZETA = 0.8
-ATT_WN = 15.0  # rad/s
-ATT_ZETA = 0.8
 
 
 class ControlError(ValueError):
@@ -65,13 +60,9 @@ class CascadedPidConfig:
 
 
 def default_config(
-    params: VehicleParams,
-    pos_wn: float = POS_WN,
-    pos_zeta: float = POS_ZETA,
-    att_wn: float = ATT_WN,
-    att_zeta: float = ATT_ZETA,
+    params: VehicleParams, pos_wn: float, pos_zeta: float, att_wn: float, att_zeta: float
 ) -> CascadedPidConfig:
-    """Pole-placement gains for one vehicle."""
+    """Pole-placement gains for one vehicle: natural frequencies in rad/s."""
     kp = pos_wn * pos_wn
     kd = 2.0 * pos_zeta * pos_wn
     ki = 0.5 * kp  # slow integral; Routh margin kp*kd >> ki
@@ -221,12 +212,6 @@ class CascadedPid:
 # Feedforward thrust map
 # --------------------------------------------------------------------------
 
-FF_LAT_MAX = 0.4  # m
-FF_LAT_BINS = 9
-FF_GAP_MAX = 1.0  # m
-FF_GAP_BINS = 11
-
-
 @dataclass
 class FeedforwardMap:
     """Extra host thrust, binned over (lateral offset, vertical gap) of
@@ -264,16 +249,7 @@ class FeedforwardMap:
         return self._gap_centers
 
 
-def default_edges() -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.linspace(0.0, FF_LAT_MAX, FF_LAT_BINS + 1),
-        np.linspace(0.0, FF_GAP_MAX, FF_GAP_BINS + 1),
-    )
-
-
-def zero_map(lat_edges=None, gap_edges=None) -> FeedforwardMap:
-    if lat_edges is None or gap_edges is None:
-        lat_edges, gap_edges = default_edges()
+def zero_map(lat_edges, gap_edges) -> FeedforwardMap:
     return FeedforwardMap(
         lat_edges, gap_edges, np.zeros((len(lat_edges) - 1, len(gap_edges) - 1))
     )
@@ -311,17 +287,13 @@ def feedforward_lookup(ff_map: FeedforwardMap, rel_pos: Vec3) -> float:
     return a * (1.0 - ti) + b * ti
 
 
-def build_ff_map(
-    telemetry, lat_edges=None, gap_edges=None
-) -> FeedforwardMap:
+def build_ff_map(telemetry, lat_edges, gap_edges) -> FeedforwardMap:
     """Bin-average integral thrust offsets into a feedforward map.
 
     telemetry is an iterable of (rel_pos, integral_thrust_offset) pairs
     gathered while holding station at various relative separations.
     Cells with no samples stay zero; an all-empty input yields a zero
     map with a warning."""
-    if lat_edges is None or gap_edges is None:
-        lat_edges, gap_edges = default_edges()
     lat_edges = np.asarray(lat_edges, dtype=float)
     gap_edges = np.asarray(gap_edges, dtype=float)
     nl, ng = len(lat_edges) - 1, len(gap_edges) - 1
@@ -345,13 +317,11 @@ def build_ff_map(
     return FeedforwardMap(lat_edges, gap_edges, values)
 
 
-def map_from_model(model, upper_thrust: float, lat_edges=None, gap_edges=None) -> FeedforwardMap:
+def map_from_model(model, upper_thrust: float, lat_edges, gap_edges) -> FeedforwardMap:
     """Feedforward map evaluated directly from a downwash model at bin
     centers: the converged result of the learn-from-integrals procedure."""
     from .aero import downwash_force
 
-    if lat_edges is None or gap_edges is None:
-        lat_edges, gap_edges = default_edges()
     m = zero_map(lat_edges, gap_edges)
     values = np.zeros_like(m.values)
     for i, lat in enumerate(m.lat_centers):

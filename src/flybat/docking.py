@@ -15,10 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import isfinite
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .scenario import DockingSection
 
 
 class DockingError(ValueError):
-    """Raised for invalid docking thresholds or commands."""
+    """Raised for an invalid pose, contact probability or outcome."""
 
 
 class DockPhase(Enum):
@@ -62,25 +66,6 @@ TRANSITIONS: dict[DockPhase, tuple[DockPhase, ...]] = {
 
 
 @dataclass(frozen=True)
-class DockThresholds:
-    hover_above_gap: float = 0.30  # m above the platform for approach/undock
-    lateral_capture_radius: float = 0.020  # m, the funnel's alignment radius
-    drop_height: float = 0.050  # m, free-fall release gap
-    descent_rate: float = 0.15  # m/s during the centered descent
-
-    def __post_init__(self):
-        if min(
-            self.hover_above_gap,
-            self.lateral_capture_radius,
-            self.drop_height,
-            self.descent_rate,
-        ) <= 0.0:
-            raise DockingError("all docking thresholds must be positive")
-        if self.drop_height > self.hover_above_gap:
-            raise DockingError("drop_height cannot exceed hover_above_gap")
-
-
-@dataclass(frozen=True)
 class DockCommands:
     dock: bool = False
     undock: bool = False
@@ -109,15 +94,16 @@ GROUND_TOL = 0.02  # m
 
 def fsm_step(
     phase: DockPhase,
-    thresholds: DockThresholds,
+    cfg: DockingSection,
     rel_pose: tuple[float, float],
     altitude: float,
     commands: DockCommands,
 ) -> DockPhase:
     """Advance the docking state machine by one step.
 
-    rel_pose is (lateral offset, vertical gap) between the vehicle's leg
-    plane and the platform surface; altitude is height above ground."""
+    cfg is the scenario's [docking] section. rel_pose is (lateral
+    offset, vertical gap) between the vehicle's leg plane and the
+    platform surface; altitude is height above ground."""
     lateral, gap = rel_pose
     if not (isfinite(lateral) and isfinite(gap) and isfinite(altitude)):
         raise DockingError(f"non-finite relative pose ({lateral}, {gap}, {altitude})")
@@ -126,28 +112,25 @@ def fsm_step(
         return TAKEOFF if commands.dock else GROUNDED
 
     if phase is TAKEOFF:
-        if gap >= thresholds.hover_above_gap - ALT_REACHED_TOL:
+        if gap >= cfg.hover_above_gap - ALT_REACHED_TOL:
             return APPROACH_ABOVE
         return TAKEOFF
 
     if phase is APPROACH_ABOVE:
-        centered = lateral <= thresholds.lateral_capture_radius
-        at_gap = abs(gap - thresholds.hover_above_gap) <= ALT_REACHED_TOL
+        centered = lateral <= cfg.lateral_capture_radius
+        at_gap = abs(gap - cfg.hover_above_gap) <= ALT_REACHED_TOL
         return DESCEND if (centered and at_gap) else APPROACH_ABOVE
 
     if phase is DESCEND:
-        if (
-            lateral <= thresholds.lateral_capture_radius
-            and gap <= thresholds.drop_height
-        ):
+        if lateral <= cfg.lateral_capture_radius and gap <= cfg.drop_height:
             return FREE_FALL
-        if lateral > 4.0 * thresholds.lateral_capture_radius:
+        if lateral > 4.0 * cfg.lateral_capture_radius:
             # drifted well off center: climb back and retry
             return APPROACH_ABOVE
         return DESCEND
 
     if phase is FREE_FALL:
-        if lateral > thresholds.lateral_capture_radius:
+        if lateral > cfg.lateral_capture_radius:
             # bounce-off: outside the funnel, abort and retry
             return APPROACH_ABOVE
         if gap <= 0.0:
@@ -158,14 +141,14 @@ def fsm_step(
         return UNDOCK_ASCEND if commands.undock else DOCKED
 
     if phase is UNDOCK_ASCEND:
-        if gap >= thresholds.hover_above_gap - GAP_REACHED_TOL:
+        if gap >= cfg.hover_above_gap - GAP_REACHED_TOL:
             return DEPART
         return UNDOCK_ASCEND
 
     if phase is DEPART:
         # the engine slews the reference to the landing point; hand over
         # to LANDING once clear of the platform funnel region
-        if lateral >= 10.0 * thresholds.lateral_capture_radius:
+        if lateral >= 10.0 * cfg.lateral_capture_radius:
             return LANDING
         return DEPART
 
@@ -175,25 +158,21 @@ def fsm_step(
     raise DockingError(f"unknown phase {phase}")
 
 
-def capture_check(
-    landing_point_lateral: float,
-    thresholds: DockThresholds,
-    contact_failure_probability: float,
-    rng,
-) -> ContactOutcome:
+def capture_check(landing_point_lateral: float, cfg: DockingSection, rng) -> ContactOutcome:
     """Outcome of a free-fall impact at the given lateral offset.
 
     Mechanical engagement succeeds inside the funnel radius. Electrical
     contact then succeeds when a uniform draw from rng clears the
-    configured failure probability; the draw is consumed only on
-    mechanical engagement so the stream stays aligned across retries."""
-    if not 0.0 <= contact_failure_probability <= 1.0:
+    contact failure probability of cfg, the scenario's [docking]
+    section; the draw is consumed only on mechanical engagement so the
+    stream stays aligned across retries."""
+    if not 0.0 <= cfg.contact_failure_probability <= 1.0:
         raise DockingError("contact_failure_probability must be in [0, 1]")
-    mechanical = landing_point_lateral <= thresholds.lateral_capture_radius
+    mechanical = landing_point_lateral <= cfg.lateral_capture_radius
     if not mechanical:
         return ContactOutcome(False, False, None)
     draw = float(rng.random())
-    electrical = draw >= contact_failure_probability
+    electrical = draw >= cfg.contact_failure_probability
     return ContactOutcome(True, electrical, draw)
 
 

@@ -240,11 +240,10 @@ class World:
         )
 
         # aero / feedforward
-        self.downwash: DownwashModel = inp.downwash
+        self.downwash: DownwashModel = scenario.downwash
         self.ff_map = inp.ff_map
 
         # docking / fleet
-        self.thresholds: dk.DockThresholds = inp.thresholds
         self.docking = scenario.docking
         self.mission = m
         self.units: list[_Unit] = [
@@ -281,9 +280,6 @@ class World:
         # (thrust, zx, zy, zz))
         self._host_memo_state: tuple | None = None
         self._host_memo: tuple = ()
-        # (main_state, docked_unit, platform point): the point for the
-        # host state and docked unit it holds for, matched by identity
-        self._platform_memo: tuple = (None, None, None)
 
         self.telemetry_decim = max(1, round(1.0 / (sim.telemetry_hz * sim.dt)))
         self.writer = TelemetryWriter(telemetry_path, keep_rows=keep_rows)
@@ -319,26 +315,11 @@ class World:
         return (s[0] - off[0], s[1] - off[1], s[2] - off[2])
 
     def _platform_point(self) -> tuple[float, float, float]:
-        """Platform surface center; computed once per host state, since
-        every write to main_state or docked_unit replaces the object."""
+        """Platform surface center for the current host state."""
         s = self.main_state
-        docked = self.docked_unit
-        memo = self._platform_memo
-        if memo[0] is s and memo[1] is docked:
-            return memo[2]
         p = self.main_position()
         off = q_rotate((s[6], s[7], s[8], s[9]), (0.0, 0.0, PLATFORM_HEIGHT))
-        plat = (p[0] + off[0], p[1] + off[1], p[2] + off[2])
-        self._platform_memo = (s, docked, plat)
-        return plat
-
-    def _rel_pose(self, u: _Unit) -> tuple[float, float]:
-        """(lateral, leg-plane to platform-surface gap) for the FSM."""
-        plat = self._platform_point()
-        s = u.state
-        lateral = math.hypot(s[0] - plat[0], s[1] - plat[1])
-        gap = (s[2] - LEG_HEIGHT) - plat[2]
-        return lateral, gap
+        return (p[0] + off[0], p[1] + off[1], p[2] + off[2])
 
     # ------------------------------------------------------------------
     # mission policy
@@ -500,7 +481,9 @@ class World:
     # per-step subsystems
     # ------------------------------------------------------------------
 
-    def _step_fsms(self, t: float) -> None:
+    def _step_fsms(self, t: float) -> tuple[float, float, float] | None:
+        """Step every active unit's FSM; returns the platform point they
+        used, or None if none was computed after the last detach."""
         plat = None  # the platform point, until a detach moves it
         for u in tuple(self.active_units):
             if u.phase is DOCKED:
@@ -513,12 +496,12 @@ class World:
                 continue
             if plat is None:
                 plat = self._platform_point()
-            # _rel_pose, written out: altitude is the leg plane's height
+            # altitude is the leg plane's height above ground
             s = u.state
             altitude = s[2] - LEG_HEIGHT
             new_phase = dk.fsm_step(
                 u.phase,
-                self.thresholds,
+                self.docking,
                 (math.hypot(s[0] - plat[0], s[1] - plat[1]), altitude - plat[2]),
                 altitude,
                 _DOCK_COMMANDS[u.cmd_dock, u.cmd_undock],
@@ -535,6 +518,7 @@ class World:
                 self._event(t, "phase", u.uid, new_phase.value)
                 if new_phase is GROUNDED:
                     self._on_grounded(u, t)
+        return plat
 
     def _fly_unit(self, u: _Unit, dt: float, plat) -> None:
         """Control and integrate one airborne unit over dt, given this
@@ -546,14 +530,13 @@ class World:
         else:
             # the reference slews toward this phase's goal at its speed
             ph = u.phase
-            th = self.thresholds
             cfg = self.docking
-            approach_z = plat[2] + th.hover_above_gap + LEG_HEIGHT
+            approach_z = plat[2] + cfg.hover_above_gap + LEG_HEIGHT
             if ph is APPROACH_ABOVE:
                 gx, gy, gz, speed = plat[0], plat[1], approach_z, cfg.approach_speed
             elif ph is DESCEND:
-                gx, gy, gz = plat[0], plat[1], plat[2] + th.drop_height + LEG_HEIGHT
-                speed = th.descent_rate
+                gx, gy, gz = plat[0], plat[1], plat[2] + cfg.drop_height + LEG_HEIGHT
+                speed = cfg.descent_rate
             elif ph is TAKEOFF:
                 gx, gy, gz, speed = u.home[0], u.home[1], approach_z, cfg.vertical_speed
             elif ph is UNDOCK_ASCEND:
@@ -623,10 +606,11 @@ class World:
             return
         active = self.active_units
         docked = self.docked_unit
+        plat = None
         # a lone docked unit has FSM work only when told to undock
         if active and (docked is None or len(active) > 1 or docked.cmd_undock):
             try:
-                self._step_fsms(t)
+                plat = self._step_fsms(t)
             except dk.DockingError as exc:
                 raise SimNumericsError(self.step_index, "docking geometry") from exc
 
@@ -642,7 +626,8 @@ class World:
             else:
                 off = q_rotate((ms[6], ms[7], ms[8], ms[9]), self.d_com)
                 mpx, mpy, mpz = ms[0] - off[0], ms[1] - off[1], ms[2] - off[2]
-            plat = self._platform_point()
+            if plat is None:
+                plat = self._platform_point()
             for u in airborne:
                 self._fly_unit(u, dt, plat)
 
@@ -786,14 +771,12 @@ class World:
                     az_h = (fz + zz * thrust) * inv_mass - GRAVITY
                     if ax_h * ax_h + ay_h * ay_h + az_h * az_h > 4.0:
                         self._event(t, "platform_accel_warning", u.uid)
-                    lateral, gap = self._rel_pose(u)
-                    if gap <= 0.0:
-                        outcome = dk.capture_check(
-                            lateral,
-                            self.thresholds,
-                            self.docking.contact_failure_probability,
-                            self.rng,
-                        )
+                    # the host has moved: the platform point of its new state
+                    p = self._platform_point()
+                    s = u.state
+                    if (s[2] - LEG_HEIGHT) - p[2] <= 0.0:
+                        lateral = math.hypot(s[0] - p[0], s[1] - p[1])
+                        outcome = dk.capture_check(lateral, self.docking, self.rng)
                         if outcome.draw is not None:
                             self.rng_draws += 1
                         u.outcome = outcome

@@ -31,7 +31,6 @@ import numpy as np
 from . import control as ctl
 from . import powertrain as pt
 from .aero import DownwashModel
-from .docking import DockThresholds
 from .dynamics import MOUNT_OFFSET, VehicleParams, composite_params
 
 TERMINATION_MODES = ("primary_depleted", "wall_clock")
@@ -39,18 +38,34 @@ FF_MODES = ("model", "zero", "csv")
 
 SOLO_FLIGHT_TIME = 720.0  # s, the calibration anchor for the host's k_p
 
+# keys that must be positive, by section
+_POSITIVE = {
+    "sim": ("dt", "duration", "telemetry_hz"),
+    "docking": (
+        "hover_above_gap", "lateral_capture_radius", "drop_height", "descent_rate",
+        "approach_speed", "depart_speed", "vertical_speed",
+    ),
+    "downwash": ("lateral_decay", "vertical_decay", "align_torque_gain"),
+}
+
 # '#' or ';' opens a comment at the start of a line or after whitespace,
 # so values such as paths may contain both
 _COMMENT = re.compile(r"(?:^|\s)[#;]")
 
 
 class ScenarioError(ValueError):
-    """Scenario parse or validation failure, with a line number when
-    the problem comes from a file."""
+    """Scenario parse or validation failure. key is the dotted key it
+    names, if any; line is set when the problem comes from a file."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, key: str | None = None):
         self.line = line
+        self.key = key
         super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+def _require(ok: bool, key: str, rule: str) -> None:
+    if not ok:
+        raise ScenarioError(f"{key} {rule}", key=key)
 
 
 # --------------------------------------------------------------------------
@@ -113,14 +128,6 @@ class CircuitSection:
 
 
 @dataclass
-class DownwashSection:
-    peak_force_ratio: float = 0.25
-    lateral_decay: float = 0.12
-    vertical_decay: float = 0.5
-    align_torque_gain: float = 0.05
-
-
-@dataclass
 class ControlSection:
     pos_wn: float = 2.0
     pos_zeta: float = 0.8
@@ -133,17 +140,24 @@ class ControlSection:
     ff_gap_max: float = 1.0
     ff_gap_bins: int = 11
 
+    def ff_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bin edges of the feedforward map: lateral offset, vertical gap."""
+        return (
+            np.linspace(0.0, self.ff_lat_max, self.ff_lat_bins + 1),
+            np.linspace(0.0, self.ff_gap_max, self.ff_gap_bins + 1),
+        )
+
 
 @dataclass
 class DockingSection:
-    hover_above_gap: float = 0.30
-    lateral_capture_radius: float = 0.020
-    drop_height: float = 0.050
-    descent_rate: float = 0.15
-    approach_speed: float = 0.20
-    depart_speed: float = 0.75
-    vertical_speed: float = 0.50
-    mu: float = 0.5
+    hover_above_gap: float = 0.30  # m above the platform for approach/undock
+    lateral_capture_radius: float = 0.020  # m, the funnel's alignment radius
+    drop_height: float = 0.050  # m, free-fall release gap
+    descent_rate: float = 0.15  # m/s during the centered descent
+    approach_speed: float = 0.20  # m/s
+    depart_speed: float = 0.75  # m/s
+    vertical_speed: float = 0.50  # m/s, takeoff, undock ascent and landing
+    mu: float = 0.5  # friction coefficient of the docked contact
     contact_failure_probability: float = 0.1
     home_radius: float = 3.0
 
@@ -179,39 +193,51 @@ class Scenario:
     vehicles: VehiclesSection = field(default_factory=VehiclesSection)
     batteries: BatteriesSection = field(default_factory=BatteriesSection)
     circuit: CircuitSection = field(default_factory=CircuitSection)
-    downwash: DownwashSection = field(default_factory=DownwashSection)
+    downwash: DownwashModel = field(default_factory=DownwashModel)
     control: ControlSection = field(default_factory=ControlSection)
     docking: DockingSection = field(default_factory=DockingSection)
     mission: MissionSection = field(default_factory=MissionSection)
     sim: SimSection = field(default_factory=SimSection)
 
     def validate(self) -> None:
+        """Raise a ScenarioError naming the first key out of its range."""
         for sec in (f.name for f in fields(self) if f.name != "name"):
             for key, path in _section_keys(getattr(self, sec)).items():
                 value = reduce(getattr, path, getattr(self, sec))
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ScenarioError(f"{sec}.{key} must be finite, got {value}")
-        if self.mission.termination not in TERMINATION_MODES:
-            raise ScenarioError(
-                f"mission.termination must be one of {TERMINATION_MODES}, "
-                f"got {self.mission.termination!r}"
-            )
-        if self.control.ff_mode not in FF_MODES:
-            raise ScenarioError(
-                f"control.ff_mode must be one of {FF_MODES}, got {self.control.ff_mode!r}"
-            )
-        if self.mission.fleet_size < 0:
-            raise ScenarioError("mission.fleet_size must be >= 0")
-        for key in ("dt", "duration", "telemetry_hz"):
-            value = getattr(self.sim, key)
-            if not value > 0.0:
-                raise ScenarioError(f"sim.{key} must be positive, got {value}")
-        if self.sim.telemetry_hz > 1.0 / self.sim.dt + 1e-9:
-            raise ScenarioError("sim.telemetry_hz must be in (0, 1/dt]")
-        if not 0.0 <= self.docking.contact_failure_probability <= 1.0:
-            raise ScenarioError("docking.contact_failure_probability must be in [0, 1]")
-        if self.mission.start_docked and self.mission.fleet_size < 1:
-            raise ScenarioError("mission.start_docked requires at least one fleet unit")
+                if isinstance(value, float):
+                    _require(math.isfinite(value), f"{sec}.{key}", f"must be finite, got {value}")
+        for sec, keys in _POSITIVE.items():
+            for key in keys:
+                value = getattr(getattr(self, sec), key)
+                _require(value > 0.0, f"{sec}.{key}", f"must be positive, got {value}")
+        m, s, d, w = self.mission, self.sim, self.docking, self.downwash
+        _require(
+            m.termination in TERMINATION_MODES,
+            "mission.termination",
+            f"must be one of {TERMINATION_MODES}, got {m.termination!r}",
+        )
+        ff_mode = self.control.ff_mode
+        _require(ff_mode in FF_MODES, "control.ff_mode", f"must be one of {FF_MODES}, got {ff_mode!r}")
+        _require(m.fleet_size >= 0, "mission.fleet_size", "must be >= 0")
+        _require(s.telemetry_hz <= 1.0 / s.dt + 1e-9, "sim.telemetry_hz", "must be in (0, 1/dt]")
+        p = d.contact_failure_probability
+        _require(0.0 <= p <= 1.0, "docking.contact_failure_probability", "must be in [0, 1]")
+        _require(
+            d.drop_height <= d.hover_above_gap,
+            "docking.drop_height",
+            f"must not exceed docking.hover_above_gap ({d.hover_above_gap}), got {d.drop_height}",
+        )
+        _require(d.mu >= 0.0, "docking.mu", f"must be >= 0, got {d.mu}")
+        _require(
+            0.0 < w.peak_force_ratio <= 1.0,
+            "downwash.peak_force_ratio",
+            f"must be in (0, 1], got {w.peak_force_ratio}",
+        )
+        _require(
+            m.fleet_size >= 1 or not m.start_docked,
+            "mission.start_docked",
+            "requires at least one fleet unit",
+        )
 
 
 def default_scenario(name: str = "default") -> Scenario:
@@ -236,7 +262,7 @@ def _section_keys(obj) -> dict[str, tuple]:
     return out
 
 
-def _cast(raw: str, current: Any, key: str, line: int) -> Any:
+def _cast(raw: str, current: Any, key: str, line: int | None) -> Any:
     raw = raw.strip()
     try:
         if isinstance(current, bool):
@@ -260,7 +286,7 @@ def parse_scenario(text: str, name: str = "inline") -> Scenario:
     section_objs = {f.name: getattr(scenario, f.name) for f in fields(scenario) if f.name != "name"}
     current_section: str | None = None
     current_keys: dict[str, tuple] = {}
-    seen: dict[tuple[str, str], int] = {}
+    seen: dict[str, int] = {}  # dotted key -> the line that set it
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = _COMMENT.split(rawline, 1)[0].strip()
@@ -283,7 +309,7 @@ def parse_scenario(text: str, name: str = "inline") -> Scenario:
         key = key.strip()
         if key not in current_keys:
             raise ScenarioError(f"unknown key {key!r} in section [{current_section}]", lineno)
-        first = seen.setdefault((current_section, key), lineno)
+        first = seen.setdefault(f"{current_section}.{key}", lineno)
         if first != lineno:
             raise ScenarioError(
                 f"duplicate key {key!r} in section [{current_section}], first set on line {first}",
@@ -296,7 +322,12 @@ def parse_scenario(text: str, name: str = "inline") -> Scenario:
         value = _cast(raw, getattr(obj, path[-1]), key, lineno)
         setattr(obj, path[-1], value)
 
-    scenario.validate()
+    try:
+        scenario.validate()
+    except ScenarioError as exc:
+        if exc.key not in seen:
+            raise
+        raise ScenarioError(str(exc), seen[exc.key], exc.key) from None
     return scenario
 
 
@@ -331,7 +362,7 @@ def set_scenario_value(scenario: Scenario, dotted_key: str, raw: str) -> None:
     path = keys[key]
     for attr in path[:-1]:
         obj = getattr(obj, attr)
-    setattr(obj, path[-1], _cast(raw, getattr(obj, path[-1]), dotted_key, 0))
+    setattr(obj, path[-1], _cast(raw, getattr(obj, path[-1]), dotted_key, None))
     scenario.validate()
 
 
@@ -365,8 +396,8 @@ def battery_pack(spec: PackSpec) -> pt.BatteryPack:
 
 @dataclass
 class WorldInputs:
-    """Domain objects built from a scenario; World reads the plain
-    [sim], [mission] and [circuit] values from the scenario itself."""
+    """The values World computes from a scenario; it reads every plain
+    value from the scenario's sections."""
 
     main_params: VehicleParams
     fb_params: VehicleParams
@@ -377,9 +408,7 @@ class WorldInputs:
     primary: pt.BatteryPack
     secondary: pt.BatteryPack
     fb_own_pack: pt.BatteryPack
-    downwash: DownwashModel
     ff_map: ctl.FeedforwardMap
-    thresholds: DockThresholds
     homes: list[tuple[float, float]]
 
 
@@ -405,32 +434,16 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
     comp_cfg = ctl.default_config(comp, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
     fb_cfg = ctl.default_config(fb, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
 
-    d = scenario.downwash
-    downwash = DownwashModel(
-        peak_force_ratio=d.peak_force_ratio,
-        lateral_decay=d.lateral_decay,
-        vertical_decay=d.vertical_decay,
-        align_torque_gain=d.align_torque_gain,
-    )
-
-    lat_edges = np.linspace(0.0, c.ff_lat_max, c.ff_lat_bins + 1)
-    gap_edges = np.linspace(0.0, c.ff_gap_max, c.ff_gap_bins + 1)
+    lat_edges, gap_edges = c.ff_edges()
     if c.ff_mode == "zero":
         ff_map = ctl.zero_map(lat_edges, gap_edges)
     elif c.ff_mode == "csv":
         ff_map = ctl.import_map_csv(c.ff_csv_path)
     else:
         # converged learn-from-integrals map for the small vehicle at hover thrust
-        ff_map = ctl.map_from_model(downwash, fb.mass * 9.81, lat_edges, gap_edges)
+        ff_map = ctl.map_from_model(scenario.downwash, fb.mass * 9.81, lat_edges, gap_edges)
 
-    dock = scenario.docking
-    thresholds = DockThresholds(
-        hover_above_gap=dock.hover_above_gap,
-        lateral_capture_radius=dock.lateral_capture_radius,
-        drop_height=dock.drop_height,
-        descent_rate=dock.descent_rate,
-    )
-
+    radius = scenario.docking.home_radius
     m = scenario.mission
     n = m.fleet_size
     homes = []
@@ -438,8 +451,8 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
         ang = 2.0 * np.pi * i / max(n, 1)
         homes.append(
             (
-                m.hover_x + dock.home_radius * float(np.cos(ang)),
-                m.hover_y + dock.home_radius * float(np.sin(ang)),
+                m.hover_x + radius * float(np.cos(ang)),
+                m.hover_y + radius * float(np.sin(ang)),
             )
         )
 
@@ -453,8 +466,6 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
         primary=battery_pack(b.primary),
         secondary=battery_pack(b.secondary),
         fb_own_pack=battery_pack(b.fb),
-        downwash=downwash,
         ff_map=ff_map,
-        thresholds=thresholds,
         homes=homes,
     )

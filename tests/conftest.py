@@ -10,7 +10,7 @@ import pytest
 
 import flybat
 from flybat.control import CascadedPid
-from flybat.scenario import Scenario, build_world_inputs, default_scenario
+from flybat.scenario import ControlSection, Scenario, build_world_inputs, default_scenario
 
 TESTS_DIR = Path(__file__).resolve().parent
 SRC_DIR = Path(flybat.__file__).resolve().parent.parent
@@ -18,6 +18,12 @@ SRC_DIR = Path(flybat.__file__).resolve().parent.parent
 # a vehicle at rest at the origin, level, as the flat 13-tuple
 # (px,py,pz, vx,vy,vz, qw,qx,qy,qz, wx,wy,wz)
 REST_STATE = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+# the [control] section's default pole-placement gains, in default_config's
+# argument order, and its feedforward map bin edges
+_CONTROL = ControlSection()
+GAINS = (_CONTROL.pos_wn, _CONTROL.pos_zeta, _CONTROL.att_wn, _CONTROL.att_zeta)
+FF_EDGES = _CONTROL.ff_edges()
 
 
 def q_body_z(q):

@@ -403,7 +403,7 @@ def test_criterion_11_feedforward_efficacy():
     sc.sim.duration = 1e9
     world = _PinnedWorld(sc, keep_rows=True)
     pid = world.main_pid
-    base = zero_map()
+    base = zero_map(*sc.control.ff_edges())
     samples = []
     dwell_steps = 8000
     for lat in base.lat_centers[:3]:
@@ -414,7 +414,7 @@ def test_criterion_11_feedforward_efficacy():
             # the thrust offset the vertical position integral sustains
             offset = pid.cfg.pos_i[2] * pid.iz * world.main_params.mass
             samples.append(((float(lat), 0.0, float(gap)), offset))
-    ff_map = build_ff_map(samples)
+    ff_map = build_ff_map(samples, *sc.control.ff_edges())
 
     rel = (0.0, 0.0, 0.40)
     rms_zero = _hover_under_downwash_rms(None, rel)

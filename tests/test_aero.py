@@ -2,10 +2,11 @@ import math
 
 import pytest
 
-from conftest import REST_STATE, q_body_z
-from flybat.aero import AeroError, DownwashModel, align_torque, downwash_force
+from conftest import GAINS, REST_STATE, q_body_z
+from flybat.aero import DownwashModel, align_torque, downwash_force
 from flybat.control import CascadedPid, default_config
 from flybat.dynamics import GRAVITY, VehicleParams, principal_inertia, rk4_flat
+from flybat.scenario import ScenarioError, default_scenario
 
 import numpy as np
 
@@ -69,7 +70,7 @@ def test_align_torque_sign_reduces_offset_in_closed_loop():
         mass=0.820, max_thrust=27.0,
         inertia=np.diag([0.008, 0.008, 0.014]), k_p=164.4,
     )
-    pid = CascadedPid(default_config(params), params.mass)
+    pid = CascadedPid(default_config(params, *GAINS), params.mass)
     upper = (0.08, 0.05, 0.4)  # offset in both axes
     ii, jj = principal_inertia(params.inertia)
     state = REST_STATE
@@ -95,9 +96,14 @@ def test_align_torque_sign_reduces_offset_in_closed_loop():
 
 
 def test_model_validation():
-    with pytest.raises(AeroError):
-        DownwashModel(peak_force_ratio=1.5)
-    with pytest.raises(AeroError):
-        DownwashModel(lateral_decay=0.0)
-    with pytest.raises(AeroError):
-        DownwashModel(align_torque_gain=-1.0)
+    # the model is the scenario's [downwash] section, checked with it
+    for key, value in (
+        ("peak_force_ratio", 1.5),
+        ("lateral_decay", 0.0),
+        ("vertical_decay", -0.5),
+        ("align_torque_gain", -1.0),
+    ):
+        sc = default_scenario()
+        setattr(sc.downwash, key, value)
+        with pytest.raises(ScenarioError, match=rf"^downwash\.{key} must be"):
+            sc.validate()

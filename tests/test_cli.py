@@ -193,6 +193,22 @@ BAD_INPUTS = {
         )
     },
     "sweep-mu=nan": ("", ["sweep", "--param", "docking.mu", "--range", "nan"], "docking.mu"),
+    # docking speeds and friction out of range, named with their line
+    **{
+        f"run-{key}={value}": (
+            f"[sim]\nduration = 2\n[docking]\n{key} = {value}\n", ["run"], f"line 4: docking.{key}"
+        )
+        for key, value in (
+            ("approach_speed", "-0.2"),
+            ("approach_speed", "0"),
+            ("depart_speed", "0"),
+            ("vertical_speed", "-0.5"),
+            ("mu", "-1"),
+        )
+    },
+    "run-dispatch_delay=inf_line": (
+        "[mission]\ndispatch_delay = inf\n", ["run"], "line 2: mission.dispatch_delay"
+    ),
     "sweep-range_not_numbers": (
         "", ["sweep", "--param", "docking.mu", "--range", "a:b:3"], "a:b:3"
     ),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import REST_STATE, q_body_z
+from conftest import FF_EDGES, GAINS, REST_STATE, q_body_z
 from flybat.aero import DownwashModel, downwash_force
 from flybat.control import (
     CascadedPid,
@@ -15,7 +15,6 @@ from flybat.control import (
     FeedforwardMap,
     build_ff_map,
     default_config,
-    default_edges,
     export_map_csv,
     feedforward_lookup,
     import_map_csv,
@@ -36,7 +35,7 @@ II, JJ = principal_inertia(PARAMS.inertia)
 
 
 def make_pid():
-    return CascadedPid(default_config(PARAMS), PARAMS.mass)
+    return CascadedPid(default_config(PARAMS, *GAINS), PARAMS.mass)
 
 
 def position(pid, state, dt, ref=(0.0, 0.0, 0.0), ff_thrust=0.0):
@@ -389,7 +388,7 @@ def run_chain(pid, ints, pos_args, att_args):
 
 @pytest.mark.parametrize("force, yaw, path", FORCE_PATHS)
 def test_force_examples_reach_each_attitude_path(force, yaw, path):
-    pid = ReferencePid(default_config(PARAMS), 1.0)
+    pid = ReferencePid(default_config(PARAMS, *GAINS), 1.0)
     pid.position_flat(*force_args(force), yaw, 0.001)
     assert pid.path == path
 
@@ -428,7 +427,7 @@ def _force_example(force, yaw):
 @_force_example(*FORCE_PATHS[4][:2])
 @_force_example(*FORCE_PATHS[5][:2])
 def test_position_and_attitude_match_reference_bit_for_bit(mass, ints, pos, yaw, dt, att):
-    cfg = default_config(PARAMS)
+    cfg = default_config(PARAMS, *GAINS)
     pos_args = (*pos, yaw, dt)
     fused = run_chain(CascadedPid(cfg, mass), ints, pos_args, att)
     assert fused == run_chain(ReferencePid(cfg, mass), ints, pos_args, att)
@@ -439,7 +438,7 @@ def test_force_along_heading_falls_back_to_pure_yaw(fx):
     # a horizontal force along the yaw heading leaves the triad's y axis
     # z_b x x_c at zero length: the composed reference divides by zero,
     # and position_flat holds the heading instead
-    cfg = default_config(PARAMS)
+    cfg = default_config(PARAMS, *GAINS)
     pos_args = (*force_args((fx, 0.0, 0.0)), 0.0, 0.001)
     with pytest.raises(ZeroDivisionError):
         ReferencePid(cfg, 1.0).position_flat(*pos_args)
@@ -450,7 +449,7 @@ def test_position_and_attitude_match_reference_on_uniform_draws():
     # hypothesis favours special values and small edits of one example;
     # uniform draws reach generic roundings in every matrix branch
     rnd = random.Random(7)
-    cfg = default_config(PARAMS)
+    cfg = default_config(PARAMS, *GAINS)
     for _ in range(4000):
         ints = tuple(rnd.uniform(-3.0, 3.0) for _ in range(4))
         pos_args = (*(rnd.uniform(-20.0, 20.0) for _ in range(16)), rnd.uniform(-4.0, 4.0), 0.001)
@@ -476,7 +475,7 @@ def _error_example(q, q_des):
 @_error_example(*ERROR_PATHS[2][:2])
 @_error_example(*ERROR_PATHS[3][:2])
 def test_attitude_matches_reference_bit_for_bit(q, q_des, rates, iyaw, dt):
-    cfg = default_config(PARAMS)
+    cfg = default_config(PARAMS, *GAINS)
     out = []
     for pid in (CascadedPid(cfg, PARAMS.mass), ReferencePid(cfg, PARAMS.mass)):
         pid.iyaw = iyaw
@@ -490,7 +489,7 @@ def test_attitude_matches_reference_bit_for_bit(q, q_des, rates, iyaw, dt):
 
 
 def test_lookup_outside_grid_is_zero():
-    m = zero_map()
+    m = zero_map(*FF_EDGES)
     m.values[:] = 3.0
     assert feedforward_lookup(m, (1.0, 0.0, 0.5)) == 0.0
     assert feedforward_lookup(m, (0.0, 0.0, 2.0)) == 0.0
@@ -498,7 +497,7 @@ def test_lookup_outside_grid_is_zero():
 
 
 def test_lookup_grid_node_exact():
-    m = zero_map()
+    m = zero_map(*FF_EDGES)
     m.values[3, 4] = 1.75
     lat = m.lat_centers[3]
     gap = m.gap_centers[4]
@@ -507,7 +506,7 @@ def test_lookup_grid_node_exact():
 
 
 def test_lookup_cell_center_averages_four_nodes():
-    m = zero_map()
+    m = zero_map(*FF_EDGES)
     m.values[2, 2] = 1.0
     m.values[3, 2] = 2.0
     m.values[2, 3] = 3.0
@@ -560,7 +559,7 @@ def _axis_point(edges, centers):
 
 
 def test_float_lookup_matches_numpy_lookup_on_centers_and_edges():
-    m = zero_map()
+    m = zero_map(*FF_EDGES)
     # edited in place after construction, as calibration code does
     m.values[2, 3] = 1.5
     m.values[3, 3] = 0.25
@@ -595,16 +594,16 @@ def test_build_map_empty_telemetry_warns(caplog):
     import logging
 
     with caplog.at_level(logging.WARNING, logger="flybat.control"):
-        m = build_ff_map([])
+        m = build_ff_map([], *FF_EDGES)
     assert np.all(m.values == 0.0)
     assert any("zero map" in rec.message for rec in caplog.records)
 
 
 def test_build_map_single_sample():
-    m0 = zero_map()
+    m0 = zero_map(*FF_EDGES)
     lat = float(m0.lat_centers[1])
     gap = float(m0.gap_centers[2])
-    m = build_ff_map([((lat, 0.0, gap), 0.8)])
+    m = build_ff_map([((lat, 0.0, gap), 0.8)], *FF_EDGES)
     assert m.values[1, 2] == pytest.approx(0.8)
     total = float(np.sum(m.values))
     assert total == pytest.approx(0.8)
@@ -623,8 +622,8 @@ def test_build_map_round_trip_against_downwash_model(rng):
         ang = float(rng.uniform(0.0, 2 * math.pi))
         rel = (lat * math.cos(ang), lat * math.sin(ang), gap)
         samples.append((rel, -downwash_force(model, rel, thrust)[2]))
-    m = build_ff_map(samples)
-    ref = map_from_model(model, thrust)
+    m = build_ff_map(samples, *FF_EDGES)
+    ref = map_from_model(model, thrust, *FF_EDGES)
     err = m.values - ref.values
     rms = math.sqrt(float(np.mean(err**2)))
     scale = math.sqrt(float(np.mean(ref.values**2)))
@@ -633,7 +632,7 @@ def test_build_map_round_trip_against_downwash_model(rng):
 
 def test_map_csv_round_trip(tmp_path):
     model = DownwashModel()
-    m = map_from_model(model, 3.14)
+    m = map_from_model(model, 3.14, *FF_EDGES)
     path = tmp_path / "ffmap.csv"
     export_map_csv(m, path)
     back = import_map_csv(path)
@@ -643,7 +642,7 @@ def test_map_csv_round_trip(tmp_path):
 
 
 def test_map_validation():
-    lat, gap = default_edges()
+    lat, gap = FF_EDGES
     with pytest.raises(ControlError):
         from flybat.control import FeedforwardMap
 

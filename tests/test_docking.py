@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,15 +13,15 @@ from flybat.docking import (
     ContactOutcome,
     DockCommands,
     DockPhase,
-    DockThresholds,
     DockingError,
     TRANSITIONS,
     capture_check,
     fsm_step,
     maneuver_durations,
 )
+from flybat.scenario import DockingSection, ScenarioError, default_scenario
 
-TH = DockThresholds()
+TH = DockingSection()
 NO_CMD = DockCommands()
 DOCK = DockCommands(dock=True)
 UNDOCK = DockCommands(undock=True)
@@ -28,6 +29,11 @@ UNDOCK = DockCommands(undock=True)
 
 def step(phase, lateral, gap, commands=NO_CMD, altitude=1.5):
     return fsm_step(phase, TH, (lateral, gap), altitude, commands)
+
+
+def capture(lateral, contact_failure_probability, rng):
+    cfg = replace(TH, contact_failure_probability=contact_failure_probability)
+    return capture_check(lateral, cfg, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +145,12 @@ def test_fsm_rejects_non_finite_pose():
 
 
 def test_thresholds_validation():
-    with pytest.raises(DockingError):
-        DockThresholds(drop_height=0.5, hover_above_gap=0.3)
-    with pytest.raises(DockingError):
-        DockThresholds(lateral_capture_radius=0.0)
+    # the thresholds are the scenario's [docking] section, checked with it
+    for key, value in (("drop_height", 0.5), ("lateral_capture_radius", 0.0)):
+        sc = default_scenario()
+        setattr(sc.docking, key, value)
+        with pytest.raises(ScenarioError, match=rf"^docking\.{key} must"):
+            sc.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +159,33 @@ def test_thresholds_validation():
 
 
 def test_capture_inside_funnel_with_reliable_contact(rng):
-    out = capture_check(0.019, TH, 0.0, rng)
+    out = capture(0.019, 0.0, rng)
     assert out.mechanical_engaged and out.electrical_engaged
     assert out.draw is not None
 
 
 def test_capture_outside_funnel_fails_mechanically(rng):
-    out = capture_check(0.025, TH, 0.0, rng)
+    out = capture(0.025, 0.0, rng)
     assert not out.mechanical_engaged and not out.electrical_engaged
     assert out.draw is None
 
 
 def test_capture_certain_electrical_failure(rng):
-    out = capture_check(0.0, TH, 1.0, rng)
+    out = capture(0.0, 1.0, rng)
     assert out.mechanical_engaged
     assert not out.electrical_engaged
+
+
+def test_capture_rejects_probability_outside_unit_interval(rng):
+    for p in (-0.1, 1.5):
+        with pytest.raises(DockingError, match="contact_failure_probability"):
+            capture(0.0, p, rng)
 
 
 def test_capture_electrical_requires_mechanical(rng):
     for _ in range(500):
         lateral = float(rng.uniform(0.0, 0.05))
-        out = capture_check(lateral, TH, float(rng.uniform(0.0, 1.0)), rng)
+        out = capture(lateral, float(rng.uniform(0.0, 1.0)), rng)
         if out.electrical_engaged:
             assert out.mechanical_engaged
     with pytest.raises(DockingError):

@@ -179,11 +179,79 @@ def test_float_keys_cover_every_section():
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("section,key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
 def test_non_finite_value_names_its_key(section, key, value):
-    with pytest.raises(ScenarioError, match=rf"^{section}\.{key} must be finite"):
+    with pytest.raises(ScenarioError, match=rf"^line 2: {section}\.{key} must be finite"):
         parse_scenario(f"[{section}]\n{key} = {value}\n")
     sc = default_scenario()
     with pytest.raises(ScenarioError, match=rf"^{section}\.{key} must be finite"):
         set_scenario_value(sc, f"{section}.{key}", value)
+
+
+# (section, key, bad value) of every range check of Scenario.validate
+RANGE_CHECKS = [
+    ("mission", "termination", "whenever"),
+    ("control", "ff_mode", "learned"),
+    ("mission", "fleet_size", "-1"),
+    ("sim", "dt", "0"),
+    ("sim", "duration", "-5"),
+    ("sim", "telemetry_hz", "0"),
+    ("sim", "telemetry_hz", "2000"),  # above 1/dt
+    ("docking", "contact_failure_probability", "1.5"),
+    *[
+        ("docking", key, "0")
+        for key in (
+            "hover_above_gap", "lateral_capture_radius", "drop_height", "descent_rate",
+            "approach_speed", "depart_speed", "vertical_speed",
+        )
+    ],
+    ("docking", "drop_height", "0.5"),  # above hover_above_gap
+    ("docking", "approach_speed", "-0.2"),
+    ("docking", "vertical_speed", "-0.5"),
+    ("docking", "mu", "-1"),
+    ("downwash", "peak_force_ratio", "1.5"),
+    ("downwash", "peak_force_ratio", "0"),
+    ("downwash", "lateral_decay", "0"),
+    ("downwash", "vertical_decay", "-0.5"),
+    ("downwash", "align_torque_gain", "-1"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,key,value", RANGE_CHECKS, ids=[f"{s}.{k}={v}" for s, k, v in RANGE_CHECKS]
+)
+def test_range_check_names_key_and_line(section, key, value):
+    text = f"# a range check\n\n[sim]\nseed = 2\n[{section}]\n{key} = {value}\n"
+    with pytest.raises(ScenarioError, match=rf"^line 6: {section}\.{key} ") as exc:
+        parse_scenario(text)
+    assert (exc.value.line, exc.value.key) == (6, f"{section}.{key}")
+    # an override names the key alone
+    sc = default_scenario()
+    with pytest.raises(ScenarioError, match=rf"^{section}\.{key} ") as exc:
+        set_scenario_value(sc, f"{section}.{key}", value)
+    assert exc.value.line is None
+
+
+def test_start_docked_check_names_its_line():
+    with pytest.raises(ScenarioError, match=r"^line 3: mission\.start_docked requires"):
+        parse_scenario("[mission]\nfleet_size = 0\nstart_docked = true\n")
+
+
+def test_check_of_a_key_the_file_left_unset_names_no_line():
+    # drop_height keeps its 0.05 m default, now above hover_above_gap
+    with pytest.raises(ScenarioError, match=r"^docking\.drop_height must not exceed") as exc:
+        parse_scenario("[docking]\nhover_above_gap = 0.01\n")
+    assert exc.value.line is None
+
+
+def test_override_cast_error_names_no_line():
+    with pytest.raises(ScenarioError, match=r"^invalid value 'abc' for key 'docking\.mu'$"):
+        set_scenario_value(default_scenario(), "docking.mu", "abc")
+
+
+def test_validate_runs_on_a_scenario_built_in_code():
+    sc = default_scenario()
+    sc.downwash.lateral_decay = 0.0
+    with pytest.raises(ScenarioError, match=r"^downwash\.lateral_decay must be positive"):
+        build_world_inputs(sc)
 
 
 # ---------------------------------------------------------------------------
