@@ -115,9 +115,16 @@ SWEEP_METRICS = (
 
 
 def _sweep_one(base: Scenario, param: str, value: str) -> MissionSummary:
-    scenario = copy.deepcopy(base)
-    set_scenario_value(scenario, param, value)
-    return run_mission(None, scenario).summary
+    """One point's summary; an error names the point and keeps its exit code."""
+    try:
+        scenario = copy.deepcopy(base)
+        set_scenario_value(scenario, param, value)
+        return run_mission(None, scenario).summary
+    except SimNumericsError as exc:
+        exc.args = (f"{param} = {value}: {exc}",)
+        raise
+    except (ValueError, OSError) as exc:
+        raise ScenarioError(f"{param} = {value}: {exc}") from exc
 
 
 def cmd_sweep(args) -> int:

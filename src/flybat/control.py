@@ -17,11 +17,9 @@ the vehicle inertia.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import atan2, cos, hypot, sin, sqrt
-
-import numpy as np
 
 from .dynamics import GRAVITY, VehicleParams
 from .geom import Quat, Vec3, q_from_yaw
@@ -66,16 +64,15 @@ def default_config(
     kp = pos_wn * pos_wn
     kd = 2.0 * pos_zeta * pos_wn
     ki = 0.5 * kp  # slow integral; Routh margin kp*kd >> ki
-    idiag = np.diag(params.inertia)
-    att_p = tuple(float(i) * att_wn * att_wn for i in idiag)
-    att_d = tuple(float(i) * 2.0 * att_zeta * att_wn for i in idiag)
+    att_p = tuple(i * att_wn * att_wn for i in params.inertia)
+    att_d = tuple(i * 2.0 * att_zeta * att_wn for i in params.inertia)
     return CascadedPidConfig(
         pos_p=(kp, kp, kp),
         pos_i=(ki, ki, ki),
         pos_d=(kd, kd, kd),
         att_p=att_p,
         att_d=att_d,
-        yaw_i=float(idiag[2]) * 50.0,
+        yaw_i=params.inertia[2] * 50.0,
         pos_int_limit=2.0,
         yaw_int_limit=0.5,
         max_thrust=params.max_thrust,
@@ -217,42 +214,29 @@ class FeedforwardMap:
     """Extra host thrust, binned over (lateral offset, vertical gap) of
     the vehicle above. Values sit at bin centers; lookups interpolate
     bilinearly between centers and read zero outside the binned area.
-    The bins are fixed at construction; values may be edited in place."""
+    Edges, centers and values are tuples of floats, fixed at
+    construction."""
 
-    lat_edges: np.ndarray  # (nl+1,)
-    gap_edges: np.ndarray  # (ng+1,)
-    values: np.ndarray  # (nl, ng), N
+    lat_edges: tuple[float, ...]  # nl + 1
+    gap_edges: tuple[float, ...]  # ng + 1
+    values: tuple[tuple[float, ...], ...]  # nl rows of ng, N
 
     def __post_init__(self):
-        self.lat_edges = np.asarray(self.lat_edges, dtype=float)
-        self.gap_edges = np.asarray(self.gap_edges, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        nl, ng = len(self.lat_edges) - 1, len(self.gap_edges) - 1
-        if self.values.shape != (nl, ng):
-            raise ControlError(
-                f"map values shape {self.values.shape} does not match bins ({nl}, {ng})"
-            )
-        if np.any(self.values < 0.0):
+        self.lat_edges = lat = tuple(float(x) for x in self.lat_edges)
+        self.gap_edges = gap = tuple(float(x) for x in self.gap_edges)
+        self.values = tuple(tuple(float(x) for x in row) for row in self.values)
+        nl, ng = len(lat) - 1, len(gap) - 1
+        if len(self.values) != nl or any(len(row) != ng for row in self.values):
+            raise ControlError(f"map values do not match bins ({nl}, {ng})")
+        if any(x < 0.0 for row in self.values for x in row):
             raise ControlError("feedforward thrust entries must be non-negative")
-        self._lat_centers = 0.5 * (self.lat_edges[:-1] + self.lat_edges[1:])
-        self._gap_centers = 0.5 * (self.gap_edges[:-1] + self.gap_edges[1:])
-        # the per-step lookup reads plain floats
-        self._lat_grid = (tuple(self._lat_centers.tolist()), float(self.lat_edges[-1]))
-        self._gap_grid = (tuple(self._gap_centers.tolist()), float(self.gap_edges[-1]))
-
-    @property
-    def lat_centers(self) -> np.ndarray:
-        return self._lat_centers
-
-    @property
-    def gap_centers(self) -> np.ndarray:
-        return self._gap_centers
+        self.lat_centers = tuple(0.5 * (a + b) for a, b in zip(lat, lat[1:]))
+        self.gap_centers = tuple(0.5 * (a + b) for a, b in zip(gap, gap[1:]))
 
 
 def zero_map(lat_edges, gap_edges) -> FeedforwardMap:
-    return FeedforwardMap(
-        lat_edges, gap_edges, np.zeros((len(lat_edges) - 1, len(gap_edges) - 1))
-    )
+    row = [0.0] * (len(gap_edges) - 1)
+    return FeedforwardMap(lat_edges, gap_edges, [row] * (len(lat_edges) - 1))
 
 
 def _interp_axis(centers: tuple[float, ...], x: float) -> tuple[int, int, float]:
@@ -275,15 +259,13 @@ def feedforward_lookup(ff_map: FeedforwardMap, rel_pos: Vec3) -> float:
     if gap < 0.0:
         return 0.0
     lateral = hypot(rel_pos[0], rel_pos[1])
-    lat_centers, lat_max = ff_map._lat_grid
-    gap_centers, gap_max = ff_map._gap_grid
-    if lateral > lat_max or gap > gap_max:
+    if lateral > ff_map.lat_edges[-1] or gap > ff_map.gap_edges[-1]:
         return 0.0
-    i0, i1, ti = _interp_axis(lat_centers, lateral)
-    j0, j1, tj = _interp_axis(gap_centers, gap)
-    v = ff_map.values.item
-    a = v(i0, j0) * (1.0 - tj) + v(i0, j1) * tj
-    b = v(i1, j0) * (1.0 - tj) + v(i1, j1) * tj
+    i0, i1, ti = _interp_axis(ff_map.lat_centers, lateral)
+    j0, j1, tj = _interp_axis(ff_map.gap_centers, gap)
+    v = ff_map.values
+    a = v[i0][j0] * (1.0 - tj) + v[i0][j1] * tj
+    b = v[i1][j0] * (1.0 - tj) + v[i1][j1] * tj
     return a * (1.0 - ti) + b * ti
 
 
@@ -294,11 +276,11 @@ def build_ff_map(telemetry, lat_edges, gap_edges) -> FeedforwardMap:
     gathered while holding station at various relative separations.
     Cells with no samples stay zero; an all-empty input yields a zero
     map with a warning."""
-    lat_edges = np.asarray(lat_edges, dtype=float)
-    gap_edges = np.asarray(gap_edges, dtype=float)
+    lat_edges = [float(x) for x in lat_edges]
+    gap_edges = [float(x) for x in gap_edges]
     nl, ng = len(lat_edges) - 1, len(gap_edges) - 1
-    total = np.zeros((nl, ng))
-    count = np.zeros((nl, ng), dtype=int)
+    total = [[0.0] * ng for _ in range(nl)]
+    count = [[0] * ng for _ in range(nl)]
     for rel_pos, offset in telemetry:
         lateral = hypot(rel_pos[0], rel_pos[1])
         gap = rel_pos[2]
@@ -306,14 +288,14 @@ def build_ff_map(telemetry, lat_edges, gap_edges) -> FeedforwardMap:
             continue
         if not (gap_edges[0] <= gap <= gap_edges[-1]):
             continue
-        i = min(int(np.searchsorted(lat_edges, lateral, side="right")) - 1, nl - 1)
-        j = min(int(np.searchsorted(gap_edges, gap, side="right")) - 1, ng - 1)
-        total[i, j] += max(0.0, float(offset))
-        count[i, j] += 1
-    if not count.any():
+        i = min(bisect_right(lat_edges, lateral) - 1, nl - 1)
+        j = min(bisect_right(gap_edges, gap) - 1, ng - 1)
+        total[i][j] += max(0.0, float(offset))
+        count[i][j] += 1
+    if not any(any(row) for row in count):
         log.warning("no usable feedforward samples; returning a zero map")
         return zero_map(lat_edges, gap_edges)
-    values = np.where(count > 0, total / np.maximum(count, 1), 0.0)
+    values = [[t / n if n else 0.0 for t, n in zip(*rows)] for rows in zip(total, count)]
     return FeedforwardMap(lat_edges, gap_edges, values)
 
 
@@ -323,11 +305,10 @@ def map_from_model(model, upper_thrust: float, lat_edges, gap_edges) -> Feedforw
     from .aero import downwash_force
 
     m = zero_map(lat_edges, gap_edges)
-    values = np.zeros_like(m.values)
-    for i, lat in enumerate(m.lat_centers):
-        for j, gap in enumerate(m.gap_centers):
-            f = downwash_force(model, (float(lat), 0.0, float(gap)), upper_thrust)
-            values[i, j] = -f[2]
+    values = [
+        [-downwash_force(model, (lat, 0.0, gap), upper_thrust)[2] for gap in m.gap_centers]
+        for lat in m.lat_centers
+    ]
     return FeedforwardMap(m.lat_edges, m.gap_edges, values)
 
 
@@ -346,7 +327,7 @@ def import_map_csv(path) -> FeedforwardMap:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("# ff_map"):
         raise ControlError(f"{path} is not a feedforward map file")
-    lat = np.array([float(x) for x in lines[1].split(",")[1:]])
-    gap = np.array([float(x) for x in lines[2].split(",")[1:]])
-    values = np.array([[float(x) for x in ln.split(",")] for ln in lines[3:]])
+    lat = [float(x) for x in lines[1].split(",")[1:]]
+    gap = [float(x) for x in lines[2].split(",")[1:]]
+    values = [[float(x) for x in ln.split(",")] for ln in lines[3:]]
     return FeedforwardMap(lat, gap, values)

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geom import Vec3
 
 GRAVITY = 9.81
 
 PLATFORM_HEIGHT = 0.10  # m, platform surface above host COM
 LEG_HEIGHT = 0.05  # m, docked vehicle COM above its leg plane
-MOUNT_OFFSET = (0.0, 0.0, PLATFORM_HEIGHT + LEG_HEIGHT)  # host COM -> docked COM
+MOUNT_HEIGHT = PLATFORM_HEIGHT + LEG_HEIGHT  # m, host COM -> docked COM along body z
+MOUNT_OFFSET = (0.0, 0.0, MOUNT_HEIGHT)
 
 
 class DynamicsError(ValueError):
@@ -37,29 +36,27 @@ class VehicleParams:
     """Physical parameters of one quadcopter.
 
     k_p is the powertrain constant relating hover electric power to
-    total_mass**1.5 (W / kg^1.5); inertia is a symmetric positive
-    definite 3x3 matrix in body axes (kg m^2).
+    total_mass**1.5 (W / kg^1.5); inertia is (ixx, iyy, izz), the
+    moments about the body's principal axes, which are its body axes
+    (kg m^2).
     """
 
     mass: float
     max_thrust: float
-    inertia: np.ndarray
+    inertia: Vec3
     k_p: float
 
     def __post_init__(self):
-        self.inertia = np.asarray(self.inertia, dtype=float)
         if self.mass <= 0.0:
             raise DynamicsError(f"mass must be positive, got {self.mass}")
         if self.max_thrust <= self.mass * GRAVITY:
             raise DynamicsError(
                 f"max_thrust {self.max_thrust} N cannot hover a {self.mass} kg vehicle"
             )
-        if self.inertia.shape != (3, 3):
-            raise DynamicsError("inertia must be a 3x3 matrix")
-        if not np.allclose(self.inertia, self.inertia.T, atol=1.0e-12):
-            raise DynamicsError("inertia must be symmetric")
-        if np.any(np.linalg.eigvalsh(self.inertia) <= 0.0):
-            raise DynamicsError("inertia must be positive definite")
+        if len(self.inertia) != 3 or not all(i > 0.0 for i in self.inertia):
+            raise DynamicsError(
+                f"inertia must be three positive moments (ixx, iyy, izz), got {self.inertia}"
+            )
 
 
 @dataclass(frozen=True)
@@ -84,27 +81,18 @@ class ContactSolution:
 State13 = tuple  # (px,py,pz, vx,vy,vz, qw,qx,qy,qz, wx,wy,wz)
 
 
-def principal_inertia(inertia: np.ndarray):
-    """(ixx, iyy, izz) and the diagonal of the inverse, for rk4_flat; an
-    off-diagonal entry raises DynamicsError naming it."""
-    for r, c in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
-        if inertia[r, c] != 0.0:
-            raise DynamicsError(
-                f"inertia[{r}, {c}] = {float(inertia[r, c])!r}: bodies are "
-                "integrated about their principal axes, so it must be 0"
-            )
-    inv = np.linalg.inv(inertia)
-    return (
-        (float(inertia[0, 0]), float(inertia[1, 1]), float(inertia[2, 2])),
-        (float(inv[0, 0]), float(inv[1, 1]), float(inv[2, 2])),
-    )
+def body_constants(params: VehicleParams):
+    """rk4_flat's constants of one body: (1/mass, (ixx, iyy, izz),
+    (1/ixx, 1/iyy, 1/izz))."""
+    ixx, iyy, izz = params.inertia
+    return 1.0 / params.mass, (ixx, iyy, izz), (1.0 / ixx, 1.0 / iyy, 1.0 / izz)
 
 
 def rk4_flat(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz) -> State13:
     """One fixed step with the wrench held constant over the step.
 
     ii and jj are the principal moments of inertia and their inverses
-    (principal_inertia). The force (fx, fy, fz) is world-frame and
+    (body_constants). The force (fx, fy, fz) is world-frame and
     excludes gravity, which the integrator adds; the torque (tx, ty, tz)
     is body-frame. The rotational states (quaternion, body rates) take a
     classical RK4 step (stages unrolled; this is the 1 kHz hot path);
@@ -218,29 +206,27 @@ def rk4_flat(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz) -> State13:
 
 
 def composite_params(
-    main: VehicleParams, fb: VehicleParams, mount_offset: Vec3
+    main: VehicleParams, fb: VehicleParams, mount_height: float
 ) -> VehicleParams:
     """Parameters of the rigidly docked pair, about the combined center
     of mass.
 
-    mount_offset points from the host's center of mass to the docked
-    vehicle's center of mass, in host body axes. Thrust limits and the
+    The docked vehicle's center of mass sits mount_height above the
+    host's, on the host body z axis, so the body axes stay principal:
+    each vehicle adds m * d**2 about x and y for its distance d from the
+    combined center of mass, and nothing about z. Thrust limits and the
     powertrain constant stay those of the host (its rotors do the work)."""
-    off = np.asarray(mount_offset, dtype=float)
     m_m, m_fb = main.mass, fb.mass
     total = m_m + m_fb
-    d_com = off * (m_fb / total)  # host COM -> combined COM
-    d_main = -d_com
-    d_fb = off - d_com
-
-    def parallel_axis(m: float, d: np.ndarray) -> np.ndarray:
-        return m * (float(d @ d) * np.eye(3) - np.outer(d, d))
-
-    inertia = main.inertia + parallel_axis(m_m, d_main) + fb.inertia + parallel_axis(m_fb, d_fb)
+    d_com = mount_height * (m_fb / total)  # host COM -> combined COM
+    d_fb = mount_height - d_com
+    a_main = m_m * (d_com * d_com)
+    a_fb = m_fb * (d_fb * d_fb)
+    (mxx, myy, mzz), (fxx, fyy, fzz) = main.inertia, fb.inertia
     return VehicleParams(
         mass=total,
         max_thrust=main.max_thrust,
-        inertia=inertia,
+        inertia=(((mxx + a_main) + fxx) + a_fb, ((myy + a_main) + fyy) + a_fb, mzz + fzz),
         k_p=main.k_p,
     )
 

@@ -41,8 +41,8 @@ from .dynamics import (
     MOUNT_OFFSET,
     PLATFORM_HEIGHT,
     VehicleParams,
+    body_constants,
     composite_com_offset,
-    principal_inertia,
     rk4_flat,
 )
 from .geom import q_rotate
@@ -148,7 +148,6 @@ class _Unit:
         "cmd_dock",
         "cmd_undock",
         "thrust",
-        "outcome",
         "docked_since",
     )
 
@@ -156,8 +155,7 @@ class _Unit:
         self.uid = uid
         self.params = params
         self.k_thrust = pt.k_thrust_from_kp(params.k_p)
-        self.inv_mass = 1.0 / params.mass
-        self.ii, self.jj = principal_inertia(params.inertia)
+        self.inv_mass, self.ii, self.jj = body_constants(params)
         self.pid = CascadedPid(cfg, params.mass)
         self.own_pack = own_pack
         self.secondary = secondary
@@ -177,7 +175,6 @@ class _Unit:
         self.cmd_dock = False
         self.cmd_undock = False
         self.thrust = 0.0
-        self.outcome = None
         self.docked_since = None
 
     @property
@@ -212,14 +209,8 @@ class World:
         self.k_thrust_main = pt.k_thrust_from_kp(inp.main_params.k_p)
         # (1/mass, principal moments, their inverses) for rk4_flat, of the
         # host alone and of the docked pair
-        self._main_solo_body = (
-            1.0 / inp.main_params.mass,
-            *principal_inertia(inp.main_params.inertia),
-        )
-        self._main_comp_body = (
-            1.0 / self.comp_params.mass,
-            *principal_inertia(self.comp_params.inertia),
-        )
+        self._main_solo_body = body_constants(inp.main_params)
+        self._main_comp_body = body_constants(self.comp_params)
         # the docked unit's share of the composite's mass (contact loads)
         self._docked_mass_share = inp.fb_params.mass / self.comp_params.mass
         hp = (m.hover_x, m.hover_y, m.hover_z)
@@ -779,7 +770,6 @@ class World:
                         outcome = dk.capture_check(lateral, self.docking, self.rng)
                         if outcome.draw is not None:
                             self.rng_draws += 1
-                        u.outcome = outcome
                         if outcome.mechanical_engaged:
                             self._attach(u, outcome.electrical_engaged, t)
                             if outcome.electrical_engaged:

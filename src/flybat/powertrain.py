@@ -22,7 +22,8 @@ from enum import Enum
 from math import sqrt
 from typing import NamedTuple
 
-GRAVITY = 9.81
+from .dynamics import GRAVITY
+
 CELL_FULL_V = 4.2
 CELL_EMPTY_V = 3.0
 PARALLEL_SAFE_V_PER_CELL = 0.2
@@ -61,13 +62,14 @@ class BatteryPack:
 
     cell_count: int
     capacity_ah: float
-    mass: float
     internal_resistance: float = 0.025
     capacity_wh: float = field(init=False)
 
     def __post_init__(self):
         if self.cell_count < 1:
             raise PowertrainError(f"cell_count must be >= 1, got {self.cell_count}")
+        if self.internal_resistance < 0.0:
+            raise PowertrainError(f"internal_resistance must be >= 0, got {self.internal_resistance}")
         object.__setattr__(self, "capacity_wh", self.capacity_ah * self.cell_count * 3.7)
         if self.capacity_wh <= 0.0:
             raise PowertrainError("capacity_wh must be positive")

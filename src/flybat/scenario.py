@@ -7,9 +7,9 @@ line or after whitespace; elsewhere they belong to the value. Unknown
 sections, unknown keys and keys set twice in one section are rejected
 with their line number; missing keys take the documented defaults, which
 reproduce the reference vehicles: host 0.820 kg / 27 N max thrust with a
-3S 2.2 Ah 190 g primary pack, and the flying battery 0.320 kg / 8 N
-carrying a 3S 1.5 Ah 135 g secondary and powered by its own 2S 0.8 Ah
-45 g pack.
+3S 2.2 Ah primary pack, and the flying battery 0.320 kg / 8 N carrying a
+3S 1.5 Ah secondary and powered by its own 2S 0.8 Ah pack. A vehicle's
+mass includes the packs it carries.
 
 Two golden scenarios ship with the package: `solo_hover` (the host
 alone, hovering to primary depletion) and `paper_demo` (the full
@@ -31,21 +31,35 @@ import numpy as np
 from . import control as ctl
 from . import powertrain as pt
 from .aero import DownwashModel
-from .dynamics import MOUNT_OFFSET, VehicleParams, composite_params
+from .dynamics import GRAVITY, MOUNT_HEIGHT, VehicleParams, composite_params
 
 TERMINATION_MODES = ("primary_depleted", "wall_clock")
 FF_MODES = ("model", "zero", "csv")
 
 SOLO_FLIGHT_TIME = 720.0  # s, the calibration anchor for the host's k_p
 
+_PACKS = ("primary", "secondary", "fb")
+
 # keys that must be positive, by section
 _POSITIVE = {
+    "vehicles": (
+        *(f"{v}.{k}" for v in ("main", "fb") for k in ("mass", "inertia_xx", "inertia_yy", "inertia_zz")),
+        "fb.k_p",  # main.k_p <= 0 asks for the calibrated value
+    ),
+    "batteries": tuple(f"{p}.{k}" for p in _PACKS for k in ("cells", "capacity_ah")),
     "sim": ("dt", "duration", "telemetry_hz"),
     "docking": (
         "hover_above_gap", "lateral_capture_radius", "drop_height", "descent_rate",
         "approach_speed", "depart_speed", "vertical_speed",
     ),
     "downwash": ("lateral_decay", "vertical_decay", "align_torque_gain"),
+}
+# keys that must not be negative, by section
+_NON_NEGATIVE = {
+    "batteries": tuple(f"{p}.internal_resistance" for p in _PACKS),
+    "docking": ("mu",),
+    "mission": ("fleet_size",),
+    "sim": ("seed", "planar_drag_coeff"),
 }
 
 # '#' or ';' opens a comment at the start of a line or after whitespace,
@@ -87,7 +101,6 @@ class VehicleSpec:
 class PackSpec:
     cells: int
     capacity_ah: float
-    mass: float
     internal_resistance: float = 0.025
 
 
@@ -117,9 +130,9 @@ class VehiclesSection:
 
 @dataclass
 class BatteriesSection:
-    primary: PackSpec = field(default_factory=lambda: PackSpec(3, 2.2, 0.190))
-    secondary: PackSpec = field(default_factory=lambda: PackSpec(3, 1.5, 0.135))
-    fb: PackSpec = field(default_factory=lambda: PackSpec(2, 0.8, 0.045))
+    primary: PackSpec = field(default_factory=lambda: PackSpec(3, 2.2))
+    secondary: PackSpec = field(default_factory=lambda: PackSpec(3, 1.5))
+    fb: PackSpec = field(default_factory=lambda: PackSpec(2, 0.8))
 
 
 @dataclass
@@ -206,10 +219,21 @@ class Scenario:
                 value = reduce(getattr, path, getattr(self, sec))
                 if isinstance(value, float):
                     _require(math.isfinite(value), f"{sec}.{key}", f"must be finite, got {value}")
-        for sec, keys in _POSITIVE.items():
-            for key in keys:
-                value = getattr(getattr(self, sec), key)
-                _require(value > 0.0, f"{sec}.{key}", f"must be positive, got {value}")
+        for positive, table in ((True, _POSITIVE), (False, _NON_NEGATIVE)):
+            for sec, keys in table.items():
+                for key in keys:
+                    value = reduce(getattr, key.split("."), getattr(self, sec))
+                    ok, rule = (value > 0, "positive") if positive else (value >= 0, ">= 0")
+                    _require(ok, f"{sec}.{key}", f"must be {rule}, got {value}")
+        # the host lifts the docked pair, whose parameters are built
+        # whether or not a unit docks
+        v = self.vehicles
+        for name, mass in (("main", v.main.mass + v.fb.mass), ("fb", v.fb.mass)):
+            thrust = getattr(v, name).max_thrust
+            rule = f"must exceed the weight of the {mass:g} kg it lifts, got {thrust}"
+            _require(thrust > mass * GRAVITY, f"vehicles.{name}.max_thrust", rule)
+        drop = self.circuit.diode_drop
+        _require(0.0 < drop <= 0.2, "circuit.diode_drop", f"must be in (0, 0.2], got {drop}")
         m, s, d, w = self.mission, self.sim, self.docking, self.downwash
         _require(
             m.termination in TERMINATION_MODES,
@@ -218,7 +242,6 @@ class Scenario:
         )
         ff_mode = self.control.ff_mode
         _require(ff_mode in FF_MODES, "control.ff_mode", f"must be one of {FF_MODES}, got {ff_mode!r}")
-        _require(m.fleet_size >= 0, "mission.fleet_size", "must be >= 0")
         _require(s.telemetry_hz <= 1.0 / s.dt + 1e-9, "sim.telemetry_hz", "must be in (0, 1/dt]")
         p = d.contact_failure_probability
         _require(0.0 <= p <= 1.0, "docking.contact_failure_probability", "must be in [0, 1]")
@@ -227,7 +250,6 @@ class Scenario:
             "docking.drop_height",
             f"must not exceed docking.hover_above_gap ({d.hover_above_gap}), got {d.drop_height}",
         )
-        _require(d.mu >= 0.0, "docking.mu", f"must be >= 0, got {d.mu}")
         _require(
             0.0 < w.peak_force_ratio <= 1.0,
             "downwash.peak_force_ratio",
@@ -373,9 +395,9 @@ def set_scenario_value(scenario: Scenario, dotted_key: str, raw: str) -> None:
 
 @lru_cache(maxsize=16)
 def _calibrated_main_kp(
-    cells: int, capacity_ah: float, mass: float, resistance: float, vehicle_mass: float, diode_drop: float
+    cells: int, capacity_ah: float, resistance: float, vehicle_mass: float, diode_drop: float
 ) -> float:
-    pack = pt.BatteryPack(cells, capacity_ah, mass, resistance)
+    pack = pt.BatteryPack(cells, capacity_ah, resistance)
     return pt.solve_kp_for_endurance(
         pack, vehicle_mass, SOLO_FLIGHT_TIME, dt=0.1, diode_drop=diode_drop
     )
@@ -385,13 +407,13 @@ def vehicle_params(spec: VehicleSpec, k_p: float | None = None) -> VehicleParams
     return VehicleParams(
         mass=spec.mass,
         max_thrust=spec.max_thrust,
-        inertia=np.diag([spec.inertia_xx, spec.inertia_yy, spec.inertia_zz]),
+        inertia=(spec.inertia_xx, spec.inertia_yy, spec.inertia_zz),
         k_p=spec.k_p if k_p is None else k_p,
     )
 
 
 def battery_pack(spec: PackSpec) -> pt.BatteryPack:
-    return pt.BatteryPack(spec.cells, spec.capacity_ah, spec.mass, spec.internal_resistance)
+    return pt.BatteryPack(spec.cells, spec.capacity_ah, spec.internal_resistance)
 
 
 @dataclass
@@ -420,7 +442,6 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
         main_kp = _calibrated_main_kp(
             b.primary.cells,
             b.primary.capacity_ah,
-            b.primary.mass,
             b.primary.internal_resistance,
             v.main.mass,
             scenario.circuit.diode_drop,
@@ -430,7 +451,7 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
 
     c = scenario.control
     main_cfg = ctl.default_config(main, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
-    comp = composite_params(main, fb, MOUNT_OFFSET)
+    comp = composite_params(main, fb, MOUNT_HEIGHT)
     comp_cfg = ctl.default_config(comp, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
     fb_cfg = ctl.default_config(fb, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
 
@@ -441,7 +462,7 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
         ff_map = ctl.import_map_csv(c.ff_csv_path)
     else:
         # converged learn-from-integrals map for the small vehicle at hover thrust
-        ff_map = ctl.map_from_model(scenario.downwash, fb.mass * 9.81, lat_edges, gap_edges)
+        ff_map = ctl.map_from_model(scenario.downwash, fb.mass * GRAVITY, lat_edges, gap_edges)
 
     radius = scenario.docking.home_radius
     m = scenario.mission

@@ -232,11 +232,11 @@ def test_criterion_07_switching_safety():
     rng = np.random.default_rng(707)
     violations = 0
     parallel_checked = 0
-    p = BatteryPack(3, 2.2, 0.19)
+    p = BatteryPack(3, 2.2)
     for _ in range(1000):
         p_wh = float(rng.uniform(0, 1)) * p.capacity_wh
         has_secondary = rng.random() < 0.85
-        s = BatteryPack(3, 1.5, 0.135) if has_secondary else None
+        s = BatteryPack(3, 1.5) if has_secondary else None
         s_wh = float(rng.uniform(0, 1)) * s.capacity_wh if has_secondary else 0.0
         circuit = SwitchCircuit(diode_drop=float(rng.uniform(0.02, 0.2)), secondary_present=has_secondary)
         for _ in range(8):
@@ -278,7 +278,7 @@ def test_criterion_08_discharge_behavior():
     load = hover_power(1.140, inp.main_params.k_p)
     pack = inp.secondary
     energy = pack.capacity_wh
-    primary = BatteryPack(3, 2.2, 0.19)
+    primary = BatteryPack(3, 2.2)
     # relay open: the secondary alone carries the constant-power load
     circuit = command_switch(
         SwitchCircuit(diode_drop=sc.circuit.diode_drop, secondary_present=True),

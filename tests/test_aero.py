@@ -5,11 +5,8 @@ import pytest
 from conftest import GAINS, REST_STATE, q_body_z
 from flybat.aero import DownwashModel, align_torque, downwash_force
 from flybat.control import CascadedPid, default_config
-from flybat.dynamics import GRAVITY, VehicleParams, principal_inertia, rk4_flat
+from flybat.dynamics import GRAVITY, VehicleParams, body_constants, rk4_flat
 from flybat.scenario import ScenarioError, default_scenario
-
-import numpy as np
-
 
 MODEL = DownwashModel()
 
@@ -66,13 +63,10 @@ def test_align_torque_zero_at_center_and_decays():
 def test_align_torque_sign_reduces_offset_in_closed_loop():
     # lower vehicle holds altitude and tries to stay level; the induced
     # torque alone must tilt it toward the point beneath the upper one
-    params = VehicleParams(
-        mass=0.820, max_thrust=27.0,
-        inertia=np.diag([0.008, 0.008, 0.014]), k_p=164.4,
-    )
+    params = VehicleParams(mass=0.820, max_thrust=27.0, inertia=(0.008, 0.008, 0.014), k_p=164.4)
     pid = CascadedPid(default_config(params, *GAINS), params.mass)
     upper = (0.08, 0.05, 0.4)  # offset in both axes
-    ii, jj = principal_inertia(params.inertia)
+    inv_mass, ii, jj = body_constants(params)
     state = REST_STATE
     dt = 0.001
     offset0 = math.hypot(upper[0] - 0.0, upper[1] - 0.0)
@@ -87,7 +81,7 @@ def test_align_torque_sign_reduces_offset_in_closed_loop():
         thrust = params.mass * GRAVITY
         zb = q_body_z(state[6:10])
         state = rk4_flat(
-            state, dt, 1.0 / params.mass, ii, jj,
+            state, dt, inv_mass, ii, jj,
             zb[0] * thrust, zb[1] * thrust, zb[2] * thrust,
             tq[0] + level_tq[0], tq[1] + level_tq[1], tq[2] + level_tq[2],
         )

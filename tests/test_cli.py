@@ -101,10 +101,11 @@ def test_run_numeric_blowup_exits_3(tmp_path, capsys):
 
 
 # a 0.05 Ah primary cannot hold a 5 kg host up for the 720 s solo flight
-# that calibrates its k_p
+# that calibrates its k_p; 60 N of thrust would lift it
 UNREACHABLE_KP = """
 [vehicles]
 main.mass = 5
+main.max_thrust = 60
 
 [batteries]
 primary.capacity_ah = 0.05
@@ -122,7 +123,9 @@ def test_unreachable_kp_exits_config_error(tmp_path, capsys, command):
     code = main([*command[:1], "--scenario", str(scenario), "--out", str(tmp_path), *command[1:]])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: no k_p >= 1 reaches a 720 s hover")
+    # a sweep names the point that failed
+    point = "docking.mu = 0.5: " if command[0] == "sweep" else ""
+    assert err.startswith(f"error: {point}no k_p >= 1 reaches a 720 s hover")
 
 
 @pytest.mark.parametrize(
@@ -208,6 +211,12 @@ BAD_INPUTS = {
     },
     "run-dispatch_delay=inf_line": (
         "[mission]\ndispatch_delay = inf\n", ["run"], "line 2: mission.dispatch_delay"
+    ),
+    # a negative resistance would let the pack gain energy
+    "run-internal_resistance=-1": (
+        "[batteries]\nsecondary.internal_resistance = -1\n",
+        ["run"],
+        "line 2: batteries.secondary.internal_resistance must be >= 0",
     ),
     "sweep-range_not_numbers": (
         "", ["sweep", "--param", "docking.mu", "--range", "a:b:3"], "a:b:3"
@@ -399,6 +408,35 @@ def test_sweep_unknown_parameter_rejected(tmp_path, capsys):
     )
     assert code == 2
     assert "stickiness" in capsys.readouterr().err
+
+
+def test_sweep_error_names_the_failing_point(tmp_path, capsys):
+    scenario = tmp_path / "short.cfg"
+    scenario.write_text("[mission]\nfleet_size = 0\n[sim]\nduration = 1\n")
+    code = main(
+        [
+            "sweep",
+            "--scenario", str(scenario),
+            "--param", "batteries.primary.capacity_ah",
+            "--range", "2.2,0.001",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: batteries.primary.capacity_ah = 0.001: no k_p >= 1 reaches"), err
+
+
+def test_sweep_numeric_failure_names_the_point_and_exits_3(tmp_path, capsys):
+    scenario = write_scaled_scenario(
+        tmp_path / "unstable.cfg",
+        duration=30.0,
+        extra="\n[control]\natt_wn = 100000000.0\n",
+    )
+    argv = ["sweep", "--scenario", str(scenario), "--param", "docking.mu", "--range", "0.5"]
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: docking.mu = 0.5: non-finite value at step"), err
 
 
 def test_sweep_range_forms(tmp_path):

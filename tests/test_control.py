@@ -21,17 +21,13 @@ from flybat.control import (
     map_from_model,
     zero_map,
 )
-from flybat.dynamics import GRAVITY, VehicleParams, principal_inertia, rk4_flat
+from flybat.dynamics import GRAVITY, VehicleParams, body_constants, rk4_flat
 from flybat.geom import q_from_yaw
 
-PARAMS = VehicleParams(
-    mass=0.820, max_thrust=27.0,
-    inertia=np.diag([0.008, 0.008, 0.014]), k_p=164.4,
-)
+PARAMS = VehicleParams(mass=0.820, max_thrust=27.0, inertia=(0.008, 0.008, 0.014), k_p=164.4)
 
 
-INV_MASS = 1.0 / PARAMS.mass
-II, JJ = principal_inertia(PARAMS.inertia)
+INV_MASS, II, JJ = body_constants(PARAMS)
 
 
 def make_pid():
@@ -290,7 +286,7 @@ def test_attitude_step_settles_like_second_order_prediction():
     # fixed-step midpoint) and compare 2% settling times
     pid = make_pid()
     kp, kd = pid.cfg.att_p[0], pid.cfg.att_d[0]
-    inertia = float(PARAMS.inertia[0, 0])
+    inertia = PARAMS.inertia[0]
     step = 0.1
     dt = 0.0005
 
@@ -488,17 +484,22 @@ def test_attitude_matches_reference_bit_for_bit(q, q_des, rates, iyaw, dt):
 # ---------------------------------------------------------------------------
 
 
+def map_with(cells, fill=0.0):
+    """A map on FF_EDGES holding fill, and cells[(i, j)] at bin (i, j)."""
+    lat, gap = FF_EDGES
+    rows = [[cells.get((i, j), fill) for j in range(len(gap) - 1)] for i in range(len(lat) - 1)]
+    return FeedforwardMap(lat, gap, rows)
+
+
 def test_lookup_outside_grid_is_zero():
-    m = zero_map(*FF_EDGES)
-    m.values[:] = 3.0
+    m = map_with({}, fill=3.0)
     assert feedforward_lookup(m, (1.0, 0.0, 0.5)) == 0.0
     assert feedforward_lookup(m, (0.0, 0.0, 2.0)) == 0.0
     assert feedforward_lookup(m, (0.0, 0.0, -0.1)) == 0.0
 
 
 def test_lookup_grid_node_exact():
-    m = zero_map(*FF_EDGES)
-    m.values[3, 4] = 1.75
+    m = map_with({(3, 4): 1.75})
     lat = m.lat_centers[3]
     gap = m.gap_centers[4]
     assert feedforward_lookup(m, (lat, 0.0, gap)) == pytest.approx(1.75, abs=1e-12)
@@ -506,11 +507,7 @@ def test_lookup_grid_node_exact():
 
 
 def test_lookup_cell_center_averages_four_nodes():
-    m = zero_map(*FF_EDGES)
-    m.values[2, 2] = 1.0
-    m.values[3, 2] = 2.0
-    m.values[2, 3] = 3.0
-    m.values[3, 3] = 4.0
+    m = map_with({(2, 2): 1.0, (3, 2): 2.0, (2, 3): 3.0, (3, 3): 4.0})
     lat = 0.5 * (m.lat_centers[2] + m.lat_centers[3])
     gap = 0.5 * (m.gap_centers[2] + m.gap_centers[3])
     assert feedforward_lookup(m, (lat, 0.0, gap)) == pytest.approx(2.5, abs=1e-9)
@@ -528,16 +525,19 @@ def numpy_interp_axis(centers, x):
 
 
 def numpy_feedforward_lookup(ff_map, rel_pos):
-    """feedforward_lookup on the map's numpy arrays and numpy scalars."""
+    """feedforward_lookup on numpy arrays and numpy scalars built from
+    the map's edges and values, with the bin centers computed in numpy."""
+    lat_edges = np.array(ff_map.lat_edges)
+    gap_edges = np.array(ff_map.gap_edges)
     gap = rel_pos[2]
     if gap < 0.0:
         return 0.0
     lateral = math.hypot(rel_pos[0], rel_pos[1])
-    if lateral > ff_map.lat_edges[-1] or gap > ff_map.gap_edges[-1]:
+    if lateral > lat_edges[-1] or gap > gap_edges[-1]:
         return 0.0
-    i0, i1, ti = numpy_interp_axis(ff_map.lat_centers, lateral)
-    j0, j1, tj = numpy_interp_axis(ff_map.gap_centers, gap)
-    v = ff_map.values
+    i0, i1, ti = numpy_interp_axis(0.5 * (lat_edges[:-1] + lat_edges[1:]), lateral)
+    j0, j1, tj = numpy_interp_axis(0.5 * (gap_edges[:-1] + gap_edges[1:]), gap)
+    v = np.array(ff_map.values)
     a = v[i0, j0] * (1.0 - tj) + v[i0, j1] * tj
     b = v[i1, j0] * (1.0 - tj) + v[i1, j1] * tj
     return float(a * (1.0 - ti) + b * ti)
@@ -545,12 +545,12 @@ def numpy_feedforward_lookup(ff_map, rel_pos):
 
 def _edges(max_bins):
     steps = st.lists(st.floats(0.01, 0.5), min_size=1, max_size=max_bins)
-    return steps.map(lambda ds: np.cumsum([0.0, *ds]))
+    return steps.map(lambda ds: tuple(np.cumsum([0.0, *ds]).tolist()))
 
 
 def _axis_point(edges, centers):
     """On a center, on an edge, outside the support or anywhere."""
-    marks = [*edges.tolist(), *centers.tolist()]
+    marks = [*edges, *centers]
     return st.one_of(
         st.sampled_from(marks),
         st.floats(-0.5, float(edges[-1]) + 0.5),
@@ -559,11 +559,7 @@ def _axis_point(edges, centers):
 
 
 def test_float_lookup_matches_numpy_lookup_on_centers_and_edges():
-    m = zero_map(*FF_EDGES)
-    # edited in place after construction, as calibration code does
-    m.values[2, 3] = 1.5
-    m.values[3, 3] = 0.25
-    m.values[8, 10] = 2.0
+    m = map_with({(2, 3): 1.5, (3, 3): 0.25, (8, 10): 2.0})
     for x in (*m.lat_centers, *m.lat_edges, -0.2, 0.45):
         for g in (*m.gap_centers, *m.gap_edges, -0.1, -0.0, 1.2):
             rel = (float(x), 0.0, float(g))
@@ -579,9 +575,6 @@ def test_float_lookup_matches_numpy_lookup_bit_for_bit(data):
     n = shape[0] * shape[1]
     flat = data.draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
     m = FeedforwardMap(lat, gap, np.array(flat).reshape(shape))
-    i = data.draw(st.integers(0, shape[0] - 1))
-    j = data.draw(st.integers(0, shape[1] - 1))
-    m.values[i, j] = data.draw(st.floats(0.0, 10.0))
     for _ in range(8):
         x = data.draw(_axis_point(m.lat_edges, m.lat_centers))
         g = data.draw(_axis_point(m.gap_edges, m.gap_centers))
@@ -595,7 +588,7 @@ def test_build_map_empty_telemetry_warns(caplog):
 
     with caplog.at_level(logging.WARNING, logger="flybat.control"):
         m = build_ff_map([], *FF_EDGES)
-    assert np.all(m.values == 0.0)
+    assert m.values == zero_map(*FF_EDGES).values
     assert any("zero map" in rec.message for rec in caplog.records)
 
 
@@ -604,7 +597,7 @@ def test_build_map_single_sample():
     lat = float(m0.lat_centers[1])
     gap = float(m0.gap_centers[2])
     m = build_ff_map([((lat, 0.0, gap), 0.8)], *FF_EDGES)
-    assert m.values[1, 2] == pytest.approx(0.8)
+    assert m.values[1][2] == pytest.approx(0.8)
     total = float(np.sum(m.values))
     assert total == pytest.approx(0.8)
 
@@ -624,9 +617,9 @@ def test_build_map_round_trip_against_downwash_model(rng):
         samples.append((rel, -downwash_force(model, rel, thrust)[2]))
     m = build_ff_map(samples, *FF_EDGES)
     ref = map_from_model(model, thrust, *FF_EDGES)
-    err = m.values - ref.values
+    err = np.array(m.values) - np.array(ref.values)
     rms = math.sqrt(float(np.mean(err**2)))
-    scale = math.sqrt(float(np.mean(ref.values**2)))
+    scale = math.sqrt(float(np.mean(np.array(ref.values) ** 2)))
     assert rms < 0.05 * scale
 
 
@@ -636,14 +629,15 @@ def test_map_csv_round_trip(tmp_path):
     path = tmp_path / "ffmap.csv"
     export_map_csv(m, path)
     back = import_map_csv(path)
-    assert np.array_equal(back.lat_edges, m.lat_edges)
-    assert np.array_equal(back.gap_edges, m.gap_edges)
-    assert np.allclose(back.values, m.values, rtol=0, atol=1e-12)
+    assert back == m
 
 
 def test_map_validation():
     lat, gap = FF_EDGES
-    with pytest.raises(ControlError):
-        from flybat.control import FeedforwardMap
-
-        FeedforwardMap(lat, gap, np.zeros((3, 3)))
+    nl, ng = len(lat) - 1, len(gap) - 1
+    short_row = [[0.0] * ng] * (nl - 1) + [[0.0] * (ng - 1)]
+    for values in (np.zeros((3, 3)), [[0.0] * ng] * (nl - 1), short_row):
+        with pytest.raises(ControlError, match="do not match bins"):
+            FeedforwardMap(lat, gap, values)
+    with pytest.raises(ControlError, match="non-negative"):
+        map_with({(1, 1): -0.5})

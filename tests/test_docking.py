@@ -253,13 +253,16 @@ def test_hundred_consecutive_dock_cycles_all_capture():
         u.ref = [u.state[0], u.state[1], u.state[2]]
         u.pid.reset()
         u.phase = DockPhase.APPROACH_ABOVE
+        mark = len(world.log.events)
         if u not in world.active_units:
             world.active_units.append(u)
         deadline = world.step_index + 20000  # 20 s budget per attempt
         while u.phase is not DockPhase.DOCKED and world.step_index < deadline:
             world.step()
         assert u.phase is DockPhase.DOCKED
-        assert u.outcome is not None and u.outcome.electrical_engaged
+        # the capture engaged electrically: the unit's contact event
+        events = [(e.kind, e.uid) for e in world.log.events[mark:]]
+        assert ("contact", u.uid) in events and ("contact_failure", u.uid) not in events
         successes += 1
         # release for the next attempt
         world._detach(u, world.step_index * world.dt)

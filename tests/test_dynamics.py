@@ -9,25 +9,20 @@ from hypothesis import strategies as st
 from conftest import REST_STATE
 from flybat.dynamics import (
     GRAVITY,
+    MOUNT_HEIGHT,
     MOUNT_OFFSET,
     ContactSolution,
     DynamicsError,
     VehicleParams,
+    body_constants,
     composite_params,
     contact_forces,
     contact_retained,
-    principal_inertia,
     rk4_flat,
 )
 
-MAIN = dict(
-    mass=0.820, max_thrust=27.0,
-    inertia=np.diag([0.008, 0.008, 0.014]), k_p=164.4,
-)
-FB = dict(
-    mass=0.320, max_thrust=8.0,
-    inertia=np.diag([0.0007, 0.0007, 0.0012]), k_p=250.0,
-)
+MAIN = dict(mass=0.820, max_thrust=27.0, inertia=(0.008, 0.008, 0.014), k_p=164.4)
+FB = dict(mass=0.320, max_thrust=8.0, inertia=(0.0007, 0.0007, 0.0012), k_p=250.0)
 
 
 def main_params(**over):
@@ -53,8 +48,7 @@ def flat_state(position=(0.0, 0.0, 0.0), velocity=(0.0, 0.0, 0.0), rates=(0.0, 0
 
 
 def step(state, p, dt, force=(0.0, 0.0, 0.0), torque=(0.0, 0.0, 0.0)):
-    ii, jj = principal_inertia(p.inertia)
-    return rk4_flat(state, dt, 1.0 / p.mass, ii, jj, *force, *torque)
+    return rk4_flat(state, dt, *body_constants(p), *force, *torque)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +197,14 @@ def _bits(x):
     return struct.pack("<d", x)
 
 
-def assert_matches_general(state, dt, inv_mass, inertia, wrench):
-    """rk4_flat on principal axes against rk4_general with the full
-    inertia: every nonzero output bit for bit, zeros zero in both."""
-    new = rk4_flat(state, dt, inv_mass, *principal_inertia(inertia), *wrench)
-    ref = rk4_general(state, dt, inv_mass, *inertia_rows(inertia), *wrench)
+def assert_matches_general(state, dt, inv_mass, moments, wrench):
+    """rk4_flat on principal axes, with the inverse moments that
+    body_constants computes, against rk4_general with the full diagonal
+    inertia and its numpy inverse: every nonzero output bit for bit,
+    zeros zero in both."""
+    inverses = tuple(1.0 / i for i in moments)
+    new = rk4_flat(state, dt, inv_mass, moments, inverses, *wrench)
+    ref = rk4_general(state, dt, inv_mass, *inertia_rows(np.diag(moments)), *wrench)
     for k, (a, b) in enumerate(zip(new, ref)):
         if b == 0.0:
             assert a == 0.0, (k, a, b)
@@ -234,11 +231,11 @@ _MOMENT = st.floats(1.0e-5, 2.0)
 def test_rk4_flat_matches_general_kernel_on_diagonal_inertia(moments, state, wrench, inv_mass, dt):
     # dropping the exactly-zero off-diagonal products may flip the sign
     # of a zero output, and nothing else
-    assert_matches_general(state, dt, inv_mass, np.diag(moments), wrench)
+    assert_matches_general(state, dt, inv_mass, moments, wrench)
 
 
 def test_rk4_flat_matches_general_kernel_bit_for_bit_without_zeros(rng):
-    for p in (main_params(), fb_params(), composite_params(main_params(), fb_params(), MOUNT_OFFSET)):
+    for p in (main_params(), fb_params(), composite_params(main_params(), fb_params(), MOUNT_HEIGHT)):
         for _ in range(200):
             state = tuple(rng.normal(scale=2.0, size=13).tolist())
             wrench = tuple(rng.normal(scale=5.0, size=6).tolist())
@@ -247,22 +244,55 @@ def test_rk4_flat_matches_general_kernel_bit_for_bit_without_zeros(rng):
             assert [_bits(x) for x in new] == [_bits(x) for x in ref]
 
 
-def test_principal_inertia_rejects_off_diagonal_entry():
-    for r, c in ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)):
-        inertia = np.diag([0.008, 0.008, 0.014])
-        inertia[r, c] = 1.0e-6
-        with pytest.raises(DynamicsError, match=rf"inertia\[{r}, {c}\] = 1e-06"):
-            principal_inertia(inertia)
+def numpy_composite_inertia(main, fb, mount_offset):
+    """The docked pair's inertia matrix as composite_params built it with
+    numpy, for a lateral offset too: the body inertias plus each
+    vehicle's parallel-axis matrix m (|d|^2 E - d d^T)."""
+    off = np.asarray(mount_offset, dtype=float)
+    d_com = off * (fb.mass / (main.mass + fb.mass))
+
+    def parallel_axis(m, d):
+        return m * (float(d @ d) * np.eye(3) - np.outer(d, d))
+
+    return (
+        np.diag(main.inertia)
+        + parallel_axis(main.mass, -d_com)
+        + np.diag(fb.inertia)
+        + parallel_axis(fb.mass, off - d_com)
+    )
 
 
-def test_principal_inertia_of_default_composite():
-    comp = composite_params(main_params(), fb_params(), MOUNT_OFFSET)
-    ii, jj = principal_inertia(comp.inertia)
-    inv = np.linalg.inv(comp.inertia)
-    assert ii == tuple(float(x) for x in np.diag(comp.inertia))
-    assert jj == tuple(float(x) for x in np.diag(inv))
-    # the products rk4_flat leaves out are exactly zero
-    assert not np.any(inv[~np.eye(3, dtype=bool)])
+def test_body_constants_match_numpy_forms():
+    # the host, the flying battery and the docked pair: the moments equal
+    # the diagonal of the numpy matrix, whose products of inertia are
+    # exactly zero, and the inverses the diagonal of np.linalg.inv
+    main, fb = main_params(), fb_params()
+    comp = composite_params(main, fb, MOUNT_HEIGHT)
+    for p, matrix in (
+        (main, np.diag(main.inertia)),
+        (fb, np.diag(fb.inertia)),
+        (comp, numpy_composite_inertia(main, fb, MOUNT_OFFSET)),
+    ):
+        inv_mass, ii, jj = body_constants(p)
+        assert not np.any(matrix[~np.eye(3, dtype=bool)])
+        assert [_bits(x) for x in ii] == [_bits(float(x)) for x in np.diag(matrix)]
+        inv = np.linalg.inv(matrix)
+        assert [_bits(x) for x in jj] == [_bits(float(x)) for x in np.diag(inv)]
+        assert _bits(inv_mass) == _bits(1.0 / p.mass)
+
+
+def test_composite_moments_match_numpy_parallel_axis_bit_for_bit(rng):
+    main = main_params(max_thrust=100.0)
+    for _ in range(2000):
+        fb = fb_params(
+            max_thrust=100.0,
+            mass=float(rng.uniform(0.01, 2.0)),
+            inertia=tuple(rng.uniform(1.0e-5, 0.05, size=3).tolist()),
+        )
+        height = float(rng.uniform(-0.5, 0.5))
+        comp = composite_params(main, fb, height)
+        ref = numpy_composite_inertia(main, fb, (0.0, 0.0, height))
+        assert [_bits(x) for x in comp.inertia] == [_bits(float(x)) for x in np.diag(ref)]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +374,7 @@ def test_zero_wrench_momentum_matches_gravity_impulse(rng):
 
 
 def test_composite_mass_is_reference_docked_mass():
-    comp = composite_params(main_params(), fb_params(), (0.0, 0.0, 0.15))
+    comp = composite_params(main_params(), fb_params(), 0.15)
     assert comp.mass == pytest.approx(1.140, abs=1e-12)
     assert comp.max_thrust == 27.0
     assert comp.k_p == main_params().k_p
@@ -353,8 +383,8 @@ def test_composite_mass_is_reference_docked_mass():
 def test_composite_vanishing_second_mass_is_identity():
     # a zero-mass vehicle violates the params invariant, so probe the limit
     m = main_params()
-    tiny = fb_params(mass=1e-12, inertia=np.eye(3) * 1e-15)
-    comp = composite_params(m, tiny, (0.0, 0.0, 0.15))
+    tiny = fb_params(mass=1e-12, inertia=(1e-15, 1e-15, 1e-15))
+    comp = composite_params(m, tiny, 0.15)
     assert comp.mass == pytest.approx(m.mass, abs=1e-9)
     assert np.allclose(comp.inertia, m.inertia, atol=1e-9)
 
@@ -362,27 +392,25 @@ def test_composite_vanishing_second_mass_is_identity():
 def test_composite_point_mass_parallel_axis_oracle():
     # two 1 kg point masses 0.1 m apart along z: the pair inertia about a
     # transverse axis through the COM is mu*d^2 with mu the reduced mass
-    eps = np.eye(3) * 1e-9
+    eps = (1e-9, 1e-9, 1e-9)
     a = VehicleParams(1.0, 20.0, eps, 100.0)
     b = VehicleParams(1.0, 20.0, eps, 100.0)
     d = 0.1
     mu = 1.0 * 1.0 / (1.0 + 1.0)
     expected = mu * d * d
-    comp = composite_params(a, b, (0.0, 0.0, d))
-    assert comp.inertia[0, 0] == pytest.approx(expected, rel=1e-6)
-    assert comp.inertia[1, 1] == pytest.approx(expected, rel=1e-6)
-    assert comp.inertia[2, 2] == pytest.approx(0.0, abs=1e-8)
+    comp = composite_params(a, b, d)
+    assert comp.inertia[0] == pytest.approx(expected, rel=1e-6)
+    assert comp.inertia[1] == pytest.approx(expected, rel=1e-6)
+    assert comp.inertia[2] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_composite_inertia_never_shrinks(rng):
     m = main_params()
     for _ in range(25):
         fb_mass = float(rng.uniform(0.05, 0.5))
-        off = tuple(rng.uniform(-0.2, 0.2, size=3))
-        comp = composite_params(m, fb_params(mass=fb_mass), off)
-        ev_main = np.linalg.eigvalsh(m.inertia)
-        ev_comp = np.linalg.eigvalsh(comp.inertia)
-        assert np.all(ev_comp >= ev_main - 1e-12)
+        height = float(rng.uniform(-0.2, 0.2))
+        comp = composite_params(m, fb_params(mass=fb_mass), height)
+        assert all(c >= i - 1e-12 for c, i in zip(comp.inertia, m.inertia))
         assert comp.mass == pytest.approx(m.mass + fb_mass)
 
 
@@ -391,12 +419,12 @@ def test_vehicle_params_validation():
         main_params(mass=-1.0)
     with pytest.raises(DynamicsError, match="hover"):
         main_params(max_thrust=5.0)
-    with pytest.raises(DynamicsError, match="symmetric"):
-        bad = np.diag([0.008, 0.008, 0.014])
-        bad[0, 1] = 1.0
-        main_params(inertia=bad)
-    with pytest.raises(DynamicsError, match="positive definite"):
-        main_params(inertia=np.diag([0.008, -0.008, 0.014]))
+    for bad in ((0.008, -0.008, 0.014), (0.008, 0.008, 0.0), (0.008, math.nan, 0.014)):
+        with pytest.raises(DynamicsError, match="three positive moments"):
+            main_params(inertia=bad)
+    for bad in ((0.008, 0.014), (0.008, 0.008, 0.014, 0.0)):
+        with pytest.raises(DynamicsError, match="three positive moments"):
+            main_params(inertia=bad)
 
 
 # ---------------------------------------------------------------------------

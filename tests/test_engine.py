@@ -208,9 +208,10 @@ def test_run_rejects_bad_duration():
 
 def test_world_rejects_unreachable_solo_flight_time():
     # a 0.05 Ah primary cannot hold a 5 kg host up for the 720 s solo
-    # flight that calibrates its k_p
+    # flight that calibrates its k_p; 60 N of thrust would lift it
     sc = solo_scenario()
     set_scenario_value(sc, "batteries.primary.capacity_ah", "0.05")
+    set_scenario_value(sc, "vehicles.main.max_thrust", "60")
     set_scenario_value(sc, "vehicles.main.mass", "5")
     with pytest.raises(PowertrainError, match="720 s hover"):
         World(sc)

@@ -36,17 +36,27 @@ G = 9.81
 
 
 def pack_3s_22(r=0.0):
-    return BatteryPack(3, 2.2, 0.190, internal_resistance=r)
+    return BatteryPack(3, 2.2, internal_resistance=r)
 
 
 def pack_3s_15(r=0.0):
-    return BatteryPack(3, 1.5, 0.135, internal_resistance=r)
+    return BatteryPack(3, 1.5, internal_resistance=r)
 
 
 def pack_at_soc(soc, cells=3, capacity_ah=1.5, r=0.0):
     """(spec, remaining energy) of a pack at the given state of charge."""
-    pack = BatteryPack(cells, capacity_ah, 0.1, internal_resistance=r)
+    pack = BatteryPack(cells, capacity_ah, internal_resistance=r)
     return pack, soc * pack.capacity_wh
+
+
+def test_pack_spec_validation():
+    assert BatteryPack(3, 2.2, internal_resistance=0.0).capacity_wh == pytest.approx(24.42)
+    with pytest.raises(PowertrainError, match="cell_count must be >= 1"):
+        BatteryPack(0, 2.2)
+    with pytest.raises(PowertrainError, match="capacity_wh must be positive"):
+        BatteryPack(3, 0.0)
+    with pytest.raises(PowertrainError, match="internal_resistance must be >= 0, got -1"):
+        BatteryPack(3, 1.5, internal_resistance=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +297,7 @@ def test_time_to_depletion_edge_loads_match_pack_stepping():
 def test_solve_kp_matches_reference_bisection(
     cells, capacity_ah, r, lossless_kp, target_time, dt, diode_drop
 ):
-    pack = BatteryPack(cells, capacity_ah, 0.1, internal_resistance=r)
+    pack = BatteryPack(cells, capacity_ah, internal_resistance=r)
     vehicle_mass = (pack.capacity_wh * 3600.0 / (target_time * lossless_kp)) ** (2.0 / 3.0)
     k_ref, lo = reference_solve_kp(pack, vehicle_mass, target_time, dt, diode_drop)
     if lo == 1.0:
@@ -304,14 +314,14 @@ def test_default_calibrated_kp_bits():
     # scenario, and the plain bisection's result on the same pack
     expected = "0x1.417b1cf9e528cp+7"
     assert full_scale_main_kp().hex() == expected
-    pack = BatteryPack(3, 2.2, 0.19, internal_resistance=0.025)
+    pack = BatteryPack(3, 2.2, internal_resistance=0.025)
     assert reference_solve_kp(pack, 0.82, 720.0, 0.1, 0.05)[0].hex() == expected
 
 
 def test_unreachable_endurance_target_raises():
     # 0.185 Wh cannot hover a 5 kg vehicle for 720 s at any k_p >= 1:
     # at k_p = 1 it flies 58.5 s
-    pack = BatteryPack(1, 0.05, 0.01)
+    pack = BatteryPack(1, 0.05)
     assert time_to_depletion(pack, pack.capacity_wh, hover_power(5.0, 1.0)) == pytest.approx(58.5)
     with pytest.raises(PowertrainError, match="720 s hover.* 58.5 s"):
         solve_kp_for_endurance(pack, 5.0, 720.0)

@@ -1,6 +1,8 @@
 import math
+import re
 from dataclasses import fields
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -38,9 +40,9 @@ def test_default_vehicle_and_pack_values():
     assert v.main.max_thrust == 27.0
     assert v.fb.mass == 0.320
     assert v.fb.max_thrust == 8.0
-    assert (b.primary.cells, b.primary.capacity_ah, b.primary.mass) == (3, 2.2, 0.190)
-    assert (b.secondary.cells, b.secondary.capacity_ah, b.secondary.mass) == (3, 1.5, 0.135)
-    assert (b.fb.cells, b.fb.capacity_ah, b.fb.mass) == (2, 0.8, 0.045)
+    assert (b.primary.cells, b.primary.capacity_ah) == (3, 2.2)
+    assert (b.secondary.cells, b.secondary.capacity_ah) == (3, 1.5)
+    assert (b.fb.cells, b.fb.capacity_ah) == (2, 0.8)
     assert sc.circuit.diode_drop == 0.05
     assert sc.docking.mu == 0.5
     assert sc.docking.lateral_capture_radius == 0.020
@@ -142,6 +144,17 @@ def test_bundled_scenarios():
         bundled_scenario("nonexistent")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_ini_blocks_parse():
+    # a documented key cannot outlive its removal
+    blocks = re.findall(r"^```ini\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for text in blocks:
+        parse_scenario(text, name="readme")
+
+
 def test_set_scenario_value():
     sc = default_scenario()
     set_scenario_value(sc, "docking.contact_failure_probability", "0.5")
@@ -186,8 +199,27 @@ def test_non_finite_value_names_its_key(section, key, value):
         set_scenario_value(sc, f"{section}.{key}", value)
 
 
+PACKS = ("primary", "secondary", "fb")
+
 # (section, key, bad value) of every range check of Scenario.validate
 RANGE_CHECKS = [
+    *[
+        ("vehicles", f"{v}.{k}", "0")
+        for v in ("main", "fb")
+        for k in ("mass", "inertia_xx", "inertia_yy", "inertia_zz")
+    ],
+    ("vehicles", "fb.mass", "-0.3"),
+    ("vehicles", "fb.k_p", "-5"),
+    ("vehicles", "main.inertia_yy", "-0.008"),
+    ("vehicles", "main.max_thrust", "10"),  # lifts the host, not the docked pair
+    ("vehicles", "fb.max_thrust", "3"),
+    *[("batteries", f"{p}.cells", "0") for p in PACKS],
+    *[("batteries", f"{p}.capacity_ah", "0") for p in PACKS],
+    *[("batteries", f"{p}.internal_resistance", "-1") for p in PACKS],
+    ("circuit", "diode_drop", "0"),
+    ("circuit", "diode_drop", "0.25"),
+    ("sim", "seed", "-1"),
+    ("sim", "planar_drag_coeff", "-0.5"),
     ("mission", "termination", "whenever"),
     ("control", "ff_mode", "learned"),
     ("mission", "fleet_size", "-1"),
@@ -219,7 +251,7 @@ RANGE_CHECKS = [
     "section,key,value", RANGE_CHECKS, ids=[f"{s}.{k}={v}" for s, k, v in RANGE_CHECKS]
 )
 def test_range_check_names_key_and_line(section, key, value):
-    text = f"# a range check\n\n[sim]\nseed = 2\n[{section}]\n{key} = {value}\n"
+    text = f"# a range check\n\n[mission]\nhover_z = 2.0\n[{section}]\n{key} = {value}\n"
     with pytest.raises(ScenarioError, match=rf"^line 6: {section}\.{key} ") as exc:
         parse_scenario(text)
     assert (exc.value.line, exc.value.key) == (6, f"{section}.{key}")
@@ -228,6 +260,13 @@ def test_range_check_names_key_and_line(section, key, value):
     with pytest.raises(ScenarioError, match=rf"^{section}\.{key} ") as exc:
         set_scenario_value(sc, f"{section}.{key}", value)
     assert exc.value.line is None
+
+
+@pytest.mark.parametrize("pack", PACKS)
+def test_pack_mass_is_an_unknown_key(pack):
+    # a pack's mass is counted in the mass of the vehicle that carries it
+    with pytest.raises(ScenarioError, match=rf"^line 3: unknown key '{pack}\.mass' in section \[batteries\]"):
+        parse_scenario(f"[batteries]\n{pack}.cells = 3\n{pack}.mass = 0.19\n")
 
 
 def test_start_docked_check_names_its_line():
