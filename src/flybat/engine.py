@@ -199,7 +199,8 @@ class World:
         # host vehicle
         self.main_params: VehicleParams = inp.main_params
         self.fb_params: VehicleParams = inp.fb_params
-        self.comp_params: VehicleParams = inp.comp_params
+        # the docked pair, which only a fleet builds
+        self.comp_params: VehicleParams | None = inp.comp_params
         self.d_com = composite_com_offset(
             inp.main_params.mass, inp.fb_params.mass, MOUNT_OFFSET
         )
@@ -209,10 +210,11 @@ class World:
         self.k_thrust_main = pt.k_thrust_from_kp(inp.main_params.k_p)
         # (1/mass, principal moments, their inverses) for rk4_flat, of the
         # host alone and of the docked pair
+        comp = self.comp_params
         self._main_solo_body = body_constants(inp.main_params)
-        self._main_comp_body = body_constants(self.comp_params)
+        self._main_comp_body = None if comp is None else body_constants(comp)
         # the docked unit's share of the composite's mass (contact loads)
-        self._docked_mass_share = inp.fb_params.mass / self.comp_params.mass
+        self._docked_mass_share = None if comp is None else inp.fb_params.mass / comp.mass
         hp = (m.hover_x, m.hover_y, m.hover_z)
         self.hover_position = hp
         self.main_state = (

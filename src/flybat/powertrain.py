@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from math import sqrt
+from math import inf, nextafter, sqrt
 from typing import NamedTuple
 
 from .dynamics import GRAVITY
@@ -157,7 +157,8 @@ def ocv(pack: BatteryPack, energy_wh: float) -> float:
 
 def ocv_per_cell(soc: float) -> float:
     """OCV_KNOTS interpolated, clamped outside [0, 1]; NaN reads as full.
-    A hot path (every step, and the k_p bisection), hence unrolled."""
+    A hot path (every step, and every shadow step of the k_p
+    calibration: 71,990 for the default host and pack), hence unrolled."""
     if soc <= 0.0:
         return CELL_EMPTY_V
     if soc >= 1.0:
@@ -292,8 +293,8 @@ def time_to_depletion(
 
     Each step does the float operations of `ocv` and
     `discharge(pack, energy, load_power, dt, current=...)` in the same
-    order, inline: the k_p bisection runs this loop some 400 k times, and
-    a call per step would make World() measurably slower to build."""
+    order, inline, as the shadow flights of solve_kp_for_endurance do;
+    the mission summary's solo-equivalent time runs it once."""
     if load_power <= 0.0:
         return float("inf")
     cap, cells, r = pack.capacity_wh, pack.cell_count, pack.internal_resistance
@@ -311,6 +312,27 @@ def time_to_depletion(
     return t
 
 
+def shadow_energy(
+    pack: BatteryPack,
+    energy_wh: float,
+    load_power: float,
+    steps: int,
+    dt: float,
+    diode_drop: float,
+) -> float:
+    """Energy left after `steps` steps of time_to_depletion's loop, with
+    the same float operations but no stop: it goes on falling below zero
+    once the pack is empty, so while the bus stays positive it is a
+    continuous function of the load."""
+    cap, cells, r = pack.capacity_wh, pack.cell_count, pack.internal_resistance
+    energy = energy_wh
+    for _ in range(steps):
+        bus = ocv_per_cell(energy / cap) * cells - diode_drop
+        current = load_power / bus if bus > 0.0 else 0.0
+        energy = energy - (load_power + current * current * r) * dt / 3600.0
+    return energy
+
+
 def solve_kp_for_endurance(
     pack: BatteryPack,
     vehicle_mass: float,
@@ -320,31 +342,82 @@ def solve_kp_for_endurance(
 ) -> float:
     """Powertrain constant k_p such that hovering at vehicle_mass
     depletes the full pack in target_time seconds, including resistive and
-    bus losses. Bisection on the shadow discharge integration, between
-    k_p = 1 and four times the lossless k_p; raises PowertrainError when
-    the pack empties before target_time even at k_p = 1."""
+    bus losses: the result of a 60-step bisection on
+    `time_to_depletion(...) > target_time` between k_p = 1 and four times
+    the lossless k_p. Raises PowertrainError when the pack empties before
+    target_time even at k_p = 1.
+
+    The search is exact but runs few shadow flights (10 for the default
+    host and pack, where the plain bisection ran 55):
+    - Sign test. Let n be the first count of dt additions whose float sum
+      exceeds target_time. time_to_depletion(k_p) > target_time exactly
+      when the shadow energy is still positive after n - 1 steps, since
+      t only grows and the energy only falls.
+    - Monotone in k_p. Every float operation of a step rounds
+      monotonically and the bus stays above 2.8 V, so the energy after
+      n - 1 steps never rises as k_p grows: an outcome at one k_p decides
+      every k_p beyond it on the same side.
+    - Same midpoints. False position (Illinois) on that energy brackets
+      the answer between evaluated outcomes. The bisection then runs
+      unchanged; it evaluates a midpoint only when it lies strictly
+      inside that bracket and takes every other outcome from it."""
     if target_time <= 0.0:
         raise PowertrainError("target_time must be positive")
+    if target_time > 1.0e6:
+        # the plain bisection could trip time_to_depletion's 1e7 s guard
+        # on a midpoint this search infers
+        raise PowertrainError(f"target_time must be at most 1e6 s, got {target_time:g}")
+    if not 0.0 < dt <= target_time:
+        raise PowertrainError(f"dt must be in (0, target_time], got {dt}")
+    if not 0.0 < diode_drop <= 0.2:
+        raise PowertrainError(f"diode_drop {diode_drop} outside (0, 0.2] V")
+    cap = pack.capacity_wh
+    n, t = 0, 0.0
+    while t <= target_time:
+        t += dt
+        n += 1
+    # the evaluated outcomes nearest the answer: every k_p <= reach flies
+    # past target_time, every k_p >= fall does not; k_p = 0 draws nothing
+    reach, e_reach = 0.0, cap
+    fall, e_fall = inf, 0.0
 
-    def flight_time(k_p: float) -> float:
-        return time_to_depletion(
-            pack, pack.capacity_wh, hover_power(vehicle_mass, k_p), dt, diode_drop
-        )
+    def energy_left(k_p: float) -> float:
+        return shadow_energy(pack, cap, hover_power(vehicle_mass, k_p), n - 1, dt, diode_drop)
 
-    lo, hi = 1.0, 4.0 * pack.capacity_wh * 3600.0 / (
-        target_time * vehicle_mass * sqrt(vehicle_mass)
-    )
+    lo, hi = 1.0, 4.0 * cap * 3600.0 / (target_time * vehicle_mass * sqrt(vehicle_mass))
+    # false position on that energy from the lossless k_p, doubled until
+    # one falls short. When one bound moves twice running, the other's
+    # energy is halved so that it moves too (the Illinois rule). Only
+    # 1 <= k_p <= hi can decide a midpoint.
+    x, last = 0.25 * hi, None
+    while reach < x < fall:
+        e = energy_left(x)
+        if e > 0.0:
+            if last:
+                e_fall *= 0.5
+            reach, e_reach, last = x, e, True
+        else:
+            if last is False:
+                e_reach *= 0.5
+            fall, e_fall, last = x, e, False
+        if fall == inf:
+            x = min(2.0 * x, hi)
+        else:
+            x = reach + (fall - reach) * (e_reach / (e_reach - e_fall))
+            # a step that rounds onto a bound tries the float next to it
+            x = max(1.0, min(nextafter(fall, 0.0), max(nextafter(reach, fall), x)))
+
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             # the bracket cannot shrink further and mid is the result
             break
-        if flight_time(mid) > target_time:
+        if mid <= reach or (mid < fall and energy_left(mid) > 0.0):
             lo = mid
         else:
             hi = mid
     if lo == 1.0:
-        t_floor = flight_time(1.0)
+        t_floor = time_to_depletion(pack, cap, hover_power(vehicle_mass, 1.0), dt, diode_drop)
         if t_floor <= target_time:
             raise PowertrainError(
                 f"no k_p >= 1 reaches a {target_time:g} s hover: at k_p = 1 "

@@ -47,6 +47,7 @@ _POSITIVE = {
         "fb.k_p",  # main.k_p <= 0 asks for the calibrated value
     ),
     "batteries": tuple(f"{p}.{k}" for p in _PACKS for k in ("cells", "capacity_ah")),
+    "control": ("ff_lat_bins", "ff_gap_bins"),
     "sim": ("dt", "duration", "telemetry_hz"),
     "docking": (
         "hover_above_gap", "lateral_capture_radius", "drop_height", "descent_rate",
@@ -225,10 +226,10 @@ class Scenario:
                     value = reduce(getattr, key.split("."), getattr(self, sec))
                     ok, rule = (value > 0, "positive") if positive else (value >= 0, ">= 0")
                     _require(ok, f"{sec}.{key}", f"must be {rule}, got {value}")
-        # the host lifts the docked pair, whose parameters are built
-        # whether or not a unit docks
+        # with a fleet, the host lifts the docked pair
         v = self.vehicles
-        for name, mass in (("main", v.main.mass + v.fb.mass), ("fb", v.fb.mass)):
+        main_lifts = v.main.mass + (v.fb.mass if self.mission.fleet_size >= 1 else 0.0)
+        for name, mass in (("main", main_lifts), ("fb", v.fb.mass)):
             thrust = getattr(v, name).max_thrust
             rule = f"must exceed the weight of the {mass:g} kg it lifts, got {thrust}"
             _require(thrust > mass * GRAVITY, f"vehicles.{name}.max_thrust", rule)
@@ -423,9 +424,9 @@ class WorldInputs:
 
     main_params: VehicleParams
     fb_params: VehicleParams
-    comp_params: VehicleParams  # the docked pair as one body
+    comp_params: VehicleParams | None  # the docked pair as one body; None without a fleet
     main_cfg: ctl.CascadedPidConfig
-    comp_cfg: ctl.CascadedPidConfig
+    comp_cfg: ctl.CascadedPidConfig | None
     fb_cfg: ctl.CascadedPidConfig
     primary: pt.BatteryPack
     secondary: pt.BatteryPack
@@ -451,8 +452,10 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
 
     c = scenario.control
     main_cfg = ctl.default_config(main, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
-    comp = composite_params(main, fb, MOUNT_HEIGHT)
-    comp_cfg = ctl.default_config(comp, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
+    comp = comp_cfg = None
+    if scenario.mission.fleet_size >= 1:
+        comp = composite_params(main, fb, MOUNT_HEIGHT)
+        comp_cfg = ctl.default_config(comp, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
     fb_cfg = ctl.default_config(fb, c.pos_wn, c.pos_zeta, c.att_wn, c.att_zeta)
 
     lat_edges, gap_edges = c.ff_edges()

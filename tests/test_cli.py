@@ -218,6 +218,12 @@ BAD_INPUTS = {
         ["run"],
         "line 2: batteries.secondary.internal_resistance must be >= 0",
     ),
+    # a negative or zero bin count would fail inside numpy, or switch
+    # the feedforward off
+    **{
+        f"run-{key}={value}": (f"[control]\n{key} = {value}\n", ["run"], f"line 2: control.{key}")
+        for key, value in (("ff_gap_bins", "-2"), ("ff_lat_bins", "0"))
+    },
     "sweep-range_not_numbers": (
         "", ["sweep", "--param", "docking.mu", "--range", "a:b:3"], "a:b:3"
     ),
@@ -243,6 +249,24 @@ def test_bad_input_exits_config_error_in_one_line(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert word in err
+
+
+@pytest.mark.parametrize("fleet_size,code", [(0, 0), (1, 2)])
+def test_host_thrust_rule_counts_the_pair_only_with_a_fleet(tmp_path, capsys, fleet_size, code):
+    # 10 N lifts the 0.82 kg host alone, but not the 1.14 kg docked pair
+    (tmp_path / "thrust.cfg").write_text(
+        f"[mission]\nfleet_size = {fleet_size}\n[vehicles]\nmain.max_thrust = 10\n"
+        "[sim]\nduration = 2\n"
+    )
+    assert main(["run", "--scenario", str(tmp_path / "thrust.cfg"), "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: line 4: vehicles.main.max_thrust must exceed")
+    else:
+        # the host holds its 1.5 m hover to the end of the run
+        last = read_telemetry(tmp_path / "thrust_telemetry.csv")[-1]
+        assert last.time == pytest.approx(2.0, abs=0.011)
+        assert last.main_z == pytest.approx(1.5, abs=0.01)
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):

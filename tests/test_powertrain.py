@@ -1,10 +1,12 @@
 import math
+import re
 import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flybat.powertrain
 from conftest import full_scale_main_kp, run_optimized
 from flybat.powertrain import (
     _OCV_SEGMENTS,
@@ -23,11 +25,13 @@ from flybat.powertrain import (
     ocv,
     ocv_per_cell,
     rotor_power,
+    shadow_energy,
     solve_bus,
     solve_kp_for_endurance,
     time_to_depletion,
     total_rotor_power,
 )
+from flybat.scenario import _calibrated_main_kp, build_world_inputs, default_scenario
 
 # property tests draw the same examples on every run
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
@@ -282,23 +286,81 @@ def test_time_to_depletion_edge_loads_match_pack_stepping():
             depletes(pack, full, 1.0e-9, 1.0e6, 0.05)
 
 
-@settings(PROPERTY, max_examples=15)
+def steps_past(target_time, dt):
+    """The first count of dt additions whose float sum exceeds target_time."""
+    n, t = 0, 0.0
+    while t <= target_time:
+        t += dt
+        n += 1
+    return n
+
+
+@settings(PROPERTY, max_examples=100)
 @given(
-    cells=st.integers(1, 6),
-    capacity_ah=st.floats(0.01, 3.0),
-    r=st.floats(0.0, 0.1),
-    # the k_p that would empty the pack in target_time without losses;
-    # below about 1 the target is out of reach
-    lossless_kp=st.floats(0.3, 30.0),
-    target_time=st.floats(5.0, 120.0),
-    dt=st.sampled_from((0.05, 0.1, 0.2)),
-    diode_drop=st.floats(0.01, 0.2),
+    cells=st.integers(1, 12),
+    capacity_ah=st.floats(0.01, 10.0),
+    r=st.floats(0.0, 0.5),
+    dt=st.floats(0.01, 1.0),
+    diode_drop=st.floats(0.0, 0.2, exclude_min=True),
+    lossless_steps=st.integers(1, 3000),
+    share=st.floats(0.05, 2.0),
 )
-def test_solve_kp_matches_reference_bisection(
-    cells, capacity_ah, r, lossless_kp, target_time, dt, diode_drop
+def test_shadow_energy_sign_decides_time_to_depletion(
+    cells, capacity_ah, r, dt, diode_drop, lossless_steps, share
 ):
     pack = BatteryPack(cells, capacity_ah, internal_resistance=r)
+    full = pack.capacity_wh
+    load = full * 3600.0 / (lossless_steps * dt)
+    flight = time_to_depletion(pack, full, load, dt, diode_drop)
+    # a target anywhere, and the float sums of dt either side of the
+    # flight's own, each one rounding step either way
+    sums = [0.0]
+    while sums[-1] <= flight + 2.5 * dt:
+        sums.append(sums[-1] + dt)
+    j = sums.index(flight)
+    targets = [share * flight]
+    for t in sums[max(1, j - 2) : j + 3]:
+        targets += [math.nextafter(t, 0.0), t, math.nextafter(t, math.inf)]
+    for target_time in targets:
+        n = steps_past(target_time, dt)
+        left = shadow_energy(pack, full, load, n - 1, dt, diode_drop)
+        assert (left > 0.0) == (flight > target_time), (target_time, n, left)
+
+
+@st.composite
+def short_flights(draw):
+    """(pack, vehicle mass, target time, dt, diode drop) of 5-120 s hovers."""
+    pack = BatteryPack(
+        draw(st.integers(1, 6)),
+        draw(st.floats(0.01, 3.0)),
+        internal_resistance=draw(st.floats(0.0, 0.1)),
+    )
+    # the k_p that would empty the pack in target_time without losses;
+    # below about 1 the target is out of reach
+    lossless_kp = draw(st.floats(0.3, 30.0))
+    target_time = draw(st.floats(5.0, 120.0))
     vehicle_mass = (pack.capacity_wh * 3600.0 / (target_time * lossless_kp)) ** (2.0 / 3.0)
+    return pack, vehicle_mass, target_time, draw(st.sampled_from((0.05, 0.1, 0.2))), draw(
+        st.floats(0.01, 0.2)
+    )
+
+
+@st.composite
+def solo_flights(draw):
+    """The scenario's calibration, a 720 s hover at 0.1 s steps, for hosts
+    and packs around the default one."""
+    pack = BatteryPack(
+        draw(st.integers(1, 6)),
+        draw(st.floats(0.05, 6.0)),
+        internal_resistance=draw(st.floats(0.0, 0.1)),
+    )
+    return pack, draw(st.floats(0.3, 3.0)), 720.0, 0.1, draw(st.floats(0.01, 0.2))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(flight=st.one_of(short_flights(), solo_flights()))
+def test_solve_kp_matches_reference_bisection(flight):
+    pack, vehicle_mass, target_time, dt, diode_drop = flight
     k_ref, lo = reference_solve_kp(pack, vehicle_mass, target_time, dt, diode_drop)
     if lo == 1.0:
         # the lower bound never moved: the target is out of reach
@@ -309,6 +371,32 @@ def test_solve_kp_matches_reference_bisection(
         assert k.hex() == k_ref.hex()
 
 
+def test_solve_kp_at_the_longest_target_matches_reference_bisection():
+    # a 6S 6 Ah pack holds a 0.3 kg vehicle up for 1e6 s at k_p of about 2.9
+    pack = BatteryPack(6, 6.0, internal_resistance=0.025)
+    k_ref, lo = reference_solve_kp(pack, 0.3, 1.0e6, 1000.0, 0.05)
+    assert lo > 1.0
+    assert solve_kp_for_endurance(pack, 0.3, 1.0e6, 1000.0, 0.05).hex() == k_ref.hex()
+
+
+@pytest.mark.parametrize(
+    "target_time,dt,diode_drop,message",
+    [
+        # past 1e6 s the plain bisection could trip the 1e7 s guard
+        (1.5e6, 0.1, 0.05, "target_time must be at most 1e6 s, got 1.5e+06"),
+        (0.0, 0.1, 0.05, "target_time must be positive"),
+        (720.0, 0.0, 0.05, "dt must be in"),
+        (720.0, math.nan, 0.05, "dt must be in"),
+        (720.0, 721.0, 0.05, "dt must be in"),
+        (720.0, 0.1, 0.0, "diode_drop 0.0 outside"),
+        (720.0, 0.1, 0.25, "diode_drop 0.25 outside"),
+    ],
+)
+def test_solve_kp_rejects_out_of_range_inputs(target_time, dt, diode_drop, message):
+    with pytest.raises(PowertrainError, match=re.escape(message)):
+        solve_kp_for_endurance(pack_3s_22(r=0.025), 0.82, target_time, dt, diode_drop)
+
+
 def test_default_calibrated_kp_bits():
     # the host k_p that anchors the 720 s solo flight of the default
     # scenario, and the plain bisection's result on the same pack
@@ -316,6 +404,26 @@ def test_default_calibrated_kp_bits():
     assert full_scale_main_kp().hex() == expected
     pack = BatteryPack(3, 2.2, internal_resistance=0.025)
     assert reference_solve_kp(pack, 0.82, 720.0, 0.1, 0.05)[0].hex() == expected
+
+
+def test_default_calibration_cost(monkeypatch):
+    # at most 11 shadow flights of 7,199 steps; the plain bisection made
+    # 402,052 calls
+    calls = 0
+
+    def counted(soc):
+        nonlocal calls
+        calls += 1
+        return ocv_per_cell(soc)
+
+    monkeypatch.setattr(flybat.powertrain, "ocv_per_cell", counted)
+    _calibrated_main_kp.cache_clear()
+    try:
+        k = build_world_inputs(default_scenario()).main_params.k_p
+    finally:
+        _calibrated_main_kp.cache_clear()
+    assert k.hex() == "0x1.417b1cf9e528cp+7"
+    assert 0 < calls <= 80_000
 
 
 def test_unreachable_endurance_target_raises():

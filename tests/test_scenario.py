@@ -222,6 +222,8 @@ RANGE_CHECKS = [
     ("sim", "planar_drag_coeff", "-0.5"),
     ("mission", "termination", "whenever"),
     ("control", "ff_mode", "learned"),
+    ("control", "ff_lat_bins", "0"),  # would switch the feedforward off
+    ("control", "ff_gap_bins", "-2"),
     ("mission", "fleet_size", "-1"),
     ("sim", "dt", "0"),
     ("sim", "duration", "-5"),
@@ -272,6 +274,17 @@ def test_pack_mass_is_an_unknown_key(pack):
 def test_start_docked_check_names_its_line():
     with pytest.raises(ScenarioError, match=r"^line 3: mission\.start_docked requires"):
         parse_scenario("[mission]\nfleet_size = 0\nstart_docked = true\n")
+
+
+def test_solo_host_thrust_rule_counts_only_the_host():
+    # 10 N lifts the 0.82 kg host (8.04 N), not the docked pair (11.18 N)
+    inp = build_world_inputs(
+        parse_scenario("[mission]\nfleet_size = 0\n[vehicles]\nmain.max_thrust = 10\n")
+    )
+    assert inp.comp_params is None and inp.comp_cfg is None
+    rule = r"^line 4: vehicles\.main\.max_thrust must exceed the weight of the 0\.82 kg it lifts"
+    with pytest.raises(ScenarioError, match=rule):
+        parse_scenario("[mission]\nfleet_size = 0\n[vehicles]\nmain.max_thrust = 8\n")
 
 
 def test_check_of_a_key_the_file_left_unset_names_no_line():
