@@ -128,8 +128,12 @@ def _sweep_one(base: Scenario, param: str, value: str) -> MissionSummary:
 
 
 def cmd_sweep(args) -> int:
-    base = _resolve_scenario(args.scenario)
+    if args.workers < 1:
+        raise ScenarioError(f"--workers must be >= 1, got {args.workers}")
     values = _parse_range(args.range)
+    if not values:
+        raise ScenarioError("--range holds no values")
+    base = _resolve_scenario(args.scenario)
     # validate the parameter name and value casts up front
     for v in values:
         set_scenario_value(copy.deepcopy(base), args.param, v)

@@ -158,6 +158,67 @@ def fsm_step(
     raise DockingError(f"unknown phase {phase}")
 
 
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class Pcg64:
+    """PCG64 (XSL-RR 128/64) seeded through numpy's `SeedSequence`
+    algorithm, in Python integers: `random()` gives the doubles of
+    `numpy.random.default_rng(seed).random()`, bit for bit, on any
+    platform and without numpy."""
+
+    def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        words = [seed & _M32]  # the seed's 32-bit words, low first
+        while seed := seed >> 32:
+            words.append(seed & _M32)
+        h = 0x43B0D7E5
+
+        def hashmix(v: int) -> int:
+            nonlocal h
+            v ^= h
+            h = (h * 0x931E8875) & _M32
+            v = (v * h) & _M32
+            return v ^ (v >> 16)
+
+        def mix(x: int, y: int) -> int:
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ (r >> 16)
+
+        # SeedSequence: mix the entropy words into a 4-word pool
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        # generate_state(4, uint64): 8 words, paired little-endian
+        out, h = [], 0x8B51F9DD
+        for i in range(8):
+            v = pool[i % 4] ^ h
+            h = (h * 0x58F38DED) & _M32
+            v = (v * h) & _M32
+            out.append(v ^ (v >> 16))
+        s0, s1, s2, s3 = (out[2 * k] | out[2 * k + 1] << 32 for k in range(4))
+        # pcg_setseq_128_srandom_r
+        self.inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+        self.state = ((self.inc + (s0 << 64 | s1)) * _PCG_MULT + self.inc) & _M128
+
+    def random(self) -> float:
+        """The next double in [0, 1): the top 53 bits of one 64-bit output."""
+        self.state = s = (self.state * _PCG_MULT + self.inc) & _M128
+        v = ((s >> 64) ^ s) & _M64
+        rot = s >> 122
+        v = ((v >> rot) | (v << (64 - rot))) & _M64
+        return (v >> 11) * 2.0**-53
+
+
 def capture_check(landing_point_lateral: float, cfg: DockingSection, rng) -> ContactOutcome:
     """Outcome of a free-fall impact at the given lateral offset.
 
@@ -165,7 +226,8 @@ def capture_check(landing_point_lateral: float, cfg: DockingSection, rng) -> Con
     contact then succeeds when a uniform draw from rng clears the
     contact failure probability of cfg, the scenario's [docking]
     section; the draw is consumed only on mechanical engagement so the
-    stream stays aligned across retries."""
+    stream stays aligned across retries. rng needs only a `random()`
+    method returning a float in [0, 1): the world passes its `Pcg64`."""
     if not 0.0 <= cfg.contact_failure_probability <= 1.0:
         raise DockingError("contact_failure_probability must be in [0, 1]")
     mechanical = landing_point_lateral <= cfg.lateral_capture_radius

@@ -18,8 +18,6 @@ import math
 import struct
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import docking as dk
 from . import powertrain as pt
 from .aero import DownwashModel, align_torque, downwash_force
@@ -193,7 +191,7 @@ class World:
         self.dt: float = sim.dt
         self.duration: float = sim.duration
         self.step_index: int = 0
-        self.rng = np.random.default_rng(sim.seed)
+        self.rng = dk.Pcg64(sim.seed)
         self.rng_draws = 0
 
         # host vehicle

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache, reduce
 from typing import Any
 
-import numpy as np
-
 from . import control as ctl
 from . import powertrain as pt
 from .aero import DownwashModel
@@ -154,12 +152,19 @@ class ControlSection:
     ff_gap_max: float = 1.0
     ff_gap_bins: int = 11
 
-    def ff_edges(self) -> tuple[np.ndarray, np.ndarray]:
+    def ff_edges(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Bin edges of the feedforward map: lateral offset, vertical gap."""
-        return (
-            np.linspace(0.0, self.ff_lat_max, self.ff_lat_bins + 1),
-            np.linspace(0.0, self.ff_gap_max, self.ff_gap_bins + 1),
-        )
+        return _edges(self.ff_lat_max, self.ff_lat_bins), _edges(self.ff_gap_max, self.ff_gap_bins)
+
+
+def _edges(top: float, bins: int) -> tuple[float, ...]:
+    """bins + 1 edges from 0 to top in `numpy.linspace`'s arithmetic:
+    i * (top / bins) + 0.0, or (i / bins) * top where the step underflows
+    to zero, and top itself last."""
+    step = top / bins
+    if step == 0.0:
+        return tuple(i / bins * top + 0.0 for i in range(bins)) + (top,)
+    return tuple(i * step + 0.0 for i in range(bins)) + (top,)
 
 
 @dataclass
@@ -472,13 +477,8 @@ def build_world_inputs(scenario: Scenario) -> WorldInputs:
     n = m.fleet_size
     homes = []
     for i in range(n):
-        ang = 2.0 * np.pi * i / max(n, 1)
-        homes.append(
-            (
-                m.hover_x + radius * float(np.cos(ang)),
-                m.hover_y + radius * float(np.sin(ang)),
-            )
-        )
+        ang = 2.0 * math.pi * i / n
+        homes.append((m.hover_x + radius * math.cos(ang), m.hover_y + radius * math.sin(ang)))
 
     return WorldInputs(
         main_params=main,

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import scaled_mission_scenario
+from conftest import run_optimized, scaled_mission_scenario
 from flybat.cli import main
 from flybat.telemetry import read_telemetry
 
@@ -218,14 +218,26 @@ BAD_INPUTS = {
         ["run"],
         "line 2: batteries.secondary.internal_resistance must be >= 0",
     ),
-    # a negative or zero bin count would fail inside numpy, or switch
-    # the feedforward off
+    # a zero bin count would divide by zero, and a negative one would
+    # build a map without bins
     **{
         f"run-{key}={value}": (f"[control]\n{key} = {value}\n", ["run"], f"line 2: control.{key}")
         for key, value in (("ff_gap_bins", "-2"), ("ff_lat_bins", "0"))
     },
     "sweep-range_not_numbers": (
         "", ["sweep", "--param", "docking.mu", "--range", "a:b:3"], "a:b:3"
+    ),
+    # a sweep with no points, or no worker to run them
+    "sweep-range_empty": (
+        "", ["sweep", "--param", "docking.mu", "--range", ""], "error: --range holds no values"
+    ),
+    "sweep-range_commas": (
+        "", ["sweep", "--param", "docking.mu", "--range", ","], "error: --range holds no values"
+    ),
+    "sweep-workers=0": (
+        "",
+        ["sweep", "--param", "docking.mu", "--range", "0.5", "--workers", "0"],
+        "error: --workers must be >= 1, got 0",
     ),
     "analyze-curve_csv_directory": (
         None, ["analyze", "--m0", "0.63", "--phi", "0.5", "--curve-csv", "."], "directory"
@@ -402,23 +414,6 @@ def test_sweep_turnaround_delay_monotone(tmp_path):
     assert ext[0] >= ext[1] >= ext[2]
 
 
-def test_sweep_empty_range_header_only(tmp_path):
-    scenario = write_scaled_scenario(tmp_path / "scaled.cfg")
-    code = main(
-        [
-            "sweep",
-            "--scenario", str(scenario),
-            "--param", "docking.mu",
-            "--range", "",
-            "--out", str(tmp_path),
-        ]
-    )
-    assert code == 0
-    lines = (tmp_path / "sweep_docking_mu.csv").read_text().splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("value,")
-
-
 def test_sweep_unknown_parameter_rejected(tmp_path, capsys):
     scenario = write_scaled_scenario(tmp_path / "scaled.cfg")
     code = main(
@@ -470,3 +465,53 @@ def test_sweep_range_forms(tmp_path):
     assert _parse_range("1,2,3") == ["1", "2", "3"]
     assert _parse_range("5:9:1") == ["5"]
     assert _parse_range("") == []
+
+
+# ---------------------------------------------------------------------------
+# the runtime needs only the standard library
+# ---------------------------------------------------------------------------
+
+# four units, unit 0 docked on a 0.002 Ah secondary: it undocks, and
+# unit 1's capture at 7.95 s makes the run's first contact draw
+_CHURN = """\
+[batteries]
+secondary.capacity_ah = 0.002
+[docking]
+contact_failure_probability = 0.3
+home_radius = 0.5
+[mission]
+fleet_size = 4
+start_docked = true
+[sim]
+seed = 1000
+duration = 9
+"""
+
+_NUMPY_FREE_RUNS = """
+import sys
+from flybat import docking
+from flybat.cli import main
+
+churn, out = sys.argv[1:]
+draws = []
+_random = docking.Pcg64.random
+docking.Pcg64.random = lambda rng: draws.append(1) or _random(rng)
+sweep = ["--param", "docking.contact_failure_probability", "--range", "0.1,0.5"]
+for argv in (
+    ["run", "--scenario", "paper_demo", "--duration", "2"],
+    ["run", "--scenario", churn],
+    ["sweep", "--scenario", churn, *sweep, "--workers", "2"],
+):
+    if main([*argv, "--out", out]) != 0:
+        sys.exit(f"flybat {argv[0]} failed")
+if len(draws) != 3:
+    sys.exit(f"expected 3 contact draws, got {len(draws)}")
+if "numpy" in sys.modules:
+    sys.exit("numpy was imported")
+"""
+
+
+def test_runs_and_sweeps_never_import_numpy(tmp_path):
+    churn = tmp_path / "churn.cfg"
+    churn.write_text(_CHURN)
+    run_optimized(_NUMPY_FREE_RUNS, str(churn), str(tmp_path / "out"))

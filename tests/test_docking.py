@@ -14,6 +14,7 @@ from flybat.docking import (
     DockCommands,
     DockPhase,
     DockingError,
+    Pcg64,
     TRANSITIONS,
     capture_check,
     fsm_step,
@@ -190,6 +191,41 @@ def test_capture_electrical_requires_mechanical(rng):
             assert out.mechanical_engaged
     with pytest.raises(DockingError):
         ContactOutcome(mechanical_engaged=False, electrical_engaged=True)
+
+
+# ---------------------------------------------------------------------------
+# Pcg64: numpy's default_rng stream, the oracle
+# ---------------------------------------------------------------------------
+
+
+def _hex_streams(seed: int, draws: int = 1000) -> tuple[list[str], list[str]]:
+    """The first draws of Pcg64(seed) and of default_rng(seed), as hex."""
+    ours = Pcg64(seed)
+    ref = np.random.default_rng(seed).random(draws).tolist()
+    return [ours.random().hex() for _ in range(draws)], [x.hex() for x in ref]
+
+
+# small seeds, the dock_churn seeds, both sides of the 32-bit word
+# boundary, and seeds of three, four and five words (a fifth word mixes
+# into the pool after the first four)
+@pytest.mark.parametrize(
+    "seed", [0, 1, 3, 7, *range(1000, 1016), 2**32 - 1, 2**32, 2**64 + 5, 10**30, 2**130 - 1]
+)
+def test_pcg64_matches_default_rng(seed):
+    ours, ref = _hex_streams(seed)
+    assert ours == ref
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**130 - 1))
+def test_pcg64_matches_default_rng_on_any_seed(seed):
+    ours, ref = _hex_streams(seed)
+    assert ours == ref
+
+
+def test_pcg64_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        Pcg64(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ from dataclasses import fields
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flybat.scenario import (
+    ControlSection,
     ScenarioError,
     _section_keys,
     bundled_scenario,
@@ -297,6 +301,45 @@ def test_check_of_a_key_the_file_left_unset_names_no_line():
 def test_override_cast_error_names_no_line():
     with pytest.raises(ScenarioError, match=r"^invalid value 'abc' for key 'docking\.mu'$"):
         set_scenario_value(default_scenario(), "docking.mu", "abc")
+
+
+# ---------------------------------------------------------------------------
+# setup inputs against the numpy expressions they replace
+# ---------------------------------------------------------------------------
+
+_MAXIMA = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lat_max=_MAXIMA, gap_max=_MAXIMA)
+@example(lat_max=0.4, gap_max=1.0)
+@example(lat_max=5e-324, gap_max=1e-320)  # the step underflows to zero
+@example(lat_max=0.0, gap_max=-0.5)
+@example(lat_max=1.7e308, gap_max=-1.7e308)  # late edges overflow
+def test_ff_edges_match_numpy_linspace(lat_max, gap_max):
+    for bins in range(1, 65):
+        # an edge past the largest float is inf on both sides
+        with np.errstate(over="ignore"):
+            ref_lat = np.linspace(0.0, lat_max, bins + 1).tolist()
+            ref_gap = np.linspace(0.0, gap_max, bins + 1).tolist()
+        c = ControlSection(ff_lat_max=lat_max, ff_lat_bins=bins, ff_gap_max=gap_max, ff_gap_bins=bins)
+        lat, gap = c.ff_edges()
+        assert [x.hex() for x in lat] == [x.hex() for x in ref_lat]
+        assert [x.hex() for x in gap] == [x.hex() for x in ref_gap]
+
+
+def test_homes_match_numpy_trig():
+    sc = default_scenario()
+    sc.mission.hover_x, sc.mission.hover_y = 0.3, -1.2
+    r = sc.docking.home_radius
+    for n in range(1, 65):
+        sc.mission.fleet_size = n
+        homes = build_world_inputs(sc).homes
+        angles = [2.0 * np.pi * i / n for i in range(n)]
+        expected = [(0.3 + r * float(np.cos(a)), -1.2 + r * float(np.sin(a))) for a in angles]
+        assert [(x.hex(), y.hex()) for x, y in homes] == [
+            (x.hex(), y.hex()) for x, y in expected
+        ]
 
 
 def test_validate_runs_on_a_scenario_built_in_code():
