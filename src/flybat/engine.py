@@ -65,12 +65,20 @@ _DOCK_COMMANDS = {
 
 
 class SimNumericsError(RuntimeError):
-    """A non-finite value appeared; names the step and subsystem."""
+    """A non-finite value appeared; names the step and subsystem. A
+    pickled copy keeps the message as it stands, such as a failed sweep
+    point's with the point's name in front."""
 
-    def __init__(self, step_index: int, subsystem: str):
-        super().__init__(f"non-finite value at step {step_index} in {subsystem}")
+    def __init__(self, step_index: int, subsystem: str, message: str | None = None):
+        if message is None:
+            message = f"non-finite value at step {step_index} in {subsystem}"
+        super().__init__(message)
         self.step_index = step_index
         self.subsystem = subsystem
+
+    def __reduce__(self):
+        # the default reduction calls the class with args alone
+        return type(self), (self.step_index, self.subsystem, str(self))
 
 
 @dataclass(frozen=True)
@@ -268,7 +276,7 @@ class World:
         self._alt_err_abs_max = 0.0
         # quiescent-host memo (see step): the state tuple it holds for,
         # then (cfg, mass, body constants, ix, iy, iz, iyaw, packed inputs,
-        # (thrust, zx, zy, zz))
+        # (thrust, zx, zy, zz, load))
         self._host_memo_state: tuple | None = None
         self._host_memo: tuple = ()
 
@@ -669,8 +677,9 @@ class World:
                 fy += drag_fy
 
         # A host whose state and integrators map onto themselves bitwise
-        # under unchanged inputs repeats the same step: reuse its thrust
-        # and thrust axis and leave state and integrators as they are.
+        # under unchanged inputs repeats the same step: reuse its thrust,
+        # thrust axis and rotor load and leave state and integrators as
+        # they are.
         # Objects are matched by identity (any write replaces them), the
         # inputs bit for bit.
         pid = self.main_pid
@@ -688,7 +697,7 @@ class World:
             and pid.iyaw is memo[6]
             and _HOST_INPUTS.pack(hx, hy, hz, svx, sax, ff, fx, fy, fz, tx, ty, tz) == memo[7]
         ):
-            thrust, zx, zy, zz = memo[8]
+            thrust, zx, zy, zz, load = memo[8]
         else:
             ints = (pid.ix, pid.iy, pid.iz, pid.iyaw)
             thrust, q_des = pid.position_flat(
@@ -730,9 +739,10 @@ class World:
                 alt_err = -alt_err
             if alt_err > self._alt_err_abs_max:
                 self._alt_err_abs_max = alt_err
+            load = pt.total_rotor_power(thrust, self.k_thrust_main)
             if ns == ms:
                 inputs = (hx, hy, hz, svx, sax, ff, fx, fy, fz, tx, ty, tz)
-                self._arm_host_memo(ms, ints, body, inputs, (thrust, zx, zy, zz))
+                self._arm_host_memo(ms, ints, body, inputs, (thrust, zx, zy, zz, load))
 
         # --- docked contact diagnostic ---------------------------------
         if docked is not None:
@@ -784,7 +794,6 @@ class World:
                             self._event(t, "phase", u.uid, u.phase.value, in_column=False)
 
         # --- powertrain --------------------------------------------------
-        load = pt.total_rotor_power(thrust, self.k_thrust_main)
         docked = self.docked_unit
         if docked is None:
             bus = pt.solve_bus(self.circuit, self.primary, self.primary_wh, None, 0.0, load)
@@ -803,7 +812,7 @@ class World:
             if i_p > 0.0:
                 share = load * i_p / (i_p + i_s)
                 before = self.primary_wh
-                self.primary_wh = left = pt.discharge(self.primary, before, share, dt, current=i_p)
+                self.primary_wh = left = pt.discharge(self.primary, before, share, dt, i_p)
                 self.primary_drawn_wh += before - left
                 self.time_on_primary += dt
                 if left <= 0.0:
@@ -811,9 +820,7 @@ class World:
             if i_s > 0.0 and docked is not None:
                 share = load * i_s / (i_p + i_s)
                 before = docked.secondary_wh
-                docked.secondary_wh = left = pt.discharge(
-                    docked.secondary, before, share, dt, current=i_s
-                )
+                docked.secondary_wh = left = pt.discharge(docked.secondary, before, share, dt, i_s)
                 if docked.secondary_drawn_wh is None:
                     docked.secondary_drawn_wh = 0.0
                     self._secondary_draw_order.append(docked)
@@ -881,28 +888,19 @@ class World:
             fb_pos = (mp[0] + mount[0], mp[1] + mount[1], mp[2] + mount[2])
         else:
             fb_id, fb_phase, fb_pos = u.uid, u.phase.value, (u.state[0], u.state[1], u.state[2])
-        bus = self.bus
+        v, i_p, i_s, source = self.bus
+        i_total = i_p + i_s
+        events = self.log.events
+        mark = self._row_mark
         row = TelemetryRow(
-            time=t,
-            bus_voltage=bus.bus_voltage,
-            current_total=bus.current_primary + bus.current_secondary,
-            current_primary=bus.current_primary,
-            current_secondary=bus.current_secondary,
-            power=bus.bus_voltage * (bus.current_primary + bus.current_secondary),
-            active_source=bus.active_source.value,
-            main_x=mp[0],
-            main_y=mp[1],
-            main_z=mp[2],
-            fb_id=fb_id,
-            fb_phase=fb_phase,
-            fb_x=fb_pos[0],
-            fb_y=fb_pos[1],
-            fb_z=fb_pos[2],
-            contact_normal_force=self.contact_normal,
-            events=events_column(self.log.events[self._row_mark :]),
+            t, v, i_total, i_p, i_s, v * i_total, source.value,
+            mp[0], mp[1], mp[2],
+            fb_id, fb_phase, fb_pos[0], fb_pos[1], fb_pos[2],
+            self.contact_normal,
+            events_column(events[mark:]) if len(events) > mark else "",
         )
         self.writer.write_row(row)
-        self._row_mark = len(self.log.events)
+        self._row_mark = len(events)
         self._column_due = False
 
     # ------------------------------------------------------------------

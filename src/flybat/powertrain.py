@@ -106,6 +106,17 @@ class BusSample(NamedTuple):
         return self.current_primary + self.current_secondary
 
 
+# solve_bus runs every step: its sources are read from module constants
+# (an Enum class attribute read is slow on Python 3.11), and its samples
+# are built with tuple.__new__, skipping the named tuple's generated
+# Python __new__
+_PRIMARY = ActiveSource.PRIMARY
+_SECONDARY = ActiveSource.SECONDARY
+_BOTH = ActiveSource.BOTH
+_NO_SOURCE = ActiveSource.NONE
+_new_tuple = tuple.__new__
+
+
 def rotor_power(thrust_per_rotor: float, k_thrust_power: float) -> float:
     """Aerodynamic power draw of one propeller: k * thrust**1.5 (W)."""
     if thrust_per_rotor < 0.0:
@@ -224,23 +235,31 @@ def solve_bus(
     if circuit.secondary_present and secondary is not None and secondary_wh > 0.0:
         v_s = ocv_per_cell(secondary_wh / secondary.capacity_wh) * secondary.cell_count
 
-    if v_s is None:
+    if v_p is None or v_s is None:
+        # One source: the two-source split below reduces to all of the
+        # current on it, with the same bits (c * (d / d) is c, and
+        # c * (0.0 / d) is c * 0.0, for a finite d > 0), or to none when
+        # the diode drop rounds away.
+        v = v_s if v_p is None else v_p
+        if v is None:
+            return _new_tuple(BusSample, (0.0, 0.0, 0.0, _NO_SOURCE))
+        bus = v - circuit.diode_drop
+        if not v - bus > 0.0:
+            return _new_tuple(BusSample, (bus, 0.0, 0.0, _SECONDARY))
+        c = load_power / bus if bus > 0.0 else 0.0
         if v_p is None:
-            return BusSample(0.0, 0.0, 0.0, ActiveSource.NONE)
-        v_top = v_p
-    else:
-        v_top = v_s if v_p is None or v_s > v_p else v_p
-    bus = v_top - circuit.diode_drop
+            return _new_tuple(BusSample, (bus, c * 0.0, c, _SECONDARY))
+        return _new_tuple(BusSample, (bus, c, c * 0.0, _PRIMARY))
+
+    bus = (v_s if v_s > v_p else v_p) - circuit.diode_drop
     # d if d > 0.0 else 0.0 is max(0.0, d), nan and -0.0 included
     surplus_p = surplus_s = 0.0
-    if v_p is not None:
-        d = v_p - bus
-        if d > 0.0:
-            surplus_p = d
-    if v_s is not None:
-        d = v_s - bus
-        if d > 0.0:
-            surplus_s = d
+    d = v_p - bus
+    if d > 0.0:
+        surplus_p = d
+    d = v_s - bus
+    if d > 0.0:
+        surplus_s = d
 
     if surplus_p > 0.0 and surplus_s > 0.0:
         # Both conduct only inside the diode window, which is at most the
@@ -258,12 +277,12 @@ def solve_bus(
     i_s = total_current * (surplus_s / share) if share > 0.0 else 0.0
 
     if surplus_p > 0.0 and surplus_s > 0.0:
-        source = ActiveSource.BOTH
+        source = _BOTH
     elif surplus_p > 0.0:
-        source = ActiveSource.PRIMARY
+        source = _PRIMARY
     else:
-        source = ActiveSource.SECONDARY
-    return BusSample(bus, i_p, i_s, source)
+        source = _SECONDARY
+    return _new_tuple(BusSample, (bus, i_p, i_s, source))
 
 
 def command_switch(circuit: SwitchCircuit, target: SwitchTarget) -> SwitchCircuit:

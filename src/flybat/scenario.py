@@ -45,7 +45,7 @@ _POSITIVE = {
         "fb.k_p",  # main.k_p <= 0 asks for the calibrated value
     ),
     "batteries": tuple(f"{p}.{k}" for p in _PACKS for k in ("cells", "capacity_ah")),
-    "control": ("ff_lat_bins", "ff_gap_bins"),
+    "control": ("ff_lat_max", "ff_lat_bins", "ff_gap_max", "ff_gap_bins"),
     "sim": ("dt", "duration", "telemetry_hz"),
     "docking": (
         "hover_above_gap", "lateral_capture_radius", "drop_height", "descent_rate",

@@ -43,12 +43,14 @@ COLUMNS = TelemetryRow._fields
 _FLOAT_COLS = frozenset(
     c for c in COLUMNS if c not in ("active_source", "fb_id", "fb_phase", "events")
 )
-# one field per column: 9 significant digits for floats, str() for the rest
-_ROW_FORMAT = ",".join("{:.9g}" if c in _FLOAT_COLS else "{!s}" for c in COLUMNS)
+# one field per column: 9 significant digits for floats, str() for the
+# rest; printf-style, which formats a row in about half the time of
+# str.format with the same text
+_ROW_FORMAT = ",".join("%.9g" if c in _FLOAT_COLS else "%s" for c in COLUMNS)
 
 
 def format_row(row: TelemetryRow) -> str:
-    return _ROW_FORMAT.format(*row)
+    return _ROW_FORMAT % row
 
 
 def parse_row(line: str) -> TelemetryRow:

@@ -69,16 +69,16 @@ def scaled_mission_scenario(
     return sc
 
 
-def run_optimized(code: str, *args: str) -> None:
+def run_optimized(code: str, *args: str, env: dict[str, str] | None = None) -> None:
     """Run code in a fresh `python -O` interpreter (asserts stripped) that
-    can import flybat and the test modules; fail on a non-zero exit."""
+    can import flybat and the test modules, with env's variables added to
+    this process's environment; fail on a non-zero exit."""
     path = [str(SRC_DIR), str(TESTS_DIR)]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code, *args],
-        env=env,
+        env=dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(path)),
         capture_output=True,
         text=True,
         timeout=300,

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from conftest import run_optimized, scaled_mission_scenario
@@ -223,6 +225,16 @@ BAD_INPUTS = {
     **{
         f"run-{key}={value}": (f"[control]\n{key} = {value}\n", ["run"], f"line 2: control.{key}")
         for key, value in (("ff_gap_bins", "-2"), ("ff_lat_bins", "0"))
+    },
+    # a map maximum <= 0 would leave every offset outside the map, which
+    # switched the feedforward off without a word
+    **{
+        f"run-{key}={value}": (
+            f"[sim]\nduration = 2\n[control]\n{key} = {value}\n",
+            ["run"],
+            f"error: line 4: control.{key} must be positive",
+        )
+        for key, value in (("ff_lat_max", "-1"), ("ff_gap_max", "0"))
     },
     "sweep-range_not_numbers": (
         "", ["sweep", "--param", "docking.mu", "--range", "a:b:3"], "a:b:3"
@@ -456,6 +468,32 @@ def test_sweep_numeric_failure_names_the_point_and_exits_3(tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: docking.mu = 0.5: non-finite value at step"), err
+
+
+def test_numerics_error_pickles_with_its_point(tmp_path):
+    # a process pool sends a failed point's error back pickled
+    from flybat.cli import _sweep_one
+    from flybat.engine import SimNumericsError
+    from flybat.scenario import load_scenario
+
+    plain = pickle.loads(pickle.dumps(SimNumericsError(5, "host dynamics")))
+    assert type(plain) is SimNumericsError
+    assert (plain.step_index, plain.subsystem) == (5, "host dynamics")
+    assert str(plain) == "non-finite value at step 5 in host dynamics"
+
+    scenario = write_scaled_scenario(
+        tmp_path / "unstable.cfg",
+        duration=30.0,
+        extra="\n[control]\natt_wn = 100000000.0\n",
+    )
+    with pytest.raises(SimNumericsError) as info:
+        _sweep_one(load_scenario(scenario), "docking.mu", "0.5")
+    exc = info.value
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is SimNumericsError
+    assert (back.step_index, back.subsystem) == (exc.step_index, exc.subsystem)
+    assert back.args == exc.args
+    assert str(back).startswith("docking.mu = 0.5: non-finite value at step")
 
 
 def test_sweep_range_forms(tmp_path):

@@ -381,6 +381,26 @@ def test_fast_path_rows_match_full_path(rk4_calls, case, engages):
         assert fast.dock_count >= 1 and fast.undock_count >= 1
 
 
+def test_memo_hit_steps_reuse_the_rotor_load(monkeypatch, rk4_calls):
+    # the memo carries the host's rotor load, so only a step that
+    # integrates the host computes it; the rows are those of the full path
+    loads = [0]
+    total_rotor_power = flybat.powertrain.total_rotor_power
+
+    def counted(*args):
+        loads[0] += 1
+        return total_rotor_power(*args)
+
+    monkeypatch.setattr(flybat.powertrain, "total_rotor_power", counted)
+    sc, duration = _solo_1khz()
+    fast = _stepped(sc, duration, full_path=False)
+    assert loads[0] == rk4_calls[0] < fast.step_index // 100
+    loads[0] = rk4_calls[0] = 0
+    full = _stepped(sc, duration, full_path=True)
+    assert loads[0] == rk4_calls[0] == full.step_index == fast.step_index
+    assert [format_row(r) for r in fast.writer.rows] == [format_row(r) for r in full.writer.rows]
+
+
 def test_quiescent_solo_hover_integrates_host_a_handful_of_times(rk4_calls):
     w = World(solo_scenario(duration=2.0))
     w.run(2.0)
@@ -403,6 +423,7 @@ def _churn_start_docked():
 
 OPTIMIZE_CASES = {
     "solo_hover": lambda: (solo_scenario(duration=2.0, telemetry_hz=1000.0), 2.0),
+    "paper_demo_25s": lambda: (bundled_scenario("paper_demo"), 25.0),
     "paper_demo_60s": lambda: (bundled_scenario("paper_demo"), 60.0),
     "churn_start_docked": _churn_start_docked,
 }
@@ -433,6 +454,16 @@ def test_solo_hover_telemetry_same_under_optimize(tmp_path):
 @pytest.mark.parametrize("case", ["paper_demo_60s", "churn_start_docked"])
 def test_mission_telemetry_same_under_optimize(tmp_path, case):
     _check_same_under_optimize(tmp_path, case)
+
+
+@pytest.mark.parametrize("case", ["paper_demo_25s", "churn_start_docked"])
+def test_mission_telemetry_same_across_hash_seeds(tmp_path, case):
+    # string hashing differs between the two processes; the bytes may not
+    for seed in ("0", "1"):
+        run_optimized(
+            _OPTIMIZED_RUN, case, str(tmp_path / f"{seed}.csv"), env={"PYTHONHASHSEED": seed}
+        )
+    assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
 
 
 # --- benchmark tracer bindings -----------------------------------------------

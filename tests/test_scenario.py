@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 from dataclasses import fields
 from functools import reduce
 from pathlib import Path
@@ -30,6 +31,9 @@ from flybat.telemetry import (
     parse_row,
     read_telemetry,
 )
+
+# property tests draw the same examples on every run
+PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +446,30 @@ def test_format_row_matches_per_field_formatting(value):
     assert format_row(mixed) == _format_row_per_field(mixed)
     assert format_row(mixed).split(",")[COLUMNS.index("main_y")] == f"{value:.9g}"
 
+
+
+# the str.format spelling format_row used before its printf-style string
+_FORMER_ROW_FORMAT = ",".join(
+    "{!s}" if c in ("active_source", "fb_id", "fb_phase", "events") else "{:.9g}" for c in COLUMNS
+)
+_FLOAT_COLUMNS = [c for c in COLUMNS if c not in ("active_source", "fb_id", "fb_phase", "events")]
+
+# every 64-bit pattern is a double: normals, subnormals, +-0, +-inf and
+# nans with any payload; ints and bools also reach the float columns
+_cell = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072009e-308]),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(
+    st.lists(_cell, min_size=len(_FLOAT_COLUMNS), max_size=len(_FLOAT_COLUMNS)),
+    st.integers(-(2**40), 2**40),
+    st.text(alphabet=st.characters(blacklist_characters=",\n"), max_size=12),
+)
+def test_format_row_matches_former_str_format(values, fb_id, events):
+    row = _row()._replace(**dict(zip(_FLOAT_COLUMNS, values)), fb_id=fb_id, events=events)
+    assert format_row(row) == _FORMER_ROW_FORMAT.format(*row)
