@@ -17,23 +17,16 @@ from .docking import (
     DockPhase,
     capture_check,
     fsm_step,
-    maneuver_durations,
 )
-from .dynamics import (
-    ContactSolution,
-    VehicleParams,
-    composite_params,
-    contact_forces,
-    contact_retained,
-)
+from .dynamics import VehicleParams, composite_params, contact_load, docked_mass_share
 from .endurance import (
+    OPTIMAL_PHI,
     DesignComparison,
     EnduranceInputs,
     EnduranceReport,
     design_comparison,
     flight_time,
     normalized_curve,
-    optimal_phi,
 )
 from .engine import MissionLog, SimNumericsError, World
 from .mission import MissionResult, MissionSummary, run_mission, summarize
@@ -47,7 +40,6 @@ from .powertrain import (
     discharge,
     hover_power,
     ocv,
-    rotor_power,
     solve_bus,
 )
 from .scenario import Scenario, ScenarioError, bundled_scenario, load_scenario, parse_scenario

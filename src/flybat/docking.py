@@ -237,26 +237,3 @@ def capture_check(landing_point_lateral: float, cfg: DockingSection, rng) -> Con
     electrical = draw >= cfg.contact_failure_probability
     return ContactOutcome(True, electrical, draw)
 
-
-def maneuver_durations(trace) -> tuple[float | None, float | None]:
-    """(dock_time, undock_time) measured from a phase-entry trace.
-
-    trace is an iterable of (t, phase) entries for one unit. Dock time
-    runs from the first TAKEOFF entry to the first DOCKED entry after
-    it; undock time from the first UNDOCK_ASCEND entry to the next
-    GROUNDED entry. Missing legs yield None."""
-    events = [(float(t), DockPhase(p) if not isinstance(p, DockPhase) else p) for t, p in trace]
-    dock_time = None
-    undock_time = None
-    t_takeoff = None
-    t_undock = None
-    for t, phase in events:
-        if phase is DockPhase.TAKEOFF and t_takeoff is None:
-            t_takeoff = t
-        elif phase is DockPhase.DOCKED and t_takeoff is not None and dock_time is None:
-            dock_time = t - t_takeoff
-        elif phase is DockPhase.UNDOCK_ASCEND and t_undock is None:
-            t_undock = t
-        elif phase is DockPhase.GROUNDED and t_undock is not None and undock_time is None:
-            undock_time = t - t_undock
-    return dock_time, undock_time

@@ -1,9 +1,10 @@
-"""Rigid-body vehicle dynamics, docked-pair composition, and contact analysis.
+"""Rigid-body vehicle dynamics, docked-pair composition, and the docked
+contact rule.
 
 World frame is z-up with gravity 9.81 m/s^2. States use SI units
 throughout. The docked pair is treated as a single rigid body while
-engaged; the contact normal/friction solution is evaluated
-diagnostically from the zero-relative-acceleration condition:
+engaged; `contact_load` evaluates the contact loads diagnostically from
+the zero-relative-acceleration condition:
 
     normal   = m_fb * f_T / (m_m + m_fb)
     friction = m_fb * f_ext_planar / (m_m + m_fb)
@@ -57,19 +58,6 @@ class VehicleParams:
             raise DynamicsError(
                 f"inertia must be three positive moments (ixx, iyy, izz), got {self.inertia}"
             )
-
-
-@dataclass(frozen=True)
-class ContactSolution:
-    """Docked-contact requirement for zero relative acceleration.
-
-    normal_force is along the host body z axis, positive pressing the
-    legs into the platform; required_friction is the in-plane force
-    magnitude the mechanism must supply."""
-
-    normal_force: float
-    required_friction: float
-    engaged: bool
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +193,13 @@ def rk4_flat(s, dt, inv_mass, ii, jj, fx, fy, fz, tx, ty, tz) -> State13:
     )
 
 
+def docked_mass_share(main_mass: float, fb_mass: float) -> float:
+    """The docked unit's share of the pair's mass, m_fb / (m_m + m_fb)."""
+    if main_mass <= 0.0 or fb_mass <= 0.0:
+        raise DynamicsError(f"masses must be positive, got {main_mass} and {fb_mass}")
+    return fb_mass / (main_mass + fb_mass)
+
+
 def composite_params(
     main: VehicleParams, fb: VehicleParams, mount_height: float
 ) -> VehicleParams:
@@ -218,7 +213,7 @@ def composite_params(
     powertrain constant stay those of the host (its rotors do the work)."""
     m_m, m_fb = main.mass, fb.mass
     total = m_m + m_fb
-    d_com = mount_height * (m_fb / total)  # host COM -> combined COM
+    d_com = mount_height * docked_mass_share(m_m, m_fb)  # host COM -> combined COM
     d_fb = mount_height - d_com
     a_main = m_m * (d_com * d_com)
     a_fb = m_fb * (d_fb * d_fb)
@@ -233,33 +228,20 @@ def composite_params(
 
 def composite_com_offset(main_mass: float, fb_mass: float, mount_offset: Vec3) -> Vec3:
     """Offset from the host COM to the combined COM, host body axes."""
-    s = fb_mass / (main_mass + fb_mass)
+    s = docked_mass_share(main_mass, fb_mass)
     return (mount_offset[0] * s, mount_offset[1] * s, mount_offset[2] * s)
 
 
-def contact_forces(
-    main_mass: float, fb_mass: float, thrust: float, external_planar_force: float = 0.0
-) -> ContactSolution:
-    """Normal force and required friction for the docked pair to
-    co-accelerate, given the host thrust (along its body z) and an
-    external platform-plane force magnitude acting on the host.
+def contact_load(share, thrust, ext_axial, ext_planar, mu):
+    """(normal, friction, held) of the docked contact for the pair to
+    co-accelerate.
 
-    Negative thrust would make the required normal force tensile, which
-    the passive mechanism cannot supply: the solution reports the pair
-    disengaged in that case."""
-    if main_mass <= 0.0 or fb_mass <= 0.0:
-        raise DynamicsError("masses must be positive")
-    ratio = fb_mass / (main_mass + fb_mass)
-    normal = ratio * thrust
-    friction = ratio * abs(external_planar_force)
-    return ContactSolution(
-        normal_force=normal, required_friction=friction, engaged=normal >= 0.0
-    )
-
-
-def contact_retained(contact: ContactSolution, mu: float) -> bool:
-    """True when dry friction with coefficient mu can hold the docked
-    pair together for this contact solution."""
-    if mu < 0.0:
-        raise DynamicsError(f"mu must be non-negative, got {mu}")
-    return contact.engaged and contact.required_friction <= mu * contact.normal_force
+    share is `docked_mass_share`; thrust is the host's along its body z
+    axis, and ext_axial and ext_planar the parts of an external force on
+    the host along that axis and in the platform plane (its magnitude).
+    normal presses the legs into the platform. The passive mechanism
+    holds while normal is not tensile and dry friction with coefficient
+    mu covers the in-plane load."""
+    normal = share * (thrust + ext_axial)
+    friction = share * ext_planar
+    return normal, friction, normal >= 0.0 and friction <= mu * normal

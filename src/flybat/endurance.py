@@ -19,7 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import isfinite, sqrt
 
-OPTIMAL_PHI = 2.0 / 3.0
+from .powertrain import hover_power
+
+OPTIMAL_PHI = 2.0 / 3.0  # the battery mass fraction that maximizes hover flight time
 
 
 class EnduranceError(ValueError):
@@ -71,7 +73,7 @@ def flight_time(inputs: EnduranceInputs) -> EnduranceReport:
     """Hover flight time for a battery mass fraction phi."""
     battery_mass = inputs.phi / (1.0 - inputs.phi) * inputs.m0
     total_mass = inputs.m0 / (1.0 - inputs.phi)
-    power = inputs.k_p * total_mass * sqrt(total_mass)
+    power = hover_power(total_mass, inputs.k_p)
     t = 3600.0 * inputs.gamma * battery_mass / power
     return EnduranceReport(
         flight_time=t,
@@ -91,11 +93,6 @@ def normalized_curve(phi_grid=None) -> list[tuple[float, float]]:
         n = 512
         phi_grid = [0.999 * i / (n - 1) for i in range(n)]
     return [(float(p), normalized_flight_time(float(p))) for p in phi_grid]
-
-
-def optimal_phi() -> float:
-    """Battery mass fraction maximizing hover flight time: 2/3."""
-    return OPTIMAL_PHI
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,8 @@ from .dynamics import (
     VehicleParams,
     body_constants,
     composite_com_offset,
+    contact_load,
+    docked_mass_share,
     rk4_flat,
 )
 from .geom import q_rotate
@@ -220,7 +222,9 @@ class World:
         self._main_solo_body = body_constants(inp.main_params)
         self._main_comp_body = None if comp is None else body_constants(comp)
         # the docked unit's share of the composite's mass (contact loads)
-        self._docked_mass_share = None if comp is None else inp.fb_params.mass / comp.mass
+        self._docked_mass_share = (
+            None if comp is None else docked_mass_share(inp.main_params.mass, inp.fb_params.mass)
+        )
         hp = (m.hover_x, m.hover_y, m.hover_z)
         self.hover_position = hp
         self.main_state = (
@@ -749,13 +753,10 @@ class World:
             ext_axial = drag_fx * zx + drag_fy * zy
             pl2 = drag_fx * drag_fx + drag_fy * drag_fy - ext_axial * ext_axial
             ext_planar = math.sqrt(pl2) if pl2 > 0.0 else 0.0
-            ratio = self._docked_mass_share
-            self.contact_normal = ratio * (thrust + ext_axial)
-            self.contact_friction = ratio * ext_planar
-            slipping = not (
-                self.contact_normal >= 0.0
-                and self.contact_friction <= self.docking.mu * self.contact_normal
+            self.contact_normal, self.contact_friction, held = contact_load(
+                self._docked_mass_share, thrust, ext_axial, ext_planar, self.docking.mu
             )
+            slipping = not held
             # one event per slip episode, on the step the contact lets go
             if slipping and not self._slipping:
                 self._event(t, "contact_slip", docked.uid)

@@ -117,13 +117,6 @@ _NO_SOURCE = ActiveSource.NONE
 _new_tuple = tuple.__new__
 
 
-def rotor_power(thrust_per_rotor: float, k_thrust_power: float) -> float:
-    """Aerodynamic power draw of one propeller: k * thrust**1.5 (W)."""
-    if thrust_per_rotor < 0.0:
-        raise PowertrainError(f"thrust must be non-negative, got {thrust_per_rotor}")
-    return k_thrust_power * thrust_per_rotor * sqrt(thrust_per_rotor)
-
-
 def hover_power(total_mass: float, k_p: float) -> float:
     """Hover electric power k_p * total_mass**1.5 (W)."""
     if total_mass < 0.0:

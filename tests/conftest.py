@@ -10,6 +10,7 @@ import pytest
 
 import flybat
 from flybat.control import CascadedPid
+from flybat.docking import DockPhase
 from flybat.scenario import ControlSection, Scenario, build_world_inputs, default_scenario
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -103,6 +104,30 @@ def golden_section_argmax(f, lo: float, hi: float, tol: float = 1.0e-12) -> floa
             d = a + invphi * (b - a)
             fd = f(d)
     return 0.5 * (a + b)
+
+
+def maneuver_durations(trace) -> tuple[float | None, float | None]:
+    """(dock_time, undock_time) measured from a phase-entry trace.
+
+    trace is an iterable of (t, phase) entries for one unit. Dock time
+    runs from the first TAKEOFF entry to the first DOCKED entry after
+    it; undock time from the first UNDOCK_ASCEND entry to the next
+    GROUNDED entry. Missing legs yield None."""
+    events = [(float(t), DockPhase(p)) for t, p in trace]
+    dock_time = None
+    undock_time = None
+    t_takeoff = None
+    t_undock = None
+    for t, phase in events:
+        if phase is DockPhase.TAKEOFF and t_takeoff is None:
+            t_takeoff = t
+        elif phase is DockPhase.DOCKED and t_takeoff is not None and dock_time is None:
+            dock_time = t - t_takeoff
+        elif phase is DockPhase.UNDOCK_ASCEND and t_undock is None:
+            t_undock = t
+        elif phase is DockPhase.GROUNDED and t_undock is not None and undock_time is None:
+            undock_time = t - t_undock
+    return dock_time, undock_time
 
 
 class _ThrustProbe(CascadedPid):

@@ -8,14 +8,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import docked_contact_trace, golden_section_argmax
+from conftest import docked_contact_trace, golden_section_argmax, maneuver_durations
 from flybat.control import build_ff_map, zero_map
-from flybat.docking import APPROACH_ABOVE, maneuver_durations
-from flybat.dynamics import GRAVITY, contact_forces, contact_retained
+from flybat.docking import APPROACH_ABOVE
+from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
 from flybat.endurance import (
+    OPTIMAL_PHI,
     normalized_curve,
     normalized_flight_time,
-    optimal_phi,
     shape_factor,
 )
 from flybat.engine import World
@@ -74,7 +74,7 @@ def demo_run(out_dir):
 
 def test_criterion_01_endurance_peak():
     t0 = time.perf_counter()
-    analytic_ok = abs(optimal_phi() - 2.0 / 3.0) <= 1e-9
+    analytic_ok = abs(OPTIMAL_PHI - 2.0 / 3.0) <= 1e-9
     numeric = golden_section_argmax(shape_factor, 0.0, 0.999999, tol=1e-12)
     numeric_ok = abs(numeric - 2.0 / 3.0) <= 1e-6
     at_peak = normalized_flight_time(2.0 / 3.0)
@@ -150,19 +150,21 @@ def test_criterion_04_mission_extension(solo_run, demo_run):
 
 
 def test_criterion_05_contact_mechanics():
+    # the contact rule that World.step runs on every docked step
     rng = np.random.default_rng(505)
+    mu = default_scenario().docking.mu
     worst = 0.0
     ok = True
     for _ in range(10_000):
         m_m = float(rng.uniform(0.05, 10.0))
         m_fb = float(rng.uniform(0.01, 5.0))
         thrust = float(rng.uniform(0.0, 100.0))
-        sol = contact_forces(m_m, m_fb, thrust, 0.0)
-        if sol.required_friction != 0.0:
+        normal, friction, held = contact_load(docked_mass_share(m_m, m_fb), thrust, 0.0, 0.0, mu)
+        if friction != 0.0 or not held:
             ok = False
             break
         expected = m_fb * thrust / (m_m + m_fb)
-        worst = max(worst, abs(sol.normal_force - expected))
+        worst = max(worst, abs(normal - expected))
         if worst > 1e-9:
             ok = False
             break
@@ -190,6 +192,7 @@ def test_criterion_06_maneuver_retention():
     mu = sc.docking.mu
     m_m = world.main_params.mass
     m_fb = world.fb_params.mass
+    share = docked_mass_share(m_m, m_fb)
     inv_both = 1.0 / m_m + 1.0 / m_fb
     retained_all = True
     worst = 0.0
@@ -204,8 +207,7 @@ def test_criterion_06_maneuver_retention():
         worst = max(worst, abs(friction - f_oracle), abs(normal - n_oracle))
         peak_friction = max(peak_friction, friction)
         peak_thrust = max(peak_thrust, thrust_eff)
-        sol = contact_forces(m_m, m_fb, thrust_eff, ext_planar)
-        if not contact_retained(sol, mu):
+        if not contact_load(share, thrust_eff, 0.0, ext_planar, mu)[2]:
             retained_all = False
 
     no_slip_events = not world.log.of_kind("contact_slip")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import maneuver_durations
 from flybat.docking import (
     ALT_REACHED_TOL,
     GAP_REACHED_TOL,
@@ -18,7 +19,6 @@ from flybat.docking import (
     TRANSITIONS,
     capture_check,
     fsm_step,
-    maneuver_durations,
 )
 from flybat.scenario import DockingSection, ScenarioError, default_scenario
 
@@ -229,7 +229,7 @@ def test_pcg64_rejects_a_negative_seed():
 
 
 # ---------------------------------------------------------------------------
-# maneuver_durations
+# maneuver_durations, the phase-trace reader of criterion 9 (tests/conftest.py)
 # ---------------------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import REST_STATE
@@ -11,13 +11,12 @@ from flybat.dynamics import (
     GRAVITY,
     MOUNT_HEIGHT,
     MOUNT_OFFSET,
-    ContactSolution,
     DynamicsError,
     VehicleParams,
     body_constants,
     composite_params,
-    contact_forces,
-    contact_retained,
+    contact_load,
+    docked_mass_share,
     rk4_flat,
 )
 
@@ -428,37 +427,71 @@ def test_vehicle_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# contact_forces / contact_retained
+# docked_mass_share / contact_load
 # ---------------------------------------------------------------------------
+
+SHARE = docked_mass_share(0.820, 0.320)
+
+
+def test_docked_mass_share_rejects_a_zero_mass():
+    with pytest.raises(DynamicsError, match="masses must be positive"):
+        docked_mass_share(0.820, 0.0)
+
+
+def test_docked_mass_share_rejects_a_negative_mass():
+    with pytest.raises(DynamicsError, match="masses must be positive"):
+        docked_mass_share(-0.820, 0.320)
+
+
+_RAW = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=400, deadline=None)
+@given(share=_RAW, thrust=_RAW, ext_axial=_RAW, ext_planar=_RAW, mu=_RAW)
+@example(SHARE, -0.0, 0.0, 0.0, 0.3)
+@example(SHARE, 0.0, -0.0, 0.0, 0.3)
+@example(SHARE, -1.0, 0.0, 0.0, 0.3)
+@example(SHARE, 11.18, -0.5, 0.0, 0.0)
+def test_contact_load_is_the_inline_rule_bit_for_bit(share, thrust, ext_axial, ext_planar, mu):
+    # the rule written out in floats: contact_load gives the same bits,
+    # and holds exactly when the slip test passes
+    normal = share * (thrust + ext_axial)
+    friction = share * ext_planar
+    slipping = not (normal >= 0.0 and friction <= mu * normal)
+    got_normal, got_friction, held = contact_load(share, thrust, ext_axial, ext_planar, mu)
+    assert _bits(got_normal) == _bits(normal)
+    assert _bits(got_friction) == _bits(friction)
+    assert held is not slipping
 
 
 def test_contact_hover_docked_needs_no_friction():
     thrust = 1.140 * GRAVITY
-    sol = contact_forces(0.820, 0.320, thrust, 0.0)
-    assert sol.normal_force == pytest.approx(0.320 * GRAVITY, abs=1e-12)
-    assert sol.normal_force == pytest.approx(3.14, abs=0.01)
-    assert sol.required_friction == 0.0
-    assert sol.engaged
+    normal, friction, held = contact_load(SHARE, thrust, 0.0, 0.0, 0.3)
+    assert normal == pytest.approx(0.320 * GRAVITY, abs=1e-12)
+    assert normal == pytest.approx(3.14, abs=0.01)
+    assert friction == 0.0
+    assert held
 
 
 def test_contact_zero_thrust_boundary():
-    sol = contact_forces(0.820, 0.320, 0.0, 0.0)
-    assert sol.normal_force == 0.0
-    assert sol.required_friction == 0.0
-    assert sol.engaged
+    normal, friction, held = contact_load(SHARE, 0.0, 0.0, 0.0, 0.3)
+    assert normal == 0.0
+    assert friction == 0.0
+    assert held
 
 
 def test_contact_negative_thrust_disengages():
-    sol = contact_forces(0.820, 0.320, -1.0, 0.0)
-    assert not sol.engaged
+    normal, _, held = contact_load(SHARE, -1.0, 0.0, 0.0, 10.0)
+    assert normal < 0.0
+    assert not held
 
 
 def test_contact_planar_drag_matches_newton_oracle():
     n_oracle, f_oracle = two_body_contact_oracle(0.820, 0.320, 1.140 * GRAVITY, 2.0)
-    sol = contact_forces(0.820, 0.320, 1.140 * GRAVITY, 2.0)
-    assert sol.required_friction == pytest.approx(f_oracle, abs=1e-12)
-    assert sol.required_friction == pytest.approx(2.0 * 0.320 / 1.140, abs=1e-12)
-    assert sol.normal_force == pytest.approx(n_oracle, abs=1e-12)
+    normal, friction, _ = contact_load(SHARE, 1.140 * GRAVITY, 0.0, 2.0, 0.3)
+    assert friction == pytest.approx(f_oracle, abs=1e-12)
+    assert friction == pytest.approx(2.0 * 0.320 / 1.140, abs=1e-12)
+    assert normal == pytest.approx(n_oracle, abs=1e-12)
 
 
 def test_contact_zero_planar_force_zero_friction_property(rng):
@@ -466,27 +499,26 @@ def test_contact_zero_planar_force_zero_friction_property(rng):
         m_m = float(rng.uniform(0.1, 5.0))
         m_fb = float(rng.uniform(0.05, 2.0))
         thrust = float(rng.uniform(0.0, 60.0))
-        sol = contact_forces(m_m, m_fb, thrust, 0.0)
-        assert sol.required_friction == 0.0
-        assert sol.normal_force == pytest.approx(m_fb * thrust / (m_m + m_fb), abs=1e-9)
+        normal, friction, _ = contact_load(docked_mass_share(m_m, m_fb), thrust, 0.0, 0.0, 0.3)
+        assert friction == 0.0
+        assert normal == pytest.approx(m_fb * thrust / (m_m + m_fb), abs=1e-9)
 
 
 def test_contact_normal_force_scales_linearly(rng):
-    m_m, m_fb = 0.820, 0.320
-    base = contact_forces(m_m, m_fb, 10.0).normal_force
+    base = contact_load(SHARE, 10.0, 0.0, 0.0, 0.3)[0]
     for _ in range(200):
         k = float(rng.uniform(0.1, 10.0))
-        assert contact_forces(m_m, m_fb, 10.0 * k).normal_force == pytest.approx(
+        assert contact_load(SHARE, 10.0 * k, 0.0, 0.0, 0.3)[0] == pytest.approx(
             base * k, rel=1e-12
         )
 
 
 def test_contact_retained_cases():
-    ok = ContactSolution(normal_force=3.14, required_friction=0.0, engaged=True)
-    assert contact_retained(ok, 0.3)
-    no_normal = ContactSolution(normal_force=0.0, required_friction=0.1, engaged=True)
-    assert not contact_retained(no_normal, 10.0)
-    disengaged = ContactSolution(normal_force=1.0, required_friction=0.0, engaged=False)
-    assert not contact_retained(disengaged, 0.5)
-    with pytest.raises(DynamicsError):
-        contact_retained(ok, -0.1)
+    # held: a compressive normal and the planar load inside the friction cone
+    assert contact_load(SHARE, 10.0, 0.0, 0.0, 0.3)[2]
+    assert contact_load(SHARE, 10.0, 0.0, 2.9, 0.3)[2]
+    assert not contact_load(SHARE, 10.0, 0.0, 3.1, 0.3)[2]
+    # no normal force cannot carry a planar load, whatever mu
+    assert not contact_load(SHARE, 0.0, 0.0, 0.1, 10.0)[2]
+    # an axial load that pulls harder than the thrust lets go
+    assert not contact_load(SHARE, 10.0, -10.5, 0.0, 0.5)[2]

@@ -4,13 +4,13 @@ import pytest
 
 from conftest import golden_section_argmax
 from flybat.endurance import (
+    OPTIMAL_PHI,
     EnduranceError,
     EnduranceInputs,
     design_comparison,
     flight_time,
     normalized_curve,
     normalized_flight_time,
-    optimal_phi,
     shape_factor,
 )
 
@@ -85,7 +85,7 @@ def test_normalized_curve_grid():
 
 
 def test_optimal_phi_analytic_and_numeric():
-    assert optimal_phi() == pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert OPTIMAL_PHI == pytest.approx(2.0 / 3.0, abs=1e-9)
     numeric = golden_section_argmax(shape_factor, 0.0, 0.999999, tol=1e-12)
     assert numeric == pytest.approx(2.0 / 3.0, abs=1e-6)
     # stationarity by central finite difference

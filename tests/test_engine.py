@@ -8,7 +8,7 @@ import pytest
 import flybat.engine
 from conftest import docked_contact_trace, run_optimized, scaled_mission_scenario
 from flybat.docking import DOCKED, GROUNDED, TRANSITIONS, DockPhase
-from flybat.dynamics import GRAVITY, contact_forces, contact_retained
+from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
 from flybat.engine import SimNumericsError, World
 from flybat.powertrain import PowertrainError, hover_power
 from flybat.scenario import bundled_scenario, default_scenario, set_scenario_value
@@ -165,10 +165,9 @@ def test_contact_slip_logged_once_per_slip_episode():
     trace = docked_contact_trace(world, 15_000)
 
     assert not world.log.of_kind("undock")
-    m_m, m_fb = world.main_params.mass, world.fb_params.mass
+    share = docked_mass_share(world.main_params.mass, world.fb_params.mass)
     held = [
-        contact_retained(contact_forces(m_m, m_fb, thrust, planar), sc.docking.mu)
-        for thrust, planar, _, _ in trace
+        contact_load(share, thrust, 0.0, planar, sc.docking.mu)[2] for thrust, planar, _, _ in trace
     ]
     assert len(held) == 15000
     onsets = sum(

@@ -25,7 +25,6 @@ from flybat.powertrain import (
     k_thrust_from_kp,
     ocv,
     ocv_per_cell,
-    rotor_power,
     shadow_energy,
     solve_bus,
     solve_kp_for_endurance,
@@ -70,11 +69,12 @@ def test_pack_spec_validation():
 
 
 def test_rotor_power_zero_and_homogeneity():
-    assert rotor_power(0.0, 11.0) == 0.0
+    assert total_rotor_power(0.0, 11.0) == 0.0
     for k in (1.0, 10.7, 42.0):
-        assert rotor_power(2.0, k) / rotor_power(1.0, k) == pytest.approx(2.0**1.5, rel=1e-12)
+        ratio = total_rotor_power(2.0, k) / total_rotor_power(1.0, k)
+        assert ratio == pytest.approx(2.0**1.5, rel=1e-12)
     with pytest.raises(PowertrainError):
-        rotor_power(-1.0, 10.0)
+        total_rotor_power(-1.0, 10.0)
 
 
 def test_rotor_k_calibrated_from_docked_hover_current():
@@ -87,7 +87,8 @@ def test_rotor_k_calibrated_from_docked_hover_current():
     assert k == pytest.approx(10.6847, abs=2e-4)
     # round trip through the 4-rotor power model
     assert total_rotor_power(thrust, k) == pytest.approx(p_total, rel=1e-12)
-    assert 4.0 * rotor_power(per_rotor, k) == pytest.approx(p_total, rel=1e-12)
+    four_rotors = 4.0 * k * (thrust / 4.0) ** 1.5
+    assert total_rotor_power(thrust, k) == pytest.approx(four_rotors, rel=1e-12)
     # consistent with the mass-based constant within a fraction of a percent
     k_from_kp = k_thrust_from_kp(164.435)
     assert k == pytest.approx(k_from_kp, rel=5e-3)

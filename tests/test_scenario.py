@@ -1,3 +1,5 @@
+import ast
+import importlib
 import math
 import re
 import struct
@@ -161,6 +163,22 @@ def test_readme_ini_blocks_parse():
     assert blocks
     for text in blocks:
         parse_scenario(text, name="readme")
+
+
+def test_readme_python_imports_resolve():
+    # a documented name cannot outlive its removal either
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for text in blocks:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "flybat":
+                module = importlib.import_module(node.module)
+                missing = [a.name for a in node.names if not hasattr(module, a.name)]
+                assert not missing, f"README imports {missing} from {node.module}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.partition(".")[0] == "flybat":
+                        importlib.import_module(alias.name)
 
 
 def test_set_scenario_value():
