@@ -11,13 +11,7 @@ from .control import (
     export_map_csv,
     feedforward_lookup,
 )
-from .docking import (
-    ContactOutcome,
-    DockCommands,
-    DockPhase,
-    capture_check,
-    fsm_step,
-)
+from .docking import ContactOutcome, DockPhase, capture_check, fsm_step
 from .dynamics import VehicleParams, composite_params, contact_load, docked_mass_share
 from .endurance import (
     OPTIMAL_PHI,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import atan2, cos, hypot, sin, sqrt
+from math import atan2, cos, hypot, inf, sin, sqrt
 
 from .dynamics import GRAVITY, VehicleParams
 from .geom import Quat, Vec3, q_from_yaw
@@ -215,7 +215,8 @@ class FeedforwardMap:
     the vehicle above. Values sit at bin centers; lookups interpolate
     bilinearly between centers and read zero outside the binned area.
     Edges, centers and values are tuples of floats, fixed at
-    construction."""
+    construction: each axis has two or more finite, strictly increasing
+    edges, and each value is finite and non-negative."""
 
     lat_edges: tuple[float, ...]  # nl + 1
     gap_edges: tuple[float, ...]  # ng + 1
@@ -225,11 +226,16 @@ class FeedforwardMap:
         self.lat_edges = lat = tuple(float(x) for x in self.lat_edges)
         self.gap_edges = gap = tuple(float(x) for x in self.gap_edges)
         self.values = tuple(tuple(float(x) for x in row) for row in self.values)
+        for axis, edges in (("lat_edges", lat), ("gap_edges", gap)):
+            if len(edges) < 2 or not all(-inf < a < b < inf for a, b in zip(edges, edges[1:])):
+                raise ControlError(
+                    f"{axis} must be two or more finite, strictly increasing edges, got {edges}"
+                )
         nl, ng = len(lat) - 1, len(gap) - 1
         if len(self.values) != nl or any(len(row) != ng for row in self.values):
             raise ControlError(f"map values do not match bins ({nl}, {ng})")
-        if any(x < 0.0 for row in self.values for x in row):
-            raise ControlError("feedforward thrust entries must be non-negative")
+        if not all(0.0 <= x < inf for row in self.values for x in row):
+            raise ControlError("feedforward thrust entries must be finite and non-negative")
         self.lat_centers = tuple(0.5 * (a + b) for a, b in zip(lat, lat[1:]))
         self.gap_centers = tuple(0.5 * (a + b) for a, b in zip(gap, gap[1:]))
 
@@ -323,11 +329,19 @@ def export_map_csv(ff_map: FeedforwardMap, path) -> None:
 
 
 def import_map_csv(path) -> FeedforwardMap:
+    """The map export_map_csv wrote; any fault in the file is a
+    ControlError that names it."""
     with open(path, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("# ff_map"):
         raise ControlError(f"{path} is not a feedforward map file")
-    lat = [float(x) for x in lines[1].split(",")[1:]]
-    gap = [float(x) for x in lines[2].split(",")[1:]]
-    values = [[float(x) for x in ln.split(",")] for ln in lines[3:]]
-    return FeedforwardMap(lat, gap, values)
+    rows = [ln.split(",") for ln in lines[1:]]
+    for i, label in enumerate(("lat_edges", "gap_edges")):
+        if i >= len(rows) or rows[i][0] != label:
+            raise ControlError(f"{path}: {label} row missing or mislabelled")
+    try:
+        lat = [float(x) for x in rows[0][1:]]
+        gap = [float(x) for x in rows[1][1:]]
+        return FeedforwardMap(lat, gap, [[float(x) for x in row] for row in rows[2:]])
+    except ValueError as exc:
+        raise ControlError(f"{path}: {exc}") from None

@@ -66,12 +66,6 @@ TRANSITIONS: dict[DockPhase, tuple[DockPhase, ...]] = {
 
 
 @dataclass(frozen=True)
-class DockCommands:
-    dock: bool = False
-    undock: bool = False
-
-
-@dataclass(frozen=True)
 class ContactOutcome:
     """Result of one free-fall capture attempt. The draw records the
     uniform sample spent on the electrical-contact check (None when the
@@ -95,21 +89,23 @@ GROUND_TOL = 0.02  # m
 def fsm_step(
     phase: DockPhase,
     cfg: DockingSection,
-    rel_pose: tuple[float, float],
+    lateral: float,
+    gap: float,
     altitude: float,
-    commands: DockCommands,
+    dock: bool,
+    undock: bool,
 ) -> DockPhase:
     """Advance the docking state machine by one step.
 
-    cfg is the scenario's [docking] section. rel_pose is (lateral
-    offset, vertical gap) between the vehicle's leg plane and the
-    platform surface; altitude is height above ground."""
-    lateral, gap = rel_pose
+    cfg is the scenario's [docking] section. lateral and gap are the
+    offset and vertical gap between the vehicle's leg plane and the
+    platform surface; altitude is height above ground. dock and undock
+    are the mission's standing commands to the unit."""
     if not (isfinite(lateral) and isfinite(gap) and isfinite(altitude)):
         raise DockingError(f"non-finite relative pose ({lateral}, {gap}, {altitude})")
 
     if phase is GROUNDED:
-        return TAKEOFF if commands.dock else GROUNDED
+        return TAKEOFF if dock else GROUNDED
 
     if phase is TAKEOFF:
         if gap >= cfg.hover_above_gap - ALT_REACHED_TOL:
@@ -138,7 +134,7 @@ def fsm_step(
         return FREE_FALL
 
     if phase is DOCKED:
-        return UNDOCK_ASCEND if commands.undock else DOCKED
+        return UNDOCK_ASCEND if undock else DOCKED
 
     if phase is UNDOCK_ASCEND:
         if gap >= cfg.hover_above_gap - GAP_REACHED_TOL:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 
 from . import docking as dk
 from . import powertrain as pt
@@ -57,13 +58,6 @@ _HOST_INPUTS = struct.Struct("12d")
 
 # read on every step; an Enum class attribute read is slow on Python 3.11
 NO_SOURCE = pt.ActiveSource.NONE
-
-# the four possible FSM command sets, keyed by (dock, undock)
-_DOCK_COMMANDS = {
-    (dock, undock): dk.DockCommands(dock=dock, undock=undock)
-    for dock in (False, True)
-    for undock in (False, True)
-}
 
 
 class SimNumericsError(RuntimeError):
@@ -129,20 +123,14 @@ class MissionLog:
 
 class _Unit:
     """One flying battery: small quadcopter + its secondary pack. The
-    pack specs are shared by the fleet; own_wh and secondary_wh are this
-    unit's remaining energies, and the *_drawn_wh totals stay None until
-    the pack first delivers energy."""
+    vehicle and pack specs are the fleet's, held once by World; own_wh
+    and secondary_wh are this unit's remaining energies, and the
+    *_drawn_wh totals stay None until the pack first delivers energy. A
+    landed unit that is not recharged is available at math.inf."""
 
     __slots__ = (
         "uid",
-        "params",
-        "k_thrust",
-        "inv_mass",
-        "ii",
-        "jj",
         "pid",
-        "own_pack",
-        "secondary",
         "own_wh",
         "secondary_wh",
         "own_drawn_wh",
@@ -152,21 +140,14 @@ class _Unit:
         "ref",
         "home",
         "available_at",
-        "spent",
         "cmd_dock",
         "cmd_undock",
         "thrust",
-        "docked_since",
     )
 
-    def __init__(self, uid, params, cfg, own_pack, secondary, home):
+    def __init__(self, uid, pid, own_pack, secondary, home):
         self.uid = uid
-        self.params = params
-        self.k_thrust = pt.k_thrust_from_kp(params.k_p)
-        self.inv_mass, self.ii, self.jj = body_constants(params)
-        self.pid = CascadedPid(cfg, params.mass)
-        self.own_pack = own_pack
-        self.secondary = secondary
+        self.pid = pid
         self.own_wh = own_pack.capacity_wh
         self.secondary_wh = secondary.capacity_wh
         self.own_drawn_wh: float | None = None
@@ -179,11 +160,9 @@ class _Unit:
         self.phase = GROUNDED
         self.ref = [home[0], home[1], GROUND_COM]
         self.available_at = 0.0
-        self.spent = False
         self.cmd_dock = False
         self.cmd_undock = False
         self.thrust = 0.0
-        self.docked_since = None
 
     @property
     def airborne(self) -> bool:
@@ -202,7 +181,6 @@ class World:
         self.duration: float = sim.duration
         self.step_index: int = 0
         self.rng = dk.Pcg64(sim.seed)
-        self.rng_draws = 0
 
         # host vehicle
         self.main_params: VehicleParams = inp.main_params
@@ -246,15 +224,21 @@ class World:
         self.downwash: DownwashModel = scenario.downwash
         self.ff_map = inp.ff_map
 
-        # docking / fleet
+        # docking / fleet: every unit flies the fb vehicle with the same packs
         self.docking = scenario.docking
         self.mission = m
+        fb = inp.fb_params
+        self.k_thrust_fb = pt.k_thrust_from_kp(fb.k_p)
+        self._fb_body = body_constants(fb)
+        self.fb_own_pack: pt.BatteryPack = inp.fb_own_pack
+        self.secondary: pt.BatteryPack = inp.secondary
         self.units: list[_Unit] = [
-            _Unit(i, inp.fb_params, inp.fb_cfg, inp.fb_own_pack, inp.secondary, home)
+            _Unit(i, CascadedPid(inp.fb_cfg, fb.mass), self.fb_own_pack, self.secondary, home)
             for i, home in enumerate(inp.homes)
         ]
         self.active_units: list[_Unit] = []
         self.incoming: _Unit | None = None
+        self.docked_at = 0.0  # when docked_unit docked
 
         # bookkeeping
         self.log = MissionLog()
@@ -265,10 +249,6 @@ class World:
         self.primary_drawn_wh = 0.0
         # units in the order their secondaries first delivered energy
         self._secondary_draw_order: list[_Unit] = []
-        self.switch_count = 0
-        self.contact_failure_count = 0
-        self.dock_count = 0
-        self.undock_count = 0
         self.contact_normal = 0.0
         self.contact_friction = 0.0
         self._slipping = False  # the docked contact slipped on the last step
@@ -294,7 +274,6 @@ class World:
             self._attach(u, electrical=True, t=0.0)
             self.circuit = pt.command_switch(self.circuit, pt.SwitchTarget.USE_SECONDARY)
             self._event(0.0, "switch", detail="secondary", in_column=False)
-            self.switch_count += 1
 
     def _event(
         self, t: float, kind: str, uid: int | None = None, detail: str = "", in_column: bool = True
@@ -330,7 +309,7 @@ class World:
 
     def _available_unit(self, t: float) -> _Unit | None:
         for u in self.units:
-            if u.phase is GROUNDED and not u.spent and t >= u.available_at:
+            if u.phase is GROUNDED and t >= u.available_at:
                 return u
         return None
 
@@ -360,12 +339,11 @@ class World:
                 nxt = self._available_unit(t)
                 if nxt is not None:
                     self._dispatch(nxt, t)
-            elif not electrical and docked.docked_since is not None:
-                if t - docked.docked_since >= m.failure_redispatch_delay:
-                    self._command_undock(docked, t)
-                    nxt = self._available_unit(t)
-                    if nxt is not None:
-                        self._dispatch(nxt, t)
+            elif not electrical and t - self.docked_at >= m.failure_redispatch_delay:
+                self._command_undock(docked, t)
+                nxt = self._available_unit(t)
+                if nxt is not None:
+                    self._dispatch(nxt, t)
         elif self.incoming is None and m.fleet_size > 0 and t >= m.dispatch_delay:
             nxt = self._available_unit(t)
             if nxt is not None:
@@ -394,7 +372,7 @@ class World:
         ms = self.main_state
         q = (ms[6], ms[7], ms[8], ms[9])
         off = q_rotate(q, self.d_com)
-        m_m, m_fb = self.main_params.mass, u.params.mass
+        m_m, m_fb = self.main_params.mass, self.fb_params.mass
         total = m_m + m_fb
         us = u.state
         vx = (m_m * ms[3] + m_fb * us[3]) / total
@@ -407,23 +385,16 @@ class World:
         )
         self.docked_unit = u
         self._slipping = False
+        self.docked_at = t
         u.phase = DOCKED
-        u.docked_since = t
         u.thrust = 0.0
         self.main_pid.retune(self.comp_cfg, self.comp_params.mass)
-        self.dock_count += 1
         self._event(t, "phase", u.uid, DOCKED.value, in_column=False)
         self._event(t, "dock", u.uid)
         if electrical:
-            self.circuit = pt.SwitchCircuit(
-                relay_closed=self.circuit.relay_closed,
-                diode_drop=self.circuit.diode_drop,
-                secondary_present=True,
-                switch_command=self.circuit.switch_command,
-            )
+            self.circuit = replace(self.circuit, secondary_present=True)
             self._event(t, "contact", u.uid)
         else:
-            self.contact_failure_count += 1
             self._event(t, "contact_failure", u.uid)
         if self.incoming is u:
             self.incoming = None
@@ -447,16 +418,9 @@ class World:
         )
         u.ref = [u.state[0], u.state[1], u.state[2]]
         u.pid.reset()
-        u.docked_since = None
         self.docked_unit = None
-        self.undock_count += 1
         # the relay is already closed here (switch-back precedes undock)
-        self.circuit = pt.SwitchCircuit(
-            relay_closed=True,
-            diode_drop=self.circuit.diode_drop,
-            secondary_present=False,
-            switch_command=pt.SwitchTarget.USE_PRIMARY,
-        )
+        self.circuit = replace(self.circuit, relay_closed=True, secondary_present=False)
         self.main_pid.retune(self.main_cfg, self.main_params.mass)
         self.contact_normal = 0.0
         self.contact_friction = 0.0
@@ -474,11 +438,11 @@ class World:
         self._event(t, "landing", u.uid)
         if self.mission.ground_recharge:
             u.available_at = t + self.mission.turnaround_delay
-            u.own_wh = u.own_pack.capacity_wh
-            u.secondary_wh = u.secondary.capacity_wh
+            u.own_wh = self.fb_own_pack.capacity_wh
+            u.secondary_wh = self.secondary.capacity_wh
             self._event(t, "recharged", u.uid, in_column=False)
         else:
-            u.spent = True
+            u.available_at = math.inf
 
     # ------------------------------------------------------------------
     # per-step subsystems
@@ -505,9 +469,11 @@ class World:
             new_phase = dk.fsm_step(
                 u.phase,
                 self.docking,
-                (math.hypot(s[0] - plat[0], s[1] - plat[1]), altitude - plat[2]),
+                math.hypot(s[0] - plat[0], s[1] - plat[1]),
+                altitude - plat[2],
                 altitude,
-                _DOCK_COMMANDS[u.cmd_dock, u.cmd_undock],
+                u.cmd_dock,
+                u.cmd_undock,
             )
             if new_phase is not u.phase:
                 if new_phase is DOCKED:
@@ -583,8 +549,9 @@ class World:
         # thrust along the body z axis of the unit's attitude
         qw, qx, qy, qz = s[6], s[7], s[8], s[9]
         thrust = u.thrust
+        inv_mass, ii, jj = self._fb_body
         u.state = ns = rk4_flat(
-            s, dt, u.inv_mass, u.ii, u.jj,
+            s, dt, inv_mass, ii, jj,
             2.0 * (qx * qz + qw * qy) * thrust,
             2.0 * (qy * qz - qw * qx) * thrust,
             (1.0 - 2.0 * (qx * qx + qy * qy)) * thrust,
@@ -779,8 +746,6 @@ class World:
                     if (s[2] - LEG_HEIGHT) - p[2] <= 0.0:
                         lateral = math.hypot(s[0] - p[0], s[1] - p[1])
                         outcome = dk.capture_check(lateral, self.docking, self.rng)
-                        if outcome.draw is not None:
-                            self.rng_draws += 1
                         if outcome.mechanical_engaged:
                             self._attach(u, outcome.electrical_engaged, t)
                             if outcome.electrical_engaged:
@@ -788,7 +753,6 @@ class World:
                                     self.circuit, pt.SwitchTarget.USE_SECONDARY
                                 )
                                 self._event(t, "switch", detail="secondary")
-                                self.switch_count += 1
                         else:
                             u.phase = APPROACH_ABOVE
                             self._event(t, "bounce_off", u.uid)
@@ -801,7 +765,7 @@ class World:
         else:
             bus = pt.solve_bus(
                 self.circuit, self.primary, self.primary_wh,
-                docked.secondary, docked.secondary_wh, load,
+                self.secondary, docked.secondary_wh, load,
             )
         self.bus = bus
         if bus.active_source is NO_SOURCE:
@@ -821,7 +785,7 @@ class World:
             if i_s > 0.0 and docked is not None:
                 share = load * i_s / (i_p + i_s)
                 before = docked.secondary_wh
-                docked.secondary_wh = left = pt.discharge(docked.secondary, before, share, dt, i_s)
+                docked.secondary_wh = left = pt.discharge(self.secondary, before, share, dt, i_s)
                 if docked.secondary_drawn_wh is None:
                     docked.secondary_drawn_wh = 0.0
                     self._secondary_draw_order.append(docked)
@@ -832,9 +796,9 @@ class World:
         if airborne:
             for u in airborne:
                 if u.thrust > 0.0 and u.own_wh > 0.0:
-                    p_fb = pt.total_rotor_power(u.thrust, u.k_thrust)
+                    p_fb = pt.total_rotor_power(u.thrust, self.k_thrust_fb)
                     before = u.own_wh
-                    u.own_wh = left = pt.discharge(u.own_pack, before, p_fb, dt)
+                    u.own_wh = left = pt.discharge(self.fb_own_pack, before, p_fb, dt)
                     if u.own_drawn_wh is None:
                         u.own_drawn_wh = 0.0
                     u.own_drawn_wh += before - left
@@ -941,17 +905,21 @@ class World:
         )
 
     def summary_totals(self) -> dict[str, float | int]:
-        """Every MissionSummary field the run itself fixes, by name."""
+        """Every MissionSummary field the run itself fixes, by name. The
+        counts are of logged events: switches to the secondary, failed
+        contacts, docks, and detaches (entries into undock_ascend, since a
+        run can end between an undock command and its detach)."""
         t_total = self.step_index * self.dt
         solo = self.solo_equivalent_time()
+        counts = Counter((e.kind, e.detail) for e in self.log.events)
         return {
             "total_time_s": t_total,
             "solo_equivalent_time_s": solo,
             "extension_factor": t_total / solo if solo > 0.0 else float("nan"),
-            "switch_count": self.switch_count,
-            "contact_failures": self.contact_failure_count,
-            "dock_count": self.dock_count,
-            "undock_count": self.undock_count,
+            "switch_count": counts["switch", "secondary"],
+            "contact_failures": counts["contact_failure", ""],
+            "dock_count": counts["dock", ""],
+            "undock_count": counts["phase", UNDOCK_ASCEND.value],
             "time_on_primary_s": self.time_on_primary,
             "time_on_secondary_s": self.time_on_secondary,
             "max_altitude_error_m": self._alt_err_abs_max,

@@ -84,7 +84,6 @@ class SwitchCircuit:
     relay_closed: bool = True
     diode_drop: float = 0.05
     secondary_present: bool = False
-    switch_command: SwitchTarget = SwitchTarget.USE_PRIMARY
 
     def __post_init__(self):
         if not 0.0 < self.diode_drop <= 0.2:
@@ -287,8 +286,8 @@ def command_switch(circuit: SwitchCircuit, target: SwitchTarget) -> SwitchCircui
             raise PowertrainError(
                 "cannot switch to secondary: no secondary source present"
             )
-        return replace(circuit, relay_closed=False, switch_command=target)
-    return replace(circuit, relay_closed=True, switch_command=target)
+        return replace(circuit, relay_closed=False)
+    return replace(circuit, relay_closed=True)
 
 
 def time_to_depletion(

@@ -309,11 +309,22 @@ def _cast(raw: str, current: Any, key: str, line: int | None) -> Any:
         raise ScenarioError(f"invalid value {raw!r} for key {key!r}", line) from None
 
 
+def _assign(section_obj, section: str, key: str, raw: str, label: str, line: int | None) -> None:
+    """Cast raw to the type of the section's dotted key and set it; label
+    is the key as a bad-value error names it."""
+    path = _section_keys(section_obj).get(key)
+    if path is None:
+        raise ScenarioError(f"unknown key {key!r} in section [{section}]", line)
+    obj = section_obj
+    for attr in path[:-1]:
+        obj = getattr(obj, attr)
+    setattr(obj, path[-1], _cast(raw, getattr(obj, path[-1]), label, line))
+
+
 def parse_scenario(text: str, name: str = "inline") -> Scenario:
     scenario = default_scenario(name)
     section_objs = {f.name: getattr(scenario, f.name) for f in fields(scenario) if f.name != "name"}
     current_section: str | None = None
-    current_keys: dict[str, tuple] = {}
     seen: dict[str, int] = {}  # dotted key -> the line that set it
 
     for lineno, rawline in enumerate(text.splitlines(), start=1):
@@ -327,7 +338,6 @@ def parse_scenario(text: str, name: str = "inline") -> Scenario:
             if sec not in section_objs:
                 raise ScenarioError(f"unknown section [{sec}]", lineno)
             current_section = sec
-            current_keys = _section_keys(section_objs[sec])
             continue
         if "=" not in line:
             raise ScenarioError(f"expected key = value, got {rawline.strip()!r}", lineno)
@@ -335,20 +345,13 @@ def parse_scenario(text: str, name: str = "inline") -> Scenario:
             raise ScenarioError("key outside any [section]", lineno)
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in current_keys:
-            raise ScenarioError(f"unknown key {key!r} in section [{current_section}]", lineno)
         first = seen.setdefault(f"{current_section}.{key}", lineno)
         if first != lineno:
             raise ScenarioError(
                 f"duplicate key {key!r} in section [{current_section}], first set on line {first}",
                 lineno,
             )
-        path = current_keys[key]
-        obj = section_objs[current_section]
-        for attr in path[:-1]:
-            obj = getattr(obj, attr)
-        value = _cast(raw, getattr(obj, path[-1]), key, lineno)
-        setattr(obj, path[-1], value)
+        _assign(section_objs[current_section], current_section, key, raw, key, lineno)
 
     try:
         scenario.validate()
@@ -379,18 +382,10 @@ def set_scenario_value(scenario: Scenario, dotted_key: str, raw: str) -> None:
     parts = dotted_key.split(".")
     if len(parts) < 2:
         raise ScenarioError(f"key {dotted_key!r} must be section.key")
-    section, rest = parts[0], parts[1:]
+    section, key = parts[0], ".".join(parts[1:])
     if not hasattr(scenario, section) or section == "name":
         raise ScenarioError(f"unknown section {section!r}")
-    obj = getattr(scenario, section)
-    keys = _section_keys(obj)
-    key = ".".join(rest)
-    if key not in keys:
-        raise ScenarioError(f"unknown key {key!r} in section [{section}]")
-    path = keys[key]
-    for attr in path[:-1]:
-        obj = getattr(obj, attr)
-    setattr(obj, path[-1], _cast(raw, getattr(obj, path[-1]), dotted_key, None))
+    _assign(getattr(scenario, section), section, key, raw, dotted_key, None)
     scenario.validate()
 
 

@@ -146,6 +146,19 @@ def test_unusable_out_exits_config_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# feedforward map files beside each bad scenario, by name: a valid map
+# has the schema line, the lat_edges and gap_edges rows, and one row of
+# values per lateral bin
+_MAP_HEAD = "# ff_map schema=1\n"
+BAD_MAPS = {
+    "truncated_map.csv": _MAP_HEAD,
+    "no_gap_edges_map.csv": _MAP_HEAD + "lat_edges,0,0.2,0.4\n1,2\n3,4\n",
+    "mislabelled_map.csv": _MAP_HEAD + "lat,0,0.2,0.4\ngap_edges,0,0.5,1\n1,2\n3,4\n",
+    "decreasing_map.csv": _MAP_HEAD + "lat_edges,0,0.2\ngap_edges,0.4,0.2,0.0\n1,2\n",
+    "inf_edge_map.csv": _MAP_HEAD + "lat_edges,0,inf\ngap_edges,0,0.5,1\n1,2\n",
+    "nan_value_map.csv": _MAP_HEAD + "lat_edges,0,0.2,0.4\ngap_edges,0,0.5,1\n1,nan\n3,4\n",
+}
+
 # (scenario file text or None, command and its own arguments, a word the
 # message must hold): every bad input, through `run` and, where it is a
 # scenario key, through `sweep` as the swept value
@@ -174,6 +187,23 @@ BAD_INPUTS = {
         ["sweep", "--param", "control.ff_csv_path", "--range", "no_such_map.csv"],
         "no_such_map.csv",
     ),
+    # a map file that is cut short, mislabelled, not increasing or not
+    # finite is bad input that names the file
+    **{
+        f"run-ff_csv={name}": (
+            f"[sim]\nduration = 2\n[control]\nff_mode = csv\nff_csv_path = {name}\n",
+            ["run"],
+            f"error: {name}: {fault}",
+        )
+        for name, fault in (
+            ("truncated_map.csv", "lat_edges row missing or mislabelled"),
+            ("no_gap_edges_map.csv", "gap_edges row missing or mislabelled"),
+            ("mislabelled_map.csv", "lat_edges row missing or mislabelled"),
+            ("decreasing_map.csv", "gap_edges must be"),
+            ("inf_edge_map.csv", "lat_edges must be"),
+            ("nan_value_map.csv", "feedforward thrust entries must be finite"),
+        )
+    },
     **{
         f"{cmd}-{key}={value}": (
             f"[sim]\n{key} = {value}\n" if cmd == "run" else "",
@@ -266,6 +296,8 @@ BAD_INPUTS = {
 @pytest.mark.parametrize("text,argv,word", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exits_config_error_in_one_line(tmp_path, monkeypatch, capsys, text, argv, word):
     monkeypatch.chdir(tmp_path)
+    for name, content in BAD_MAPS.items():
+        (tmp_path / name).write_text(content)
     if text is not None:
         (tmp_path / "bad.cfg").write_text(text)
         argv = [argv[0], "--scenario", "bad.cfg", "--out", "out", *argv[1:]]

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import struct
 
 import numpy as np
@@ -639,5 +640,38 @@ def test_map_validation():
     for values in (np.zeros((3, 3)), [[0.0] * ng] * (nl - 1), short_row):
         with pytest.raises(ControlError, match="do not match bins"):
             FeedforwardMap(lat, gap, values)
-    with pytest.raises(ControlError, match="non-negative"):
-        map_with({(1, 1): -0.5})
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ControlError, match="finite and non-negative"):
+            map_with({(1, 1): bad})
+
+
+@pytest.mark.parametrize(
+    "lat,gap",
+    [
+        ((0.4, 0.2, 0.0), (0.0, 0.5)),  # decreasing: every lookup would read 0
+        ((0.0, 0.2, 0.2), (0.0, 0.5)),  # a repeated edge
+        ((0.0, 0.2), (0.0, math.nan)),
+        ((0.0, math.inf), (0.0, 0.5)),
+        ((-math.inf, 0.2), (0.0, 0.5)),
+        ((0.2,), (0.0, 0.5)),  # no bin
+    ],
+)
+def test_map_rejects_edges_not_finite_and_strictly_increasing(lat, gap):
+    values = [[1.0] * max(len(gap) - 1, 0)] * max(len(lat) - 1, 0)
+    with pytest.raises(ControlError, match="must be two or more finite, strictly increasing edges"):
+        FeedforwardMap(lat, gap, values)
+
+
+# the cases test_cli.py's BAD_INPUTS does not run through `flybat run`
+@pytest.mark.parametrize(
+    "body,fault",
+    [
+        ("gap_edges,0,0.5\nlat_edges,0,0.2\n1\n", "lat_edges row missing or mislabelled"),
+        ("lat_edges,0,0.2\ngap_edges,0,0.5\nx\n", "could not convert"),
+    ],
+)
+def test_import_map_csv_names_the_file_and_the_fault(tmp_path, body, fault):
+    path = tmp_path / "bad_map.csv"
+    path.write_text("# ff_map schema=1\n" + body)
+    with pytest.raises(ControlError, match=f"^{re.escape(str(path))}: .*{fault}"):
+        import_map_csv(path)

@@ -12,7 +12,6 @@ from flybat.docking import (
     GAP_REACHED_TOL,
     GROUND_TOL,
     ContactOutcome,
-    DockCommands,
     DockPhase,
     DockingError,
     Pcg64,
@@ -23,13 +22,14 @@ from flybat.docking import (
 from flybat.scenario import DockingSection, ScenarioError, default_scenario
 
 TH = DockingSection()
-NO_CMD = DockCommands()
-DOCK = DockCommands(dock=True)
-UNDOCK = DockCommands(undock=True)
+# (dock, undock) command pairs
+NO_CMD = (False, False)
+DOCK = (True, False)
+UNDOCK = (False, True)
 
 
 def step(phase, lateral, gap, commands=NO_CMD, altitude=1.5):
-    return fsm_step(phase, TH, (lateral, gap), altitude, commands)
+    return fsm_step(phase, TH, lateral, gap, altitude, *commands)
 
 
 def capture(lateral, contact_failure_probability, rng):
@@ -78,8 +78,8 @@ def test_fsm_never_leaves_declared_graph(rng):
         lateral = float(rng.uniform(0.0, 4.0))
         gap = float(rng.uniform(-2.0, 1.0))
         altitude = float(rng.uniform(0.0, 3.0))
-        commands = DockCommands(dock=bool(rng.random() < 0.3), undock=bool(rng.random() < 0.3))
-        nxt = fsm_step(phase, TH, (lateral, gap), altitude, commands)
+        dock, undock = bool(rng.random() < 0.3), bool(rng.random() < 0.3)
+        nxt = fsm_step(phase, TH, lateral, gap, altitude, dock, undock)
         assert nxt is phase or nxt in TRANSITIONS[phase]
         if nxt is DockPhase.FREE_FALL and phase is DockPhase.DESCEND:
             assert lateral <= TH.lateral_capture_radius
@@ -104,9 +104,7 @@ _GAP = _around(
     TH.hover_above_gap + ALT_REACHED_TOL, TH.hover_above_gap - GAP_REACHED_TOL,
 ) | st.floats(-2.0, 1.0)
 _ALTITUDE = _around(GROUND_TOL) | st.floats(-0.1, 3.0)
-_COMMANDS = st.sampled_from(
-    [DockCommands(dock=d, undock=u) for d in (False, True) for u in (False, True)]
-)
+_COMMANDS = st.sampled_from([(d, u) for d in (False, True) for u in (False, True)])
 
 
 @settings(max_examples=2000, deadline=None)
@@ -118,10 +116,11 @@ _COMMANDS = st.sampled_from(
     commands=_COMMANDS,
 )
 def test_fsm_step_walks_the_graph_at_every_threshold(phase, lateral, gap, altitude, commands):
-    nxt = fsm_step(phase, TH, (lateral, gap), altitude, commands)
+    dock, undock = commands
+    nxt = fsm_step(phase, TH, lateral, gap, altitude, dock, undock)
     assert nxt is phase or nxt in TRANSITIONS[phase]
     if phase is DockPhase.GROUNDED and nxt is not phase:
-        assert commands.dock
+        assert dock
 
 
 @settings(max_examples=300, deadline=None)
@@ -137,7 +136,7 @@ def test_fsm_step_rejects_any_non_finite_input(phase, pose, which, bad, commands
     pose[which] = bad
     lateral, gap, altitude = pose
     with pytest.raises(DockingError, match="non-finite"):
-        fsm_step(phase, TH, (lateral, gap), altitude, commands)
+        fsm_step(phase, TH, lateral, gap, altitude, *commands)
 
 
 def test_fsm_rejects_non_finite_pose():

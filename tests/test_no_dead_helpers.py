@@ -1,5 +1,6 @@
 """Every top-level function and class in `flybat`, and every non-dunder
-method, has a caller in the package or the benchmark harness.
+method, has a caller in the package or the benchmark harness; and every
+attribute the package stores is read there.
 
 A reference is any use of the name outside its own definition: a load,
 an attribute, an import, a keyword argument, or an identifier string
@@ -8,6 +9,13 @@ count, and neither does an export from `flybat/__init__.py`: an export
 is not a caller. A documented entry point that only users and tests
 call goes in `ALLOWED` with its reason, and an entry that gains a
 caller must leave it.
+
+A stored attribute is a `self.<attr>` store in a class of the package,
+or a field of one of its dataclasses. It is read if its name appears,
+anywhere in the package or the harness, as an attribute load, a keyword
+argument or an identifier string; a string in `__slots__` declares the
+attribute and does not read it. A documented attribute that only users
+and tests read goes in `WRITE_ONLY_ALLOWED` with its reason.
 """
 
 import ast
@@ -22,6 +30,17 @@ ALLOWED: dict[str, str] = {
     "read_telemetry": "README's Telemetry section: reads a telemetry CSV back, float for float",
     "export_map_csv": "README: writes the feedforward map file that `ff_mode = csv` reads",
     "build_ff_map": "README: builds a feedforward map from telemetry samples for `export_map_csv`",
+}
+
+# documented attributes that only users and tests read, each with its reason
+WRITE_ONLY_ALLOWED: dict[str, str] = {
+    "World.contact_friction": "README's Telemetry section: the docked contact's friction force "
+    "after each step, beside contact_normal",
+    "MissionEvent.seq": "README's Telemetry section: each logged event carries its sequence number",
+    "ScenarioError.line": "its docstring: the scenario file line an error names, for a caller "
+    "that catches it",
+    "ContactOutcome.draw": "its docstring: the uniform sample a capture spent, None when no draw "
+    "was made",
 }
 
 
@@ -83,3 +102,70 @@ def test_every_helper_has_a_caller():
     assert not allowed_but_called, "allowed but called: " + ", ".join(allowed_but_called)
     # an allow-list entry whose definition is gone must go too
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        fn = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(fn, ast.Name) and fn.id == "dataclass":
+            return True
+    return False
+
+
+def _stored(path: Path):
+    """(Class.attr, line) of every self.<attr> store and dataclass field."""
+    for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if _is_dataclass(cls):
+            for member in cls.body:
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    yield f"{cls.name}.{member.target.id}", member.lineno
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                yield f"{cls.name}.{node.attr}", node.lineno
+
+
+def _reads(path: Path):
+    """Every name one file reads as an attribute, keyword or identifier string."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    slots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            slots.update(map(id, ast.walk(node.value)))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.keyword) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier() and id(node) not in slots:
+                yield node.value
+
+
+def test_every_stored_attribute_is_read():
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), *PERFBENCH.rglob("*.py")]:
+        read.update(_reads(path))
+
+    stored = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname, line in _stored(path):
+            stored.setdefault(qualname, f"{path.name}:{line}")
+    unread = [
+        f"{where}: {q}"
+        for q, where in stored.items()
+        if q.rpartition(".")[2] not in read and q not in WRITE_ONLY_ALLOWED
+    ]
+    assert not unread, "stored but never read in src/flybat or perfbench: " + ", ".join(unread)
+    # the list holds only attributes that nothing in the package reads
+    read_but_allowed = [q for q in WRITE_ONLY_ALLOWED if q.rpartition(".")[2] in read]
+    assert not read_but_allowed, "allowed but read: " + ", ".join(read_but_allowed)
+    assert set(WRITE_ONLY_ALLOWED) <= set(stored), sorted(set(WRITE_ONLY_ALLOWED) - set(stored))
