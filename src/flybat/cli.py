@@ -11,10 +11,14 @@ import argparse
 import copy
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 from . import endurance as en
-from .engine import SimNumericsError
+from . import mission
+from .docking import Pcg64, contact_made
+from .engine import SimNumericsError, World, contact_generator
 from .mission import MissionSummary, run_mission
 from .scenario import (
     Scenario,
@@ -114,17 +118,134 @@ SWEEP_METRICS = (
 )
 
 
+# The contact draw's two inputs. They are the only randomness, so points
+# that differ in one of them fly the same mission until a draw's outcome
+# tells them apart; a sweep over one runs them as shared worlds.
+DRAW_KEYS = ("docking.contact_failure_probability", "sim.seed")
+# steps between checkpoints of a shared world: a split re-runs fewer
+CHECKPOINT_STEPS = 500
+
+
+def _point_error(param: str, value: str, exc: Exception) -> Exception:
+    """exc with the point named first, keeping its exit code."""
+    if isinstance(exc, SimNumericsError):
+        exc.args = (f"{param} = {value}: {exc}",)
+        return exc
+    return ScenarioError(f"{param} = {value}: {exc}")
+
+
 def _sweep_one(base: Scenario, param: str, value: str) -> MissionSummary:
     """One point's summary; an error names the point and keeps its exit code."""
     try:
         scenario = copy.deepcopy(base)
         set_scenario_value(scenario, param, value)
         return run_mission(None, scenario).summary
-    except SimNumericsError as exc:
-        exc.args = (f"{param} = {value}: {exc}",)
-        raise
-    except (ValueError, OSError) as exc:
-        raise ScenarioError(f"{param} = {value}: {exc}") from exc
+    except (SimNumericsError, ValueError, OSError) as exc:
+        raise _point_error(param, value, exc) from exc
+
+
+def _sweep_points(base: Scenario, param: str, values: list[str], workers: int) -> list:
+    """One world per point. Once a point fails, no further point starts;
+    the first failing point in sweep order is raised."""
+    failed = threading.Event()
+
+    def one(value):
+        if failed.is_set():
+            return None
+        try:
+            return _sweep_one(base, param, value)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(one, v) for v in values]
+    # a skipped point started after the failure, so it comes later in order
+    return [f.result() for f in futures]
+
+
+@dataclass
+class _Member:
+    """One sweep point of a shared world: its index and draw inputs, and
+    the generator of its draws unless it leads the world."""
+
+    index: int
+    seed: int
+    p: float
+    rng: Pcg64 | None = None
+
+
+class _SharedRun:
+    """Sweep points that differ only in the contact draw's inputs, flown
+    as one world while every draw gives them all the same outcome.
+
+    The world makes the first member's draws. At each of them every other
+    member draws from its own generator, and the members whose outcome
+    differs leave as a new run: a fork of the last checkpoint, taken
+    before that draw, with the first leaver's inputs."""
+
+    def __init__(self, world: World, members: list[_Member]):
+        """The members' run from a fork of world, which they all agree with."""
+        lead = members[0]
+        self.world = world.fork(lead.seed, lead.p)
+        outcomes = world.contact_outcomes()
+        for m in members[1:]:
+            m.rng = contact_generator(m.seed, m.p, outcomes)
+        self.members = members
+        self.draws = len(outcomes)
+        self.checkpoint: World | None = None
+        self.splits: list[_SharedRun] = []
+
+    def step(self) -> None:
+        world = self.world
+        if len(self.members) == 1:
+            world.step()
+            return
+        if world.step_index % CHECKPOINT_STEPS == 0:
+            self.checkpoint = copy.deepcopy(world)
+        seen = len(world.log.events)
+        world.step()
+        if len(world.log.events) != seen:
+            outcomes = world.contact_outcomes()
+            for made in outcomes[self.draws:]:
+                self._draw(made)
+            self.draws = len(outcomes)
+
+    def _draw(self, made: bool) -> None:
+        stay, leave = self.members[:1], []
+        for m in self.members[1:]:
+            (stay if contact_made(m.rng.random(), m.p) is made else leave).append(m)
+        if leave:
+            self.members = stay
+            self.splits.append(_SharedRun(self.checkpoint, leave))
+
+    def run(self, duration: float) -> MissionSummary:
+        world = self.world
+        log = world.run(duration, step=self.step if len(self.members) > 1 else None)
+        return mission.summarize(log, termination_reason=world.termination_reason)
+
+
+def _sweep_draws(scenarios: list[Scenario], param: str, values: list[str]) -> list:
+    """Points that differ in one contact draw input, as shared worlds. A
+    failure stops the sweep and names the first point of its world."""
+    members = [
+        _Member(i, sc.sim.seed, sc.docking.contact_failure_probability)
+        for i, sc in enumerate(scenarios)
+    ]
+    summaries = [None] * len(scenarios)
+    lead = 0
+    try:
+        runs = [_SharedRun(World(scenarios[0]), members)]
+        while runs:
+            run = runs.pop(0)
+            lead = run.members[0].index
+            summary = run.run(scenarios[0].sim.duration)
+            for m in run.members:
+                summaries[m.index] = summary
+            runs += run.splits
+    except (SimNumericsError, ValueError, OSError) as exc:
+        raise _point_error(param, values[lead], exc) from exc
+    return summaries
 
 
 def cmd_sweep(args) -> int:
@@ -135,12 +256,16 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("--range holds no values")
     base = _resolve_scenario(args.scenario)
     # validate the parameter name and value casts up front
+    scenarios = []
     for v in values:
-        set_scenario_value(copy.deepcopy(base), args.param, v)
+        scenarios.append(copy.deepcopy(base))
+        set_scenario_value(scenarios[-1], args.param, v)
     out = _out_dir(args.out)
     path = os.path.join(out, f"sweep_{args.param.replace('.', '_')}.csv")
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        summaries = list(pool.map(lambda v: _sweep_one(base, args.param, v), values))
+    if args.param in DRAW_KEYS:
+        summaries = _sweep_draws(scenarios, args.param, values)
+    else:
+        summaries = _sweep_points(base, args.param, values, args.workers)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("value," + ",".join(SWEEP_METRICS) + "\n")
         for v, s in zip(values, summaries):

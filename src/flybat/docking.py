@@ -230,6 +230,11 @@ def capture_check(landing_point_lateral: float, cfg: DockingSection, rng) -> Con
     if not mechanical:
         return ContactOutcome(False, False, None)
     draw = float(rng.random())
-    electrical = draw >= cfg.contact_failure_probability
-    return ContactOutcome(True, electrical, draw)
+    return ContactOutcome(True, contact_made(draw, cfg.contact_failure_probability), draw)
+
+
+def contact_made(draw: float, contact_failure_probability: float) -> bool:
+    """Whether a uniform draw in [0, 1) makes electrical contact: it must
+    clear the failure probability, so p = 0 always and p = 1 never does."""
+    return draw >= contact_failure_probability
 

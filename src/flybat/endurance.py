@@ -100,8 +100,6 @@ class DesignComparison:
     """Observed configuration versus the phi = 2/3 design at equal m0."""
 
     observed_time: float  # s
-    observed_phi: float
-    observed_normalized: float
     optimal_time: float  # s
     optimal_battery_mass: float  # kg
     optimal_total_mass: float  # kg
@@ -126,8 +124,6 @@ def design_comparison(solo: EnduranceInputs, solo_observed_time: float) -> Desig
     total = solo.m0 / (1.0 - OPTIMAL_PHI)
     return DesignComparison(
         observed_time=solo_observed_time,
-        observed_phi=solo.phi,
-        observed_normalized=norm,
         optimal_time=optimal_time,
         optimal_battery_mass=battery,
         optimal_total_mass=total,

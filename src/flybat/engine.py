@@ -14,6 +14,7 @@ by the world. Identical scenario and seed give byte-identical telemetry.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from collections import Counter
@@ -50,6 +51,8 @@ from .geom import q_rotate
 from .telemetry import TelemetryRow, TelemetryWriter
 
 GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
+# the logged outcomes of a contact draw (see World.contact_outcomes)
+_CONTACT_KINDS = ("contact", "contact_failure")
 
 # bit patterns for the host fast path: state + integrators, and the
 # setpoint/feedforward/wrench inputs (bytes tell -0.0 from 0.0)
@@ -58,6 +61,10 @@ _HOST_INPUTS = struct.Struct("12d")
 
 # read on every step; an Enum class attribute read is slow on Python 3.11
 NO_SOURCE = pt.ActiveSource.NONE
+
+
+class ForkError(ValueError):
+    """A world cannot be forked with the contact draw inputs given."""
 
 
 class SimNumericsError(RuntimeError):
@@ -107,6 +114,20 @@ def events_column(events: list[MissionEvent]) -> str:
             parts = (e.kind, str(e.uid), e.detail)
         tokens.append(":".join(p for p in parts if p))
     return ";".join(tokens)
+
+
+def contact_generator(seed: int, contact_failure_probability: float, outcomes=()) -> dk.Pcg64:
+    """The contact draws' generator for seed, past one draw per outcome
+    (True for an electrical contact). Raises ForkError where a draw at
+    this contact failure probability gives the other outcome."""
+    rng = dk.Pcg64(seed)
+    for k, made in enumerate(outcomes):
+        if dk.contact_made(rng.random(), contact_failure_probability) is not made:
+            raise ForkError(
+                f"seed {seed} at contact_failure_probability {contact_failure_probability} "
+                f"gives contact draw {k} the other outcome"
+            )
+    return rng
 
 
 class MissionLog:
@@ -180,7 +201,9 @@ class World:
         self.dt: float = sim.dt
         self.duration: float = sim.duration
         self.step_index: int = 0
-        self.rng = dk.Pcg64(sim.seed)
+        # the contact draw's inputs: this generator and
+        # self.docking.contact_failure_probability (see fork)
+        self.rng = contact_generator(sim.seed, scenario.docking.contact_failure_probability)
 
         # host vehicle
         self.main_params: VehicleParams = inp.main_params
@@ -843,22 +866,23 @@ class World:
     def _write_row(self, t: float) -> None:
         mp = self.main_position()
         u = self._telemetry_unit()
+        # an Enum's _value_ is its value without the property's Python call
         if u is None:
             fb_id, fb_phase, fb_pos = -1, "none", (0.0, 0.0, 0.0)
         elif u is self.docked_unit:
             # slaved to the platform while docked
             s = self.main_state
             mount = q_rotate((s[6], s[7], s[8], s[9]), MOUNT_OFFSET)
-            fb_id, fb_phase = u.uid, u.phase.value
+            fb_id, fb_phase = u.uid, u.phase._value_
             fb_pos = (mp[0] + mount[0], mp[1] + mount[1], mp[2] + mount[2])
         else:
-            fb_id, fb_phase, fb_pos = u.uid, u.phase.value, (u.state[0], u.state[1], u.state[2])
+            fb_id, fb_phase, fb_pos = u.uid, u.phase._value_, (u.state[0], u.state[1], u.state[2])
         v, i_p, i_s, source = self.bus
         i_total = i_p + i_s
         events = self.log.events
         mark = self._row_mark
         row = TelemetryRow(
-            t, v, i_total, i_p, i_s, v * i_total, source.value,
+            t, v, i_total, i_p, i_s, v * i_total, source._value_,
             mp[0], mp[1], mp[2],
             fb_id, fb_phase, fb_pos[0], fb_pos[1], fb_pos[2],
             self.contact_normal,
@@ -870,14 +894,17 @@ class World:
 
     # ------------------------------------------------------------------
 
-    def run(self, duration: float | None = None) -> MissionLog:
-        """Step until termination or the duration guard elapses."""
+    def run(self, duration: float | None = None, step=None) -> MissionLog:
+        """Step until termination or the duration guard elapses. step, if
+        given, is called in place of self.step; it must call self.step
+        once (the sweep's shared runs watch each step this way)."""
         if duration is None:
             duration = self.duration
         if duration <= 0.0:
             raise ValueError(f"duration must be positive, got {duration}")
         n_steps = round(duration / self.dt)
-        step = self.step
+        if step is None:
+            step = self.step
         try:
             while self.step_index < n_steps and not self.terminated:
                 step()
@@ -896,6 +923,32 @@ class World:
                 drawn[f"unit{u.uid}.own"] = u.own_drawn_wh
         self.log.energy_drawn = drawn
         return self.log
+
+    def contact_outcomes(self) -> list[bool]:
+        """The outcome of every contact draw so far, in order: True for an
+        electrical contact. Each capture that engages draws once and logs
+        contact or contact_failure; the start-docked attach logs a contact
+        without a draw."""
+        outcomes = [e.kind == "contact" for e in self.log.events if e.kind in _CONTACT_KINDS]
+        return outcomes[1:] if self.mission.start_docked else outcomes
+
+    def fork(self, seed: int, contact_failure_probability: float) -> World:
+        """A copy of this world that makes its contact draws from now on
+        with seed's generator and the given probability. Those inputs must
+        give every draw made so far the outcome this world logged; the
+        copy is then the world they would have reached from the start.
+        Raises ForkError if they do not, or if this world writes a
+        telemetry file."""
+        p = contact_failure_probability
+        if not 0.0 <= p <= 1.0:
+            raise ForkError(f"contact_failure_probability must be in [0, 1], got {p}")
+        if self.writer.path is not None:
+            raise ForkError("a world that writes a telemetry file cannot fork")
+        rng = contact_generator(seed, p, self.contact_outcomes())
+        world = copy.deepcopy(self)
+        world.rng = rng
+        world.docking = replace(self.docking, contact_failure_probability=p)
+        return world
 
     def solo_equivalent_time(self) -> float:
         """Hover time of the host alone on a full primary pack."""

@@ -70,21 +70,55 @@ def scaled_mission_scenario(
     return sc
 
 
-def run_optimized(code: str, *args: str, env: dict[str, str] | None = None) -> None:
-    """Run code in a fresh `python -O` interpreter (asserts stripped) that
-    can import flybat and the test modules, with env's variables added to
-    this process's environment; fail on a non-zero exit."""
+# three units, unit 0 docked on a 0.002 Ah secondary: a contact draw
+# about every 7.8 s, the first at 7.95 s
+DRAWS_CFG = """\
+[batteries]
+secondary.capacity_ah = 0.002
+[docking]
+contact_failure_probability = 0.5
+home_radius = 0.5
+[mission]
+fleet_size = 3
+start_docked = true
+turnaround_delay = 1.0
+[sim]
+seed = 1000
+duration = 32
+"""
+
+
+def start_optimized(code: str, *args: str, env: dict[str, str] | None = None) -> subprocess.Popen:
+    """Start code in a fresh `python -O` interpreter (asserts stripped)
+    that can import flybat and the test modules, with env's variables
+    added to this process's environment; its output is piped as text."""
     path = [str(SRC_DIR), str(TESTS_DIR)]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
-    proc = subprocess.run(
+    return subprocess.Popen(
         [sys.executable, "-O", "-c", code, *args],
         env=dict(os.environ, **(env or {}), PYTHONPATH=os.pathsep.join(path)),
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=300,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def finish(proc: subprocess.Popen, timeout: float = 300) -> None:
+    """Wait for a started interpreter; fail on a non-zero exit."""
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, out + err
+
+
+def run_optimized(code: str, *args: str, env: dict[str, str] | None = None) -> None:
+    """Run code as start_optimized does and wait for it; fail on a
+    non-zero exit."""
+    finish(start_optimized(code, *args, env=env))
 
 
 def golden_section_argmax(f, lo: float, hi: float, tol: float = 1.0e-12) -> float:

@@ -8,7 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import docked_contact_trace, golden_section_argmax, maneuver_durations
+from conftest import (
+    docked_contact_trace,
+    finish,
+    golden_section_argmax,
+    maneuver_durations,
+    start_optimized,
+)
 from flybat.control import build_ff_map, zero_map
 from flybat.docking import APPROACH_ABOVE
 from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
@@ -31,7 +37,12 @@ from flybat.powertrain import (
     ocv,
     solve_bus,
 )
-from flybat.scenario import build_world_inputs, bundled_scenario, default_scenario
+from flybat.scenario import (
+    _calibrated_main_kp,
+    build_world_inputs,
+    bundled_scenario,
+    default_scenario,
+)
 from flybat.telemetry import read_telemetry
 
 PHI_REF = 190.0 / 820.0
@@ -57,8 +68,28 @@ def solo_run(out_dir):
     return result, path, runtime
 
 
+_REPLAY = """
+import sys
+from flybat.mission import run_mission
+from flybat.scenario import bundled_scenario
+run_mission(None, bundled_scenario("paper_demo"), telemetry_path=sys.argv[1])
+"""
+
+
 @pytest.fixture(scope="session")
-def demo_run(out_dir):
+def demo_replay(out_dir):
+    """Criterion 10's replay of paper_demo in a second process, started
+    before demo_run so that the two missions run side by side."""
+    path = out_dir / "paper_demo_replay.csv"
+    proc = start_optimized(_REPLAY, str(path))
+    yield proc, path
+    if proc.poll() is None:
+        proc.kill()
+        proc.communicate()
+
+
+@pytest.fixture(scope="session")
+def demo_run(out_dir, demo_replay):
     path = out_dir / "paper_demo_telemetry.csv"
     sc = bundled_scenario("paper_demo")
     t0 = time.perf_counter()
@@ -337,15 +368,31 @@ def test_criterion_09_docking_timing():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_10_determinism(demo_run, out_dir):
+def test_criterion_10_determinism(demo_run, demo_replay):
+    # the replay is a second process, under python -O
     _, first_path, _ = demo_run
-    second_path = out_dir / "paper_demo_replay.csv"
-    sc = bundled_scenario("paper_demo")
-    run_mission(None, sc, telemetry_path=str(second_path))
+    proc, second_path = demo_replay
+    finish(proc)
     a = first_path.read_bytes()
     b = second_path.read_bytes()
     ok = a == b and len(a) > 0
     report(10, "determinism", ok, f"bytes={len(a)} identical={a == b}")
+
+
+def test_paper_demo_prefix_same_with_cold_and_warm_calibration_cache(tmp_path):
+    # the in-process half of determinism: the host k_p comes from a cold
+    # calibration, then from _calibrated_main_kp's cache
+    _calibrated_main_kp.cache_clear()
+    data = []
+    for name in ("cold", "warm"):
+        path = tmp_path / f"{name}.csv"
+        sc = bundled_scenario("paper_demo")
+        sc.sim.duration = 25.0
+        run_mission(None, sc, telemetry_path=str(path))
+        data.append(path.read_bytes())
+    info = _calibrated_main_kp.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert data[0] == data[1] and len(data[0]) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import pickle
 
 import pytest
 
-from conftest import run_optimized, scaled_mission_scenario
+from conftest import DRAWS_CFG, run_optimized, scaled_mission_scenario
 from flybat.cli import main
 from flybat.telemetry import read_telemetry
 
@@ -526,6 +526,93 @@ def test_numerics_error_pickles_with_its_point(tmp_path):
     assert (back.step_index, back.subsystem) == (exc.step_index, exc.subsystem)
     assert back.args == exc.args
     assert str(back).startswith("docking.mu = 0.5: non-finite value at step")
+
+
+def _one_mission_per_point(path, param, values):
+    """The sweep CSV built from one independent run_mission per point, and
+    the contact draw outcomes of each point's mission."""
+    from flybat.cli import SWEEP_METRICS
+    from flybat.mission import run_mission
+    from flybat.scenario import load_scenario, set_scenario_value
+
+    lines = ["value," + ",".join(SWEEP_METRICS)]
+    outcomes = []
+    for v in values:
+        sc = load_scenario(path)
+        set_scenario_value(sc, param, v)
+        result = run_mission(None, sc)
+        s = result.summary
+        lines.append(v + "," + ",".join(f"{getattr(s, k):.9g}" for k in SWEEP_METRICS))
+        outcomes.append(result.world.contact_outcomes())
+    return ("\n".join(lines) + "\n").encode(), outcomes
+
+
+def _count_worlds(monkeypatch):
+    """Count the worlds built from scratch (not forks) from now on."""
+    from flybat.engine import World
+
+    built = []
+    init = World.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(World, "__init__", counting)
+    return built
+
+
+# p = 0 and 1 with the 0.52 first draw of seed 1000 between them; seeds
+# 1000 and 1001 make their first contact at p = 0.5, 1002 and 1003 fail it
+@pytest.mark.parametrize(
+    "param, values",
+    [
+        ("docking.contact_failure_probability", ["0", "0.3", "0.55", "1"]),
+        ("sim.seed", ["1000", "1001", "1002", "1003"]),
+    ],
+    ids=["probability", "seed"],
+)
+def test_draw_key_sweep_matches_one_mission_per_point(tmp_path, monkeypatch, param, values):
+    path = tmp_path / "draws.cfg"
+    path.write_text(DRAWS_CFG)
+    expected, outcomes = _one_mission_per_point(path, param, values)
+    # each mission draws three or four times, and the first draws disagree
+    assert all(len(o) >= 3 for o in outcomes)
+    assert {o[0] for o in outcomes} == {True, False}
+    built = _count_worlds(monkeypatch)
+    argv = ["sweep", "--scenario", str(path), "--param", param, "--range", ",".join(values)]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / f"sweep_{param.replace('.', '_')}.csv").read_bytes() == expected
+    # the points shared one world built from scratch
+    assert len(built) == 1
+
+
+def test_sweep_over_other_keys_builds_one_world_per_point(tmp_path, monkeypatch):
+    path = tmp_path / "draws.cfg"
+    path.write_text(DRAWS_CFG.replace("duration = 32", "duration = 2"))
+    built = _count_worlds(monkeypatch)
+    argv = ["sweep", "--scenario", str(path), "--param", "docking.mu", "--range", "0.3,0.4,0.5"]
+    assert main([*argv, "--out", str(tmp_path), "--workers", "1"]) == 0
+    assert len(built) == 3
+
+
+def test_failed_sweep_point_starts_no_further_mission(tmp_path, monkeypatch, capsys):
+    import flybat.cli as cli
+
+    scenario = tmp_path / "short.cfg"
+    scenario.write_text("[mission]\nfleet_size = 0\n[sim]\nduration = 1\n")
+    started = []
+    run_mission = cli.run_mission
+    monkeypatch.setattr(
+        cli, "run_mission", lambda *a, **kw: started.append(1) or run_mission(*a, **kw)
+    )
+    argv = ["sweep", "--scenario", str(scenario), "--param", "batteries.primary.capacity_ah"]
+    out = tmp_path / "out"
+    for _ in range(6):
+        code = main([*argv, "--range", "0.001,2.2,2.2,2.2", "--workers", "1", "--out", str(out)])
+        assert code == 2
+        assert "error: batteries.primary.capacity_ah = 0.001: " in capsys.readouterr().err
+    assert len(started) == 6
 
 
 def test_sweep_range_forms(tmp_path):

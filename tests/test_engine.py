@@ -1,18 +1,19 @@
 import importlib
 import importlib.util
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flybat.engine
-from conftest import docked_contact_trace, run_optimized, scaled_mission_scenario
+from conftest import DRAWS_CFG, docked_contact_trace, run_optimized, scaled_mission_scenario
 from flybat.docking import DOCKED, GROUNDED, TRANSITIONS, DockPhase
 from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
 from flybat.engine import SimNumericsError, World
 from flybat.powertrain import PowertrainError, hover_power
-from flybat.scenario import bundled_scenario, default_scenario, set_scenario_value
-from flybat.telemetry import format_row
+from flybat.scenario import bundled_scenario, default_scenario, parse_scenario, set_scenario_value
+from flybat.telemetry import dump_telemetry, format_row
 
 
 def solo_scenario(duration=10.0, telemetry_hz=None):
@@ -464,6 +465,90 @@ def test_mission_telemetry_same_across_hash_seeds(tmp_path, case):
             _OPTIMIZED_RUN, case, str(tmp_path / f"{seed}.csv"), env={"PYTHONHASHSEED": seed}
         )
     assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
+
+
+# --- the contact draw's inputs and forks -------------------------------------
+
+
+def draw_world(p, seed, **kwargs):
+    sc = parse_scenario(DRAWS_CFG)
+    sc.docking.contact_failure_probability = p
+    sc.sim.seed = seed
+    return World(sc, **kwargs)
+
+
+def _state_bytes(world):
+    """Every attribute of world but the draw inputs and the writer, pickled."""
+    skip = ("rng", "docking", "writer")
+    return pickle.dumps({k: v for k, v in vars(world).items() if k not in skip})
+
+
+# the first draw is 0.52 for seed 1000 and 0.38 for seed 1002
+@pytest.mark.parametrize(
+    "inputs", [((0.3, 1000), (0.7, 1000)), ((0.5, 1000), (0.5, 1002))], ids=["probability", "seed"]
+)
+def test_worlds_differing_in_one_draw_input_agree_until_the_first_draw(tmp_path, inputs):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    a, b = (draw_world(p, seed, telemetry_path=str(path)) for (p, seed), path in zip(inputs, paths))
+    while not a.contact_outcomes():
+        assert _state_bytes(a) == _state_bytes(b), f"step {a.step_index}"
+        a.step()
+        b.step()
+    # one draw each, on the same step, with opposite outcomes
+    assert a.contact_outcomes() == [True] and b.contact_outcomes() == [False]
+    a.writer.close()
+    b.writer.close()
+    rows_a, rows_b = (path.read_bytes().splitlines() for path in paths)
+    assert len(rows_a) == len(rows_b) > 700
+    # every row but the draw step's is the same
+    assert rows_a[:-1] == rows_b[:-1] and rows_a[-1] != rows_b[-1]
+
+
+def test_fork_is_the_world_its_draw_inputs_reach():
+    # forked before the first draw (0.52), with the inputs that make contact
+    world = draw_world(0.7, 1000, keep_rows=True)
+    for _ in range(5000):
+        world.step()
+    fork = world.fork(1000, 0.3)
+    fork.run(12.0)
+    fresh = draw_world(0.3, 1000, keep_rows=True)
+    fresh.run(12.0)
+    assert fork.contact_outcomes() == fresh.contact_outcomes() == [True]
+    assert dump_telemetry(fork.writer.rows) == dump_telemetry(fresh.writer.rows)
+    world.run(12.0)
+    assert world.contact_outcomes() == [False]
+    # a fork after the draw: seed 1001's first draw (0.61) makes contact too
+    assert fresh.fork(1001, 0.3).contact_outcomes() == [True]
+
+
+_INCONSISTENT_FORKS = """
+import sys
+from test_engine import draw_world
+from flybat.engine import ForkError
+
+world = draw_world(0.5, 1000)
+world.run(9.0)
+if world.contact_outcomes() != [True]:
+    sys.exit(f"expected one contact, got {world.contact_outcomes()}")
+world.fork(1001, 0.5)  # its first draw, 0.61, makes contact too
+# a draw that fails at p = 0.6, a seed whose first draw fails, and no probability
+for seed, p in ((1000, 0.6), (1002, 0.5), (1000, 1.5), (1000, float("nan"))):
+    try:
+        world.fork(seed, p)
+    except ForkError:
+        continue
+    sys.exit(f"fork({seed}, {p}) did not raise")
+try:
+    draw_world(0.5, 1000, telemetry_path=sys.argv[1]).fork(1000, 0.5)
+except ForkError:
+    pass
+else:
+    sys.exit("a world writing a telemetry file forked")
+"""
+
+
+def test_fork_with_inconsistent_inputs_raises_under_optimize(tmp_path):
+    run_optimized(_INCONSISTENT_FORKS, str(tmp_path / "t.csv"))
 
 
 # --- benchmark tracer bindings -----------------------------------------------

@@ -12,10 +12,11 @@ caller must leave it.
 
 A stored attribute is a `self.<attr>` store in a class of the package,
 or a field of one of its dataclasses. It is read if its name appears,
-anywhere in the package or the harness, as an attribute load, a keyword
-argument or an identifier string; a string in `__slots__` declares the
-attribute and does not read it. A documented attribute that only users
-and tests read goes in `WRITE_ONLY_ALLOWED` with its reason.
+anywhere in the package or the harness, as an attribute load or an
+identifier string. A string in `__slots__` declares the attribute and
+a keyword argument of the same name sets it; neither reads it. A
+documented attribute that only users and tests read goes in
+`WRITE_ONLY_ALLOWED` with its reason.
 """
 
 import ast
@@ -37,6 +38,7 @@ WRITE_ONLY_ALLOWED: dict[str, str] = {
     "World.contact_friction": "README's Telemetry section: the docked contact's friction force "
     "after each step, beside contact_normal",
     "MissionEvent.seq": "README's Telemetry section: each logged event carries its sequence number",
+    "MissionEvent.t": "README's Telemetry section: each logged event carries its time",
     "ScenarioError.line": "its docstring: the scenario file line an error names, for a caller "
     "that catches it",
     "ContactOutcome.draw": "its docstring: the uniform sample a capture spent, None when no draw "
@@ -132,7 +134,7 @@ def _stored(path: Path):
 
 
 def _reads(path: Path):
-    """Every name one file reads as an attribute, keyword or identifier string."""
+    """Every name one file reads as an attribute or identifier string."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     slots = set()
     for node in ast.walk(tree):
@@ -143,8 +145,6 @@ def _reads(path: Path):
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
-        elif isinstance(node, ast.keyword) and node.arg:
-            yield node.arg
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier() and id(node) not in slots:
                 yield node.value
