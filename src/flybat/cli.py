@@ -13,12 +13,12 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import endurance as en
 from . import mission
 from .docking import Pcg64, contact_made
-from .engine import SimNumericsError, World, contact_generator
+from .engine import SimNumericsError, World
 from .mission import MissionSummary, run_mission
 from .scenario import (
     Scenario,
@@ -120,131 +120,121 @@ SWEEP_METRICS = (
 
 # The contact draw's two inputs. They are the only randomness, so points
 # that differ in one of them fly the same mission until a draw's outcome
-# tells them apart; a sweep over one runs them as shared worlds.
+# tells them apart; a sweep over one flies them as one group.
 DRAW_KEYS = ("docking.contact_failure_probability", "sim.seed")
 # steps between checkpoints of a shared world: a split re-runs fewer
 CHECKPOINT_STEPS = 500
 
 
-def _point_error(param: str, value: str, exc: Exception) -> Exception:
-    """exc with the point named first, keeping its exit code."""
-    if isinstance(exc, SimNumericsError):
-        exc.args = (f"{param} = {value}: {exc}",)
-        return exc
-    return ScenarioError(f"{param} = {value}: {exc}")
+@dataclass
+class _Point:
+    """One sweep point of a world: its index in the sweep, the generator
+    of its contact draws and its contact failure probability."""
+
+    index: int
+    rng: Pcg64
+    p: float
 
 
-def _sweep_one(base: Scenario, param: str, value: str) -> MissionSummary:
-    """One point's summary; an error names the point and keeps its exit code."""
+class _Draws:
+    """The contact draws of a world flown for one or more sweep points.
+    Each draw is the first point's; every other point draws from its own
+    generator at the same moment, and the points whose outcome differs
+    leave the world as one pending split."""
+
+    def __init__(self, points: list[_Point]):
+        self.points = points
+        self.leaving: list[list[_Point]] = []
+
+    def random(self) -> float:
+        lead = self.points[0]
+        draw = lead.rng.random()
+        made = contact_made(draw, lead.p)
+        stay, leave = [lead], []
+        for pt in self.points[1:]:
+            (stay if contact_made(pt.rng.random(), pt.p) is made else leave).append(pt)
+        if leave:
+            self.points = stay
+            self.leaving.append(leave)
+        return draw
+
+
+def _fly(world: World, runs: list[World]) -> MissionSummary:
+    """The summary of world, whose rng is a _Draws. While it flies more
+    than one point it is copied every CHECKPOINT_STEPS steps, and each
+    pending split joins runs as a copy of the last checkpoint led by its
+    first point; the copy holds the split's generators as they were then."""
+    draws = world.rng
+    checkpoint = None
+
+    def step():
+        nonlocal checkpoint
+        if len(draws.points) > 1 and world.step_index % CHECKPOINT_STEPS == 0:
+            checkpoint = copy.deepcopy(world)
+        world.step()
+        while draws.leaving:
+            leave = {pt.index for pt in draws.leaving.pop()}
+            split = copy.deepcopy(checkpoint)
+            split.rng.points = [pt for pt in split.rng.points if pt.index in leave]
+            p = split.rng.points[0].p
+            split.docking = replace(split.docking, contact_failure_probability=p)
+            runs.append(split)
+
+    log = world.run(step=step if len(draws.points) > 1 else None)
+    return mission.summarize(log, termination_reason=world.termination_reason)
+
+
+def _sweep_group(scenarios: list[Scenario], param: str, values: list[str], group: list[int]):
+    """(index, summary) of each point in group, flown as one world that
+    splits where a contact draw tells its points apart. An error names
+    the first point of the world that raised it, keeping its exit code."""
+    lead = group[0]
     try:
-        scenario = copy.deepcopy(base)
-        set_scenario_value(scenario, param, value)
-        return run_mission(None, scenario).summary
-    except (SimNumericsError, ValueError, OSError) as exc:
-        raise _point_error(param, value, exc) from exc
+        world = World(scenarios[lead])
+        world.rng = _Draws([
+            _Point(i, Pcg64(scenarios[i].sim.seed), scenarios[i].docking.contact_failure_probability)
+            for i in group
+        ])
+        runs, done = [world], []
+        while runs:
+            world = runs.pop()
+            draws = world.rng
+            lead = draws.points[0].index
+            summary = _fly(world, runs)
+            done += [(pt.index, summary) for pt in draws.points]
+    except SimNumericsError as exc:
+        exc.args = (f"{param} = {values[lead]}: {exc}",)
+        raise
+    except (ValueError, OSError) as exc:
+        raise ScenarioError(f"{param} = {values[lead]}: {exc}") from exc
+    return done
 
 
-def _sweep_points(base: Scenario, param: str, values: list[str], workers: int) -> list:
-    """One world per point. Once a point fails, no further point starts;
-    the first failing point in sweep order is raised."""
+def _sweep(scenarios: list[Scenario], param: str, values: list[str], workers: int) -> list:
+    """The points' summaries in sweep order. A DRAW_KEYS sweep is one
+    group and any other sweep one group per point; the groups run on
+    workers threads. Once a group fails, no further group starts; the
+    first failing group in sweep order is raised."""
+    n = len(values)
+    groups = [list(range(n))] if param in DRAW_KEYS else [[i] for i in range(n)]
     failed = threading.Event()
 
-    def one(value):
+    def fly(group):
         if failed.is_set():
-            return None
+            return []
         try:
-            return _sweep_one(base, param, value)
+            return _sweep_group(scenarios, param, values, group)
         except BaseException:
             failed.set()
             raise
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(one, v) for v in values]
-    # a skipped point started after the failure, so it comes later in order
-    return [f.result() for f in futures]
-
-
-@dataclass
-class _Member:
-    """One sweep point of a shared world: its index and draw inputs, and
-    the generator of its draws unless it leads the world."""
-
-    index: int
-    seed: int
-    p: float
-    rng: Pcg64 | None = None
-
-
-class _SharedRun:
-    """Sweep points that differ only in the contact draw's inputs, flown
-    as one world while every draw gives them all the same outcome.
-
-    The world makes the first member's draws. At each of them every other
-    member draws from its own generator, and the members whose outcome
-    differs leave as a new run: a fork of the last checkpoint, taken
-    before that draw, with the first leaver's inputs."""
-
-    def __init__(self, world: World, members: list[_Member]):
-        """The members' run from a fork of world, which they all agree with."""
-        lead = members[0]
-        self.world = world.fork(lead.seed, lead.p)
-        outcomes = world.contact_outcomes()
-        for m in members[1:]:
-            m.rng = contact_generator(m.seed, m.p, outcomes)
-        self.members = members
-        self.draws = len(outcomes)
-        self.checkpoint: World | None = None
-        self.splits: list[_SharedRun] = []
-
-    def step(self) -> None:
-        world = self.world
-        if len(self.members) == 1:
-            world.step()
-            return
-        if world.step_index % CHECKPOINT_STEPS == 0:
-            self.checkpoint = copy.deepcopy(world)
-        seen = len(world.log.events)
-        world.step()
-        if len(world.log.events) != seen:
-            outcomes = world.contact_outcomes()
-            for made in outcomes[self.draws:]:
-                self._draw(made)
-            self.draws = len(outcomes)
-
-    def _draw(self, made: bool) -> None:
-        stay, leave = self.members[:1], []
-        for m in self.members[1:]:
-            (stay if contact_made(m.rng.random(), m.p) is made else leave).append(m)
-        if leave:
-            self.members = stay
-            self.splits.append(_SharedRun(self.checkpoint, leave))
-
-    def run(self, duration: float) -> MissionSummary:
-        world = self.world
-        log = world.run(duration, step=self.step if len(self.members) > 1 else None)
-        return mission.summarize(log, termination_reason=world.termination_reason)
-
-
-def _sweep_draws(scenarios: list[Scenario], param: str, values: list[str]) -> list:
-    """Points that differ in one contact draw input, as shared worlds. A
-    failure stops the sweep and names the first point of its world."""
-    members = [
-        _Member(i, sc.sim.seed, sc.docking.contact_failure_probability)
-        for i, sc in enumerate(scenarios)
-    ]
-    summaries = [None] * len(scenarios)
-    lead = 0
-    try:
-        runs = [_SharedRun(World(scenarios[0]), members)]
-        while runs:
-            run = runs.pop(0)
-            lead = run.members[0].index
-            summary = run.run(scenarios[0].sim.duration)
-            for m in run.members:
-                summaries[m.index] = summary
-            runs += run.splits
-    except (SimNumericsError, ValueError, OSError) as exc:
-        raise _point_error(param, values[lead], exc) from exc
+        futures = [pool.submit(fly, g) for g in groups]
+    summaries = [None] * n
+    # a skipped group started after the failure, so it comes later in order
+    for f in futures:
+        for i, summary in f.result():
+            summaries[i] = summary
     return summaries
 
 
@@ -262,10 +252,7 @@ def cmd_sweep(args) -> int:
         set_scenario_value(scenarios[-1], args.param, v)
     out = _out_dir(args.out)
     path = os.path.join(out, f"sweep_{args.param.replace('.', '_')}.csv")
-    if args.param in DRAW_KEYS:
-        summaries = _sweep_draws(scenarios, args.param, values)
-    else:
-        summaries = _sweep_points(base, args.param, values, args.workers)
+    summaries = _sweep(scenarios, args.param, values, args.workers)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("value," + ",".join(SWEEP_METRICS) + "\n")
         for v, s in zip(values, summaries):
@@ -307,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--param", required=True, help="scenario key, e.g. docking.mu")
     p_sw.add_argument("--range", required=True, help="comma list or start:stop:count")
     p_sw.add_argument("--out", default=None)
-    p_sw.add_argument("--workers", type=int, default=4)
+    p_sw.add_argument("--workers", type=int, default=4, help="groups flown at once")
     p_sw.set_defaults(func=cmd_sweep)
     return parser
 

@@ -14,7 +14,6 @@ by the world. Identical scenario and seed give byte-identical telemetry.
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from collections import Counter
@@ -51,8 +50,6 @@ from .geom import q_rotate
 from .telemetry import TelemetryRow, TelemetryWriter
 
 GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
-# the logged outcomes of a contact draw (see World.contact_outcomes)
-_CONTACT_KINDS = ("contact", "contact_failure")
 
 # bit patterns for the host fast path: state + integrators, and the
 # setpoint/feedforward/wrench inputs (bytes tell -0.0 from 0.0)
@@ -61,10 +58,6 @@ _HOST_INPUTS = struct.Struct("12d")
 
 # read on every step; an Enum class attribute read is slow on Python 3.11
 NO_SOURCE = pt.ActiveSource.NONE
-
-
-class ForkError(ValueError):
-    """A world cannot be forked with the contact draw inputs given."""
 
 
 class SimNumericsError(RuntimeError):
@@ -114,20 +107,6 @@ def events_column(events: list[MissionEvent]) -> str:
             parts = (e.kind, str(e.uid), e.detail)
         tokens.append(":".join(p for p in parts if p))
     return ";".join(tokens)
-
-
-def contact_generator(seed: int, contact_failure_probability: float, outcomes=()) -> dk.Pcg64:
-    """The contact draws' generator for seed, past one draw per outcome
-    (True for an electrical contact). Raises ForkError where a draw at
-    this contact failure probability gives the other outcome."""
-    rng = dk.Pcg64(seed)
-    for k, made in enumerate(outcomes):
-        if dk.contact_made(rng.random(), contact_failure_probability) is not made:
-            raise ForkError(
-                f"seed {seed} at contact_failure_probability {contact_failure_probability} "
-                f"gives contact draw {k} the other outcome"
-            )
-    return rng
 
 
 class MissionLog:
@@ -201,9 +180,9 @@ class World:
         self.dt: float = sim.dt
         self.duration: float = sim.duration
         self.step_index: int = 0
-        # the contact draw's inputs: this generator and
-        # self.docking.contact_failure_probability (see fork)
-        self.rng = contact_generator(sim.seed, scenario.docking.contact_failure_probability)
+        # the contact draws' generator; any object with a random() method
+        # will do (a sweep swaps in one that draws for several points)
+        self.rng = dk.Pcg64(sim.seed)
 
         # host vehicle
         self.main_params: VehicleParams = inp.main_params
@@ -896,8 +875,9 @@ class World:
 
     def run(self, duration: float | None = None, step=None) -> MissionLog:
         """Step until termination or the duration guard elapses. step, if
-        given, is called in place of self.step; it must call self.step
-        once (the sweep's shared runs watch each step this way)."""
+        given, is called in place of self.step and must call self.step
+        once: a sweep's hook takes checkpoints before a step and splits
+        the world after it this way."""
         if duration is None:
             duration = self.duration
         if duration <= 0.0:
@@ -923,32 +903,6 @@ class World:
                 drawn[f"unit{u.uid}.own"] = u.own_drawn_wh
         self.log.energy_drawn = drawn
         return self.log
-
-    def contact_outcomes(self) -> list[bool]:
-        """The outcome of every contact draw so far, in order: True for an
-        electrical contact. Each capture that engages draws once and logs
-        contact or contact_failure; the start-docked attach logs a contact
-        without a draw."""
-        outcomes = [e.kind == "contact" for e in self.log.events if e.kind in _CONTACT_KINDS]
-        return outcomes[1:] if self.mission.start_docked else outcomes
-
-    def fork(self, seed: int, contact_failure_probability: float) -> World:
-        """A copy of this world that makes its contact draws from now on
-        with seed's generator and the given probability. Those inputs must
-        give every draw made so far the outcome this world logged; the
-        copy is then the world they would have reached from the start.
-        Raises ForkError if they do not, or if this world writes a
-        telemetry file."""
-        p = contact_failure_probability
-        if not 0.0 <= p <= 1.0:
-            raise ForkError(f"contact_failure_probability must be in [0, 1], got {p}")
-        if self.writer.path is not None:
-            raise ForkError("a world that writes a telemetry file cannot fork")
-        rng = contact_generator(seed, p, self.contact_outcomes())
-        world = copy.deepcopy(self)
-        world.rng = rng
-        world.docking = replace(self.docking, contact_failure_probability=p)
-        return world
 
     def solo_equivalent_time(self) -> float:
         """Hover time of the host alone on a full primary pack."""

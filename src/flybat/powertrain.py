@@ -100,10 +100,6 @@ class BusSample(NamedTuple):
     current_secondary: float
     active_source: ActiveSource
 
-    @property
-    def current_total(self) -> float:
-        return self.current_primary + self.current_secondary
-
 
 # solve_bus runs every step: its sources are read from module constants
 # (an Enum class attribute read is slow on Python 3.11), and its samples

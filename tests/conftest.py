@@ -88,6 +88,16 @@ duration = 32
 """
 
 
+def contact_outcomes(world) -> list[bool]:
+    """The outcome of every contact draw world made, in order: True for an
+    electrical contact. Each capture that engages draws once and logs
+    contact or contact_failure; the start-docked attach logs a contact
+    without a draw."""
+    kinds = ("contact", "contact_failure")
+    outcomes = [e.kind == "contact" for e in world.log.events if e.kind in kinds]
+    return outcomes[1:] if world.mission.start_docked else outcomes
+
+
 def start_optimized(code: str, *args: str, env: dict[str, str] | None = None) -> subprocess.Popen:
     """Start code in a fresh `python -O` interpreter (asserts stripped)
     that can import flybat and the test modules, with env's variables

@@ -1,8 +1,12 @@
+import json
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import DRAWS_CFG, run_optimized, scaled_mission_scenario
+from conftest import DRAWS_CFG, contact_outcomes, run_optimized, scaled_mission_scenario
 from flybat.cli import main
 from flybat.telemetry import read_telemetry
 
@@ -407,7 +411,18 @@ def test_sweep_contact_failure_probability_monotone(tmp_path):
     assert ext[0] >= ext[1] >= ext[2]
 
 
-def test_sweep_csv_identical_across_worker_counts(tmp_path):
+# a draw-key sweep is one group; any other sweep runs a group per point
+# on the thread pool. The contact succeeds at p = 0 and fails at p = 0.5
+# (seed 3) and 1; the scenario's p is 0.
+@pytest.mark.parametrize(
+    "param, values, failures",
+    [
+        ("docking.contact_failure_probability", "0,0.5,1.0", ["0", "1", "1"]),
+        ("mission.turnaround_delay", "0,60,600", ["0", "0", "0"]),
+    ],
+    ids=["draw_key", "per_point"],
+)
+def test_sweep_csv_identical_across_worker_counts(tmp_path, param, values, failures):
     scenario = write_scaled_scenario(tmp_path / "scaled.cfg", duration=40.0, pack_scale=0.05)
     csvs = []
     for workers in ("1", "3"):
@@ -416,19 +431,18 @@ def test_sweep_csv_identical_across_worker_counts(tmp_path):
             [
                 "sweep",
                 "--scenario", str(scenario),
-                "--param", "docking.contact_failure_probability",
-                "--range", "0,0.5,1.0",
+                "--param", param,
+                "--range", values,
                 "--out", str(out),
                 "--workers", workers,
             ]
         )
         assert code == 0
-        csvs.append((out / "sweep_docking_contact_failure_probability.csv").read_bytes())
+        csvs.append((out / f"sweep_{param.replace('.', '_')}.csv").read_bytes())
     assert csvs[0] == csvs[1]
     lines = csvs[0].decode().splitlines()
     i_fail = lines[0].split(",").index("contact_failures")
-    # the contact succeeds at p = 0 and fails at p = 0.5 (seed 3) and 1
-    assert [ln.split(",")[i_fail] for ln in lines[1:]] == ["0", "1", "1"]
+    assert [ln.split(",")[i_fail] for ln in lines[1:]] == failures
 
 
 def test_sweep_turnaround_delay_monotone(tmp_path):
@@ -504,9 +518,9 @@ def test_sweep_numeric_failure_names_the_point_and_exits_3(tmp_path, capsys):
 
 def test_numerics_error_pickles_with_its_point(tmp_path):
     # a process pool sends a failed point's error back pickled
-    from flybat.cli import _sweep_one
+    from flybat.cli import _sweep_group
     from flybat.engine import SimNumericsError
-    from flybat.scenario import load_scenario
+    from flybat.scenario import load_scenario, set_scenario_value
 
     plain = pickle.loads(pickle.dumps(SimNumericsError(5, "host dynamics")))
     assert type(plain) is SimNumericsError
@@ -519,7 +533,9 @@ def test_numerics_error_pickles_with_its_point(tmp_path):
         extra="\n[control]\natt_wn = 100000000.0\n",
     )
     with pytest.raises(SimNumericsError) as info:
-        _sweep_one(load_scenario(scenario), "docking.mu", "0.5")
+        sc = load_scenario(scenario)
+        set_scenario_value(sc, "docking.mu", "0.5")
+        _sweep_group([sc], "docking.mu", ["0.5"], [0])
     exc = info.value
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is SimNumericsError
@@ -543,12 +559,12 @@ def _one_mission_per_point(path, param, values):
         result = run_mission(None, sc)
         s = result.summary
         lines.append(v + "," + ",".join(f"{getattr(s, k):.9g}" for k in SWEEP_METRICS))
-        outcomes.append(result.world.contact_outcomes())
+        outcomes.append(contact_outcomes(result.world))
     return ("\n".join(lines) + "\n").encode(), outcomes
 
 
 def _count_worlds(monkeypatch):
-    """Count the worlds built from scratch (not forks) from now on."""
+    """Count the worlds built from scratch (not copies) from now on."""
     from flybat.engine import World
 
     built = []
@@ -597,22 +613,35 @@ def test_sweep_over_other_keys_builds_one_world_per_point(tmp_path, monkeypatch)
 
 
 def test_failed_sweep_point_starts_no_further_mission(tmp_path, monkeypatch, capsys):
-    import flybat.cli as cli
-
     scenario = tmp_path / "short.cfg"
     scenario.write_text("[mission]\nfleet_size = 0\n[sim]\nduration = 1\n")
-    started = []
-    run_mission = cli.run_mission
-    monkeypatch.setattr(
-        cli, "run_mission", lambda *a, **kw: started.append(1) or run_mission(*a, **kw)
-    )
+    built = _count_worlds(monkeypatch)
     argv = ["sweep", "--scenario", str(scenario), "--param", "batteries.primary.capacity_ah"]
     out = tmp_path / "out"
     for _ in range(6):
         code = main([*argv, "--range", "0.001,2.2,2.2,2.2", "--workers", "1", "--out", str(out)])
         assert code == 2
         assert "error: batteries.primary.capacity_ah = 0.001: " in capsys.readouterr().err
-    assert len(started) == 6
+    assert len(built) == 6
+
+
+@pytest.mark.parametrize("case", [0, 5])
+def test_benchmark_sweep_matches_its_reference(tmp_path, case):
+    # the benchmark's sweep case as its worker runs it, in a fresh process
+    # and with its --workers argv; the reference file is only read
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    argv = ["--workload", "sweep", "--case", str(case), "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, str(perfbench / "worker.py"), *argv],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["error"] is None
+    references = json.loads((perfbench / "references.json").read_text(encoding="utf-8"))
+    assert result["digests"] == references["sweep"][str(case)]
 
 
 def test_sweep_range_forms(tmp_path):

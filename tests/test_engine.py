@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 import flybat.engine
-from conftest import DRAWS_CFG, docked_contact_trace, run_optimized, scaled_mission_scenario
-from flybat.docking import DOCKED, GROUNDED, TRANSITIONS, DockPhase
+from conftest import (
+    DRAWS_CFG,
+    contact_outcomes,
+    docked_contact_trace,
+    run_optimized,
+    scaled_mission_scenario,
+)
+from flybat.docking import DOCKED, GROUNDED, TRANSITIONS, DockPhase, Pcg64
 from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
 from flybat.engine import SimNumericsError, World
 from flybat.powertrain import PowertrainError, hover_power
@@ -467,7 +473,7 @@ def test_mission_telemetry_same_across_hash_seeds(tmp_path, case):
     assert (tmp_path / "0.csv").read_bytes() == (tmp_path / "1.csv").read_bytes()
 
 
-# --- the contact draw's inputs and forks -------------------------------------
+# --- the contact draw's inputs and splits ------------------------------------
 
 
 def draw_world(p, seed, **kwargs):
@@ -490,12 +496,12 @@ def _state_bytes(world):
 def test_worlds_differing_in_one_draw_input_agree_until_the_first_draw(tmp_path, inputs):
     paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
     a, b = (draw_world(p, seed, telemetry_path=str(path)) for (p, seed), path in zip(inputs, paths))
-    while not a.contact_outcomes():
+    while not contact_outcomes(a):
         assert _state_bytes(a) == _state_bytes(b), f"step {a.step_index}"
         a.step()
         b.step()
     # one draw each, on the same step, with opposite outcomes
-    assert a.contact_outcomes() == [True] and b.contact_outcomes() == [False]
+    assert contact_outcomes(a) == [True] and contact_outcomes(b) == [False]
     a.writer.close()
     b.writer.close()
     rows_a, rows_b = (path.read_bytes().splitlines() for path in paths)
@@ -504,51 +510,27 @@ def test_worlds_differing_in_one_draw_input_agree_until_the_first_draw(tmp_path,
     assert rows_a[:-1] == rows_b[:-1] and rows_a[-1] != rows_b[-1]
 
 
-def test_fork_is_the_world_its_draw_inputs_reach():
-    # forked before the first draw (0.52), with the inputs that make contact
+def test_split_is_the_world_its_draw_inputs_reach():
+    # two points of one sweep world: the first draw (0.52) fails at p = 0.7
+    # and makes contact at 0.3, so the second point leaves there
+    from flybat.cli import _Draws, _fly, _Point
+
     world = draw_world(0.7, 1000, keep_rows=True)
-    for _ in range(5000):
-        world.step()
-    fork = world.fork(1000, 0.3)
-    fork.run(12.0)
+    world.rng = _Draws([_Point(0, Pcg64(1000), 0.7), _Point(1, Pcg64(1000), 0.3)])
+    runs = []
+    _fly(world, runs)
+    split = runs.pop()
+    assert not runs
+    assert [pt.index for pt in split.rng.points] == [1]
+    assert split.docking.contact_failure_probability == 0.3
+    _fly(split, runs)
+    assert not runs
     fresh = draw_world(0.3, 1000, keep_rows=True)
-    fresh.run(12.0)
-    assert fork.contact_outcomes() == fresh.contact_outcomes() == [True]
-    assert dump_telemetry(fork.writer.rows) == dump_telemetry(fresh.writer.rows)
-    world.run(12.0)
-    assert world.contact_outcomes() == [False]
-    # a fork after the draw: seed 1001's first draw (0.61) makes contact too
-    assert fresh.fork(1001, 0.3).contact_outcomes() == [True]
-
-
-_INCONSISTENT_FORKS = """
-import sys
-from test_engine import draw_world
-from flybat.engine import ForkError
-
-world = draw_world(0.5, 1000)
-world.run(9.0)
-if world.contact_outcomes() != [True]:
-    sys.exit(f"expected one contact, got {world.contact_outcomes()}")
-world.fork(1001, 0.5)  # its first draw, 0.61, makes contact too
-# a draw that fails at p = 0.6, a seed whose first draw fails, and no probability
-for seed, p in ((1000, 0.6), (1002, 0.5), (1000, 1.5), (1000, float("nan"))):
-    try:
-        world.fork(seed, p)
-    except ForkError:
-        continue
-    sys.exit(f"fork({seed}, {p}) did not raise")
-try:
-    draw_world(0.5, 1000, telemetry_path=sys.argv[1]).fork(1000, 0.5)
-except ForkError:
-    pass
-else:
-    sys.exit("a world writing a telemetry file forked")
-"""
-
-
-def test_fork_with_inconsistent_inputs_raises_under_optimize(tmp_path):
-    run_optimized(_INCONSISTENT_FORKS, str(tmp_path / "t.csv"))
+    fresh.run()
+    assert contact_outcomes(world)[0] is False
+    assert contact_outcomes(split) == contact_outcomes(fresh)
+    assert contact_outcomes(fresh)[0] is True
+    assert dump_telemetry(split.writer.rows) == dump_telemetry(fresh.writer.rows)
 
 
 # --- benchmark tracer bindings -----------------------------------------------

@@ -2,11 +2,12 @@
 method, has a caller in the package or the benchmark harness; and every
 attribute the package stores is read there.
 
-A reference is any use of the name outside its own definition: a load,
-an attribute, an import, a keyword argument, or an identifier string
-such as the ones `perfbench/tracer.py` patches by name. Tests do not
-count, and neither does an export from `flybat/__init__.py`: an export
-is not a caller. A documented entry point that only users and tests
+A reference is any use of the name outside its own definition: a name
+or attribute that is loaded, an import, or an identifier string such as
+the ones `perfbench/tracer.py` patches by name. Tests do not count, and
+neither does an export from `flybat/__init__.py`: an export is not a
+caller. Nor is an assignment: a store, an annotated field or a keyword
+argument of the same name sets a value and reads none. A documented entry point that only users and tests
 call goes in `ALLOWED` with its reason, and an entry that gains a
 caller must leave it.
 
@@ -49,14 +50,12 @@ WRITE_ONLY_ALLOWED: dict[str, str] = {
 def _references(path: Path):
     """(name, line) of every use of a name in one file."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2], node.lineno
-        elif isinstance(node, ast.keyword) and node.arg:
-            yield node.arg, node.lineno
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 yield node.value, node.lineno

@@ -589,7 +589,8 @@ def test_solve_bus_properties(case):
         assert (s.bus_voltage, s.current_primary, s.current_secondary) == (0.0, 0.0, 0.0)
         return
     assert s.bus_voltage == bus > 0.0
-    assert math.isclose(s.current_total, load / bus, rel_tol=4 * 2.0**-52)
+    total = s.current_primary + s.current_secondary
+    assert math.isclose(total, load / bus, rel_tol=4 * 2.0**-52)
     if load > 0.0:
         # a source carries current exactly when it conducts
         assert (s.current_primary > 0.0, s.current_secondary > 0.0) == (conducts_p, conducts_s)
