@@ -49,11 +49,13 @@ def cmd_run(args) -> int:
     scenario = _resolve_scenario(args.scenario)
     if args.duration is not None:
         scenario.sim.duration = args.duration
-        scenario.validate()
+    if args.seed is not None:
+        scenario.sim.seed = args.seed
+    scenario.validate()
     out = _out_dir(args.out)
     telemetry_path = os.path.join(out, f"{scenario.name}_telemetry.csv")
     summary_path = os.path.join(out, f"{scenario.name}_summary.csv")
-    result = run_mission(None, scenario, telemetry_path=telemetry_path, seed=args.seed)
+    result = run_mission(None, scenario, telemetry_path=telemetry_path)
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(result.summary.to_csv())
     print(result.summary.to_table())
@@ -159,18 +161,21 @@ class _Draws:
         return draw
 
 
-def _fly(world: World, runs: list[World]) -> MissionSummary:
+def _fly(world: World, runs: list[tuple], checkpoint: World | None = None) -> MissionSummary:
     """The summary of world, whose rng is a _Draws. While it flies more
     than one point it is copied every CHECKPOINT_STEPS steps, and each
     pending split joins runs as a copy of the last checkpoint led by its
-    first point; the copy holds the split's generators as they were then."""
+    first point, paired with that checkpoint; the copy holds the split's
+    generators as they were then. checkpoint is the one world was cut
+    from, if any: it stands for world's own copy at that step."""
     draws = world.rng
-    checkpoint = None
 
     def step():
         nonlocal checkpoint
-        if len(draws.points) > 1 and world.step_index % CHECKPOINT_STEPS == 0:
-            checkpoint = copy.deepcopy(world)
+        i = world.step_index
+        if len(draws.points) > 1 and i % CHECKPOINT_STEPS == 0:
+            if checkpoint is None or checkpoint.step_index != i:
+                checkpoint = copy.deepcopy(world)
         world.step()
         while draws.leaving:
             leave = {pt.index for pt in draws.leaving.pop()}
@@ -178,7 +183,7 @@ def _fly(world: World, runs: list[World]) -> MissionSummary:
             split.rng.points = [pt for pt in split.rng.points if pt.index in leave]
             p = split.rng.points[0].p
             split.docking = replace(split.docking, contact_failure_probability=p)
-            runs.append(split)
+            runs.append((split, checkpoint))
 
     log = world.run(step=step if len(draws.points) > 1 else None)
     return mission.summarize(log, termination_reason=world.termination_reason)
@@ -195,12 +200,12 @@ def _sweep_group(scenarios: list[Scenario], param: str, values: list[str], group
             _Point(i, Pcg64(scenarios[i].sim.seed), scenarios[i].docking.contact_failure_probability)
             for i in group
         ])
-        runs, done = [world], []
+        runs, done = [(world, None)], []
         while runs:
-            world = runs.pop()
+            world, checkpoint = runs.pop()
             draws = world.rng
             lead = draws.points[0].index
-            summary = _fly(world, runs)
+            summary = _fly(world, runs, checkpoint)
             done += [(pt.index, summary) for pt in draws.points]
     except SimNumericsError as exc:
         exc.args = (f"{param} = {values[lead]}: {exc}",)

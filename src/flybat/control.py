@@ -33,8 +33,7 @@ class ControlError(ValueError):
 
 @dataclass(frozen=True)
 class CascadedPidConfig:
-    """Controller gains and limits; frozen, because the engine's host
-    fast path takes an unchanged config object to mean unchanged gains."""
+    """Controller gains and limits."""
 
     pos_p: Vec3  # 1/s^2
     pos_i: Vec3  # 1/s^3
@@ -81,10 +80,10 @@ def default_config(
 
 class CascadedPid:
     """One controller instance per vehicle; holds integrator state. The
-    gains of cfg are also kept as two flat tuples, which the 1 kHz loops
+    gains of cfg are kept as two flat tuples, which the 1 kHz loops
     unpack into locals."""
 
-    __slots__ = ("cfg", "mass", "pos_gains", "att_gains", "ix", "iy", "iz", "iyaw")
+    __slots__ = ("mass", "pos_gains", "att_gains", "ix", "iy", "iz", "iyaw")
 
     def __init__(self, cfg: CascadedPidConfig, mass: float):
         self.retune(cfg, mass)
@@ -99,7 +98,6 @@ class CascadedPid:
     def retune(self, cfg: CascadedPidConfig, mass: float) -> None:
         """Swap gains and mass (dock/undock transitions); integrators
         carry over since they act in acceleration units."""
-        self.cfg = cfg
         self.mass = mass
         self.pos_gains = (*cfg.pos_p, *cfg.pos_i, *cfg.pos_d, cfg.pos_int_limit, cfg.max_thrust)
         self.att_gains = (*cfg.att_p, *cfg.att_d, cfg.yaw_i, cfg.yaw_int_limit)

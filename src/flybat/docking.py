@@ -67,13 +67,10 @@ TRANSITIONS: dict[DockPhase, tuple[DockPhase, ...]] = {
 
 @dataclass(frozen=True)
 class ContactOutcome:
-    """Result of one free-fall capture attempt. The draw records the
-    uniform sample spent on the electrical-contact check (None when the
-    legs missed the funnel and no draw was consumed)."""
+    """Result of one free-fall capture attempt."""
 
     mechanical_engaged: bool
     electrical_engaged: bool
-    draw: float | None = None
 
     def __post_init__(self):
         if self.electrical_engaged and not self.mechanical_engaged:
@@ -228,9 +225,8 @@ def capture_check(landing_point_lateral: float, cfg: DockingSection, rng) -> Con
         raise DockingError("contact_failure_probability must be in [0, 1]")
     mechanical = landing_point_lateral <= cfg.lateral_capture_radius
     if not mechanical:
-        return ContactOutcome(False, False, None)
-    draw = float(rng.random())
-    return ContactOutcome(True, contact_made(draw, cfg.contact_failure_probability), draw)
+        return ContactOutcome(False, False)
+    return ContactOutcome(True, contact_made(rng.random(), cfg.contact_failure_probability))
 
 
 def contact_made(draw: float, contact_failure_probability: float) -> bool:

@@ -110,12 +110,11 @@ def events_column(events: list[MissionEvent]) -> str:
 
 
 class MissionLog:
-    """Ordered mission events plus end-of-run accumulators."""
+    """Ordered mission events plus end-of-run totals."""
 
     def __init__(self):
         self.events: list[MissionEvent] = []
-        self.totals: dict[str, float | int] = {}
-        self.energy_drawn: dict[str, float] = {}
+        self.totals: dict[str, object] = {}
 
     def of_kind(self, kind: str) -> list[MissionEvent]:
         return [e for e in self.events if e.kind == kind]
@@ -124,17 +123,17 @@ class MissionLog:
 class _Unit:
     """One flying battery: small quadcopter + its secondary pack. The
     vehicle and pack specs are the fleet's, held once by World; own_wh
-    and secondary_wh are this unit's remaining energies, and the
-    *_drawn_wh totals stay None until the pack first delivers energy. A
-    landed unit that is not recharged is available at math.inf."""
+    and secondary_wh are this unit's remaining energies, and own_key and
+    secondary_key name its packs in World.energy_drawn. A landed unit
+    that is not recharged is available at math.inf."""
 
     __slots__ = (
         "uid",
         "pid",
         "own_wh",
         "secondary_wh",
-        "own_drawn_wh",
-        "secondary_drawn_wh",
+        "own_key",
+        "secondary_key",
         "state",
         "phase",
         "ref",
@@ -150,8 +149,8 @@ class _Unit:
         self.pid = pid
         self.own_wh = own_pack.capacity_wh
         self.secondary_wh = secondary.capacity_wh
-        self.own_drawn_wh: float | None = None
-        self.secondary_drawn_wh: float | None = None
+        self.own_key = f"unit{uid}.own"
+        self.secondary_key = f"unit{uid}.secondary"
         self.home = home
         self.state = (
             home[0], home[1], GROUND_COM,
@@ -248,9 +247,10 @@ class World:
         self.termination_reason = ""
         self.time_on_primary = 0.0
         self.time_on_secondary = 0.0
-        self.primary_drawn_wh = 0.0
-        # units in the order their secondaries first delivered energy
-        self._secondary_draw_order: list[_Unit] = []
+        # Wh drawn per pack ("primary", "unit<uid>.own", "unit<uid>.secondary")
+        # in the order the packs first delivered energy; the primary's
+        # entry is there from the start
+        self.energy_drawn: dict[str, float] = {"primary": 0.0}
         self.contact_normal = 0.0
         self.contact_friction = 0.0
         self._slipping = False  # the docked contact slipped on the last step
@@ -261,8 +261,7 @@ class World:
         self._column_due = False
         self._alt_err_abs_max = 0.0
         # quiescent-host memo (see step): the state tuple it holds for,
-        # then (cfg, mass, body constants, ix, iy, iz, iyaw, packed inputs,
-        # (thrust, zx, zy, zz, load))
+        # then (packed inputs, (thrust, zx, zy, zz, load))
         self._host_memo_state: tuple | None = None
         self._host_memo: tuple = ()
 
@@ -309,13 +308,13 @@ class World:
     # mission policy
     # ------------------------------------------------------------------
 
-    def _available_unit(self, t: float) -> _Unit | None:
+    def _dispatch(self, t: float) -> None:
+        """Send the first grounded unit available by t to dock, if any."""
         for u in self.units:
             if u.phase is GROUNDED and t >= u.available_at:
-                return u
-        return None
-
-    def _dispatch(self, u: _Unit, t: float) -> None:
+                break
+        else:
+            return
         u.cmd_dock = True
         u.pid.reset()
         if u not in self.active_units:
@@ -338,18 +337,12 @@ class World:
                 self.circuit = pt.command_switch(self.circuit, pt.SwitchTarget.USE_PRIMARY)
                 self._event(t, "switch", detail="primary")
                 self._command_undock(docked, t)
-                nxt = self._available_unit(t)
-                if nxt is not None:
-                    self._dispatch(nxt, t)
+                self._dispatch(t)
             elif not electrical and t - self.docked_at >= m.failure_redispatch_delay:
                 self._command_undock(docked, t)
-                nxt = self._available_unit(t)
-                if nxt is not None:
-                    self._dispatch(nxt, t)
+                self._dispatch(t)
         elif self.incoming is None and m.fleet_size > 0 and t >= m.dispatch_delay:
-            nxt = self._available_unit(t)
-            if nxt is not None:
-                self._dispatch(nxt, t)
+            self._dispatch(t)
 
         if self.primary_wh <= 0.0 and not (
             self.docked_unit is not None and self.circuit.secondary_present
@@ -403,10 +396,8 @@ class World:
 
     def _detach(self, u: _Unit, t: float) -> None:
         ms = self.main_state
-        q = (ms[6], ms[7], ms[8], ms[9])
-        off = q_rotate(q, self.d_com)
-        mount = q_rotate(q, MOUNT_OFFSET)
-        main_pos = (ms[0] - off[0], ms[1] - off[1], ms[2] - off[2])
+        main_pos = self.main_position()
+        mount = q_rotate((ms[6], ms[7], ms[8], ms[9]), MOUNT_OFFSET)
         self.main_state = (
             main_pos[0], main_pos[1], main_pos[2],
             ms[3], ms[4], ms[5],
@@ -586,24 +577,35 @@ class World:
             except dk.DockingError as exc:
                 raise SimNumericsError(self.step_index, "docking geometry") from exc
 
-        # --- flying battery controls and integration -------------------
+        # --- flying battery controls and integration, and their downwash
+        # and feedforward on the host ------------------------------------
         docked = self.docked_unit
         ms = self.main_state
+        ff = 0.0
+        fx = fy = fz = 0.0
+        tx = ty = tz = 0.0
         airborne = None
         if active and (docked is None or len(active) > 1):
             airborne = [u for u in active if u.phase is not DOCKED]
         if airborne:
-            if docked is None:
-                mpx, mpy, mpz = ms[0], ms[1], ms[2]
-            else:
-                off = q_rotate((ms[6], ms[7], ms[8], ms[9]), self.d_com)
-                mpx, mpy, mpz = ms[0] - off[0], ms[1] - off[1], ms[2] - off[2]
+            mpx, mpy, mpz = self.main_position()
             if plat is None:
                 plat = self._platform_point()
             for u in airborne:
                 self._fly_unit(u, dt, plat)
+                uth = u.thrust
+                if uth <= 0.0:
+                    continue
+                us = u.state
+                rel = (us[0] - mpx, us[1] - mpy, us[2] - mpz)
+                ff += feedforward_lookup(self.ff_map, rel)
+                fz += downwash_force(self.downwash, rel, uth)[2]
+                tq = align_torque(self.downwash, rel)
+                tx += tq[0]
+                ty += tq[1]
+                tz += tq[2]
 
-        # --- host setpoint, downwash, control ---------------------------
+        # --- host setpoint and control ------------------------------------
         hx, hy, hz = self.hover_position
         svx = sax = 0.0
         m = self.mission
@@ -620,24 +622,6 @@ class World:
         if docked is not None:
             hz += self.d_com[2]
 
-        ff = 0.0
-        fx = fy = fz = 0.0
-        tx = ty = tz = 0.0
-        if airborne:
-            for u in airborne:
-                uth = u.thrust
-                if uth <= 0.0:
-                    continue
-                us = u.state
-                rel = (us[0] - mpx, us[1] - mpy, us[2] - mpz)
-                ff += feedforward_lookup(self.ff_map, rel)
-                f = downwash_force(self.downwash, rel, uth)
-                fz += f[2]
-                tq = align_torque(self.downwash, rel)
-                tx += tq[0]
-                ty += tq[1]
-                tz += tq[2]
-
         drag_fx = drag_fy = 0.0
         if self.planar_drag_coeff > 0.0:
             vx, vy = ms[3], ms[4]
@@ -652,25 +636,19 @@ class World:
         # A host whose state and integrators map onto themselves bitwise
         # under unchanged inputs repeats the same step: reuse its thrust,
         # thrust axis and rotor load and leave state and integrators as
-        # they are.
-        # Objects are matched by identity (any write replaces them), the
-        # inputs bit for bit.
+        # they are. The memo is keyed by the state tuple's identity, which
+        # stands for the rest: the integrators change only when the host
+        # integrates, and gains, mass and body only on dock and undock,
+        # and each of these assigns a new state tuple. The inputs are
+        # matched bit for bit.
         pid = self.main_pid
-        body = self._main_solo_body if docked is None else self._main_comp_body
-        inv_mass, ii, jj = body
+        inv_mass, ii, jj = self._main_solo_body if docked is None else self._main_comp_body
         memo = self._host_memo
         if (
             ms is self._host_memo_state
-            and pid.cfg is memo[0]
-            and pid.mass is memo[1]
-            and body is memo[2]
-            and pid.ix is memo[3]
-            and pid.iy is memo[4]
-            and pid.iz is memo[5]
-            and pid.iyaw is memo[6]
-            and _HOST_INPUTS.pack(hx, hy, hz, svx, sax, ff, fx, fy, fz, tx, ty, tz) == memo[7]
+            and _HOST_INPUTS.pack(hx, hy, hz, svx, sax, ff, fx, fy, fz, tx, ty, tz) == memo[0]
         ):
-            thrust, zx, zy, zz, load = memo[8]
+            thrust, zx, zy, zz, load = memo[1]
         else:
             ints = (pid.ix, pid.iy, pid.iz, pid.iyaw)
             thrust, q_des = pid.position_flat(
@@ -715,7 +693,7 @@ class World:
             load = pt.total_rotor_power(thrust, self.k_thrust_main)
             if ns == ms:
                 inputs = (hx, hy, hz, svx, sax, ff, fx, fy, fz, tx, ty, tz)
-                self._arm_host_memo(ms, ints, body, inputs, (thrust, zx, zy, zz, load))
+                self._arm_host_memo(ms, ints, inputs, (thrust, zx, zy, zz, load))
 
         # --- docked contact diagnostic ---------------------------------
         if docked is not None:
@@ -770,6 +748,7 @@ class World:
                 self.secondary, docked.secondary_wh, load,
             )
         self.bus = bus
+        drawn = self.energy_drawn
         if bus.active_source is NO_SOURCE:
             if load > 0.0:
                 self._end_mission(t, "primary_depleted")
@@ -780,7 +759,7 @@ class World:
                 share = load * i_p / (i_p + i_s)
                 before = self.primary_wh
                 self.primary_wh = left = pt.discharge(self.primary, before, share, dt, i_p)
-                self.primary_drawn_wh += before - left
+                drawn["primary"] += before - left
                 self.time_on_primary += dt
                 if left <= 0.0:
                     self._event(t, "depleted", detail="primary")
@@ -788,10 +767,8 @@ class World:
                 share = load * i_s / (i_p + i_s)
                 before = docked.secondary_wh
                 docked.secondary_wh = left = pt.discharge(self.secondary, before, share, dt, i_s)
-                if docked.secondary_drawn_wh is None:
-                    docked.secondary_drawn_wh = 0.0
-                    self._secondary_draw_order.append(docked)
-                docked.secondary_drawn_wh += before - left
+                key = docked.secondary_key
+                drawn[key] = drawn.get(key, 0.0) + (before - left)
                 self.time_on_secondary += dt
                 if left <= 0.0:
                     self._event(t, "depleted", docked.uid, "secondary")
@@ -801,9 +778,7 @@ class World:
                     p_fb = pt.total_rotor_power(u.thrust, self.k_thrust_fb)
                     before = u.own_wh
                     u.own_wh = left = pt.discharge(self.fb_own_pack, before, p_fb, dt)
-                    if u.own_drawn_wh is None:
-                        u.own_drawn_wh = 0.0
-                    u.own_drawn_wh += before - left
+                    drawn[u.own_key] = drawn.get(u.own_key, 0.0) + (before - left)
                     if left <= 0.0:
                         self._event(t, "depleted", u.uid, "own")
 
@@ -813,7 +788,7 @@ class World:
             self._write_row(t)
         self.step_index += 1
 
-    def _arm_host_memo(self, ms, ints, body, inputs, outputs) -> None:
+    def _arm_host_memo(self, ms, ints, inputs, outputs) -> None:
         """Arm the host fast path if the step just taken from state ms and
         integrators ints mapped both onto themselves bit for bit."""
         pid = self.main_pid
@@ -822,7 +797,7 @@ class World:
         if now != ints or _HOST_FIXED_POINT.pack(*ns, *now) != _HOST_FIXED_POINT.pack(*ms, *ints):
             return
         self._host_memo_state = ns
-        self._host_memo = (pid.cfg, pid.mass, body, *now, _HOST_INPUTS.pack(*inputs), outputs)
+        self._host_memo = (_HOST_INPUTS.pack(*inputs), outputs)
 
     def _check_finite(self) -> None:
         if not all(map(math.isfinite, self.main_state)):
@@ -894,14 +869,6 @@ class World:
         if not self.terminated:
             self._end_mission(t_end, "duration_guard")
         self.log.totals = self.summary_totals()
-        # keyed by pack, for the packs that delivered energy
-        drawn = {"primary": self.primary_drawn_wh}
-        for u in self._secondary_draw_order:
-            drawn[f"unit{u.uid}.secondary"] = u.secondary_drawn_wh
-        for u in self.units:
-            if u.own_drawn_wh is not None:
-                drawn[f"unit{u.uid}.own"] = u.own_drawn_wh
-        self.log.energy_drawn = drawn
         return self.log
 
     def solo_equivalent_time(self) -> float:
@@ -911,7 +878,7 @@ class World:
             self.primary, self.primary.capacity_wh, load, 0.1, self.circuit.diode_drop
         )
 
-    def summary_totals(self) -> dict[str, float | int]:
+    def summary_totals(self) -> dict[str, object]:
         """Every MissionSummary field the run itself fixes, by name. The
         counts are of logged events: switches to the secondary, failed
         contacts, docks, and detaches (entries into undock_ascend, since a
@@ -919,6 +886,7 @@ class World:
         t_total = self.step_index * self.dt
         solo = self.solo_equivalent_time()
         counts = Counter((e.kind, e.detail) for e in self.log.events)
+        drawn = self.energy_drawn
         return {
             "total_time_s": t_total,
             "solo_equivalent_time_s": solo,
@@ -930,7 +898,8 @@ class World:
             "time_on_primary_s": self.time_on_primary,
             "time_on_secondary_s": self.time_on_secondary,
             "max_altitude_error_m": self._alt_err_abs_max,
-            "primary_energy_wh": self.primary_drawn_wh,
-            # summed in first-draw order, which fixes the float rounding
-            "secondary_energy_wh": sum(u.secondary_drawn_wh for u in self._secondary_draw_order),
+            "primary_energy_wh": drawn["primary"],
+            # summed in first-delivery order, which fixes the float rounding
+            "secondary_energy_wh": sum(v for k, v in drawn.items() if k.endswith(".secondary")),
+            "energy_drawn": dict(drawn),
         }

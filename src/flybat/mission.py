@@ -20,9 +20,10 @@ from .scenario import MissionSection, Scenario
 
 @dataclass
 class MissionSummary:
-    """The results of one mission. The field names are the summary CSV
-    keys and the keys of `World.summary_totals()`, apart from the last
-    two, which come from the run's end."""
+    """The results of one mission. The field names are the keys of
+    `World.summary_totals()`, apart from termination_reason, which comes
+    from the run's end. Each is a summary CSV key, apart from
+    energy_drawn, which gives one energy_<pack>_wh row per pack."""
 
     total_time_s: float
     solo_equivalent_time_s: float
@@ -37,7 +38,7 @@ class MissionSummary:
     primary_energy_wh: float
     secondary_energy_wh: float
     termination_reason: str
-    energy_drawn: dict[str, float]  # one energy_<pack>_wh row per pack, sorted
+    energy_drawn: dict[str, float]  # rows sorted by pack
 
     def as_rows(self) -> list[tuple[str, str]]:
         rows = []
@@ -73,16 +74,13 @@ def run_mission(
     config: MissionSection | None,
     scenario: Scenario,
     telemetry_path=None,
-    seed: int | None = None,
     keep_rows: bool = False,
 ) -> MissionResult:
     """Execute one mission. config overrides the scenario's [mission]
-    section when given; seed overrides [sim] seed."""
+    section when given."""
     sc = scenario
     if config is not None and config is not scenario.mission:
         sc = replace(scenario, mission=config)
-    if seed is not None:
-        sc = replace(sc, sim=replace(sc.sim, seed=seed))
     world = World(sc, telemetry_path=telemetry_path, keep_rows=keep_rows)
     log = world.run(sc.sim.duration)
     summary = summarize(log, termination_reason=world.termination_reason)
@@ -96,6 +94,4 @@ def summarize(log: MissionLog, termination_reason: str = "") -> MissionSummary:
     if not termination_reason:
         ends = log.of_kind("mission_end")
         termination_reason = ends[-1].detail if ends else "unknown"
-    return MissionSummary(
-        **log.totals, termination_reason=termination_reason, energy_drawn=dict(log.energy_drawn)
-    )
+    return MissionSummary(**log.totals, termination_reason=termination_reason)

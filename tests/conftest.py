@@ -190,7 +190,7 @@ def docked_contact_trace(world, steps: int) -> list[tuple[float, float, float, f
     The thrust is the host controller's output plus the axial part of the
     planar drag; the drag is rebuilt from the host state before the step."""
     pid = world.main_pid
-    probe = _ThrustProbe(pid.cfg, pid.mass)
+    probe = _ThrustProbe(world.comp_cfg, pid.mass)
     probe.ix, probe.iy, probe.iz, probe.iyaw = pid.ix, pid.iy, pid.iz, pid.iyaw
     world.main_pid = probe
     coeff = world.planar_drag_coeff

@@ -219,6 +219,7 @@ BAD_INPUTS = {
         for value in ("nan", "inf")
     },
     "run-duration_flag_inf": ("", ["run", "--duration", "inf"], "sim.duration"),
+    "run-seed_flag=-1": ("", ["run", "--seed", "-1"], "error: sim.seed must be >= 0, got -1"),
     # non-finite values of keys outside [sim], on a 2 s scenario
     **{
         f"run-{key}={value}": (
@@ -578,17 +579,38 @@ def _count_worlds(monkeypatch):
     return built
 
 
+def _count_world_copies(monkeypatch):
+    """Record the step index of every world deep-copied from now on."""
+    import copy
+
+    from flybat.engine import World
+
+    copies = []
+    deepcopy = copy.deepcopy
+
+    def counting(x, *args):
+        if isinstance(x, World):
+            copies.append(x.step_index)
+        return deepcopy(x, *args)
+
+    monkeypatch.setattr(copy, "deepcopy", counting)
+    return copies
+
+
 # p = 0 and 1 with the 0.52 first draw of seed 1000 between them; seeds
-# 1000 and 1001 make their first contact at p = 0.5, 1002 and 1003 fail it
+# 1000 and 1001 make their first contact at p = 0.5, 1002 and 1003 fail it.
+# Each sweep splits three times, and one split flies two points.
 @pytest.mark.parametrize(
-    "param, values",
+    "param, values, copies",
     [
-        ("docking.contact_failure_probability", ["0", "0.3", "0.55", "1"]),
-        ("sim.seed", ["1000", "1001", "1002", "1003"]),
+        ("docking.contact_failure_probability", ["0", "0.3", "0.55", "1"], 83),
+        ("sim.seed", ["1000", "1001", "1002", "1003"], 69),
     ],
     ids=["probability", "seed"],
 )
-def test_draw_key_sweep_matches_one_mission_per_point(tmp_path, monkeypatch, param, values):
+def test_draw_key_sweep_matches_one_mission_per_point(
+    tmp_path, monkeypatch, param, values, copies
+):
     path = tmp_path / "draws.cfg"
     path.write_text(DRAWS_CFG)
     expected, outcomes = _one_mission_per_point(path, param, values)
@@ -596,11 +618,16 @@ def test_draw_key_sweep_matches_one_mission_per_point(tmp_path, monkeypatch, par
     assert all(len(o) >= 3 for o in outcomes)
     assert {o[0] for o in outcomes} == {True, False}
     built = _count_worlds(monkeypatch)
+    copied = _count_world_copies(monkeypatch)
     argv = ["sweep", "--scenario", str(path), "--param", param, "--range", ",".join(values)]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert (tmp_path / f"sweep_{param.replace('.', '_')}.csv").read_bytes() == expected
-    # the points shared one world built from scratch
+    # the points shared one world built from scratch. It and the two-point
+    # split are copied at each checkpoint and each split once where it is
+    # cut; the two-point split takes the checkpoint it was cut from as its
+    # first, so that is not copied again
     assert len(built) == 1
+    assert len(copied) == copies
 
 
 def test_sweep_over_other_keys_builds_one_world_per_point(tmp_path, monkeypatch):

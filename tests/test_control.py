@@ -26,13 +26,14 @@ from flybat.dynamics import GRAVITY, VehicleParams, body_constants, rk4_flat
 from flybat.geom import q_from_yaw
 
 PARAMS = VehicleParams(mass=0.820, max_thrust=27.0, inertia=(0.008, 0.008, 0.014), k_p=164.4)
+CFG = default_config(PARAMS, *GAINS)
 
 
 INV_MASS, II, JJ = body_constants(PARAMS)
 
 
 def make_pid():
-    return CascadedPid(default_config(PARAMS, *GAINS), PARAMS.mass)
+    return CascadedPid(CFG, PARAMS.mass)
 
 
 def position(pid, state, dt, ref=(0.0, 0.0, 0.0), ff_thrust=0.0):
@@ -158,6 +159,10 @@ class ReferencePid(CascadedPid):
 
     path = None
 
+    def retune(self, cfg, mass):
+        super().retune(cfg, mass)
+        self.cfg = cfg
+
     def position_flat(
         self, px, py, pz, vx, vy, vz, rx, ry, rz, rvx, rvy, rvz,
         ffx, ffy, ffz, ff_thrust, yaw, dt,
@@ -250,7 +255,7 @@ def test_integrators_bounded():
     ref = (50.0, -50.0, 50.0)
     for _ in range(20000):
         position(pid, REST_STATE, 0.001, ref)
-    lim = pid.cfg.pos_int_limit
+    lim = CFG.pos_int_limit
     assert abs(pid.ix) <= lim and abs(pid.iy) <= lim and abs(pid.iz) <= lim
 
 
@@ -269,7 +274,7 @@ def test_attitude_small_step_linear_gain():
     pid = make_pid()
     q_des = q_from_axis_angle((1.0, 0.0, 0.0), 0.1)
     torque = attitude(pid, REST_STATE, q_des, 0.001)
-    assert torque[0] == pytest.approx(pid.cfg.att_p[0] * 0.1, abs=1e-6)
+    assert torque[0] == pytest.approx(CFG.att_p[0] * 0.1, abs=1e-6)
     assert abs(torque[1]) < 1e-9
 
 
@@ -286,7 +291,7 @@ def test_attitude_step_settles_like_second_order_prediction():
     # I*th'' = kp*(thd - th) - kd*th'; integrate it independently (small
     # fixed-step midpoint) and compare 2% settling times
     pid = make_pid()
-    kp, kd = pid.cfg.att_p[0], pid.cfg.att_d[0]
+    kp, kd = CFG.att_p[0], CFG.att_d[0]
     inertia = PARAMS.inertia[0]
     step = 0.1
     dt = 0.0005

@@ -158,16 +158,21 @@ def test_thresholds_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_capture_inside_funnel_with_reliable_contact(rng):
+def test_capture_inside_funnel_with_reliable_contact():
+    rng, fresh = Pcg64(12345), Pcg64(12345)
     out = capture(0.019, 0.0, rng)
     assert out.mechanical_engaged and out.electrical_engaged
-    assert out.draw is not None
+    # one draw spent
+    fresh.random()
+    assert rng.random() == fresh.random()
 
 
-def test_capture_outside_funnel_fails_mechanically(rng):
+def test_capture_outside_funnel_fails_mechanically():
+    rng, fresh = Pcg64(12345), Pcg64(12345)
     out = capture(0.025, 0.0, rng)
     assert not out.mechanical_engaged and not out.electrical_engaged
-    assert out.draw is None
+    # no draw spent
+    assert rng.random() == fresh.random()
 
 
 def test_capture_certain_electrical_failure(rng):

@@ -117,9 +117,7 @@ def test_energy_audit_short_run():
     integral_wh = (
         np.trapezoid(p, t) + np.trapezoid(ip**2 * r_p + isec**2 * r_s, t)
     ) / 3600.0
-    drawn = w.primary_drawn_wh + sum(
-        u.secondary_drawn_wh for u in w.units if u.secondary_drawn_wh is not None
-    )
+    drawn = sum(v for k, v in w.energy_drawn.items() if not k.endswith(".own"))
     assert integral_wh == pytest.approx(drawn, rel=1e-3)
 
 
@@ -428,6 +426,59 @@ def _churn_start_docked():
     return sc, 31.0
 
 
+def _host_key(w):
+    """The host's gains, mass and integrators as bits, and its docked unit."""
+    pid = w.main_pid
+    floats = (*pid.pos_gains, *pid.att_gains, pid.mass, pid.ix, pid.iy, pid.iz, pid.iyaw)
+    return [x.hex() for x in floats], w.docked_unit
+
+
+@pytest.mark.parametrize(
+    "case", [_dock_and_undock, _churn_start_docked], ids=["dock_and_undock", "churn_start_docked"]
+)
+def test_a_step_that_keeps_the_state_tuple_keeps_the_rest_of_the_host(case):
+    # the host memo is keyed by the state tuple alone, which holds only
+    # while every change to gains, mass, integrators or the docked unit
+    # also assigns a new tuple
+    sc, duration = case()
+    w = World(sc)
+    n = round(duration / w.dt)
+    kept = 0
+    while w.step_index < n and not w.terminated:
+        ms, before = w.main_state, _host_key(w)
+        w.step()
+        if w.main_state is ms:
+            kept += 1
+            assert _host_key(w) == before, f"step {w.step_index - 1}"
+    assert kept > 1000
+
+
+def test_energy_ledger_lists_packs_in_first_delivery_order():
+    # units that recharge on landing swap in on 0.002 Ah secondaries, so
+    # own packs and secondaries first deliver interleaved
+    w = draw_world(0.5, 1000)
+    packs = {"primary": lambda: w.primary_wh}
+    for u in w.units:
+        packs[u.own_key] = lambda u=u: u.own_wh
+        packs[u.secondary_key] = lambda u=u: u.secondary_wh
+    # the primary's entry is there from the start; this world starts on
+    # unit 0's secondary
+    first = ["primary"]
+    n = round(w.duration / w.dt)
+    while w.step_index < n and not w.terminated:
+        before = {k: f() for k, f in packs.items()}
+        w.step()
+        first += [k for k, f in packs.items() if f() < before[k] and k not in first]
+    assert list(w.energy_drawn) == first
+    assert len(first) > 4 and first[1:] != sorted(first[1:])
+    totals = w.summary_totals()
+    secondaries = [v for k, v in w.energy_drawn.items() if k.endswith(".secondary")]
+    assert len(secondaries) > 1
+    assert totals["secondary_energy_wh"] == sum(secondaries)
+    assert totals["primary_energy_wh"] == w.energy_drawn["primary"]
+    assert totals["energy_drawn"] == w.energy_drawn
+
+
 OPTIMIZE_CASES = {
     "solo_hover": lambda: (solo_scenario(duration=2.0, telemetry_hz=1000.0), 2.0),
     "paper_demo_25s": lambda: (bundled_scenario("paper_demo"), 25.0),
@@ -519,11 +570,13 @@ def test_split_is_the_world_its_draw_inputs_reach():
     world.rng = _Draws([_Point(0, Pcg64(1000), 0.7), _Point(1, Pcg64(1000), 0.3)])
     runs = []
     _fly(world, runs)
-    split = runs.pop()
+    split, checkpoint = runs.pop()
     assert not runs
+    # the split resumes from the checkpoint it is paired with
+    assert checkpoint.step_index == split.step_index
     assert [pt.index for pt in split.rng.points] == [1]
     assert split.docking.contact_failure_probability == 0.3
-    _fly(split, runs)
+    _fly(split, runs, checkpoint)
     assert not runs
     fresh = draw_world(0.3, 1000, keep_rows=True)
     fresh.run()

@@ -42,8 +42,6 @@ WRITE_ONLY_ALLOWED: dict[str, str] = {
     "MissionEvent.t": "README's Telemetry section: each logged event carries its time",
     "ScenarioError.line": "its docstring: the scenario file line an error names, for a caller "
     "that catches it",
-    "ContactOutcome.draw": "its docstring: the uniform sample a capture spent, None when no draw "
-    "was made",
 }
 
 
