@@ -166,8 +166,10 @@ def _fly(world: World, runs: list[tuple], checkpoint: World | None = None) -> Mi
     than one point it is copied every CHECKPOINT_STEPS steps, and each
     pending split joins runs as a copy of the last checkpoint led by its
     first point, paired with that checkpoint; the copy holds the split's
-    generators as they were then. checkpoint is the one world was cut
-    from, if any: it stands for world's own copy at that step."""
+    generators as they were then. A one-point split that leaves world
+    with one point, when no queued split holds that checkpoint, is the
+    checkpoint itself. checkpoint is the one world was cut from, if any:
+    it stands for world's own copy at that step."""
     draws = world.rng
 
     def step():
@@ -179,7 +181,18 @@ def _fly(world: World, runs: list[tuple], checkpoint: World | None = None) -> Mi
         world.step()
         while draws.leaving:
             leave = {pt.index for pt in draws.leaving.pop()}
-            split = copy.deepcopy(checkpoint)
+            # a world left with one point takes no further checkpoints, and
+            # neither does a one-point split: that split can be the
+            # checkpoint itself, unless a queued split resumes from it too
+            if (
+                len(leave) == 1
+                and len(draws.points) == 1
+                and not draws.leaving
+                and all(held is not checkpoint for _, held in runs)
+            ):
+                split = checkpoint
+            else:
+                split = copy.deepcopy(checkpoint)
             split.rng.points = [pt for pt in split.rng.points if pt.index in leave]
             p = split.rng.points[0].p
             split.docking = replace(split.docking, contact_failure_probability=p)

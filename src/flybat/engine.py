@@ -264,6 +264,9 @@ class World:
         # then (packed inputs, (thrust, zx, zy, zz, load))
         self._host_memo_state: tuple | None = None
         self._host_memo: tuple = ()
+        # quiet-step record (see _arm_quiet): (state tuple, docked unit,
+        # until, rotor load), or None; every logged event clears it
+        self._quiet: tuple | None = None
 
         self.telemetry_decim = max(1, round(1.0 / (sim.telemetry_hz * sim.dt)))
         self.writer = TelemetryWriter(telemetry_path, keep_rows=keep_rows)
@@ -283,6 +286,7 @@ class World:
         row at the end of the step."""
         events = self.log.events
         events.append(MissionEvent(t, len(events), kind, uid, detail, in_column))
+        self._quiet = None
         if in_column:
             self._column_due = True
 
@@ -558,6 +562,15 @@ class World:
         dt = self.dt
         t = self.step_index * dt
 
+        # a quiet step (see _arm_quiet) repeats the last one but for the
+        # pack energies, so long as the pack it drains still holds some
+        quiet = self._quiet
+        if quiet is not None and self.main_state is quiet[0] and t < quiet[2]:
+            docked = quiet[1]
+            if (self.primary_wh if docked is None else docked.secondary_wh) > 0.0:
+                self._finish_step(t, dt, quiet[3], None)
+                return
+
         # cheap finiteness test: a nan or inf anywhere makes the sum one
         ms = self.main_state
         if not math.isfinite(sum(ms)):
@@ -644,10 +657,11 @@ class World:
         pid = self.main_pid
         inv_mass, ii, jj = self._main_solo_body if docked is None else self._main_comp_body
         memo = self._host_memo
-        if (
+        hit = (
             ms is self._host_memo_state
             and _HOST_INPUTS.pack(hx, hy, hz, svx, sax, ff, fx, fy, fz, tx, ty, tz) == memo[0]
-        ):
+        )
+        if hit:
             thrust, zx, zy, zz, load = memo[1]
         else:
             ints = (pid.ix, pid.iy, pid.iz, pid.iyaw)
@@ -738,6 +752,15 @@ class World:
                             self._event(t, "bounce_off", u.uid)
                             self._event(t, "phase", u.uid, u.phase.value, in_column=False)
 
+        # airborne lists every active unit but a docked one
+        if hit and not airborne:
+            self._arm_quiet(docked, load)
+        self._finish_step(t, dt, load, airborne)
+
+    def _finish_step(self, t: float, dt: float, load: float, airborne) -> None:
+        """The end of every step: drain the packs under the host's rotor
+        load and the airborne units' own loads, write the telemetry row if
+        one is due, and count the step."""
         # --- powertrain --------------------------------------------------
         docked = self.docked_unit
         if docked is None:
@@ -787,6 +810,29 @@ class World:
             self._check_finite()
             self._write_row(t)
         self.step_index += 1
+
+    def _arm_quiet(self, docked: _Unit | None, load: float) -> None:
+        """Arm the quiet record after a step that hit the host memo with
+        no unit active but the docked one. While the host keeps this state
+        tuple and no event is logged, such a step repeats: the mission
+        policy does nothing before `until`, the host's inputs stand still,
+        so the memo holds, and a docked contact carries the same load. A
+        later step then only drains the packs (see step). That also needs
+        a standing setpoint and a docked unit, if any, on an electrical
+        contact that holds, with no undock pending: a failed contact is
+        shed after a delay."""
+        m = self.mission
+        if m.oscillation_amplitude > 0.0 and m.oscillation_omega > 0.0:
+            return
+        if docked is not None and (
+            docked.cmd_undock or self._slipping or not self.circuit.secondary_present
+        ):
+            return
+        until = self.duration if m.termination == "wall_clock" else math.inf
+        if docked is None and self.units:
+            # the next dispatch (see _orchestrate)
+            until = min(until, max(m.dispatch_delay, min(u.available_at for u in self.units)))
+        self._quiet = (self.main_state, docked, until, load)
 
     def _arm_host_memo(self, ms, ints, inputs, outputs) -> None:
         """Arm the host fast path if the step just taken from state ms and

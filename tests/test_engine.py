@@ -11,6 +11,7 @@ from conftest import (
     DRAWS_CFG,
     contact_outcomes,
     docked_contact_trace,
+    full_scale_main_kp,
     run_optimized,
     scaled_mission_scenario,
 )
@@ -346,6 +347,62 @@ def _dock_and_undock():
     return sc, 45.0
 
 
+def _churn_start_docked():
+    # unit 0 starts docked on a 0.05 Ah secondary that empties at 9.8 s;
+    # it undocks and lands while unit 1 flies in, and unit 1's capture
+    # draws the contact outcome at 30.1 s
+    sc = default_scenario("churn")
+    sc.batteries.secondary.capacity_ah = 0.05
+    sc.docking.contact_failure_probability = 0.3
+    sc.mission.fleet_size = 4
+    sc.mission.start_docked = True
+    sc.sim.seed = 1000
+    return sc, 31.0
+
+
+# cases that end a quiet span each way: a dispatch, a secondary that
+# empties while docked, a primary that empties and ends the mission, the
+# wall clock, and a docked host under planar drag
+
+
+def _paper_demo_dispatch():
+    # the host hovers alone until the dispatch at 1.0 s
+    return bundled_scenario("paper_demo"), 2.0
+
+
+def _churn_secondary_empties():
+    return _churn_start_docked()[0], 12.0
+
+
+def _small_primary():
+    # the primary empties at 2.88 s
+    sc = solo_scenario(duration=10.0)
+    sc.mission.termination = "primary_depleted"
+    sc.vehicles.main.k_p = full_scale_main_kp()
+    sc.batteries.primary.capacity_ah *= 0.004
+    return sc, 10.0
+
+
+def _wall_clock_past_duration():
+    # stepped as World.run(5.0) steps a 3 s wall-clock mission
+    return solo_scenario(duration=3.0), 5.0
+
+
+def _planar_drag():
+    sc, duration = _start_docked()
+    sc.sim.planar_drag_coeff = 0.2
+    return sc, duration
+
+
+# (kind, detail) of an event each of those cases must log
+QUIET_EXITS = {
+    _paper_demo_dispatch: ("dispatch", ""),
+    _churn_secondary_empties: ("depleted", "secondary"),
+    _small_primary: ("mission_end", "primary_depleted"),
+    _wall_clock_past_duration: ("mission_end", "wall_clock"),
+}
+
+
 def _stepped(sc, duration, full_path):
     w = World(sc, keep_rows=True)
     n = round(duration / w.dt)
@@ -364,8 +421,28 @@ def _host_bits(w):
 
 @pytest.mark.parametrize(
     "case,engages",
-    [(_solo_1khz, True), (_start_docked, True), (_oscillating, False), (_dock_and_undock, True)],
-    ids=["solo_1khz", "start_docked", "oscillating", "dock_and_undock"],
+    [
+        (_solo_1khz, True),
+        (_start_docked, True),
+        (_oscillating, False),
+        (_dock_and_undock, True),
+        (_paper_demo_dispatch, True),
+        (_churn_secondary_empties, True),
+        (_small_primary, True),
+        (_wall_clock_past_duration, True),
+        (_planar_drag, True),
+    ],
+    ids=[
+        "solo_1khz",
+        "start_docked",
+        "oscillating",
+        "dock_and_undock",
+        "dispatch",
+        "secondary_empties",
+        "primary_empties",
+        "wall_clock_past_duration",
+        "planar_drag",
+    ],
 )
 def test_fast_path_rows_match_full_path(rk4_calls, case, engages):
     sc, duration = case()
@@ -384,6 +461,8 @@ def test_fast_path_rows_match_full_path(rk4_calls, case, engages):
     if case is _dock_and_undock:
         totals = fast.summary_totals()
         assert totals["dock_count"] >= 1 and totals["undock_count"] >= 1
+    if case in QUIET_EXITS:
+        assert QUIET_EXITS[case] in {(e.kind, e.detail) for e in fast.log.events}
 
 
 def test_memo_hit_steps_reuse_the_rotor_load(monkeypatch, rk4_calls):
@@ -413,17 +492,28 @@ def test_quiescent_solo_hover_integrates_host_a_handful_of_times(rk4_calls):
     assert rk4_calls[0] <= 5
 
 
-def _churn_start_docked():
-    # unit 0 starts docked on a 0.05 Ah secondary that empties at 9.8 s;
-    # it undocks and lands while unit 1 flies in, and unit 1's capture
-    # draws the contact outcome at 30.1 s
-    sc = default_scenario("churn")
-    sc.batteries.secondary.capacity_ah = 0.05
-    sc.docking.contact_failure_probability = 0.3
-    sc.mission.fleet_size = 4
-    sc.mission.start_docked = True
-    sc.sim.seed = 1000
-    return sc, 31.0
+@pytest.mark.parametrize(
+    "case",
+    [lambda: (bundled_scenario("solo_hover"), 60.0), lambda: (_churn_start_docked()[0], 9.0)],
+    ids=["solo_hover_60s", "churn_start_docked_9s"],
+)
+def test_quiet_steps_skip_the_mission_policy(monkeypatch, case):
+    # a quiet step (host memo holding, nothing flying, a docked unit on a
+    # held electrical contact) only drains the packs and writes telemetry;
+    # only the full step runs the mission policy
+    calls = [0]
+    orchestrate = World._orchestrate
+
+    def counted(self, t):
+        calls[0] += 1
+        return orchestrate(self, t)
+
+    monkeypatch.setattr(World, "_orchestrate", counted)
+    sc, duration = case()
+    w = World(sc)
+    w.run(duration)
+    assert w.step_index == round(duration / w.dt)
+    assert calls[0] <= 5
 
 
 def _host_key(w):
