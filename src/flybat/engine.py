@@ -901,8 +901,8 @@ class World:
         the world after it this way."""
         if duration is None:
             duration = self.duration
-        if duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {duration}")
+        if not (math.isfinite(duration) and duration > 0.0):
+            raise ValueError(f"duration must be finite and positive, got {duration}")
         n_steps = round(duration / self.dt)
         if step is None:
             step = self.step

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from math import inf, nextafter, sqrt
+from math import inf, isfinite, sqrt
 from typing import NamedTuple
 
 from .dynamics import GRAVITY
@@ -147,6 +147,11 @@ _OCV_SEGMENTS = tuple(
     (_OCV_S2, _OCV_V2, _OCV_K2, _OCV_S3),
     (_OCV_S3, _OCV_V3, _OCV_K3, _OCV_S4),
 ) = _OCV_SEGMENTS
+# the curve's mean over state of charge: the mean cell voltage of a
+# constant-power discharge, whose state of charge falls about evenly
+_OCV_MEAN = sum(
+    0.5 * (v0 + v1) * (s1 - s0) for (s0, v0), (s1, v1) in zip(OCV_KNOTS, OCV_KNOTS[1:])
+)
 
 
 def ocv(pack: BatteryPack, energy_wh: float) -> float:
@@ -156,8 +161,9 @@ def ocv(pack: BatteryPack, energy_wh: float) -> float:
 
 def ocv_per_cell(soc: float) -> float:
     """OCV_KNOTS interpolated, clamped outside [0, 1]; NaN reads as full.
-    A hot path (every step, and every shadow step of the k_p
-    calibration: 71,990 for the default host and pack), hence unrolled."""
+    A hot path (solve_bus calls it every step), hence unrolled. The drain
+    loop of the shadow flights evaluates the same chain one segment at a
+    time and calls it only at full, at empty and on NaN."""
     if soc <= 0.0:
         return CELL_EMPTY_V
     if soc >= 1.0:
@@ -286,6 +292,61 @@ def command_switch(circuit: SwitchCircuit, target: SwitchTarget) -> SwitchCircui
     return replace(circuit, relay_closed=True)
 
 
+# steps per call of the drain loop in time_to_depletion, so that its
+# 1e7 s guard stops a flight that never empties
+_DEPLETION_CHUNK = 8192
+
+
+def _drain(
+    pack: BatteryPack,
+    energy: float,
+    load_power: float,
+    steps: int,
+    dt: float,
+    diode_drop: float,
+    stop_when_empty: bool,
+) -> tuple[float, int]:
+    """(energy, steps run) after up to `steps` shadow steps from a pack
+    holding `energy` under a constant-power load. Each step does the float
+    operations of `ocv` and `discharge(pack, energy, load_power, dt,
+    current=...)` in the same order, with the bus-side current. With
+    stop_when_empty, no step starts from an energy that is not positive.
+
+    Under a load >= 0 and dt > 0 the energy never rises, so a stretch
+    strictly inside the OCV curve evaluates `ocv_per_cell`'s chain one
+    segment at a time and tests only the segment's lower knot. A state at
+    or above full, at or below empty, or NaN, and any other load or dt,
+    takes one step through `ocv_per_cell` and is looked at again."""
+    cap, r = pack.capacity_wh, pack.internal_resistance
+    # the int converts exactly, as float * int converts it, and a float
+    # product is faster
+    cells = float(pack.cell_count)
+    falls = load_power >= 0.0 and dt > 0.0
+    left = steps
+    while left > 0:
+        soc = energy / cap
+        if falls and 0.0 < soc < 1.0:
+            for s0, v0, slope, s1 in _OCV_SEGMENTS:
+                if soc <= s1:
+                    break
+            while left and soc > s0:
+                bus = (v0 + slope * (soc - s0)) * cells - diode_drop
+                current = load_power / bus if bus > 0.0 else 0.0
+                energy = energy - (load_power + current * current * r) * dt / 3600.0
+                soc = energy / cap
+                left -= 1
+        else:
+            # discharge clamps a negative or NaN energy to zero; the test
+            # stops on either just the same
+            if stop_when_empty and not energy > 0.0:
+                break
+            bus = ocv_per_cell(soc) * cells - diode_drop
+            current = load_power / bus if bus > 0.0 else 0.0
+            energy = energy - (load_power + current * current * r) * dt / 3600.0
+            left -= 1
+    return energy, steps - left
+
+
 def time_to_depletion(
     pack: BatteryPack,
     energy_wh: float,
@@ -295,27 +356,19 @@ def time_to_depletion(
 ) -> float:
     """Seconds until a pack holding energy_wh empties under a
     constant-power load, with I^2 R losses computed from the bus-side
-    current. Used for endurance calibration and solo-equivalent
-    reporting.
-
-    Each step does the float operations of `ocv` and
-    `discharge(pack, energy, load_power, dt, current=...)` in the same
-    order, inline, as the shadow flights of solve_kp_for_endurance do;
-    the mission summary's solo-equivalent time runs it once."""
+    current: the float sum of dt over the drain loop's steps. Used for
+    endurance calibration and solo-equivalent reporting; the mission
+    summary's solo-equivalent time runs it once."""
     if load_power <= 0.0:
         return float("inf")
-    cap, cells, r = pack.capacity_wh, pack.cell_count, pack.internal_resistance
     energy = energy_wh
     t = 0.0
-    # discharge clamps a negative or NaN energy to zero; the loop test
-    # stops on either just the same
     while energy > 0.0:
-        bus = ocv_per_cell(energy / cap) * cells - diode_drop
-        current = load_power / bus if bus > 0.0 else 0.0
-        energy = energy - (load_power + current * current * r) * dt / 3600.0
-        t += dt
-        if t > 1.0e7:
-            raise PowertrainError("pack does not deplete")
+        energy, ran = _drain(pack, energy, load_power, _DEPLETION_CHUNK, dt, diode_drop, True)
+        for _ in range(ran):
+            t += dt
+            if t > 1.0e7:
+                raise PowertrainError("pack does not deplete")
     return t
 
 
@@ -327,17 +380,11 @@ def shadow_energy(
     dt: float,
     diode_drop: float,
 ) -> float:
-    """Energy left after `steps` steps of time_to_depletion's loop, with
-    the same float operations but no stop: it goes on falling below zero
-    once the pack is empty, so while the bus stays positive it is a
-    continuous function of the load."""
-    cap, cells, r = pack.capacity_wh, pack.cell_count, pack.internal_resistance
-    energy = energy_wh
-    for _ in range(steps):
-        bus = ocv_per_cell(energy / cap) * cells - diode_drop
-        current = load_power / bus if bus > 0.0 else 0.0
-        energy = energy - (load_power + current * current * r) * dt / 3600.0
-    return energy
+    """Energy left after `steps` steps of time_to_depletion's drain loop,
+    with no stop: it goes on falling below zero once the pack is empty,
+    so while the bus stays positive it is a continuous function of the
+    load. One call is one shadow flight of solve_kp_for_endurance."""
+    return _drain(pack, energy_wh, load_power, steps, dt, diode_drop, False)[0]
 
 
 def solve_kp_for_endurance(
@@ -354,7 +401,7 @@ def solve_kp_for_endurance(
     the lossless k_p. Raises PowertrainError when the pack empties before
     target_time even at k_p = 1.
 
-    The search is exact but runs few shadow flights (10 for the default
+    The search is exact but runs few shadow flights (6 for the default
     host and pack, where the plain bisection ran 55):
     - Sign test. Let n be the first count of dt additions whose float sum
       exceeds target_time. time_to_depletion(k_p) > target_time exactly
@@ -364,10 +411,14 @@ def solve_kp_for_endurance(
       monotonically and the bus stays above 2.8 V, so the energy after
       n - 1 steps never rises as k_p grows: an outcome at one k_p decides
       every k_p beyond it on the same side.
-    - Same midpoints. False position (Illinois) on that energy brackets
-      the answer between evaluated outcomes. The bisection then runs
+    - Same midpoints. A safeguarded secant on that energy brackets the
+      answer between evaluated outcomes. The bisection then runs
       unchanged; it evaluates a midpoint only when it lies strictly
       inside that bracket and takes every other outcome from it."""
+    if not (isfinite(vehicle_mass) and vehicle_mass > 0.0):
+        raise PowertrainError(f"vehicle_mass must be finite and positive, got {vehicle_mass}")
+    if not isfinite(target_time):
+        raise PowertrainError(f"target_time must be finite, got {target_time}")
     if target_time <= 0.0:
         raise PowertrainError("target_time must be positive")
     if target_time > 1.0e6:
@@ -383,36 +434,38 @@ def solve_kp_for_endurance(
     while t <= target_time:
         t += dt
         n += 1
-    # the evaluated outcomes nearest the answer: every k_p <= reach flies
-    # past target_time, every k_p >= fall does not; k_p = 0 draws nothing
-    reach, e_reach = 0.0, cap
-    fall, e_fall = inf, 0.0
 
     def energy_left(k_p: float) -> float:
         return shadow_energy(pack, cap, hover_power(vehicle_mass, k_p), n - 1, dt, diode_drop)
 
     lo, hi = 1.0, 4.0 * cap * 3600.0 / (target_time * vehicle_mass * sqrt(vehicle_mass))
-    # false position on that energy from the lossless k_p, doubled until
-    # one falls short. When one bound moves twice running, the other's
-    # energy is halved so that it moves too (the Illinois rule). Only
-    # 1 <= k_p <= hi can decide a midpoint.
-    x, last = 0.25 * hi, None
+    # the evaluated outcomes nearest the answer: every k_p <= reach flies
+    # past target_time, every k_p >= fall does not
+    reach, fall = 0.0, inf
+    # A secant on that energy, from k_p = 0 (which draws nothing) and the
+    # lossless k_p scaled down by the I^2 R loss that the lossless hover
+    # power adds at the bus of the curve's mean cell voltage. A step that
+    # leaves the bracket halves it instead, or doubles k_p while none has
+    # fallen short. Only 1 <= k_p <= hi can decide a midpoint.
+    x_prev, e_prev = 0.0, cap
+    lossless = cap * 3600.0 / target_time
+    bus = _OCV_MEAN * pack.cell_count - diode_drop
+    x = max(1.0, 0.25 * hi / (1.0 + lossless * pack.internal_resistance / (bus * bus)))
     while reach < x < fall:
         e = energy_left(x)
         if e > 0.0:
-            if last:
-                e_fall *= 0.5
-            reach, e_reach, last = x, e, True
+            reach = x
         else:
-            if last is False:
-                e_reach *= 0.5
-            fall, e_fall, last = x, e, False
-        if fall == inf:
-            x = min(2.0 * x, hi)
+            fall = x
+        step = x - e * (x - x_prev) / (e - e_prev) if e != e_prev else inf
+        x_prev, e_prev = x, e
+        if reach < step < fall:
+            x = step
+        elif fall == inf:
+            x = 2.0 * x
         else:
-            x = reach + (fall - reach) * (e_reach / (e_reach - e_fall))
-            # a step that rounds onto a bound tries the float next to it
-            x = max(1.0, min(nextafter(fall, 0.0), max(nextafter(reach, fall), x)))
+            x = reach + 0.5 * (fall - reach)
+        x = max(1.0, min(x, hi))
 
     for _ in range(60):
         mid = 0.5 * (lo + hi)

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import math
 import pickle
 from pathlib import Path
 
@@ -206,9 +207,11 @@ def test_events_column_token_forms():
 
 
 def test_run_rejects_bad_duration():
+    # a non-finite duration is a ValueError too, which the cli maps to exit 2
     w = World(solo_scenario())
-    with pytest.raises(ValueError):
-        w.run(0.0)
+    for duration in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"finite and positive, got {duration}$"):
+            w.run(duration)
 
 
 def test_world_rejects_unreachable_solo_flight_time():

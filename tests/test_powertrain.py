@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import struct
 
@@ -288,6 +289,16 @@ def test_time_to_depletion_edge_loads_match_pack_stepping():
             depletes(pack, full, 1.0e-9, 1.0e6, 0.05)
 
 
+def test_time_to_depletion_stops_on_an_exactly_empty_pack():
+    # one lossless step leaves exactly 0 Wh, where the curve's lowest
+    # segment ends: the flight stops there and takes no second step
+    pack = pack_3s_15(r=0.0)
+    energy = 100.0 * 0.1 / 3600.0
+    expected = reference_time_to_depletion(pack, energy, 100.0, 0.1, 0.05)
+    assert expected == 0.1
+    assert time_to_depletion(pack, energy, 100.0, 0.1, 0.05).hex() == expected.hex()
+
+
 def steps_past(target_time, dt):
     """The first count of dt additions whose float sum exceeds target_time."""
     n, t = 0, 0.0
@@ -327,6 +338,63 @@ def test_shadow_energy_sign_decides_time_to_depletion(
         n = steps_past(target_time, dt)
         left = shadow_energy(pack, full, load, n - 1, dt, diode_drop)
         assert (left > 0.0) == (flight > target_time), (target_time, n, left)
+
+
+def reference_shadow_energy(pack, energy_wh, load_power, steps, dt, diode_drop):
+    # the shadow step through ocv_per_cell on every step, as it was before
+    # the drain loop walked the curve a segment at a time
+    cap, cells, r = pack.capacity_wh, pack.cell_count, pack.internal_resistance
+    energy = energy_wh
+    for _ in range(steps):
+        bus = ocv_per_cell(energy / cap) * cells - diode_drop
+        current = load_power / bus if bus > 0.0 else 0.0
+        energy = energy - (load_power + current * current * r) * dt / 3600.0
+    return energy
+
+
+def energy_at_soc(pack, soc):
+    """An energy whose state of charge is exactly soc, where one is near."""
+    energy = soc * pack.capacity_wh
+    for _ in range(4):
+        ratio = energy / pack.capacity_wh
+        if ratio == soc:
+            break
+        energy = math.nextafter(energy, math.inf if ratio < soc else -math.inf)
+    return energy
+
+
+@st.composite
+def shadow_flights(draw):
+    """(pack, energy, load, steps, dt, diode drop) of a shadow flight."""
+    pack = BatteryPack(
+        draw(st.integers(1, 12)),
+        draw(st.floats(0.01, 10.0)),
+        internal_resistance=draw(st.floats(0.0, 0.5)),
+    )
+    # full, on a knot, anywhere, or below empty
+    soc = draw(
+        st.one_of(
+            st.just(1.0), st.sampled_from([s for s, _ in OCV_KNOTS]), st.floats(-0.2, 1.2)
+        )
+    )
+    steps = draw(st.integers(0, 3000))
+    dt = draw(st.one_of(st.floats(0.01, 1.0), st.just(-0.1)))
+    # a load that would empty the full pack in about lossless_steps steps;
+    # fewer than `steps` drives the energy below zero
+    lossless_steps = draw(st.integers(1, 6000))
+    lossless = pack.capacity_wh * 3600.0 / (lossless_steps * abs(dt))
+    load = draw(st.sampled_from((lossless, 0.0, -lossless, math.nan)))
+    # past ~3 V per cell the bus collapses and the current is taken as 0
+    diode_drop = draw(st.one_of(st.floats(0.0, 0.2), st.floats(3.0, 50.0)))
+    return pack, energy_at_soc(pack, soc), load, steps, dt, diode_drop
+
+
+@settings(PROPERTY, max_examples=200)
+@given(flight=shadow_flights())
+@example(flight=(pack_3s_22(r=0.025), pack_3s_22().capacity_wh, 119.35, 7199, 0.1, 0.05))
+def test_shadow_energy_bit_identical_to_per_step_loop(flight):
+    expected = reference_shadow_energy(*flight)
+    assert shadow_energy(*flight).hex() == expected.hex()
 
 
 @st.composite
@@ -392,11 +460,23 @@ def test_solve_kp_at_the_longest_target_matches_reference_bisection():
         (720.0, 721.0, 0.05, "dt must be in"),
         (720.0, 0.1, 0.0, "diode_drop 0.0 outside"),
         (720.0, 0.1, 0.25, "diode_drop 0.25 outside"),
+        # not "dt must be in (0, target_time], got 0.1"
+        (math.nan, 0.1, 0.05, "target_time must be finite, got nan"),
+        (math.inf, 0.1, 0.05, "target_time must be finite, got inf"),
     ],
 )
 def test_solve_kp_rejects_out_of_range_inputs(target_time, dt, diode_drop, message):
     with pytest.raises(PowertrainError, match=re.escape(message)):
         solve_kp_for_endurance(pack_3s_22(r=0.025), 0.82, target_time, dt, diode_drop)
+
+
+# in place of a ZeroDivisionError, a math domain error, and for NaN
+# "at k_p = 1 the pack empties after 0.1 s"
+@pytest.mark.parametrize("vehicle_mass", [0.0, -0.0, -1.0, math.nan, math.inf])
+def test_solve_kp_rejects_bad_vehicle_mass(vehicle_mass):
+    message = f"vehicle_mass must be finite and positive, got {vehicle_mass}"
+    with pytest.raises(PowertrainError, match=re.escape(message)):
+        solve_kp_for_endurance(pack_3s_22(r=0.025), vehicle_mass, 720.0, 0.1, 0.05)
 
 
 def test_default_calibrated_kp_bits():
@@ -408,24 +488,46 @@ def test_default_calibrated_kp_bits():
     assert reference_solve_kp(pack, 0.82, 720.0, 0.1, 0.05)[0].hex() == expected
 
 
-def test_default_calibration_cost(monkeypatch):
-    # at most 11 shadow flights of 7,199 steps; the plain bisection made
-    # 402,052 calls
+def count_flights(monkeypatch):
+    """A function that returns how many shadow flights (calls of the drain
+    loop) have run since this was called."""
     calls = 0
+    drain = flybat.powertrain._drain
 
-    def counted(soc):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return ocv_per_cell(soc)
+        return drain(*args)
 
-    monkeypatch.setattr(flybat.powertrain, "ocv_per_cell", counted)
+    monkeypatch.setattr(flybat.powertrain, "_drain", counted)
+    return lambda: calls
+
+
+def test_default_calibration_cost(monkeypatch):
+    # at most 7 shadow flights of 7,199 steps; the Illinois start of the
+    # search made 10 and the plain bisection 55
+    flights = count_flights(monkeypatch)
     _calibrated_main_kp.cache_clear()
     try:
         k = build_world_inputs(default_scenario()).main_params.k_p
     finally:
         _calibrated_main_kp.cache_clear()
     assert k.hex() == "0x1.417b1cf9e528cp+7"
-    assert 0 < calls <= 80_000
+    assert 0 < flights() <= 7
+
+
+def test_calibration_flights_over_seeded_solo_packs(monkeypatch):
+    # 60 hosts and packs drawn from solo_flights' ranges, every one
+    # reachable; the Illinois start of the search made 581 flights on them
+    rng = random.Random(720)
+    flights = count_flights(monkeypatch)
+    for _ in range(60):
+        pack = BatteryPack(
+            rng.randint(1, 6), rng.uniform(0.05, 6.0), internal_resistance=rng.uniform(0.0, 0.1)
+        )
+        vehicle_mass, diode_drop = rng.uniform(0.3, 3.0), rng.uniform(0.01, 0.2)
+        solve_kp_for_endurance(pack, vehicle_mass, 720.0, 0.1, diode_drop)
+    assert flights() <= 581
 
 
 def test_unreachable_endurance_target_raises():
