@@ -161,42 +161,26 @@ class _Draws:
         return draw
 
 
-def _fly(world: World, runs: list[tuple], checkpoint: World | None = None) -> MissionSummary:
+def _fly(world: World, runs: list[World]) -> MissionSummary:
     """The summary of world, whose rng is a _Draws. While it flies more
     than one point it is copied every CHECKPOINT_STEPS steps, and each
     pending split joins runs as a copy of the last checkpoint led by its
-    first point, paired with that checkpoint; the copy holds the split's
-    generators as they were then. A one-point split that leaves world
-    with one point, when no queued split holds that checkpoint, is the
-    checkpoint itself. checkpoint is the one world was cut from, if any:
-    it stands for world's own copy at that step."""
+    first point; the copy holds the split's generators as they were then."""
     draws = world.rng
+    checkpoint = None
 
     def step():
         nonlocal checkpoint
-        i = world.step_index
-        if len(draws.points) > 1 and i % CHECKPOINT_STEPS == 0:
-            if checkpoint is None or checkpoint.step_index != i:
-                checkpoint = copy.deepcopy(world)
+        if len(draws.points) > 1 and world.step_index % CHECKPOINT_STEPS == 0:
+            checkpoint = copy.deepcopy(world)
         world.step()
         while draws.leaving:
             leave = {pt.index for pt in draws.leaving.pop()}
-            # a world left with one point takes no further checkpoints, and
-            # neither does a one-point split: that split can be the
-            # checkpoint itself, unless a queued split resumes from it too
-            if (
-                len(leave) == 1
-                and len(draws.points) == 1
-                and not draws.leaving
-                and all(held is not checkpoint for _, held in runs)
-            ):
-                split = checkpoint
-            else:
-                split = copy.deepcopy(checkpoint)
+            split = copy.deepcopy(checkpoint)
             split.rng.points = [pt for pt in split.rng.points if pt.index in leave]
             p = split.rng.points[0].p
             split.docking = replace(split.docking, contact_failure_probability=p)
-            runs.append((split, checkpoint))
+            runs.append(split)
 
     log = world.run(step=step if len(draws.points) > 1 else None)
     return mission.summarize(log, termination_reason=world.termination_reason)
@@ -213,12 +197,12 @@ def _sweep_group(scenarios: list[Scenario], param: str, values: list[str], group
             _Point(i, Pcg64(scenarios[i].sim.seed), scenarios[i].docking.contact_failure_probability)
             for i in group
         ])
-        runs, done = [(world, None)], []
+        runs, done = [world], []
         while runs:
-            world, checkpoint = runs.pop()
+            world = runs.pop()
             draws = world.rng
             lead = draws.points[0].index
-            summary = _fly(world, runs, checkpoint)
+            summary = _fly(world, runs)
             done += [(pt.index, summary) for pt in draws.points]
     except SimNumericsError as exc:
         exc.args = (f"{param} = {values[lead]}: {exc}",)

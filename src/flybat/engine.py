@@ -51,10 +51,9 @@ from .telemetry import TelemetryRow, TelemetryWriter
 
 GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
 
-# bit patterns for the host fast path: state + integrators, and the
-# setpoint/feedforward/wrench inputs (bytes tell -0.0 from 0.0)
+# bit pattern of the host's state + integrators for the fast path
+# (bytes tell -0.0 from 0.0)
 _HOST_FIXED_POINT = struct.Struct("17d")
-_HOST_INPUTS = struct.Struct("12d")
 
 # read on every step; an Enum class attribute read is slow on Python 3.11
 NO_SOURCE = pt.ActiveSource.NONE
@@ -261,12 +260,12 @@ class World:
         self._column_due = False
         self._alt_err_abs_max = 0.0
         # quiescent-host memo (see step): the state tuple it holds for,
-        # then (packed inputs, (thrust, zx, zy, zz, load))
+        # then (thrust, zx, zy, zz, load)
         self._host_memo_state: tuple | None = None
         self._host_memo: tuple = ()
-        # quiet-step record (see _arm_quiet): (state tuple, docked unit,
-        # until, rotor load), or None; every logged event clears it
-        self._quiet: tuple | None = None
+        # quiet steps (see _arm_quiet) run before this time; every logged
+        # event ends them
+        self._quiet_until = -math.inf
 
         self.telemetry_decim = max(1, round(1.0 / (sim.telemetry_hz * sim.dt)))
         self.writer = TelemetryWriter(telemetry_path, keep_rows=keep_rows)
@@ -286,7 +285,7 @@ class World:
         row at the end of the step."""
         events = self.log.events
         events.append(MissionEvent(t, len(events), kind, uid, detail, in_column))
-        self._quiet = None
+        self._quiet_until = -math.inf
         if in_column:
             self._column_due = True
 
@@ -564,11 +563,10 @@ class World:
 
         # a quiet step (see _arm_quiet) repeats the last one but for the
         # pack energies, so long as the pack it drains still holds some
-        quiet = self._quiet
-        if quiet is not None and self.main_state is quiet[0] and t < quiet[2]:
-            docked = quiet[1]
+        if t < self._quiet_until and self.main_state is self._host_memo_state:
+            docked = self.docked_unit
             if (self.primary_wh if docked is None else docked.secondary_wh) > 0.0:
-                self._finish_step(t, dt, quiet[3], None)
+                self._finish_step(t, dt, self._host_memo[4], None)
                 return
 
         # cheap finiteness test: a nan or inf anywhere makes the sum one
@@ -622,7 +620,8 @@ class World:
         hx, hy, hz = self.hover_position
         svx = sax = 0.0
         m = self.mission
-        if m.oscillation_amplitude > 0.0 and m.oscillation_omega > 0.0:
+        oscillating = m.oscillation_amplitude > 0.0 and m.oscillation_omega > 0.0
+        if oscillating:
             ramp = t / 5.0
             if ramp > 1.0:
                 ramp = 1.0
@@ -646,23 +645,22 @@ class World:
                 fx += drag_fx
                 fy += drag_fy
 
-        # A host whose state and integrators map onto themselves bitwise
-        # under unchanged inputs repeats the same step: reuse its thrust,
-        # thrust axis and rotor load and leave state and integrators as
-        # they are. The memo is keyed by the state tuple's identity, which
-        # stands for the rest: the integrators change only when the host
-        # integrates, and gains, mass and body only on dock and undock,
-        # and each of these assigns a new state tuple. The inputs are
-        # matched bit for bit.
+        # A host whose state and integrators map onto themselves bitwise,
+        # under a standing setpoint and no load from the units, repeats the
+        # same step: reuse its thrust, thrust axis and rotor load and leave
+        # state and integrators as they are. The memo is keyed by the state
+        # tuple's identity, which stands for the rest: the integrators
+        # change only when the host integrates, and gains, mass, body and
+        # the docked setpoint height only on dock and undock, and each of
+        # these assigns a new state tuple; the planar drag is a function of
+        # the state. The units' sums start at +0.0 and add finite terms, so
+        # they are never -0.0 and the zero test matches them bit for bit.
         pid = self.main_pid
         inv_mass, ii, jj = self._main_solo_body if docked is None else self._main_comp_body
-        memo = self._host_memo
-        hit = (
-            ms is self._host_memo_state
-            and _HOST_INPUTS.pack(hx, hy, hz, svx, sax, ff, fx, fy, fz, tx, ty, tz) == memo[0]
-        )
+        unloaded = not (ff or fz or tx or ty or tz)
+        hit = unloaded and ms is self._host_memo_state
         if hit:
-            thrust, zx, zy, zz, load = memo[1]
+            thrust, zx, zy, zz, load = self._host_memo
         else:
             ints = (pid.ix, pid.iy, pid.iz, pid.iyaw)
             thrust, q_des = pid.position_flat(
@@ -705,9 +703,8 @@ class World:
             if alt_err > self._alt_err_abs_max:
                 self._alt_err_abs_max = alt_err
             load = pt.total_rotor_power(thrust, self.k_thrust_main)
-            if ns == ms:
-                inputs = (hx, hy, hz, svx, sax, ff, fx, fy, fz, tx, ty, tz)
-                self._arm_host_memo(ms, ints, inputs, (thrust, zx, zy, zz, load))
+            if ns == ms and unloaded and not oscillating:
+                self._arm_host_memo(ms, ints, (thrust, zx, zy, zz, load))
 
         # --- docked contact diagnostic ---------------------------------
         if docked is not None:
@@ -754,7 +751,7 @@ class World:
 
         # airborne lists every active unit but a docked one
         if hit and not airborne:
-            self._arm_quiet(docked, load)
+            self._arm_quiet(docked)
         self._finish_step(t, dt, load, airborne)
 
     def _finish_step(self, t: float, dt: float, load: float, airborne) -> None:
@@ -811,30 +808,27 @@ class World:
             self._write_row(t)
         self.step_index += 1
 
-    def _arm_quiet(self, docked: _Unit | None, load: float) -> None:
-        """Arm the quiet record after a step that hit the host memo with
-        no unit active but the docked one. While the host keeps this state
-        tuple and no event is logged, such a step repeats: the mission
-        policy does nothing before `until`, the host's inputs stand still,
-        so the memo holds, and a docked contact carries the same load. A
-        later step then only drains the packs (see step). That also needs
-        a standing setpoint and a docked unit, if any, on an electrical
-        contact that holds, with no undock pending: a failed contact is
-        shed after a delay."""
+    def _arm_quiet(self, docked: _Unit | None) -> None:
+        """Set the quiet steps' end time after a step that hit the host
+        memo with no unit active but the docked one. While the host keeps
+        the memo's state tuple and no event is logged, such a step repeats
+        until then: the mission policy does nothing, the host memo holds
+        (it arms only under a standing setpoint), and a docked contact
+        carries the same load. A later step then only drains the packs
+        under the memo's rotor load (see step). A docked unit must also
+        sit on an electrical contact that holds: a failed contact is shed
+        after a delay. No undock is pending here, since a step that
+        commands one detaches the unit."""
+        if docked is not None and (self._slipping or not self.circuit.secondary_present):
+            return
         m = self.mission
-        if m.oscillation_amplitude > 0.0 and m.oscillation_omega > 0.0:
-            return
-        if docked is not None and (
-            docked.cmd_undock or self._slipping or not self.circuit.secondary_present
-        ):
-            return
         until = self.duration if m.termination == "wall_clock" else math.inf
         if docked is None and self.units:
             # the next dispatch (see _orchestrate)
             until = min(until, max(m.dispatch_delay, min(u.available_at for u in self.units)))
-        self._quiet = (self.main_state, docked, until, load)
+        self._quiet_until = until
 
-    def _arm_host_memo(self, ms, ints, inputs, outputs) -> None:
+    def _arm_host_memo(self, ms, ints, outputs) -> None:
         """Arm the host fast path if the step just taken from state ms and
         integrators ints mapped both onto themselves bit for bit."""
         pid = self.main_pid
@@ -843,7 +837,7 @@ class World:
         if now != ints or _HOST_FIXED_POINT.pack(*ns, *now) != _HOST_FIXED_POINT.pack(*ms, *ints):
             return
         self._host_memo_state = ns
-        self._host_memo = (_HOST_INPUTS.pack(*inputs), outputs)
+        self._host_memo = outputs
 
     def _check_finite(self) -> None:
         if not all(map(math.isfinite, self.main_state)):

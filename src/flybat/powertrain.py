@@ -68,6 +68,9 @@ class BatteryPack:
     def __post_init__(self):
         if self.cell_count < 1:
             raise PowertrainError(f"cell_count must be >= 1, got {self.cell_count}")
+        for name in ("capacity_ah", "internal_resistance"):
+            if not isfinite(getattr(self, name)):
+                raise PowertrainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.internal_resistance < 0.0:
             raise PowertrainError(f"internal_resistance must be >= 0, got {self.internal_resistance}")
         object.__setattr__(self, "capacity_wh", self.capacity_ah * self.cell_count * 3.7)

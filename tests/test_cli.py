@@ -603,8 +603,8 @@ def _count_world_copies(monkeypatch):
 @pytest.mark.parametrize(
     "param, values, copies",
     [
-        ("docking.contact_failure_probability", ["0", "0.3", "0.55", "1"], 81),
-        ("sim.seed", ["1000", "1001", "1002", "1003"], 67),
+        ("docking.contact_failure_probability", ["0", "0.3", "0.55", "1"], 84),
+        ("sim.seed", ["1000", "1001", "1002", "1003"], 70),
     ],
     ids=["probability", "seed"],
 )
@@ -623,10 +623,8 @@ def test_draw_key_sweep_matches_one_mission_per_point(
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert (tmp_path / f"sweep_{param.replace('.', '_')}.csv").read_bytes() == expected
     # the points shared one world built from scratch. It and the two-point
-    # split are copied at each checkpoint. A split is copied once where it
-    # is cut, unless the world it leaves then flies one point: two of the
-    # three take their checkpoint itself. The two-point split takes the
-    # checkpoint it was cut from as its first, so that is not copied again
+    # split are copied at each checkpoint, and each split is copied once
+    # more from the checkpoint it is cut from
     assert len(built) == 1
     assert len(copied) == copies
 

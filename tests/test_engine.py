@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flybat.engine
 from conftest import (
@@ -20,7 +22,13 @@ from flybat.docking import DOCKED, GROUNDED, TRANSITIONS, DockPhase, Pcg64
 from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
 from flybat.engine import SimNumericsError, World
 from flybat.powertrain import PowertrainError, hover_power
-from flybat.scenario import bundled_scenario, default_scenario, parse_scenario, set_scenario_value
+from flybat.scenario import (
+    ScenarioError,
+    bundled_scenario,
+    default_scenario,
+    parse_scenario,
+    set_scenario_value,
+)
 from flybat.telemetry import dump_telemetry, format_row
 
 
@@ -468,6 +476,49 @@ def test_fast_path_rows_match_full_path(rk4_calls, case, engages):
         assert QUIET_EXITS[case] in {(e.kind, e.detail) for e in fast.log.events}
 
 
+@st.composite
+def generated_missions(draw):
+    """(scenario, duration) of a short generated mission: up to two units,
+    docked from the start or flown in from 0.5 m away (a capture within
+    about 8 s), with contact draws, slipping contacts, small secondaries,
+    planar drag and oscillation each on or off."""
+    sc = scaled_mission_scenario(
+        name="generated",
+        fleet_size=draw(st.integers(0, 2)),
+        contact_failure_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    sc.mission.start_docked = draw(st.booleans())
+    sc.mission.turnaround_delay = 1.0
+    sc.docking.home_radius = 0.5
+    sc.docking.mu = draw(st.sampled_from([0.02, 0.05, 0.2, 0.5]))
+    sc.batteries.secondary.capacity_ah = draw(st.sampled_from([0.02, 0.05, 0.12]))
+    if draw(st.booleans()):
+        sc.sim.planar_drag_coeff = 0.2
+    if draw(st.booleans()):
+        sc.mission.oscillation_amplitude = 0.3
+        sc.mission.oscillation_omega = 2.0
+    return sc, float(draw(st.integers(8, 20)))
+
+
+def _stepped_outcome(sc, duration, full_path):
+    """What a stepped run shows: its rows, totals and host bits, or the
+    error it raised."""
+    try:
+        w = _stepped(sc, duration, full_path)
+    except (ScenarioError, SimNumericsError) as exc:
+        return type(exc), str(exc)
+    rows = [format_row(r) for r in w.writer.rows]
+    return w.step_index, rows, w.summary_totals(), _host_bits(w)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=14)
+@given(generated_missions())
+def test_generated_missions_fast_path_matches_full_path(mission):
+    sc, duration = mission
+    assert _stepped_outcome(sc, duration, False) == _stepped_outcome(sc, duration, True)
+
+
 def test_memo_hit_steps_reuse_the_rotor_load(monkeypatch, rk4_calls):
     # the memo carries the host's rotor load, so only a step that
     # integrates the host computes it; the rows are those of the full path
@@ -524,6 +575,22 @@ def _host_key(w):
     pid = w.main_pid
     floats = (*pid.pos_gains, *pid.att_gains, pid.mass, pid.ix, pid.iy, pid.iz, pid.iyaw)
     return [x.hex() for x in floats], w.docked_unit
+
+
+@pytest.mark.parametrize(
+    "case", [_dock_and_undock, _churn_start_docked], ids=["dock_and_undock", "churn_start_docked"]
+)
+def test_no_undock_is_pending_once_a_step_returns(case):
+    # a step whose mission policy commands an undock detaches the unit in
+    # its own FSM step, so a step that arms quiet steps never sees one
+    sc, duration = case()
+    w = World(sc)
+    n = round(duration / w.dt)
+    while w.step_index < n and not w.terminated:
+        w.step()
+        docked = w.docked_unit
+        assert docked is None or not docked.cmd_undock, f"step {w.step_index - 1}"
+    assert w.summary_totals()["undock_count"] >= 1
 
 
 @pytest.mark.parametrize(
@@ -657,19 +724,20 @@ def test_worlds_differing_in_one_draw_input_agree_until_the_first_draw(tmp_path,
 def test_split_is_the_world_its_draw_inputs_reach():
     # two points of one sweep world: the first draw (0.52) fails at p = 0.7
     # and makes contact at 0.3, so the second point leaves there
-    from flybat.cli import _Draws, _fly, _Point
+    from flybat.cli import CHECKPOINT_STEPS, _Draws, _fly, _Point
 
     world = draw_world(0.7, 1000, keep_rows=True)
     world.rng = _Draws([_Point(0, Pcg64(1000), 0.7), _Point(1, Pcg64(1000), 0.3)])
     runs = []
     _fly(world, runs)
-    split, checkpoint = runs.pop()
+    split = runs.pop()
     assert not runs
-    # the split resumes from the checkpoint it is paired with
-    assert checkpoint.step_index == split.step_index
+    # the split resumes from a checkpoint, taken every CHECKPOINT_STEPS steps
+    assert 0 < split.step_index < world.step_index
+    assert split.step_index % CHECKPOINT_STEPS == 0
     assert [pt.index for pt in split.rng.points] == [1]
     assert split.docking.contact_failure_probability == 0.3
-    _fly(split, runs, checkpoint)
+    _fly(split, runs)
     assert not runs
     fresh = draw_world(0.3, 1000, keep_rows=True)
     fresh.run()

@@ -1,6 +1,7 @@
 """Every top-level function and class in `flybat`, and every non-dunder
-method, has a caller in the package or the benchmark harness; and every
-attribute the package stores is read there.
+method, has a caller in the package or the benchmark harness; every name
+a module-level assignment stores is read there; and every attribute the
+package stores is read there.
 
 A reference is any use of the name outside its own definition: a name
 or attribute that is loaded, an import, or an identifier string such as
@@ -9,7 +10,8 @@ neither does an export from `flybat/__init__.py`: an export is not a
 caller. Nor is an assignment: a store, an annotated field or a keyword
 argument of the same name sets a value and reads none. A documented entry point that only users and tests
 call goes in `ALLOWED` with its reason, and an entry that gains a
-caller must leave it.
+caller must leave it. A module-level name follows the same rules, with
+`MODULE_NAMES_ALLOWED` as its list.
 
 A stored attribute is a `self.<attr>` store in a class of the package,
 or a field of one of its dataclasses. It is read if its name appears,
@@ -32,6 +34,13 @@ ALLOWED: dict[str, str] = {
     "read_telemetry": "README's Telemetry section: reads a telemetry CSV back, float for float",
     "export_map_csv": "README: writes the feedforward map file that `ff_mode = csv` reads",
     "build_ff_map": "README: builds a feedforward map from telemetry samples for `export_map_csv`",
+}
+
+# module-level names that only users and tests read, each with its reason
+MODULE_NAMES_ALLOWED: dict[str, str] = {
+    "TRANSITIONS": "docking's FSM graph, written out once; the graph tests check every "
+    "logged phase change against it",
+    "__version__": "the package version, read by users and packaging tools",
 }
 
 # documented attributes that only users and tests read, each with its reason
@@ -59,6 +68,19 @@ def _references(path: Path):
                 yield node.value, node.lineno
 
 
+def _package_references() -> dict[str, list[tuple[Path, int]]]:
+    """(file, line) of every use of each name in the package, but for
+    its exports, and in the harness."""
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    exports = PACKAGE / "__init__.py"
+    for path in [*PACKAGE.glob("*.py"), *PERFBENCH.rglob("*.py")]:
+        if path == exports:
+            continue
+        for name, line in _references(path):
+            refs.setdefault(name, []).append((path, line))
+    return refs
+
+
 def _definitions(path: Path):
     """(qualified name, node) of top-level defs and non-dunder methods."""
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -73,13 +95,7 @@ def _definitions(path: Path):
 
 
 def test_every_helper_has_a_caller():
-    refs: dict[str, list[tuple[Path, int]]] = {}
-    exports = PACKAGE / "__init__.py"
-    for path in [*PACKAGE.glob("*.py"), *PERFBENCH.rglob("*.py")]:
-        if path == exports:
-            continue
-        for name, line in _references(path):
-            refs.setdefault(name, []).append((path, line))
+    refs = _package_references()
 
     defined = set()
     uncalled = []
@@ -101,6 +117,39 @@ def test_every_helper_has_a_caller():
     assert not allowed_but_called, "allowed but called: " + ", ".join(allowed_but_called)
     # an allow-list entry whose definition is gone must go too
     assert set(ALLOWED) <= defined, sorted(set(ALLOWED) - defined)
+
+
+def _module_names(path: Path):
+    """(name, node) of every name a module-level assignment stores."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def test_every_module_level_name_is_read():
+    refs = _package_references()
+
+    assigned = set()
+    unread = []
+    allowed_but_read = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _module_names(path):
+            assigned.add(name)
+            read = any(
+                not (p == path and node.lineno <= line <= node.end_lineno)
+                for p, line in refs.get(name, ())
+            )
+            if read and name in MODULE_NAMES_ALLOWED:
+                allowed_but_read.append(name)
+            elif not read and name not in MODULE_NAMES_ALLOWED:
+                unread.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unread, "no reader in src/flybat or perfbench: " + ", ".join(unread)
+    assert not allowed_but_read, "allowed but read: " + ", ".join(allowed_but_read)
+    assert set(MODULE_NAMES_ALLOWED) <= assigned, sorted(set(MODULE_NAMES_ALLOWED) - assigned)
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:

@@ -62,6 +62,18 @@ def test_pack_spec_validation():
         BatteryPack(3, 0.0)
     with pytest.raises(PowertrainError, match="internal_resistance must be >= 0, got -1"):
         BatteryPack(3, 1.5, internal_resistance=-1.0)
+    # a non-finite spec is named at once, not as a pack that empties at
+    # once or never depletes
+    nan, inf = float("nan"), float("inf")
+    for capacity_ah, r, match in [
+        (2.2, nan, "internal_resistance must be finite, got nan"),
+        (2.2, inf, "internal_resistance must be finite, got inf"),
+        (nan, 0.025, "capacity_ah must be finite, got nan"),
+        (inf, 0.025, "capacity_ah must be finite, got inf"),
+        (-inf, 0.025, "capacity_ah must be finite, got -inf"),
+    ]:
+        with pytest.raises(PowertrainError, match=match):
+            BatteryPack(3, capacity_ah, internal_resistance=r)
 
 
 # ---------------------------------------------------------------------------
