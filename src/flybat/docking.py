@@ -8,6 +8,9 @@ guarantees mechanical alignment inside the 2.0 cm radius; electrical
 contact additionally depends on a per-docking Bernoulli draw from the
 scenario's seeded generator. Undocking is a plain takeoff to 30 cm above
 the platform, a lateral departure, and a landing.
+
+`fsm_step` steps a flying unit's phases; the engine owns dispatch,
+capture (`capture_check` on impact) and undock.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ DEPART = DockPhase.DEPART
 LANDING = DockPhase.LANDING
 
 
-# Transition graph: phase -> phases reachable in one step.
+# Transition graph: phase -> phases reachable in one step. fsm_step
+# decides every edge but two, which World owns: FREE_FALL -> DOCKED is a
+# capture (capture_check on impact), DOCKED -> UNDOCK_ASCEND an undock
+# command; both are logged as phase changes all the same.
 TRANSITIONS: dict[DockPhase, tuple[DockPhase, ...]] = {
     DockPhase.GROUNDED: (DockPhase.TAKEOFF,),
     DockPhase.TAKEOFF: (DockPhase.APPROACH_ABOVE,),
@@ -89,20 +95,18 @@ def fsm_step(
     lateral: float,
     gap: float,
     altitude: float,
-    dock: bool,
-    undock: bool,
 ) -> DockPhase:
-    """Advance the docking state machine by one step.
-
-    cfg is the scenario's [docking] section. lateral and gap are the
-    offset and vertical gap between the vehicle's leg plane and the
-    platform surface; altitude is height above ground. dock and undock
-    are the mission's standing commands to the unit."""
+    """Advance a flying unit's state machine by one step. cfg is the
+    scenario's [docking] section; lateral and gap are the leg plane's
+    offset and height from the platform surface, altitude its height
+    above ground. A grounded unit is stepped once dispatched, so it takes
+    off; FREE_FALL ends here only in a bounce-off, since capture and
+    undock are the engine's."""
     if not (isfinite(lateral) and isfinite(gap) and isfinite(altitude)):
         raise DockingError(f"non-finite relative pose ({lateral}, {gap}, {altitude})")
 
     if phase is GROUNDED:
-        return TAKEOFF if dock else GROUNDED
+        return TAKEOFF
 
     if phase is TAKEOFF:
         if gap >= cfg.hover_above_gap - ALT_REACHED_TOL:
@@ -123,15 +127,8 @@ def fsm_step(
         return DESCEND
 
     if phase is FREE_FALL:
-        if lateral > cfg.lateral_capture_radius:
-            # bounce-off: outside the funnel, abort and retry
-            return APPROACH_ABOVE
-        if gap <= 0.0:
-            return DOCKED
-        return FREE_FALL
-
-    if phase is DOCKED:
-        return UNDOCK_ASCEND if undock else DOCKED
+        # bounce-off: outside the funnel, abort and retry
+        return APPROACH_ABOVE if lateral > cfg.lateral_capture_radius else FREE_FALL
 
     if phase is UNDOCK_ASCEND:
         if gap >= cfg.hover_above_gap - GAP_REACHED_TOL:
@@ -148,7 +145,7 @@ def fsm_step(
     if phase is LANDING:
         return GROUNDED if altitude <= GROUND_TOL else LANDING
 
-    raise DockingError(f"unknown phase {phase}")
+    raise DockingError(f"{phase} is not stepped: World undocks docked units")
 
 
 _M32 = 0xFFFFFFFF

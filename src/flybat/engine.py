@@ -138,7 +138,6 @@ class _Unit:
         "ref",
         "home",
         "available_at",
-        "cmd_dock",
         "cmd_undock",
         "thrust",
     )
@@ -158,7 +157,6 @@ class _Unit:
         self.phase = GROUNDED
         self.ref = [home[0], home[1], GROUND_COM]
         self.available_at = 0.0
-        self.cmd_dock = False
         self.cmd_undock = False
         self.thrust = 0.0
 
@@ -242,7 +240,7 @@ class World:
 
         # bookkeeping
         self.log = MissionLog()
-        self.terminated = False
+        # why the mission ended; empty while it runs
         self.termination_reason = ""
         self.time_on_primary = 0.0
         self.time_on_secondary = 0.0
@@ -318,7 +316,6 @@ class World:
                 break
         else:
             return
-        u.cmd_dock = True
         u.pid.reset()
         if u not in self.active_units:
             self.active_units.append(u)
@@ -327,10 +324,6 @@ class World:
 
     def _orchestrate(self, t: float) -> None:
         m = self.mission
-        if m.termination == "wall_clock" and t >= self.duration:
-            self._end_mission(t, "wall_clock")
-            return
-
         docked = self.docked_unit
         if docked is not None:
             electrical = self.circuit.secondary_present
@@ -357,8 +350,7 @@ class World:
         self._event(t, "undock", u.uid)
 
     def _end_mission(self, t: float, reason: str) -> None:
-        if not self.terminated:
-            self.terminated = True
+        if not self.termination_reason:
             self.termination_reason = reason
             self._event(t, "mission_end", detail=reason)
 
@@ -427,8 +419,6 @@ class World:
             0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
         )
         u.thrust = 0.0
-        u.cmd_dock = False
-        u.cmd_undock = False
         if u in self.active_units:
             self.active_units.remove(u)
         self._event(t, "landing", u.uid)
@@ -440,13 +430,31 @@ class World:
         else:
             u.available_at = math.inf
 
+    def _crash(self, u: _Unit, t: float) -> None:
+        """Rest a unit that fell out of the air where it hit the ground,
+        for good: it is neither recharged nor dispatched again, and the
+        next unit is sent in its place."""
+        s = u.state
+        u.state = (
+            s[0], s[1], GROUND_COM,
+            0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        )
+        u.phase = GROUNDED
+        u.available_at = math.inf
+        self.active_units.remove(u)
+        if self.incoming is u:
+            self.incoming = None
+        self._event(t, "crash", u.uid)
+
     # ------------------------------------------------------------------
     # per-step subsystems
     # ------------------------------------------------------------------
 
     def _step_fsms(self, t: float) -> tuple[float, float, float] | None:
         """Step every active unit's FSM; returns the platform point they
-        used, or None if none was computed after the last detach."""
+        used, or None if none was computed after the last detach. A docked
+        unit told to undock detaches here; a unit whose own pack emptied
+        in the air crashes once its legs reach the ground."""
         plat = None  # the platform point, until a detach moves it
         for u in tuple(self.active_units):
             if u.phase is DOCKED:
@@ -457,29 +465,25 @@ class World:
                     u.cmd_undock = False
                     self._event(t, "phase", u.uid, u.phase.value)
                 continue
-            if plat is None:
-                plat = self._platform_point()
             # altitude is the leg plane's height above ground
             s = u.state
             altitude = s[2] - LEG_HEIGHT
+            if altitude <= 0.0 and u.own_wh <= 0.0 and u.phase is not LANDING:
+                self._crash(u, t)
+                continue
+            if plat is None:
+                plat = self._platform_point()
             new_phase = dk.fsm_step(
                 u.phase,
                 self.docking,
                 math.hypot(s[0] - plat[0], s[1] - plat[1]),
                 altitude - plat[2],
                 altitude,
-                u.cmd_dock,
-                u.cmd_undock,
             )
             if new_phase is not u.phase:
-                if new_phase is DOCKED:
-                    # impact handled post-integration; ignore here
-                    continue
-                if u.phase is FREE_FALL and new_phase is APPROACH_ABOVE:
+                if u.phase is FREE_FALL:
                     self._event(t, "bounce_off", u.uid)
                 u.phase = new_phase
-                if new_phase is TAKEOFF:
-                    u.cmd_dock = False
                 self._event(t, "phase", u.uid, new_phase.value)
                 if new_phase is GROUNDED:
                     self._on_grounded(u, t)
@@ -575,7 +579,7 @@ class World:
             raise SimNumericsError(self.step_index, "host dynamics")
 
         self._orchestrate(t)
-        if self.terminated:
+        if self.termination_reason:
             self._write_row(t)
             return
         active = self.active_units
@@ -815,18 +819,18 @@ class World:
         until then: the mission policy does nothing, the host memo holds
         (it arms only under a standing setpoint), and a docked contact
         carries the same load. A later step then only drains the packs
-        under the memo's rotor load (see step). A docked unit must also
-        sit on an electrical contact that holds: a failed contact is shed
-        after a delay. No undock is pending here, since a step that
+        under the memo's rotor load (see step). The end time is a lone
+        host's next dispatch, else never: the clock is run's. A docked
+        unit must sit on an electrical contact that holds (a failed one
+        is shed after a delay); no undock is pending, since a step that
         commands one detaches the unit."""
         if docked is not None and (self._slipping or not self.circuit.secondary_present):
             return
-        m = self.mission
-        until = self.duration if m.termination == "wall_clock" else math.inf
+        self._quiet_until = math.inf
         if docked is None and self.units:
             # the next dispatch (see _orchestrate)
-            until = min(until, max(m.dispatch_delay, min(u.available_at for u in self.units)))
-        self._quiet_until = until
+            ready = min(u.available_at for u in self.units)
+            self._quiet_until = max(self.mission.dispatch_delay, ready)
 
     def _arm_host_memo(self, ms, ints, outputs) -> None:
         """Arm the host fast path if the step just taken from state ms and
@@ -889,25 +893,26 @@ class World:
     # ------------------------------------------------------------------
 
     def run(self, duration: float | None = None, step=None) -> MissionLog:
-        """Step until termination or the duration guard elapses. step, if
-        given, is called in place of self.step and must call self.step
-        once: a sweep's hook takes checkpoints before a step and splits
-        the world after it this way."""
+        """Step until the mission ends, for duration at most and never past
+        sim.duration, which ends a wall_clock mission as wall_clock; any
+        other stop on the clock is the duration_guard. step, if given, is
+        called in place of self.step and must call self.step once: a
+        sweep's hook takes checkpoints and splits the world this way."""
         if duration is None:
             duration = self.duration
         if not (math.isfinite(duration) and duration > 0.0):
             raise ValueError(f"duration must be finite and positive, got {duration}")
-        n_steps = round(duration / self.dt)
+        clock_steps = round(self.duration / self.dt)
+        n_steps = min(round(duration / self.dt), clock_steps)
         if step is None:
             step = self.step
         try:
-            while self.step_index < n_steps and not self.terminated:
+            while self.step_index < n_steps and not self.termination_reason:
                 step()
         finally:
             self.writer.close()
-        t_end = self.step_index * self.dt
-        if not self.terminated:
-            self._end_mission(t_end, "duration_guard")
+        wall = self.mission.termination == "wall_clock" and self.step_index >= clock_steps
+        self._end_mission(self.step_index * self.dt, "wall_clock" if wall else "duration_guard")
         self.log.totals = self.summary_totals()
         return self.log
 

@@ -57,7 +57,10 @@ _POSITIVE = {
 _NON_NEGATIVE = {
     "batteries": tuple(f"{p}.internal_resistance" for p in _PACKS),
     "docking": ("mu",),
-    "mission": ("fleet_size",),
+    "mission": (
+        "fleet_size", "oscillation_amplitude", "oscillation_omega", "dispatch_delay",
+        "turnaround_delay", "failure_redispatch_delay",
+    ),
     "sim": ("seed", "planar_drag_coeff"),
 }
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 
 import flybat
 from flybat.control import CascadedPid
-from flybat.docking import DockPhase
+from flybat.docking import TRANSITIONS, DockPhase
 from flybat.scenario import ControlSection, Scenario, build_world_inputs, default_scenario
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -172,6 +173,57 @@ def maneuver_durations(trace) -> tuple[float | None, float | None]:
         elif phase is DockPhase.GROUNDED and t_undock is not None and undock_time is None:
             undock_time = t - t_undock
     return dock_time, undock_time
+
+
+# Predicates that hold for any finished mission; each takes its MissionLog,
+# whose totals are the world's summary_totals().
+
+
+def check_phase_walk(log) -> None:
+    """Each unit's phase events walk TRANSITIONS from GROUNDED, or from
+    DOCKED for a unit attached at t = 0 (start_docked): a capture needs a
+    flight first. A crash grounds a unit for good, so no phase follows it."""
+    walks: dict[int, list] = {}
+    for e in log.events:
+        if e.kind in ("phase", "crash"):
+            walks.setdefault(e.uid, []).append(e)
+    for uid, walk in walks.items():
+        prev = DockPhase.GROUNDED
+        if (walk[0].t, walk[0].detail) == (0.0, DockPhase.DOCKED.value):
+            prev = DockPhase.DOCKED
+            walk = walk[1:]
+        for i, e in enumerate(walk):
+            if e.kind == "crash":
+                assert i == len(walk) - 1, (uid, e.t, "phase after crash")
+                break
+            phase = DockPhase(e.detail)
+            assert phase in TRANSITIONS[prev], (uid, e.t, prev, phase)
+            prev = phase
+
+
+def check_summary_bookkeeping(log) -> None:
+    """The summary's counts agree with the event log: each dock draws one
+    contact outcome, each electrical contact is followed by exactly one
+    switch to the secondary before any undock, and each undock command
+    detaches its unit unless the run ends on that step."""
+    totals = log.totals
+    n = Counter((e.kind, e.detail) for e in log.events)
+    assert totals["switch_count"] == n["switch", "secondary"] == n["contact", ""]
+    assert totals["contact_failures"] == n["contact_failure", ""]
+    assert totals["dock_count"] == n["dock", ""] == n["contact", ""] + n["contact_failure", ""]
+    detaches = totals["undock_count"]
+    assert detaches == n["phase", DockPhase.UNDOCK_ASCEND.value]
+    assert detaches <= n["undock", ""] <= detaches + 1
+    assert detaches <= n["dock", ""]
+    contact_live = False
+    for e in log.events:
+        if e.kind == "contact":
+            contact_live = True
+        elif e.kind in ("undock", "mission_end"):
+            contact_live = False
+        elif (e.kind, e.detail) == ("switch", "secondary"):
+            assert contact_live, (e.t, "switch without a live contact")
+            contact_live = False
 
 
 class _ThrustProbe(CascadedPid):

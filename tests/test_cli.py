@@ -79,6 +79,22 @@ def test_run_bundled_scenario_with_duration_override(tmp_path):
     assert rows[-1].time <= 2.0
 
 
+@pytest.mark.parametrize(
+    "termination,reason", [("wall_clock", "wall_clock"), ("primary_depleted", "duration_guard")]
+)
+def test_run_ends_at_sim_duration(tmp_path, termination, reason):
+    # a wall-clock mission ends at sim.duration; under primary_depleted the
+    # duration guard stops it there
+    scenario = tmp_path / "clock.cfg"
+    scenario.write_text(
+        f"[mission]\nfleet_size = 0\ntermination = {termination}\n[sim]\nduration = 5\n"
+    )
+    assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    summary = read_summary(tmp_path / "out" / "clock_summary.csv")
+    assert summary["termination_reason"] == reason
+    assert float(summary["total_time_s"]) == 5.0
+
+
 def test_run_malformed_key_exits_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[vehicles]\nmasss = 0.9\n")

@@ -22,14 +22,12 @@ from flybat.docking import (
 from flybat.scenario import DockingSection, ScenarioError, default_scenario
 
 TH = DockingSection()
-# (dock, undock) command pairs
-NO_CMD = (False, False)
-DOCK = (True, False)
-UNDOCK = (False, True)
+# the phases fsm_step steps: World undocks a docked unit itself
+FLIGHT_PHASES = [p for p in DockPhase if p is not DockPhase.DOCKED]
 
 
-def step(phase, lateral, gap, commands=NO_CMD, altitude=1.5):
-    return fsm_step(phase, TH, lateral, gap, altitude, *commands)
+def step(phase, lateral, gap, altitude=1.5):
+    return fsm_step(phase, TH, lateral, gap, altitude)
 
 
 def capture(lateral, contact_failure_probability, rng):
@@ -42,9 +40,9 @@ def capture(lateral, contact_failure_probability, rng):
 # ---------------------------------------------------------------------------
 
 
-def test_grounded_is_noop_without_command():
-    assert step(DockPhase.GROUNDED, 3.0, -1.5) is DockPhase.GROUNDED
-    assert step(DockPhase.GROUNDED, 3.0, -1.5, DOCK) is DockPhase.TAKEOFF
+def test_grounded_takes_off():
+    # World steps a grounded unit only once it has dispatched it
+    assert step(DockPhase.GROUNDED, 3.0, -1.5) is DockPhase.TAKEOFF
 
 
 def test_descend_enters_free_fall_inside_both_thresholds():
@@ -54,14 +52,16 @@ def test_descend_enters_free_fall_inside_both_thresholds():
     assert step(DockPhase.DESCEND, 0.025, 0.04) is DockPhase.DESCEND
 
 
-def test_docked_undock_command_starts_ascent():
-    assert step(DockPhase.DOCKED, 0.0, 0.0) is DockPhase.DOCKED
-    assert step(DockPhase.DOCKED, 0.0, 0.0, UNDOCK) is DockPhase.UNDOCK_ASCEND
+def test_docked_unit_is_not_stepped():
+    with pytest.raises(DockingError, match="World undocks docked units"):
+        step(DockPhase.DOCKED, 0.0, 0.0)
 
 
 def test_free_fall_outcomes():
     assert step(DockPhase.FREE_FALL, 0.01, 0.02) is DockPhase.FREE_FALL
-    assert step(DockPhase.FREE_FALL, 0.01, 0.0) is DockPhase.DOCKED
+    # the capture on impact is capture_check's, not the state machine's
+    assert step(DockPhase.FREE_FALL, 0.01, 0.0) is DockPhase.FREE_FALL
+    assert step(DockPhase.FREE_FALL, 0.01, -0.01) is DockPhase.FREE_FALL
     # drift outside the funnel aborts the drop
     assert step(DockPhase.FREE_FALL, 0.03, 0.02) is DockPhase.APPROACH_ABOVE
 
@@ -72,14 +72,12 @@ def test_landing_grounds_on_touchdown():
 
 
 def test_fsm_never_leaves_declared_graph(rng):
-    phases = list(DockPhase)
     for _ in range(5000):
-        phase = phases[int(rng.integers(len(phases)))]
+        phase = FLIGHT_PHASES[int(rng.integers(len(FLIGHT_PHASES)))]
         lateral = float(rng.uniform(0.0, 4.0))
         gap = float(rng.uniform(-2.0, 1.0))
         altitude = float(rng.uniform(0.0, 3.0))
-        dock, undock = bool(rng.random() < 0.3), bool(rng.random() < 0.3)
-        nxt = fsm_step(phase, TH, lateral, gap, altitude, dock, undock)
+        nxt = fsm_step(phase, TH, lateral, gap, altitude)
         assert nxt is phase or nxt in TRANSITIONS[phase]
         if nxt is DockPhase.FREE_FALL and phase is DockPhase.DESCEND:
             assert lateral <= TH.lateral_capture_radius
@@ -104,23 +102,20 @@ _GAP = _around(
     TH.hover_above_gap + ALT_REACHED_TOL, TH.hover_above_gap - GAP_REACHED_TOL,
 ) | st.floats(-2.0, 1.0)
 _ALTITUDE = _around(GROUND_TOL) | st.floats(-0.1, 3.0)
-_COMMANDS = st.sampled_from([(d, u) for d in (False, True) for u in (False, True)])
 
 
 @settings(max_examples=2000, deadline=None)
 @given(
-    phase=st.sampled_from(list(DockPhase)),
+    phase=st.sampled_from(FLIGHT_PHASES),
     lateral=_LATERAL,
     gap=_GAP,
     altitude=_ALTITUDE,
-    commands=_COMMANDS,
 )
-def test_fsm_step_walks_the_graph_at_every_threshold(phase, lateral, gap, altitude, commands):
-    dock, undock = commands
-    nxt = fsm_step(phase, TH, lateral, gap, altitude, dock, undock)
+def test_fsm_step_walks_the_graph_at_every_threshold(phase, lateral, gap, altitude):
+    nxt = fsm_step(phase, TH, lateral, gap, altitude)
     assert nxt is phase or nxt in TRANSITIONS[phase]
-    if phase is DockPhase.GROUNDED and nxt is not phase:
-        assert dock
+    # the capture is World's (capture_check)
+    assert nxt is not DockPhase.DOCKED
 
 
 @settings(max_examples=300, deadline=None)
@@ -129,14 +124,13 @@ def test_fsm_step_walks_the_graph_at_every_threshold(phase, lateral, gap, altitu
     pose=st.tuples(_LATERAL, _GAP, _ALTITUDE),
     which=st.integers(0, 2),
     bad=st.sampled_from([math.nan, math.inf, -math.inf]),
-    commands=_COMMANDS,
 )
-def test_fsm_step_rejects_any_non_finite_input(phase, pose, which, bad, commands):
+def test_fsm_step_rejects_any_non_finite_input(phase, pose, which, bad):
     pose = list(pose)
     pose[which] = bad
     lateral, gap, altitude = pose
     with pytest.raises(DockingError, match="non-finite"):
-        fsm_step(phase, TH, lateral, gap, altitude, *commands)
+        fsm_step(phase, TH, lateral, gap, altitude)
 
 
 def test_fsm_rejects_non_finite_pose():

@@ -12,15 +12,17 @@ from hypothesis import strategies as st
 import flybat.engine
 from conftest import (
     DRAWS_CFG,
+    check_phase_walk,
+    check_summary_bookkeeping,
     contact_outcomes,
     docked_contact_trace,
     full_scale_main_kp,
     run_optimized,
     scaled_mission_scenario,
 )
-from flybat.docking import DOCKED, GROUNDED, TRANSITIONS, DockPhase, Pcg64
+from flybat.docking import DOCKED, GROUNDED, Pcg64
 from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
-from flybat.engine import SimNumericsError, World
+from flybat.engine import LEG_HEIGHT, SimNumericsError, World
 from flybat.powertrain import PowertrainError, hover_power
 from flybat.scenario import (
     ScenarioError,
@@ -277,18 +279,28 @@ def test_phase_events_walk_the_fsm_graph(start_docked):
     phases = log.of_kind("phase")
     # ground recharge turns units 0 and 1 around; unit 2 stays grounded
     assert {e.uid for e in phases} == {0, 1}
-    for uid in (0, 1):
-        walk = [e for e in phases if e.uid == uid]
-        prev = GROUNDED
-        if start_docked and uid == 0:
-            # attached at t = 0, never grounded first
-            first = walk.pop(0)
-            assert (first.t, first.detail) == (0.0, DOCKED.value)
-            prev = DOCKED
-        for e in walk:
-            phase = DockPhase(e.detail)
-            assert phase in TRANSITIONS[prev], (uid, e.t, prev, phase)
-            prev = phase
+    if start_docked:
+        # attached at t = 0, never grounded first
+        assert (phases[0].uid, phases[0].t, phases[0].detail) == (0, 0.0, DOCKED.value)
+    check_phase_walk(log)
+
+
+def test_unit_whose_own_pack_empties_in_the_air_crashes_and_is_replaced():
+    # unit 0's own pack empties at 6.773 s on its approach: it falls,
+    # rests where it hit the ground, and unit 1 is sent in its place
+    sc = default_scenario()
+    sc.batteries.fb.capacity_ah = 0.01
+    w = World(sc)
+    w.run(60.0)
+    crashes = w.log.of_kind("crash")
+    assert crashes[0].uid == 0 and [e.uid for e in crashes].count(0) == 1
+    dispatched = [e.uid for e in w.log.of_kind("dispatch") if e.seq > crashes[0].seq]
+    assert dispatched[:1] == [1]
+    assert all(u.state[2] >= LEG_HEIGHT for u in w.units)
+    crashed = w.units[0]
+    assert crashed.phase is GROUNDED and crashed.available_at == math.inf
+    assert crashed not in w.active_units and w.incoming is not crashed
+    check_phase_walk(w.log)
 
 
 def test_world_without_path_keeps_no_rows_unless_asked():
@@ -372,8 +384,9 @@ def _churn_start_docked():
 
 
 # cases that end a quiet span each way: a dispatch, a secondary that
-# empties while docked, a primary that empties and ends the mission, the
-# wall clock, and a docked host under planar drag
+# empties while docked, a primary that empties and ends the mission, and
+# a docked host under planar drag; and a wall-clock mission stepped by
+# hand past its end, which only World.run ends
 
 
 def _paper_demo_dispatch():
@@ -395,7 +408,7 @@ def _small_primary():
 
 
 def _wall_clock_past_duration():
-    # stepped as World.run(5.0) steps a 3 s wall-clock mission
+    # a 3 s wall-clock mission, stepped for 5 s
     return solo_scenario(duration=3.0), 5.0
 
 
@@ -410,14 +423,13 @@ QUIET_EXITS = {
     _paper_demo_dispatch: ("dispatch", ""),
     _churn_secondary_empties: ("depleted", "secondary"),
     _small_primary: ("mission_end", "primary_depleted"),
-    _wall_clock_past_duration: ("mission_end", "wall_clock"),
 }
 
 
 def _stepped(sc, duration, full_path):
     w = World(sc, keep_rows=True)
     n = round(duration / w.dt)
-    while w.step_index < n and not w.terminated:
+    while w.step_index < n and not w.termination_reason:
         if full_path:
             # an equal but fresh tuple never matches the memo by identity
             w.main_state = tuple(list(w.main_state))
@@ -474,6 +486,15 @@ def test_fast_path_rows_match_full_path(rk4_calls, case, engages):
         assert totals["dock_count"] >= 1 and totals["undock_count"] >= 1
     if case in QUIET_EXITS:
         assert QUIET_EXITS[case] in {(e.kind, e.detail) for e in fast.log.events}
+    if case is _wall_clock_past_duration:
+        # the clock is run's: it stops the mission at sim.duration
+        ran = World(sc, keep_rows=True)
+        ran.run(2 * sc.sim.duration)
+        assert ran.step_index == round(sc.sim.duration / ran.dt)
+        last = ran.log.events[-1]
+        assert (last.kind, last.detail) == ("mission_end", "wall_clock")
+        rows = [format_row(r) for r in ran.writer.rows]
+        assert rows == [format_row(r) for r in fast.writer.rows][: len(rows)]
 
 
 @st.composite
@@ -481,6 +502,7 @@ def generated_missions(draw):
     """(scenario, duration) of a short generated mission: up to two units,
     docked from the start or flown in from 0.5 m away (a capture within
     about 8 s), with contact draws, slipping contacts, small secondaries,
+    own packs that empty in the air (0.01 Ah lasts about 6 s of flight),
     planar drag and oscillation each on or off."""
     sc = scaled_mission_scenario(
         name="generated",
@@ -493,6 +515,7 @@ def generated_missions(draw):
     sc.docking.home_radius = 0.5
     sc.docking.mu = draw(st.sampled_from([0.02, 0.05, 0.2, 0.5]))
     sc.batteries.secondary.capacity_ah = draw(st.sampled_from([0.02, 0.05, 0.12]))
+    sc.batteries.fb.capacity_ah = draw(st.sampled_from([0.01, 0.8]))
     if draw(st.booleans()):
         sc.sim.planar_drag_coeff = 0.2
     if draw(st.booleans()):
@@ -517,6 +540,34 @@ def _stepped_outcome(sc, duration, full_path):
 def test_generated_missions_fast_path_matches_full_path(mission):
     sc, duration = mission
     assert _stepped_outcome(sc, duration, False) == _stepped_outcome(sc, duration, True)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=14)
+@given(generated_missions())
+def test_generated_missions_keep_the_mission_predicates(mission):
+    # a finished mission walks the FSM graph and keeps its books, and no
+    # unit stays below the ground: one that falls through it on a step
+    # rests on it from the next (a landing or a crash)
+    sc, duration = mission
+    try:
+        w = World(sc)
+    except ScenarioError:
+        return
+    below = set()
+
+    def step():
+        w.step()
+        now = {u.uid for u in w.units if u.state[2] < LEG_HEIGHT}
+        assert not now & below, (w.step_index, now & below)
+        below.clear()
+        below.update(now)
+
+    try:
+        log = w.run(duration, step=step)
+    except SimNumericsError:
+        return
+    check_phase_walk(log)
+    check_summary_bookkeeping(log)
 
 
 def test_memo_hit_steps_reuse_the_rotor_load(monkeypatch, rk4_calls):
@@ -586,7 +637,7 @@ def test_no_undock_is_pending_once_a_step_returns(case):
     sc, duration = case()
     w = World(sc)
     n = round(duration / w.dt)
-    while w.step_index < n and not w.terminated:
+    while w.step_index < n and not w.termination_reason:
         w.step()
         docked = w.docked_unit
         assert docked is None or not docked.cmd_undock, f"step {w.step_index - 1}"
@@ -604,7 +655,7 @@ def test_a_step_that_keeps_the_state_tuple_keeps_the_rest_of_the_host(case):
     w = World(sc)
     n = round(duration / w.dt)
     kept = 0
-    while w.step_index < n and not w.terminated:
+    while w.step_index < n and not w.termination_reason:
         ms, before = w.main_state, _host_key(w)
         w.step()
         if w.main_state is ms:
@@ -625,7 +676,7 @@ def test_energy_ledger_lists_packs_in_first_delivery_order():
     # unit 0's secondary
     first = ["primary"]
     n = round(w.duration / w.dt)
-    while w.step_index < n and not w.terminated:
+    while w.step_index < n and not w.termination_reason:
         before = {k: f() for k, f in packs.items()}
         w.step()
         first += [k for k, f in packs.items() if f() < before[k] and k not in first]

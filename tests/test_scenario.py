@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flybat.engine
 from flybat.scenario import (
     ControlSection,
     ScenarioError,
@@ -181,6 +182,21 @@ def test_readme_python_imports_resolve():
                         importlib.import_module(alias.name)
 
 
+def test_readme_lists_every_event_kind():
+    # a logged kind cannot go undocumented: the string literals engine.py
+    # passes as kind to World._event
+    tree = ast.parse(Path(flybat.engine.__file__).read_text(encoding="utf-8"))
+    kinds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_event":
+            args = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "kind")]
+            kinds |= {a.value for a in args if isinstance(a, ast.Constant)}
+    assert {"dispatch", "crash", "mission_end"} <= kinds
+    sentence = re.search(r"Kinds are (.*?)\.\s", README.read_text(encoding="utf-8"), re.S)
+    missing = kinds - set(re.findall(r"`(\w+)`", sentence[1]))
+    assert not missing, f"README's Telemetry kinds sentence lacks {sorted(missing)}"
+
+
 def test_set_scenario_value():
     sc = default_scenario()
     set_scenario_value(sc, "docking.contact_failure_probability", "0.5")
@@ -251,6 +267,12 @@ RANGE_CHECKS = [
     ("control", "ff_lat_bins", "0"),  # would switch the feedforward off
     ("control", "ff_gap_bins", "-2"),
     ("mission", "fleet_size", "-1"),
+    # a negative amplitude or frequency would switch the oscillation off
+    ("mission", "oscillation_amplitude", "-0.5"),
+    ("mission", "oscillation_omega", "-2"),
+    ("mission", "dispatch_delay", "-1"),
+    ("mission", "turnaround_delay", "-5"),
+    ("mission", "failure_redispatch_delay", "-1"),
     ("sim", "dt", "0"),
     ("sim", "duration", "-5"),
     ("sim", "telemetry_hz", "0"),
