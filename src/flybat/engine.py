@@ -55,8 +55,18 @@ GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
 # (bytes tell -0.0 from 0.0)
 _HOST_FIXED_POINT = struct.Struct("17d")
 
+# an OCV segment that holds no state of charge: a quiet step that finds it
+# looks the segment up again
+_NO_SPAN = (math.inf, 0.0, 0.0, -math.inf)
+
 # read on every step; an Enum class attribute read is slow on Python 3.11
 NO_SOURCE = pt.ActiveSource.NONE
+PRIMARY = pt.ActiveSource.PRIMARY
+SECONDARY = pt.ActiveSource.SECONDARY
+# a quiet step builds its bus sample as solve_bus does, without the named
+# tuple's Python __new__
+_new_tuple = tuple.__new__
+BusSample = pt.BusSample
 
 
 class SimNumericsError(RuntimeError):
@@ -262,8 +272,11 @@ class World:
         self._host_memo_state: tuple | None = None
         self._host_memo: tuple = ()
         # quiet steps (see _arm_quiet) run before this time; every logged
-        # event ends them
+        # event ends them. _quiet holds their constants: the draining
+        # pack's capacity, cell count, internal resistance, the diode drop,
+        # the memo's rotor load and the OCV segment (s0, v0, slope, top)
         self._quiet_until = -math.inf
+        self._quiet: tuple = ()
 
         self.telemetry_decim = max(1, round(1.0 / (sim.telemetry_hz * sim.dt)))
         self.writer = TelemetryWriter(telemetry_path, keep_rows=keep_rows)
@@ -561,16 +574,67 @@ class World:
             raise SimNumericsError(self.step_index, f"unit {u.uid} dynamics")
 
     def step(self) -> None:
-        """Advance the world one dt."""
+        """Advance the world one dt. A quiet step (see _arm_quiet) drains
+        the one conducting pack inline and writes telemetry, calling no
+        powertrain function; every other step is a full step and ends in
+        _finish_step."""
         dt = self.dt
-        t = self.step_index * dt
+        i = self.step_index
+        t = i * dt
 
-        # a quiet step (see _arm_quiet) repeats the last one but for the
-        # pack energies, so long as the pack it drains still holds some
+        # A quiet step repeats the last one but for the pack energies, so
+        # long as the pack it drains still holds some. It drains that pack
+        # with the float operations of solve_bus's one-source branch and
+        # discharge in their order, and writes the telemetry row as
+        # _finish_step does. A full, empty or NaN state of charge, a bus
+        # that is not positive, a diode drop that rounds away or a current
+        # that underflows takes _finish_step for that step.
         if t < self._quiet_until and self.main_state is self._host_memo_state:
             docked = self.docked_unit
-            if (self.primary_wh if docked is None else docked.secondary_wh) > 0.0:
-                self._finish_step(t, dt, self._host_memo[4], None)
+            e = self.primary_wh if docked is None else docked.secondary_wh
+            if e > 0.0:
+                q = self._quiet
+                cap, cells, r, drop, load, s0, v0, k, top = q
+                soc = e / cap
+                if not s0 < soc <= top:
+                    # the next segment down, or an energy set from outside
+                    span = pt.ocv_segment(soc) or _NO_SPAN
+                    s0, v0, k, top = span
+                    self._quiet = q[:5] + span
+                v = (v0 + k * (soc - s0)) * cells
+                bus = v - drop
+                c = load / bus if bus > 0.0 else 0.0
+                # load * c / c is the pack's share of the load; a product
+                # that does not underflow leaves a current and a share > 0,
+                # as the bus is at least 2.8 V
+                share = load * c
+                if s0 < soc <= top and v - bus > 0.0 and share > 0.0:
+                    share = share / c
+                    left = e - (share + c * c * r) * dt / 3600.0
+                    if not left > 0.0:
+                        left = 0.0
+                    if docked is None:
+                        self.bus = _new_tuple(BusSample, (bus, c, c * 0.0, PRIMARY))
+                        self.primary_wh = left
+                        self.energy_drawn["primary"] += e - left
+                        self.time_on_primary += dt
+                        if left <= 0.0:
+                            self._event(t, "depleted", detail="primary")
+                    else:
+                        self.bus = _new_tuple(BusSample, (bus, c * 0.0, c, SECONDARY))
+                        docked.secondary_wh = left
+                        drawn = self.energy_drawn
+                        key = docked.secondary_key
+                        drawn[key] = drawn.get(key, 0.0) + (e - left)
+                        self.time_on_secondary += dt
+                        if left <= 0.0:
+                            self._event(t, "depleted", docked.uid, "secondary")
+                    if i % self.telemetry_decim == 0 or self._column_due:
+                        self._check_finite()
+                        self._write_row(t)
+                    self.step_index = i + 1
+                    return
+                self._finish_step(t, dt, load, None)
                 return
 
         # cheap finiteness test: a nan or inf anywhere makes the sum one
@@ -813,19 +877,35 @@ class World:
         self.step_index += 1
 
     def _arm_quiet(self, docked: _Unit | None) -> None:
-        """Set the quiet steps' end time after a step that hit the host
-        memo with no unit active but the docked one. While the host keeps
-        the memo's state tuple and no event is logged, such a step repeats
-        until then: the mission policy does nothing, the host memo holds
-        (it arms only under a standing setpoint), and a docked contact
-        carries the same load. A later step then only drains the packs
-        under the memo's rotor load (see step). The end time is a lone
-        host's next dispatch, else never: the clock is run's. A docked
-        unit must sit on an electrical contact that holds (a failed one
-        is shed after a delay); no undock is pending, since a step that
-        commands one detaches the unit."""
-        if docked is not None and (self._slipping or not self.circuit.secondary_present):
+        """Set the quiet steps' end time and constants after a step that
+        hit the host memo with no unit active but the docked one. While
+        the host keeps the memo's state tuple and no event is logged, such
+        a step repeats until then: the mission policy does nothing, the
+        host memo holds (it arms only under a standing setpoint), and a
+        docked contact carries the same load. A later step then only
+        drains the one conducting pack under the memo's rotor load and
+        writes telemetry (see step). The end time is a lone host's next
+        dispatch, else never: the clock is run's. A docked unit must sit
+        on an electrical contact that holds, with the relay open (a failed
+        contact is shed after a delay); no undock is pending, since a step
+        that commands one detaches the unit. So the pack that conducts is
+        the primary alone (relay closed, no secondary) or the docked
+        unit's secondary alone (relay open). The constants are that pack's
+        capacity, cell count and internal resistance, the diode drop, the
+        memo's rotor load and the OCV segment of the pack's state of
+        charge, if it has one (else the first quiet step looks again). A
+        zero load draws nothing, so its quiet steps take _finish_step."""
+        if docked is not None and (self._slipping or self.circuit.relay_closed):
             return
+        if docked is None:
+            pack, energy = self.primary, self.primary_wh
+        else:
+            pack, energy = self.secondary, docked.secondary_wh
+        span = pt.ocv_segment(energy / pack.capacity_wh) or _NO_SPAN
+        self._quiet = (
+            pack.capacity_wh, float(pack.cell_count), pack.internal_resistance,
+            self.circuit.diode_drop, self._host_memo[4], *span,
+        )
         self._quiet_until = math.inf
         if docked is None and self.units:
             # the next dispatch (see _orchestrate)
@@ -842,6 +922,8 @@ class World:
             return
         self._host_memo_state = ns
         self._host_memo = outputs
+        # the quiet steps' constants hold the last memo's rotor load
+        self._quiet_until = -math.inf
 
     def _check_finite(self) -> None:
         if not all(map(math.isfinite, self.main_state)):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from math import inf, isfinite, sqrt
+from math import inf, isfinite, nextafter, sqrt
 from typing import NamedTuple
 
 from .dynamics import GRAVITY
@@ -155,6 +155,27 @@ _OCV_SEGMENTS = tuple(
 _OCV_MEAN = sum(
     0.5 * (v0 + v1) * (s1 - s0) for (s0, v0), (s1, v1) in zip(OCV_KNOTS, OCV_KNOTS[1:])
 )
+
+
+# each segment as (s0, v0, slope, top): ocv_per_cell evaluates it at
+# s0 < soc <= top, where top is its upper knot, or on the last segment
+# the float below 1.0 (the curve reads CELL_FULL_V at 1.0)
+_OCV_SPANS = tuple(
+    (s0, v0, slope, s1 if s1 < 1.0 else nextafter(1.0, 0.0))
+    for s0, v0, slope, s1 in _OCV_SEGMENTS
+)
+
+
+def ocv_segment(soc: float) -> tuple[float, float, float, float] | None:
+    """(s0, v0, slope, top) of the segment whose value ocv_per_cell
+    returns at soc, v0 + slope * (soc - s0), which holds for every
+    s0 < soc <= top; None at or beyond full or empty and on NaN, where
+    the curve is clamped."""
+    if 0.0 < soc < 1.0:
+        for span in _OCV_SPANS:
+            if soc <= span[3]:
+                return span
+    return None
 
 
 def ocv(pack: BatteryPack, energy_wh: float) -> float:
@@ -329,15 +350,18 @@ def _drain(
     while left > 0:
         soc = energy / cap
         if falls and 0.0 < soc < 1.0:
-            for s0, v0, slope, s1 in _OCV_SEGMENTS:
-                if soc <= s1:
-                    break
-            while left and soc > s0:
+            s0, v0, slope, _ = ocv_segment(soc)
+            # steps while soc > s0, which holds on entry; Python 3.11
+            # specializes a `while True` loop on the first call, but one
+            # with its test on the `while` line only from the eighth
+            while True:
                 bus = (v0 + slope * (soc - s0)) * cells - diode_drop
                 current = load_power / bus if bus > 0.0 else 0.0
                 energy = energy - (load_power + current * current * r) * dt / 3600.0
                 soc = energy / cap
                 left -= 1
+                if not (left and soc > s0):
+                    break
         else:
             # discharge clamps a negative or NaN energy to zero; the test
             # stops on either just the same

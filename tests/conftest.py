@@ -226,6 +226,27 @@ def check_summary_bookkeeping(log) -> None:
             contact_live = False
 
 
+def check_primary_conduction(log, rows) -> None:
+    """The primary conducts only from the mission's start and from each
+    switch back to it until the next electrical contact: a docked unit on
+    a live contact carries the whole load, on a quiet step too. rows are
+    the mission's telemetry rows."""
+    windows = []
+    open_t = 0.0
+    for e in log.events:
+        if e.kind == "contact" and open_t is not None:
+            windows.append((open_t, e.t))
+            open_t = None
+        elif (e.kind, e.detail) == ("switch", "primary"):
+            open_t = e.t
+    if open_t is not None:
+        windows.append((open_t, math.inf))
+    eps = 1e-9
+    for r in rows:
+        if r.current_primary > eps:
+            assert any(a - eps <= r.time <= b + eps for a, b in windows), r.time
+
+
 class _ThrustProbe(CascadedPid):
     """A host controller that keeps the thrust of its last position step."""
 

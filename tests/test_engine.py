@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flybat.engine
+import flybat.powertrain
 from conftest import (
     DRAWS_CFG,
     check_phase_walk,
+    check_primary_conduction,
     check_summary_bookkeeping,
     contact_outcomes,
     docked_contact_trace,
@@ -23,7 +25,7 @@ from conftest import (
 from flybat.docking import DOCKED, GROUNDED, Pcg64
 from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
 from flybat.engine import LEG_HEIGHT, SimNumericsError, World
-from flybat.powertrain import PowertrainError, hover_power
+from flybat.powertrain import _OCV_SEGMENTS, PowertrainError, hover_power
 from flybat.scenario import (
     ScenarioError,
     bundled_scenario,
@@ -497,31 +499,120 @@ def test_fast_path_rows_match_full_path(rk4_calls, case, engages):
         assert rows == [format_row(r) for r in fast.writer.rows][: len(rows)]
 
 
+def _pack_bits(w):
+    """Every pack energy and its ledger entry, the time split and the bus
+    sample, as bits."""
+    floats = (
+        w.primary_wh,
+        *(u.secondary_wh for u in w.units),
+        w.time_on_primary,
+        w.time_on_secondary,
+        *w.bus[:3],
+    )
+    drawn = {k: v.hex() for k, v in w.energy_drawn.items()}
+    return [x.hex() for x in floats], w.bus[3], drawn
+
+
+def _draining_soc(w):
+    """State of charge of the pack that carries the host's load."""
+    if w.docked_unit is None:
+        return w.primary_wh / w.primary.capacity_wh
+    return w.docked_unit.secondary_wh / w.secondary.capacity_wh
+
+
+def _events(w):
+    return [(e.t, e.kind, e.uid, e.detail) for e in w.log.events]
+
+
+@pytest.mark.parametrize(
+    "case,raise_at",
+    [(_small_primary, None), (_churn_secondary_empties, None), (_small_primary, 1500)],
+    ids=["primary_empties", "secondary_empties", "primary_refilled_while_quiet"],
+)
+def test_quiet_steps_drain_the_pack_bit_for_bit(monkeypatch, case, raise_at):
+    # a quiet step drains its pack inline, one OCV segment at a time; in
+    # lockstep with the full path (a fresh state tuple every step) every
+    # pack bit, ledger entry, time split and bus field agrees after every
+    # step, through each segment's lower knot and the depletion
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("solve_bus", "discharge", "ocv_per_cell"):
+        monkeypatch.setattr(flybat.powertrain, name, counted(getattr(flybat.powertrain, name)))
+    sc, duration = case()
+    fast, full = World(sc), World(sc)
+    fast._finish_step = counted(fast._finish_step)
+    n = round(duration / fast.dt)
+    crossed = set()
+    quiet = 0
+    depleted_at = None  # the quiet steps before the pack emptied, and its step
+    while fast.step_index < n and not fast.termination_reason:
+        if fast.step_index == raise_at:
+            # an energy set from outside: back to full, above the segment
+            # the quiet steps were in, on both worlds
+            assert fast._quiet_until > fast.step_index * fast.dt
+            assert _draining_soc(fast) < 0.9
+            fast.primary_wh = full.primary_wh = fast.primary.capacity_wh
+        before = _draining_soc(fast)
+        calls[0] = 0
+        fast.step()
+        if not calls[0]:
+            quiet += 1
+            after = _draining_soc(fast)
+            crossed |= {s0 for s0, *_ in _OCV_SEGMENTS if after <= s0 < before}
+            if after == 0.0:
+                depleted_at = (quiet, fast.step_index - 1)
+        full.main_state = tuple(list(full.main_state))
+        full.step()
+        assert _pack_bits(fast) == _pack_bits(full), f"step {fast.step_index - 1}"
+        assert _events(fast) == _events(full), f"step {fast.step_index - 1}"
+    assert fast.step_index == full.step_index
+    assert crossed == {s0 for s0, *_ in _OCV_SEGMENTS}
+    # nearly every step up to the depletion was quiet, the depletion too
+    quiet_before, step = depleted_at
+    assert quiet_before > 0.9 * step
+    depleted = fast.log.of_kind("depleted")
+    assert len(depleted) == 1 and depleted[0].t == step * fast.dt
+
+
 @st.composite
 def generated_missions(draw):
     """(scenario, duration) of a short generated mission: up to two units,
     docked from the start or flown in from 0.5 m away (a capture within
     about 8 s), with contact draws, slipping contacts, small secondaries,
     own packs that empty in the air (0.01 Ah lasts about 6 s of flight),
-    planar drag and oscillation each on or off."""
+    planar drag and oscillation each on or off.
+
+    Each sampled list starts with the value hypothesis tries first: two
+    units, a contact that always fails and own packs that last, so the
+    first example fails a contact at 8.6 s and sends the second unit at
+    9.6 s, inside the shortest 10 s mission."""
+    fleet_size = draw(st.sampled_from([2, 1, 0]))
     sc = scaled_mission_scenario(
         name="generated",
-        fleet_size=draw(st.integers(0, 2)),
-        contact_failure_probability=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        fleet_size=fleet_size,
+        contact_failure_probability=draw(st.sampled_from([1.0, 0.5, 0.0])),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
-    sc.mission.start_docked = draw(st.booleans())
+    # only a fleet can start docked
+    sc.mission.start_docked = fleet_size > 0 and draw(st.booleans())
     sc.mission.turnaround_delay = 1.0
     sc.docking.home_radius = 0.5
     sc.docking.mu = draw(st.sampled_from([0.02, 0.05, 0.2, 0.5]))
     sc.batteries.secondary.capacity_ah = draw(st.sampled_from([0.02, 0.05, 0.12]))
-    sc.batteries.fb.capacity_ah = draw(st.sampled_from([0.01, 0.8]))
+    sc.batteries.fb.capacity_ah = draw(st.sampled_from([0.8, 0.01]))
     if draw(st.booleans()):
         sc.sim.planar_drag_coeff = 0.2
     if draw(st.booleans()):
         sc.mission.oscillation_amplitude = 0.3
         sc.mission.oscillation_omega = 2.0
-    return sc, float(draw(st.integers(8, 20)))
+    return sc, float(draw(st.integers(10, 20)))
 
 
 def _stepped_outcome(sc, duration, full_path):
@@ -545,12 +636,13 @@ def test_generated_missions_fast_path_matches_full_path(mission):
 @settings(deadline=None, derandomize=True, database=None, max_examples=14)
 @given(generated_missions())
 def test_generated_missions_keep_the_mission_predicates(mission):
-    # a finished mission walks the FSM graph and keeps its books, and no
+    # a finished mission walks the FSM graph, keeps its books and draws
+    # the primary only while no live contact carries the load, and no
     # unit stays below the ground: one that falls through it on a step
     # rests on it from the next (a landing or a crash)
     sc, duration = mission
     try:
-        w = World(sc)
+        w = World(sc, keep_rows=True)
     except ScenarioError:
         return
     below = set()
@@ -568,6 +660,7 @@ def test_generated_missions_keep_the_mission_predicates(mission):
         return
     check_phase_walk(log)
     check_summary_bookkeeping(log)
+    check_primary_conduction(log, w.writer.rows)
 
 
 def test_memo_hit_steps_reuse_the_rotor_load(monkeypatch, rk4_calls):
@@ -812,7 +905,9 @@ def _perfbench_tracer():
 def test_benchmark_tracer_counts_powertrain_calls_and_restores_bindings():
     # the benchmark's per-layer metrics wrap pt.solve_bus and pt.discharge
     # on the powertrain module; an engine that bound them another way
-    # would read zero calls there rather than fail
+    # would read zero calls there rather than fail. A docked host under an
+    # oscillating setpoint never goes quiet, so every step is a full one
+    # and calls solve_bus (a quiet step drains its pack inline)
     tracer = _perfbench_tracer()
     targets = []
     for module, cls, attr, *_ in (*tracer.TIMED, *tracer.PHASED, tracer.CLI_RUN_MISSION):
@@ -820,7 +915,7 @@ def test_benchmark_tracer_counts_powertrain_calls_and_restores_bindings():
         targets.append((getattr(owner, cls) if cls else owner, attr))
     before = [vars(owner).get(attr) for owner, attr in targets]
 
-    sc = solo_scenario(duration=1.0)
+    sc, _ = _oscillating()
     sc.mission.fleet_size = 1
     sc.mission.start_docked = True
     tr = tracer.Tracer()
@@ -837,7 +932,9 @@ def test_benchmark_tracer_counts_powertrain_calls_and_restores_bindings():
 
 # run-phase calls of every binding the benchmark tracer wraps, over the
 # first 25 s of paper_demo (dispatch, approach, free-fall capture, docked
-# hover); a rebinding that hides calls from the tracer changes these
+# hover); a rebinding that hides calls from the tracer changes these. The
+# 998 quiet steps before the dispatch at 1 s drain the primary inline, so
+# solve_bus and discharge count the other 24,002 steps
 PAPER_DEMO_25S_CALLS = {
     "engine.step": 25_000,
     "dynamics.rk4_flat": 41_486,
@@ -848,8 +945,8 @@ PAPER_DEMO_25S_CALLS = {
     "aero.align_torque": 20_207,
     "docking.fsm_step": 20_292,
     "docking.capture_check": 1,
-    "powertrain.solve_bus": 25_000,
-    "powertrain.discharge": 45_207,
+    "powertrain.solve_bus": 24_002,
+    "powertrain.discharge": 44_209,
     "telemetry.write_row": 2_504,
 }
 

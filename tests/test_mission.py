@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import check_summary_bookkeeping, scaled_mission_scenario
+from conftest import check_primary_conduction, check_summary_bookkeeping, scaled_mission_scenario
 from flybat.engine import World
 from flybat.mission import run_mission, summarize
 from flybat.scenario import bundled_scenario
@@ -112,25 +112,8 @@ def test_event_ordering_fuzzed_over_seeds():
 
 
 def test_primary_conducts_only_between_undock_and_contact(std_run):
-    result, sc = std_run
-    rows = result.world.writer.rows
-    events = result.log.events
-    # windows where primary conduction is legitimate: mission start (and
-    # every switch back to primary) until the next electrical contact
-    windows = []
-    open_t = 0.0
-    for e in events:
-        if e.kind == "contact" and open_t is not None:
-            windows.append((open_t, e.t))
-            open_t = None
-        elif e.kind == "switch" and e.detail == "primary":
-            open_t = e.t
-    if open_t is not None:
-        windows.append((open_t, float("inf")))
-    eps = 1e-9
-    for r in rows:
-        if r.current_primary > eps:
-            assert any(a - eps <= r.time <= b + eps for a, b in windows), r.time
+    result, _ = std_run
+    check_primary_conduction(result.log, result.world.writer.rows)
 
 
 def test_altitude_band_held_throughout(std_run):

@@ -26,6 +26,7 @@ from flybat.powertrain import (
     k_thrust_from_kp,
     ocv,
     ocv_per_cell,
+    ocv_segment,
     shadow_energy,
     solve_bus,
     solve_kp_for_endurance,
@@ -176,6 +177,25 @@ def test_ocv_per_cell_matches_segment_loop_bit_for_bit(rng):
         a, b = ocv_per_cell(soc), _ocv_per_cell_loop(soc)
         assert struct.pack("<d", a) == struct.pack("<d", b), soc
     assert ocv_per_cell(math.nan) == CELL_FULL_V
+
+
+def test_ocv_segment_is_the_segment_ocv_per_cell_evaluates(rng):
+    # the quiet steps and the drain loop evaluate one segment while the
+    # state of charge stays inside it; the curve's clamped ends have none
+    socs = [0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+    for knot, _ in OCV_KNOTS:
+        socs += [math.nextafter(knot, -math.inf), knot, math.nextafter(knot, math.inf)]
+    socs += rng.uniform(-0.1, 1.1, size=20000).tolist()
+    for soc in socs:
+        span = ocv_segment(soc)
+        if not 0.0 < soc < 1.0:
+            assert span is None, soc
+            continue
+        s0, v0, slope, top = span
+        assert s0 < soc <= top < 1.0, soc
+        assert (s0, v0, slope) == _OCV_SEGMENTS[OCV_KNOTS.index((s0, v0))][:3]
+        v = v0 + slope * (soc - s0)
+        assert struct.pack("<d", v) == struct.pack("<d", ocv_per_cell(soc)), soc
 
 
 # ---------------------------------------------------------------------------
