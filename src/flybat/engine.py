@@ -47,7 +47,7 @@ from .dynamics import (
     rk4_flat,
 )
 from .geom import q_rotate
-from .telemetry import TelemetryRow, TelemetryWriter
+from .telemetry import TelemetryWriter, format_tail
 
 GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
 
@@ -262,8 +262,10 @@ class World:
         self.contact_friction = 0.0
         self._slipping = False  # the docked contact slipped on the last step
         self.planar_drag_coeff = sim.planar_drag_coeff
-        # log.events[_row_mark:] are the events since the last telemetry
-        # row; _column_due is set when one of them shows in its column
+        # log.events[_row_mark:] holds every event logged since the last
+        # telemetry row (a quiet row leaves it as it is, since no event
+        # shows in its column); _column_due is set when one of them shows
+        # in its column
         self._row_mark = 0
         self._column_due = False
         self._alt_err_abs_max = 0.0
@@ -274,9 +276,13 @@ class World:
         # quiet steps (see _arm_quiet) run before this time; every logged
         # event ends them. _quiet holds their constants: the draining
         # pack's capacity, cell count, internal resistance, the diode drop,
-        # the memo's rotor load and the OCV segment (s0, v0, slope, top)
+        # the memo's rotor load and the OCV segment (s0, v0, slope, top).
+        # _frame is their row frame: the docked unit's state tuple it
+        # checked (None with no unit docked), and the row's values from
+        # active_source on with their text
         self._quiet_until = -math.inf
         self._quiet: tuple = ()
+        self._frame: tuple = ()
 
         self.telemetry_decim = max(1, round(1.0 / (sim.telemetry_hz * sim.dt)))
         self.writer = TelemetryWriter(telemetry_path, keep_rows=keep_rows)
@@ -576,8 +582,9 @@ class World:
     def step(self) -> None:
         """Advance the world one dt. A quiet step (see _arm_quiet) drains
         the one conducting pack inline and writes telemetry, calling no
-        powertrain function; every other step is a full step and ends in
-        _finish_step."""
+        powertrain function, and writes its row from the stretch's row
+        frame (see _quiet_row). Every other step is a full step and ends
+        in _finish_step."""
         dt = self.dt
         i = self.step_index
         t = i * dt
@@ -585,8 +592,8 @@ class World:
         # A quiet step repeats the last one but for the pack energies, so
         # long as the pack it drains still holds some. It drains that pack
         # with the float operations of solve_bus's one-source branch and
-        # discharge in their order, and writes the telemetry row as
-        # _finish_step does. A full, empty or NaN state of charge, a bus
+        # discharge in their order, and writes a due telemetry row from the
+        # stretch's row frame. A full, empty or NaN state of charge, a bus
         # that is not positive, a diode drop that rounds away or a current
         # that underflows takes _finish_step for that step.
         if t < self._quiet_until and self.main_state is self._host_memo_state:
@@ -630,8 +637,7 @@ class World:
                         if left <= 0.0:
                             self._event(t, "depleted", docked.uid, "secondary")
                     if i % self.telemetry_decim == 0 or self._column_due:
-                        self._check_finite()
-                        self._write_row(t)
+                        self._quiet_row(t)
                     self.step_index = i + 1
                     return
                 self._finish_step(t, dt, load, None)
@@ -894,23 +900,57 @@ class World:
         capacity, cell count and internal resistance, the diode drop, the
         memo's rotor load and the OCV segment of the pack's state of
         charge, if it has one (else the first quiet step looks again). A
-        zero load draws nothing, so its quiet steps take _finish_step."""
+        zero load draws nothing, so its quiet steps take _finish_step.
+
+        The row frame is set here too. The stretch holds the host state and
+        the docked unit's state tuples fixed, so they pass _check_finite
+        once, here; a stretch whose states fail it is not quiet, and its
+        row steps raise in _finish_step as on the full path. The columns
+        from active_source on (the pack's source, the host and unit
+        positions, the unit's id and phase, the contact force and an empty
+        events cell) cannot change either; the frame keeps them and their
+        text, format_tail's."""
         if docked is not None and (self._slipping or self.circuit.relay_closed):
             return
+        try:
+            self._check_finite()
+        except SimNumericsError:
+            return
         if docked is None:
-            pack, energy = self.primary, self.primary_wh
+            pack, energy, source, checked = self.primary, self.primary_wh, PRIMARY, None
         else:
-            pack, energy = self.secondary, docked.secondary_wh
+            pack, energy, source = self.secondary, docked.secondary_wh, SECONDARY
+            checked = docked.state
         span = pt.ocv_segment(energy / pack.capacity_wh) or _NO_SPAN
         self._quiet = (
             pack.capacity_wh, float(pack.cell_count), pack.internal_resistance,
             self.circuit.diode_drop, self._host_memo[4], *span,
         )
+        tail = self._row_tail(source, "")
+        self._frame = (checked, tail, format_tail(tail))
         self._quiet_until = math.inf
         if docked is None and self.units:
             # the next dispatch (see _orchestrate)
             ready = min(u.available_at for u in self.units)
             self._quiet_until = max(self.mission.dispatch_delay, ready)
+
+    def _quiet_row(self, t: float) -> None:
+        """Write a quiet step's row from the stretch's frame (see
+        _arm_quiet). The frame checked the host state, which the quiet
+        entry test holds to its tuple, and the docked unit's; a quiet step
+        admits only a finite bus. So a row with no column event pending,
+        whose docked unit still holds the checked tuple, is its six leading
+        values, computed as _write_row computes them, and the frame; any
+        other takes _check_finite and _write_row."""
+        checked, tail, text = self._frame
+        docked = self.docked_unit
+        if self._column_due or (docked is not None and docked.state is not checked):
+            self._check_finite()
+            self._write_row(t)
+        else:
+            v, i_p, i_s, _ = self.bus
+            i_total = i_p + i_s
+            self.writer.write_row(t, v, i_total, i_p, i_s, v * i_total, tail, text)
 
     def _arm_host_memo(self, ms, ints, outputs) -> None:
         """Arm the host fast path if the step just taken from state ms and
@@ -943,7 +983,9 @@ class World:
             return u
         return None
 
-    def _write_row(self, t: float) -> None:
+    def _row_tail(self, source: pt.ActiveSource, events: str) -> tuple:
+        """A row's values from active_source on, given the bus source and
+        the events cell."""
         mp = self.main_position()
         u = self._telemetry_unit()
         # an Enum's _value_ is its value without the property's Python call
@@ -957,18 +999,19 @@ class World:
             fb_pos = (mp[0] + mount[0], mp[1] + mount[1], mp[2] + mount[2])
         else:
             fb_id, fb_phase, fb_pos = u.uid, u.phase._value_, (u.state[0], u.state[1], u.state[2])
+        return (
+            source._value_, mp[0], mp[1], mp[2],
+            fb_id, fb_phase, fb_pos[0], fb_pos[1], fb_pos[2],
+            self.contact_normal, events,
+        )
+
+    def _write_row(self, t: float) -> None:
         v, i_p, i_s, source = self.bus
         i_total = i_p + i_s
         events = self.log.events
         mark = self._row_mark
-        row = TelemetryRow(
-            t, v, i_total, i_p, i_s, v * i_total, source._value_,
-            mp[0], mp[1], mp[2],
-            fb_id, fb_phase, fb_pos[0], fb_pos[1], fb_pos[2],
-            self.contact_normal,
-            events_column(events[mark:]) if len(events) > mark else "",
-        )
-        self.writer.write_row(row)
+        tail = self._row_tail(source, events_column(events[mark:]) if len(events) > mark else "")
+        self.writer.write_row(t, v, i_total, i_p, i_s, v * i_total, tail)
         self._row_mark = len(events)
         self._column_due = False
 
@@ -979,7 +1022,9 @@ class World:
         sim.duration, which ends a wall_clock mission as wall_clock; any
         other stop on the clock is the duration_guard. step, if given, is
         called in place of self.step and must call self.step once: a
-        sweep's hook takes checkpoints and splits the world this way."""
+        sweep's hook takes checkpoints and splits the world this way.
+        The loop counts the steps left and breaks once the mission has
+        ended, so a run of an ended mission takes no step."""
         if duration is None:
             duration = self.duration
         if not (math.isfinite(duration) and duration > 0.0):
@@ -989,7 +1034,9 @@ class World:
         if step is None:
             step = self.step
         try:
-            while self.step_index < n_steps and not self.termination_reason:
+            for _ in range(self.step_index, n_steps):
+                if self.termination_reason:
+                    break
                 step()
         finally:
             self.writer.close()

@@ -43,14 +43,34 @@ COLUMNS = TelemetryRow._fields
 _FLOAT_COLS = frozenset(
     c for c in COLUMNS if c not in ("active_source", "fb_id", "fb_phase", "events")
 )
-# one field per column: 9 significant digits for floats, str() for the
-# rest; printf-style, which formats a row in about half the time of
-# str.format with the same text
-_ROW_FORMAT = ",".join("%.9g" if c in _FLOAT_COLS else "%s" for c in COLUMNS)
+# the row's leading columns, time through power; a quiet stretch holds
+# every later column fixed
+_HEAD_COLUMNS = 6
+
+
+def _format(columns) -> str:
+    # one field per column: 9 significant digits for floats, str() for the
+    # rest; printf-style, which formats a row in about half the time of
+    # str.format with the same text
+    return ",".join("%.9g" if c in _FLOAT_COLS else "%s" for c in columns)
+
+
+_ROW_FORMAT = _format(COLUMNS)
+# _ROW_FORMAT's conversions split at the tail: each conversion depends
+# only on its own value, so a head and a tail formatted apart and joined
+# by a comma are the row's text
+_HEAD_FORMAT = _format(COLUMNS[:_HEAD_COLUMNS])
+_TAIL_FORMAT = _format(COLUMNS[_HEAD_COLUMNS:])
 
 
 def format_row(row: TelemetryRow) -> str:
     return _ROW_FORMAT % row
+
+
+def format_tail(tail: tuple) -> str:
+    """A row's text from its tail on (active_source through events): the
+    comma that joins it to the head, the tail's fields and the newline."""
+    return "," + _TAIL_FORMAT % tail + "\n"
 
 
 def parse_row(line: str) -> TelemetryRow:
@@ -80,11 +100,37 @@ class TelemetryWriter:
             self._fh.write(SCHEMA_LINE + "\n")
             self._fh.write(",".join(COLUMNS) + "\n")
 
-    def write_row(self, row: TelemetryRow) -> None:
+    def write_row(
+        self,
+        t: float,
+        bus_voltage: float,
+        current_total: float,
+        current_primary: float,
+        current_secondary: float,
+        power: float,
+        tail: tuple,
+        tail_text: str | None = None,
+    ) -> None:
+        """Write one row: its six leading values, which change from step
+        to step, then tail, the values of active_source through events.
+        tail_text is format_tail(tail) when the caller holds it already,
+        as a quiet stretch does; the file gets the six fields in
+        _HEAD_FORMAT plus that text, and a TelemetryRow is built only
+        when rows are kept."""
         if self._fh is not None:
-            self._fh.write(format_row(row) + "\n")
+            if tail_text is None:
+                tail_text = format_tail(tail)
+            self._fh.write(
+                _HEAD_FORMAT
+                % (t, bus_voltage, current_total, current_primary, current_secondary, power)
+                + tail_text
+            )
         if self.rows is not None:
-            self.rows.append(row)
+            self.rows.append(
+                TelemetryRow(
+                    t, bus_voltage, current_total, current_primary, current_secondary, power, *tail
+                )
+            )
 
     def close(self) -> None:
         if self._fh is not None:

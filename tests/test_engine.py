@@ -2,11 +2,12 @@ import importlib
 import importlib.util
 import math
 import pickle
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flybat.engine
@@ -33,7 +34,7 @@ from flybat.scenario import (
     parse_scenario,
     set_scenario_value,
 )
-from flybat.telemetry import dump_telemetry, format_row
+from flybat.telemetry import _HEAD_FORMAT, _ROW_FORMAT, _TAIL_FORMAT, dump_telemetry, format_row
 
 
 def solo_scenario(duration=10.0, telemetry_hz=None):
@@ -428,14 +429,17 @@ QUIET_EXITS = {
 }
 
 
-def _stepped(sc, duration, full_path):
-    w = World(sc, keep_rows=True)
+def _stepped(sc, duration, full_path, telemetry_path=None):
+    w = World(sc, telemetry_path=telemetry_path, keep_rows=True)
     n = round(duration / w.dt)
-    while w.step_index < n and not w.termination_reason:
-        if full_path:
-            # an equal but fresh tuple never matches the memo by identity
-            w.main_state = tuple(list(w.main_state))
-        w.step()
+    try:
+        while w.step_index < n and not w.termination_reason:
+            if full_path:
+                # an equal but fresh tuple never matches the memo by identity
+                w.main_state = tuple(list(w.main_state))
+            w.step()
+    finally:
+        w.writer.close()
     return w
 
 
@@ -581,53 +585,211 @@ def test_quiet_steps_drain_the_pack_bit_for_bit(monkeypatch, case, raise_at):
     assert len(depleted) == 1 and depleted[0].t == step * fast.dt
 
 
+def test_row_head_and_tail_formats_split_the_row_format():
+    # a quiet row writes its six changing fields and its frame's text
+    # apart; the two formats are the row format's conversions
+    assert ",".join((_HEAD_FORMAT, _TAIL_FORMAT)) == _ROW_FORMAT
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _small_primary,
+        _churn_secondary_empties,
+        lambda: (bundled_scenario("solo_hover"), 60.0),
+        _churn_start_docked,
+    ],
+    ids=["primary_empties", "secondary_empties", "solo_hover_60s", "churn_start_docked_31s"],
+)
+def test_quiet_rows_come_from_a_few_frames_and_are_the_kept_rows(monkeypatch, tmp_path, case):
+    # a quiet stretch formats its fixed columns once, when it is armed,
+    # and its rows go to the file from that frame; the file is still the
+    # kept rows, byte for byte
+    builds = [0]
+    format_tail = flybat.engine.format_tail
+
+    def counted(tail):
+        builds[0] += 1
+        return format_tail(tail)
+
+    monkeypatch.setattr(flybat.engine, "format_tail", counted)
+    sc, duration = case()
+    path = tmp_path / "telemetry.csv"
+    w = World(sc, telemetry_path=path, keep_rows=True)
+    w.run(duration)
+    assert path.read_text(encoding="utf-8") == dump_telemetry(w.writer.rows)
+    assert 1 <= builds[0] <= 5
+
+
+def nan_unit_state_errors(at=3005):
+    """(step, subsystem) of the error that the fast path and the full
+    path each raise when, at step at (in a quiet stretch of the
+    start-docked churn), the docked unit's state becomes a tuple holding
+    a NaN; the two step in lockstep. Raises RuntimeError if the fast path
+    is not quiet there or either path runs on to the end."""
+    sc, duration = _churn_start_docked()
+    worlds = {"fast": World(sc), "full": World(sc)}
+    errors = {}
+    for _ in range(round(duration / worlds["fast"].dt)):
+        for name, w in worlds.items():
+            if name in errors:
+                continue
+            if w.step_index == at:
+                if name == "fast" and not w._quiet_until > at * w.dt:
+                    raise RuntimeError(f"step {at} is not quiet")
+                s = w.docked_unit.state
+                w.docked_unit.state = (*s[:6], math.nan, *s[7:])
+            if name == "full":
+                w.main_state = tuple(list(w.main_state))
+            try:
+                w.step()
+            except SimNumericsError as exc:
+                errors[name] = (exc.step_index, exc.subsystem)
+        if len(errors) == 2:
+            return errors["fast"], errors["full"]
+    raise RuntimeError(f"only {sorted(errors)} raised")
+
+
+_OPTIMIZED_NAN_UNIT = """
+import sys
+from test_engine import nan_unit_state_errors
+with open(sys.argv[1], "w") as fh:
+    fh.write(repr(nan_unit_state_errors()))
+"""
+
+
+def test_unit_state_set_to_nan_while_quiet_raises_as_on_the_full_path(tmp_path):
+    # the frame checks the docked unit's state once per stretch; a quiet
+    # row finds that the unit holds another tuple and checks it, so both
+    # paths raise on the next row step and name the unit, also under -O
+    fast, full = nan_unit_state_errors()
+    assert fast == full == (3010, "unit 0 dynamics")
+    run_optimized(_OPTIMIZED_NAN_UNIT, str(tmp_path / "errors.txt"))
+    assert (tmp_path / "errors.txt").read_text() == repr((fast, full))
+
+
+@pytest.mark.parametrize(
+    "case", [_small_primary, _wall_clock_past_duration], ids=["primary_empties", "wall_clock"]
+)
+def test_run_stops_at_the_step_where_the_mission_ends(case):
+    # run counts the steps left and breaks once the mission has ended:
+    # at the primary's depletion, or at sim.duration for a wall-clock
+    # mission run for longer
+    sc, duration = case()
+    plain = World(sc, keep_rows=True)
+    plain.run(duration)
+    end = plain.log.events[-1]
+    assert end.kind == "mission_end"
+    assert plain.step_index == round(end.t / plain.dt) < round(duration / plain.dt)
+    # a hook that calls step once ends where no hook does; the step that
+    # the mission policy ends writes its row and is not counted
+    hooked = World(sc, keep_rows=True)
+    calls = [0]
+
+    def hook():
+        calls[0] += 1
+        hooked.step()
+
+    hooked.run(duration, step=hook)
+    assert hooked.step_index == plain.step_index
+    assert calls[0] == plain.step_index + (end.detail != "wall_clock")
+    assert [format_row(r) for r in hooked.writer.rows] == [format_row(r) for r in plain.writer.rows]
+    assert hooked.summary_totals() == plain.summary_totals()
+    # a run of the ended mission takes no step and writes no row
+    rows = len(hooked.writer.rows)
+    hooked.run(duration, step=hook)
+    assert calls[0] == plain.step_index + (end.detail != "wall_clock")
+    assert hooked.step_index == plain.step_index and len(hooked.writer.rows) == rows
+    assert hooked.log.events[-1] == end
+
+
+def _generated_mission(
+    fleet_size, failure_probability, seed, start_docked, mu, secondary_ah, fb_ah, drag, oscillating,
+    duration,
+):
+    """(scenario, duration) of one generated mission (see
+    generated_missions) from its drawn values."""
+    sc = scaled_mission_scenario(
+        name="generated",
+        fleet_size=fleet_size,
+        contact_failure_probability=failure_probability,
+        seed=seed,
+    )
+    sc.mission.start_docked = start_docked
+    sc.mission.turnaround_delay = 1.0
+    sc.docking.home_radius = 0.5
+    sc.docking.mu = mu
+    sc.batteries.secondary.capacity_ah = secondary_ah
+    sc.batteries.fb.capacity_ah = fb_ah
+    if drag:
+        sc.sim.planar_drag_coeff = 0.2
+    if oscillating:
+        sc.mission.oscillation_amplitude = 0.3
+        sc.mission.oscillation_omega = 2.0
+    return sc, float(duration)
+
+
 @st.composite
 def generated_missions(draw):
     """(scenario, duration) of a short generated mission: up to two units,
     docked from the start or flown in from 0.5 m away (a capture within
     about 8 s), with contact draws, slipping contacts, small secondaries,
     own packs that empty in the air (0.01 Ah lasts about 6 s of flight),
-    planar drag and oscillation each on or off.
-
-    Each sampled list starts with the value hypothesis tries first: two
-    units, a contact that always fails and own packs that last, so the
-    first example fails a contact at 8.6 s and sends the second unit at
-    9.6 s, inside the shortest 10 s mission."""
+    planar drag and oscillation each on or off."""
     fleet_size = draw(st.sampled_from([2, 1, 0]))
-    sc = scaled_mission_scenario(
-        name="generated",
-        fleet_size=fleet_size,
-        contact_failure_probability=draw(st.sampled_from([1.0, 0.5, 0.0])),
-        seed=draw(st.integers(0, 2**32 - 1)),
+    return _generated_mission(
+        fleet_size,
+        draw(st.sampled_from([1.0, 0.5, 0.0])),
+        draw(st.integers(0, 2**32 - 1)),
+        # only a fleet can start docked
+        fleet_size > 0 and draw(st.booleans()),
+        draw(st.sampled_from([0.02, 0.05, 0.2, 0.5])),
+        draw(st.sampled_from([0.02, 0.05, 0.12])),
+        draw(st.sampled_from([0.8, 0.01])),
+        draw(st.booleans()),
+        draw(st.booleans()),
+        draw(st.integers(10, 20)),
     )
-    # only a fleet can start docked
-    sc.mission.start_docked = fleet_size > 0 and draw(st.booleans())
-    sc.mission.turnaround_delay = 1.0
-    sc.docking.home_radius = 0.5
-    sc.docking.mu = draw(st.sampled_from([0.02, 0.05, 0.2, 0.5]))
-    sc.batteries.secondary.capacity_ah = draw(st.sampled_from([0.02, 0.05, 0.12]))
-    sc.batteries.fb.capacity_ah = draw(st.sampled_from([0.8, 0.01]))
-    if draw(st.booleans()):
-        sc.sim.planar_drag_coeff = 0.2
-    if draw(st.booleans()):
-        sc.mission.oscillation_amplitude = 0.3
-        sc.mission.oscillation_omega = 2.0
-    return sc, float(draw(st.integers(10, 20)))
+
+
+# generated missions that both generated-mission tests fly as examples,
+# whatever hypothesis draws, by the event each is named for (see
+# test_pinned_missions_show_what_they_are_named_for)
+PINNED_MISSIONS = {
+    # unit 0's contact fails at 8.6 s; it is shed and unit 1 sent at 9.6 s
+    "failed_contact_redispatch": (2, 1.0, 0, False, 0.02, 0.02, 0.8, False, False, 10),
+    # unit 0's 0.01 Ah own pack empties on the approach at 6.8 s; it
+    # falls and crashes at 7.4 s, and unit 1 is sent in its place
+    "crash": (2, 0.0, 0, False, 0.5, 0.12, 0.01, False, False, 10),
+    # unit 0 starts docked on a held electrical contact: a docked quiet
+    # stretch until its 0.02 Ah secondary empties at 3.9 s
+    "docked_quiet_stretch": (1, 0.0, 0, True, 0.5, 0.02, 0.8, False, False, 10),
+}
+
+
+def pinned_examples(test):
+    for args in PINNED_MISSIONS.values():
+        test = example(mission=_generated_mission(*args))(test)
+    return test
 
 
 def _stepped_outcome(sc, duration, full_path):
-    """What a stepped run shows: its rows, totals and host bits, or the
-    error it raised."""
-    try:
-        w = _stepped(sc, duration, full_path)
-    except (ScenarioError, SimNumericsError) as exc:
-        return type(exc), str(exc)
+    """What a stepped run shows: its rows, telemetry file, totals and host
+    bits, or the error it raised."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "telemetry.csv"
+        try:
+            w = _stepped(sc, duration, full_path, path)
+        except (ScenarioError, SimNumericsError) as exc:
+            return type(exc), str(exc)
+        text = path.read_text(encoding="utf-8")
     rows = [format_row(r) for r in w.writer.rows]
-    return w.step_index, rows, w.summary_totals(), _host_bits(w)
+    return w.step_index, rows, text, w.summary_totals(), _host_bits(w)
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=14)
 @given(generated_missions())
+@pinned_examples
 def test_generated_missions_fast_path_matches_full_path(mission):
     sc, duration = mission
     assert _stepped_outcome(sc, duration, False) == _stepped_outcome(sc, duration, True)
@@ -635,6 +797,7 @@ def test_generated_missions_fast_path_matches_full_path(mission):
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=14)
 @given(generated_missions())
+@pinned_examples
 def test_generated_missions_keep_the_mission_predicates(mission):
     # a finished mission walks the FSM graph, keeps its books and draws
     # the primary only while no live contact carries the load, and no
@@ -661,6 +824,34 @@ def test_generated_missions_keep_the_mission_predicates(mission):
     check_phase_walk(log)
     check_summary_bookkeeping(log)
     check_primary_conduction(log, w.writer.rows)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_MISSIONS))
+def test_pinned_missions_show_what_they_are_named_for(name):
+    # each mission pinned as an example of the generated-mission tests
+    # keeps covering what it is named for
+    sc, duration = _generated_mission(*PINNED_MISSIONS[name])
+    w = World(sc)
+    n = round(duration / w.dt)
+    docked_quiet = 0
+    while w.step_index < n and not w.termination_reason:
+        w.step()
+        if w.docked_unit is not None and w._quiet_until == math.inf:
+            docked_quiet += 1
+    log = w.log
+    if name == "failed_contact_redispatch":
+        failed = log.of_kind("contact_failure")
+        assert failed and any(
+            e.seq > failed[0].seq and e.uid != failed[0].uid for e in log.of_kind("dispatch")
+        )
+    elif name == "crash":
+        crashed = log.of_kind("crash")
+        assert crashed and any(
+            e.seq > crashed[0].seq and e.uid != crashed[0].uid for e in log.of_kind("dispatch")
+        )
+    else:
+        assert [(e.t, e.uid) for e in log.of_kind("contact")] == [(0.0, 0)]
+        assert docked_quiet > 1000
 
 
 def test_memo_hit_steps_reuse_the_rotor_load(monkeypatch, rk4_calls):
@@ -698,20 +889,28 @@ def test_quiescent_solo_hover_integrates_host_a_handful_of_times(rk4_calls):
 def test_quiet_steps_skip_the_mission_policy(monkeypatch, case):
     # a quiet step (host memo holding, nothing flying, a docked unit on a
     # held electrical contact) only drains the packs and writes telemetry;
-    # only the full step runs the mission policy
-    calls = [0]
-    orchestrate = World._orchestrate
+    # only the full step runs the mission policy, and only a full row (or
+    # the frame, once per stretch) checks the states and builds the
+    # host's and the unit's columns
+    calls = {}
 
-    def counted(self, t):
-        calls[0] += 1
-        return orchestrate(self, t)
+    def counted(name):
+        method = getattr(World, name)
 
-    monkeypatch.setattr(World, "_orchestrate", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return wrapper
+
+    for name in ("_orchestrate", "_check_finite", "main_position", "_telemetry_unit"):
+        calls[name] = 0
+        monkeypatch.setattr(World, name, counted(name))
     sc, duration = case()
     w = World(sc)
     w.run(duration)
     assert w.step_index == round(duration / w.dt)
-    assert calls[0] <= 5
+    assert max(calls.values()) <= 5, calls
 
 
 def _host_key(w):

@@ -423,7 +423,8 @@ def _row(t=0.25):
 def _write_file(rows, path):
     writer = TelemetryWriter(path)
     for row in rows:
-        writer.write_row(row)
+        # the six leading values, then the tail from active_source on
+        writer.write_row(*row[:6], row[6:])
     writer.close()
 
 
