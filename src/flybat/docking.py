@@ -10,7 +10,7 @@ scenario's seeded generator. Undocking is a plain takeoff to 30 cm above
 the platform, a lateral departure, and a landing.
 
 `fsm_step` steps a flying unit's phases; the engine owns dispatch,
-capture (`capture_check` on impact) and undock.
+capture (`capture_check` on impact) and undock (`World._undock`).
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ LANDING = DockPhase.LANDING
 # Transition graph: phase -> phases reachable in one step. fsm_step
 # decides every edge but two, which World owns: FREE_FALL -> DOCKED is a
 # capture (capture_check on impact), DOCKED -> UNDOCK_ASCEND an undock
-# command; both are logged as phase changes all the same.
+# (World._undock); both are logged as phase changes all the same.
 TRANSITIONS: dict[DockPhase, tuple[DockPhase, ...]] = {
     DockPhase.GROUNDED: (DockPhase.TAKEOFF,),
     DockPhase.TAKEOFF: (DockPhase.APPROACH_ABOVE,),

@@ -148,7 +148,6 @@ class _Unit:
         "ref",
         "home",
         "available_at",
-        "cmd_undock",
         "thrust",
     )
 
@@ -167,7 +166,6 @@ class _Unit:
         self.phase = GROUNDED
         self.ref = [home[0], home[1], GROUND_COM]
         self.available_at = 0.0
-        self.cmd_undock = False
         self.thrust = 0.0
 
     @property
@@ -351,11 +349,9 @@ class World:
                 # and launch the replacement in the same instant
                 self.circuit = pt.command_switch(self.circuit, pt.SwitchTarget.USE_PRIMARY)
                 self._event(t, "switch", detail="primary")
-                self._command_undock(docked, t)
-                self._dispatch(t)
+                self._undock(docked, t)
             elif not electrical and t - self.docked_at >= m.failure_redispatch_delay:
-                self._command_undock(docked, t)
-                self._dispatch(t)
+                self._undock(docked, t)
         elif self.incoming is None and m.fleet_size > 0 and t >= m.dispatch_delay:
             self._dispatch(t)
 
@@ -364,9 +360,13 @@ class World:
         ):
             self._end_mission(t, "primary_depleted")
 
-    def _command_undock(self, u: _Unit, t: float) -> None:
-        u.cmd_undock = True
+    def _undock(self, u: _Unit, t: float) -> None:
+        """Shed docked unit u: dispatch its replacement, detach u, climb off."""
         self._event(t, "undock", u.uid)
+        self._dispatch(t)
+        self._detach(u, t)
+        u.phase = UNDOCK_ASCEND
+        self._event(t, "phase", u.uid, u.phase.value)
 
     def _end_mission(self, t: float, reason: str) -> None:
         if not self.termination_reason:
@@ -438,8 +438,7 @@ class World:
             0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
         )
         u.thrust = 0.0
-        if u in self.active_units:
-            self.active_units.remove(u)
+        self.active_units.remove(u)
         self._event(t, "landing", u.uid)
         if self.mission.ground_recharge:
             u.available_at = t + self.mission.turnaround_delay
@@ -470,19 +469,13 @@ class World:
     # ------------------------------------------------------------------
 
     def _step_fsms(self, t: float) -> tuple[float, float, float] | None:
-        """Step every active unit's FSM; returns the platform point they
-        used, or None if none was computed after the last detach. A docked
-        unit told to undock detaches here; a unit whose own pack emptied
-        in the air crashes once its legs reach the ground."""
-        plat = None  # the platform point, until a detach moves it
+        """Step every active unit's FSM but a docked one's (World undocks
+        it); returns the platform point they used, or None if none was
+        computed. A unit whose own pack emptied in the air crashes once
+        its legs reach the ground."""
+        plat = None
         for u in tuple(self.active_units):
             if u.phase is DOCKED:
-                if u.cmd_undock:
-                    self._detach(u, t)
-                    plat = None
-                    u.phase = UNDOCK_ASCEND
-                    u.cmd_undock = False
-                    self._event(t, "phase", u.uid, u.phase.value)
                 continue
             # altitude is the leg plane's height above ground
             s = u.state
@@ -652,26 +645,22 @@ class World:
         if self.termination_reason:
             self._write_row(t)
             return
+        # --- flying battery FSMs, controls and integration, and their
+        # downwash and feedforward on the host; a lone docked unit has
+        # no FSM work ----------------------------------------------------
         active = self.active_units
         docked = self.docked_unit
-        plat = None
-        # a lone docked unit has FSM work only when told to undock
-        if active and (docked is None or len(active) > 1 or docked.cmd_undock):
+        plat = airborne = None
+        if active and (docked is None or len(active) > 1):
             try:
                 plat = self._step_fsms(t)
             except dk.DockingError as exc:
                 raise SimNumericsError(self.step_index, "docking geometry") from exc
-
-        # --- flying battery controls and integration, and their downwash
-        # and feedforward on the host ------------------------------------
-        docked = self.docked_unit
+            airborne = [u for u in active if u.phase is not DOCKED]
         ms = self.main_state
         ff = 0.0
         fx = fy = fz = 0.0
         tx = ty = tz = 0.0
-        airborne = None
-        if active and (docked is None or len(active) > 1):
-            airborne = [u for u in active if u.phase is not DOCKED]
         if airborne:
             mpx, mpy, mpz = self.main_position()
             if plat is None:
@@ -857,7 +846,7 @@ class World:
                 self.time_on_primary += dt
                 if left <= 0.0:
                     self._event(t, "depleted", detail="primary")
-            if i_s > 0.0 and docked is not None:
+            if i_s > 0.0:
                 share = load * i_s / (i_p + i_s)
                 before = docked.secondary_wh
                 docked.secondary_wh = left = pt.discharge(self.secondary, before, share, dt, i_s)
@@ -893,8 +882,7 @@ class World:
         writes telemetry (see step). The end time is a lone host's next
         dispatch, else never: the clock is run's. A docked unit must sit
         on an electrical contact that holds, with the relay open (a failed
-        contact is shed after a delay); no undock is pending, since a step
-        that commands one detaches the unit. So the pack that conducts is
+        contact is shed after a delay). So the pack that conducts is
         the primary alone (relay closed, no secondary) or the docked
         unit's secondary alone (relay open). The constants are that pack's
         capacity, cell count and internal resistance, the diode drop, the
@@ -1055,8 +1043,7 @@ class World:
     def summary_totals(self) -> dict[str, object]:
         """Every MissionSummary field the run itself fixes, by name. The
         counts are of logged events: switches to the secondary, failed
-        contacts, docks, and detaches (entries into undock_ascend, since a
-        run can end between an undock command and its detach)."""
+        contacts, docks, and undocks (entries into undock_ascend)."""
         t_total = self.step_index * self.dt
         solo = self.solo_equivalent_time()
         counts = Counter((e.kind, e.detail) for e in self.log.events)

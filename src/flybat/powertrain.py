@@ -385,7 +385,17 @@ def time_to_depletion(
     constant-power load, with I^2 R losses computed from the bus-side
     current: the float sum of dt over the drain loop's steps. Used for
     endurance calibration and solo-equivalent reporting; the mission
-    summary's solo-equivalent time runs it once."""
+    summary's solo-equivalent time runs it once. A non-finite dt or
+    energy, dt <= 0, energy < 0, a NaN load or a diode drop outside
+    (0, 0.2] V raises PowertrainError."""
+    if not (isfinite(dt) and dt > 0.0):
+        raise PowertrainError(f"dt must be finite and positive, got {dt}")
+    if not (isfinite(energy_wh) and energy_wh >= 0.0):
+        raise PowertrainError(f"energy_wh must be finite and non-negative, got {energy_wh}")
+    if load_power != load_power:
+        raise PowertrainError(f"load_power must not be NaN, got {load_power}")
+    if not 0.0 < diode_drop <= 0.2:
+        raise PowertrainError(f"diode_drop {diode_drop} outside (0, 0.2] V")
     if load_power <= 0.0:
         return float("inf")
     energy = energy_wh

@@ -201,22 +201,50 @@ def check_phase_walk(log) -> None:
             prev = phase
 
 
+def check_event_order(log) -> None:
+    """The log is in (t, seq) order, nothing follows a mission_end, and
+    each switch to the secondary follows a contact at its own instant."""
+    events = log.events
+    keys = [(e.t, e.seq) for e in events]
+    assert keys == sorted(keys)
+    ends = [e.seq for e in events if e.kind == "mission_end"]
+    # an event's seq is its index in the log
+    assert ends in ([], [len(events) - 1]), ("logged after mission_end", ends)
+    contact_t = None
+    for e in events:
+        if e.kind == "contact":
+            contact_t = e.t
+        elif (e.kind, e.detail) == ("switch", "secondary"):
+            assert contact_t == e.t, (e.t, "switch without a contact at its instant")
+
+
 def check_summary_bookkeeping(log) -> None:
     """The summary's counts agree with the event log: each dock draws one
     contact outcome, each electrical contact is followed by exactly one
-    switch to the secondary before any undock, and each undock command
-    detaches its unit unless the run ends on that step."""
+    switch to the secondary before any undock, and each undock detaches
+    its unit in the same instant: its undock_ascend phase follows, with
+    at most the replacement's dispatch between them."""
     totals = log.totals
-    n = Counter((e.kind, e.detail) for e in log.events)
+    events = log.events
+    n = Counter((e.kind, e.detail) for e in events)
     assert totals["switch_count"] == n["switch", "secondary"] == n["contact", ""]
     assert totals["contact_failures"] == n["contact_failure", ""]
     assert totals["dock_count"] == n["dock", ""] == n["contact", ""] + n["contact_failure", ""]
-    detaches = totals["undock_count"]
-    assert detaches == n["phase", DockPhase.UNDOCK_ASCEND.value]
-    assert detaches <= n["undock", ""] <= detaches + 1
-    assert detaches <= n["dock", ""]
+    undocks = totals["undock_count"]
+    assert undocks == n["undock", ""] == n["phase", DockPhase.UNDOCK_ASCEND.value]
+    assert undocks <= n["dock", ""]
+    for i, e in enumerate(events):
+        if e.kind == "undock":
+            after = events[i + 1 : i + 3]
+            if after and after[0].kind == "dispatch":
+                after = after[1:]
+            assert after, (e.t, "undock without a detach")
+            f = after[0]
+            assert (f.t, f.kind, f.uid, f.detail) == (
+                e.t, "phase", e.uid, DockPhase.UNDOCK_ASCEND.value
+            ), (e.t, "undock without a detach")
     contact_live = False
-    for e in log.events:
+    for e in events:
         if e.kind == "contact":
             contact_live = True
         elif e.kind in ("undock", "mission_end"):
@@ -224,6 +252,23 @@ def check_summary_bookkeeping(log) -> None:
         elif (e.kind, e.detail) == ("switch", "secondary"):
             assert contact_live, (e.t, "switch without a live contact")
             contact_live = False
+
+
+def check_unit_lists(world) -> None:
+    """The fleet's lists of a running mission hold what the engine's
+    unguarded code takes them to: active_units names each unit once and
+    no grounded one, and the docked and incoming units are in it, the
+    docked one DOCKED. A mission that has ended may keep a unit it
+    dispatched on its last step grounded, so an ended one is not
+    checked."""
+    if world.termination_reason:
+        return
+    active = world.active_units
+    assert len(set(active)) == len(active), [u.uid for u in active]
+    assert all(u.phase is not DockPhase.GROUNDED for u in active), [u.uid for u in active]
+    docked = world.docked_unit
+    assert docked is None or (docked in active and docked.phase is DockPhase.DOCKED)
+    assert world.incoming is None or world.incoming in active
 
 
 def check_primary_conduction(log, rows) -> None:

@@ -14,9 +14,11 @@ import flybat.engine
 import flybat.powertrain
 from conftest import (
     DRAWS_CFG,
+    check_event_order,
     check_phase_walk,
     check_primary_conduction,
     check_summary_bookkeeping,
+    check_unit_lists,
     contact_outcomes,
     docked_contact_trace,
     full_scale_main_kp,
@@ -429,7 +431,9 @@ QUIET_EXITS = {
 }
 
 
-def _stepped(sc, duration, full_path, telemetry_path=None):
+def _stepped(sc, duration, full_path, telemetry_path=None, check=None):
+    """The world after stepping sc for duration, on the full path if
+    full_path; check, if given, is called with it after every step."""
     w = World(sc, telemetry_path=telemetry_path, keep_rows=True)
     n = round(duration / w.dt)
     try:
@@ -438,6 +442,8 @@ def _stepped(sc, duration, full_path, telemetry_path=None):
                 # an equal but fresh tuple never matches the memo by identity
                 w.main_state = tuple(list(w.main_state))
             w.step()
+            if check is not None:
+                check(w)
     finally:
         w.writer.close()
     return w
@@ -779,7 +785,7 @@ def _stepped_outcome(sc, duration, full_path):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "telemetry.csv"
         try:
-            w = _stepped(sc, duration, full_path, path)
+            w = _stepped(sc, duration, full_path, path, check_unit_lists)
         except (ScenarioError, SimNumericsError) as exc:
             return type(exc), str(exc)
         text = path.read_text(encoding="utf-8")
@@ -799,10 +805,11 @@ def test_generated_missions_fast_path_matches_full_path(mission):
 @given(generated_missions())
 @pinned_examples
 def test_generated_missions_keep_the_mission_predicates(mission):
-    # a finished mission walks the FSM graph, keeps its books and draws
-    # the primary only while no live contact carries the load, and no
-    # unit stays below the ground: one that falls through it on a step
-    # rests on it from the next (a landing or a crash)
+    # a finished mission walks the FSM graph, logs its events in order,
+    # keeps its books and draws the primary only while no live contact
+    # carries the load; while it runs, its unit lists hold, and no unit
+    # stays below the ground: one that falls through it on a step rests
+    # on it from the next (a landing or a crash)
     sc, duration = mission
     try:
         w = World(sc, keep_rows=True)
@@ -812,6 +819,7 @@ def test_generated_missions_keep_the_mission_predicates(mission):
 
     def step():
         w.step()
+        check_unit_lists(w)
         now = {u.uid for u in w.units if u.state[2] < LEG_HEIGHT}
         assert not now & below, (w.step_index, now & below)
         below.clear()
@@ -822,6 +830,7 @@ def test_generated_missions_keep_the_mission_predicates(mission):
     except SimNumericsError:
         return
     check_phase_walk(log)
+    check_event_order(log)
     check_summary_bookkeeping(log)
     check_primary_conduction(log, w.writer.rows)
 
@@ -852,6 +861,28 @@ def test_pinned_missions_show_what_they_are_named_for(name):
     else:
         assert [(e.t, e.uid) for e in log.of_kind("contact")] == [(0.0, 0)]
         assert docked_quiet > 1000
+
+
+def test_a_mission_that_ends_on_an_undock_logs_its_detach():
+    # the primary empties on the step before a failed contact's unit is
+    # shed: the step that sheds it detaches it, then ends the mission
+    sc, duration = _generated_mission(*PINNED_MISSIONS["failed_contact_redispatch"])
+    w = World(sc)
+    while not w.log.of_kind("contact_failure"):
+        w.step()
+    while w.step_index * w.dt - w.docked_at < sc.mission.failure_redispatch_delay:
+        w.step()
+    w.primary_wh = 0.0
+    log = w.run(duration)
+    assert [(e.kind, e.uid, e.detail) for e in log.events[-4:]] == [
+        ("undock", 0, ""),
+        ("dispatch", 1, ""),
+        ("phase", 0, "undock_ascend"),
+        ("mission_end", None, "primary_depleted"),
+    ]
+    assert log.totals["undock_count"] == 1
+    check_event_order(log)
+    check_summary_bookkeeping(log)
 
 
 def test_memo_hit_steps_reuse_the_rotor_load(monkeypatch, rk4_calls):
@@ -918,22 +949,6 @@ def _host_key(w):
     pid = w.main_pid
     floats = (*pid.pos_gains, *pid.att_gains, pid.mass, pid.ix, pid.iy, pid.iz, pid.iyaw)
     return [x.hex() for x in floats], w.docked_unit
-
-
-@pytest.mark.parametrize(
-    "case", [_dock_and_undock, _churn_start_docked], ids=["dock_and_undock", "churn_start_docked"]
-)
-def test_no_undock_is_pending_once_a_step_returns(case):
-    # a step whose mission policy commands an undock detaches the unit in
-    # its own FSM step, so a step that arms quiet steps never sees one
-    sc, duration = case()
-    w = World(sc)
-    n = round(duration / w.dt)
-    while w.step_index < n and not w.termination_reason:
-        w.step()
-        docked = w.docked_unit
-        assert docked is None or not docked.cmd_undock, f"step {w.step_index - 1}"
-    assert w.summary_totals()["undock_count"] >= 1
 
 
 @pytest.mark.parametrize(
