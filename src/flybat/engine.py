@@ -468,49 +468,38 @@ class World:
     # per-step subsystems
     # ------------------------------------------------------------------
 
-    def _step_fsms(self, t: float) -> tuple[float, float, float] | None:
-        """Step every active unit's FSM but a docked one's (World undocks
-        it); returns the platform point they used, or None if none was
-        computed. A unit whose own pack emptied in the air crashes once
-        its legs reach the ground."""
-        plat = None
-        for u in tuple(self.active_units):
-            if u.phase is DOCKED:
-                continue
-            # altitude is the leg plane's height above ground
-            s = u.state
-            altitude = s[2] - LEG_HEIGHT
-            if altitude <= 0.0 and u.own_wh <= 0.0 and u.phase is not LANDING:
-                self._crash(u, t)
-                continue
-            if plat is None:
-                plat = self._platform_point()
-            new_phase = dk.fsm_step(
-                u.phase,
-                self.docking,
-                math.hypot(s[0] - plat[0], s[1] - plat[1]),
-                altitude - plat[2],
-                altitude,
-            )
-            if new_phase is not u.phase:
-                if u.phase is FREE_FALL:
-                    self._event(t, "bounce_off", u.uid)
-                u.phase = new_phase
-                self._event(t, "phase", u.uid, new_phase.value)
-                if new_phase is GROUNDED:
-                    self._on_grounded(u, t)
-        return plat
-
-    def _fly_unit(self, u: _Unit, dt: float, plat) -> None:
-        """Control and integrate one airborne unit over dt, given this
-        step's platform point."""
+    def _step_unit(self, u: _Unit, t: float, dt: float, plat) -> bool:
+        """Step one active unit that is not docked over dt, given this
+        step's platform point: crash it if its own pack emptied in the air
+        and its legs reached the ground, else step its FSM and, if it is
+        still in the air, control and integrate it. Returns whether it
+        flew."""
+        # altitude is the leg plane's height above ground
         s = u.state
-        if u.phase is FREE_FALL or u.own_wh <= 0.0:
+        altitude = s[2] - LEG_HEIGHT
+        if altitude <= 0.0 and u.own_wh <= 0.0 and u.phase is not LANDING:
+            self._crash(u, t)
+            return False
+        ph = dk.fsm_step(
+            u.phase,
+            self.docking,
+            math.hypot(s[0] - plat[0], s[1] - plat[1]),
+            altitude - plat[2],
+            altitude,
+        )
+        if ph is not u.phase:
+            if u.phase is FREE_FALL:
+                self._event(t, "bounce_off", u.uid)
+            u.phase = ph
+            self._event(t, "phase", u.uid, ph.value)
+            if ph is GROUNDED:
+                self._on_grounded(u, t)
+                return False
+        if ph is FREE_FALL or u.own_wh <= 0.0:
             u.thrust = 0.0
             tqx = tqy = tqz = 0.0
         else:
             # the reference slews toward this phase's goal at its speed
-            ph = u.phase
             cfg = self.docking
             approach_z = plat[2] + cfg.hover_above_gap + LEG_HEIGHT
             if ph is APPROACH_ABOVE:
@@ -571,6 +560,7 @@ class World:
         )
         if not math.isfinite(sum(ns)):
             raise SimNumericsError(self.step_index, f"unit {u.uid} dynamics")
+        return True
 
     def step(self) -> None:
         """Advance the world one dt. A quiet step (see _arm_quiet) drains
@@ -645,28 +635,29 @@ class World:
         if self.termination_reason:
             self._write_row(t)
             return
-        # --- flying battery FSMs, controls and integration, and their
-        # downwash and feedforward on the host; a lone docked unit has
-        # no FSM work ----------------------------------------------------
+        # --- flying batteries (see _step_unit), and the feedforward,
+        # downwash and align torque of those that flew on the host; a lone
+        # docked unit has nothing to step. A unit reads only its own state
+        # and the platform point the host had before it integrates ------
         active = self.active_units
         docked = self.docked_unit
-        plat = airborne = None
-        if active and (docked is None or len(active) > 1):
-            try:
-                plat = self._step_fsms(t)
-            except dk.DockingError as exc:
-                raise SimNumericsError(self.step_index, "docking geometry") from exc
-            airborne = [u for u in active if u.phase is not DOCKED]
         ms = self.main_state
         ff = 0.0
         fx = fy = fz = 0.0
         tx = ty = tz = 0.0
-        if airborne:
+        airborne = []
+        if active and (docked is None or len(active) > 1):
             mpx, mpy, mpz = self.main_position()
-            if plat is None:
-                plat = self._platform_point()
-            for u in airborne:
-                self._fly_unit(u, dt, plat)
+            plat = self._platform_point()
+            for u in tuple(active):
+                if u.phase is DOCKED:
+                    continue
+                try:
+                    if not self._step_unit(u, t, dt, plat):
+                        continue
+                except dk.DockingError as exc:
+                    raise SimNumericsError(self.step_index, "docking geometry") from exc
+                airborne.append(u)
                 uth = u.thrust
                 if uth <= 0.0:
                     continue
@@ -812,7 +803,7 @@ class World:
                             self._event(t, "bounce_off", u.uid)
                             self._event(t, "phase", u.uid, u.phase.value, in_column=False)
 
-        # airborne lists every active unit but a docked one
+        # airborne lists every unit that flew this step
         if hit and not airborne:
             self._arm_quiet(docked)
         self._finish_step(t, dt, load, airborne)

@@ -292,6 +292,15 @@ def check_primary_conduction(log, rows) -> None:
             assert any(a - eps <= r.time <= b + eps for a, b in windows), r.time
 
 
+def check_one_conducting_pack(rows) -> None:
+    """On every step one pack at most conducts: the primary or the docked
+    unit's secondary, never both through the diode-OR split. rows are the
+    mission's telemetry rows."""
+    for r in rows:
+        assert r.active_source != "both", r.time
+        assert not (r.current_primary > 0.0 and r.current_secondary > 0.0), r.time
+
+
 class _ThrustProbe(CascadedPid):
     """A host controller that keeps the thrust of its last position step."""
 

@@ -412,10 +412,7 @@ class _PinnedWorld(World):
         self.pin_rel = rel
         self.pin_thrust = thrust
 
-    def _step_fsms(self, t):
-        pass
-
-    def _fly_unit(self, u, dt, plat):
+    def _step_unit(self, u, t, dt, plat):
         p = self.main_position()
         rel = self.pin_rel
         u.state = (
@@ -423,6 +420,7 @@ class _PinnedWorld(World):
             0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
         )
         u.thrust = self.pin_thrust
+        return True
 
 
 def _hover_under_downwash_rms(ff_map, rel, seconds=20.0):

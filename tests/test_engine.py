@@ -15,6 +15,7 @@ import flybat.powertrain
 from conftest import (
     DRAWS_CFG,
     check_event_order,
+    check_one_conducting_pack,
     check_phase_walk,
     check_primary_conduction,
     check_summary_bookkeeping,
@@ -806,10 +807,10 @@ def test_generated_missions_fast_path_matches_full_path(mission):
 @pinned_examples
 def test_generated_missions_keep_the_mission_predicates(mission):
     # a finished mission walks the FSM graph, logs its events in order,
-    # keeps its books and draws the primary only while no live contact
-    # carries the load; while it runs, its unit lists hold, and no unit
-    # stays below the ground: one that falls through it on a step rests
-    # on it from the next (a landing or a crash)
+    # keeps its books, draws the primary only while no live contact
+    # carries the load and draws one pack at a time; while it runs, its
+    # unit lists hold, and no unit stays below the ground: one that falls
+    # through it on a step rests on it from the next (a landing or a crash)
     sc, duration = mission
     try:
         w = World(sc, keep_rows=True)
@@ -833,6 +834,7 @@ def test_generated_missions_keep_the_mission_predicates(mission):
     check_event_order(log)
     check_summary_bookkeeping(log)
     check_primary_conduction(log, w.writer.rows)
+    check_one_conducting_pack(w.writer.rows)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_MISSIONS))

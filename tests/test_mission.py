@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     check_event_order,
+    check_one_conducting_pack,
     check_primary_conduction,
     check_summary_bookkeeping,
     scaled_mission_scenario,
@@ -108,6 +109,11 @@ def test_event_ordering_fuzzed_over_seeds():
 def test_primary_conducts_only_between_undock_and_contact(std_run):
     result, _ = std_run
     check_primary_conduction(result.log, result.world.writer.rows)
+
+
+def test_one_pack_conducts_per_step(std_run):
+    result, _ = std_run
+    check_one_conducting_pack(result.world.writer.rows)
 
 
 def test_altitude_band_held_throughout(std_run):

@@ -20,14 +20,22 @@ identifier string. A string in `__slots__` declares the attribute and
 a keyword argument of the same name sets it; neither reads it. A
 documented attribute that only users and tests read goes in
 `WRITE_ONLY_ALLOWED` with its reason.
+
+A `World` subclass in the tests overrides only what `World` has: a hook
+that `World` renames or drops would leave the override pinning nothing.
+A method a test adds of its own goes in `TEST_WORLD_OWN_METHODS` with its
+reason.
 """
 
 import ast
 from pathlib import Path
 
+from flybat.engine import World
+
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "flybat"
 PERFBENCH = REPO / "perfbench"
+TESTS = REPO / "tests"
 
 # documented entry points that only users and tests call, each with its reason
 ALLOWED: dict[str, str] = {
@@ -51,6 +59,11 @@ WRITE_ONLY_ALLOWED: dict[str, str] = {
     "MissionEvent.t": "README's Telemetry section: each logged event carries its time",
     "ScenarioError.line": "its docstring: the scenario file line an error names, for a caller "
     "that catches it",
+}
+
+# methods a test's World subclass adds of its own, each with its reason
+TEST_WORLD_OWN_METHODS: dict[str, str] = {
+    "_PinnedWorld.pin": "test_acceptance's setter: the offset and thrust unit 0 is held at",
 }
 
 
@@ -215,3 +228,34 @@ def test_every_stored_attribute_is_read():
     read_but_allowed = [q for q in WRITE_ONLY_ALLOWED if q.rpartition(".")[2] in read]
     assert not read_but_allowed, "allowed but read: " + ", ".join(read_but_allowed)
     assert set(WRITE_ONLY_ALLOWED) <= set(stored), sorted(set(WRITE_ONLY_ALLOWED) - set(stored))
+
+
+def _world_subclasses():
+    """(path, class) of every class in tests/ derived from World."""
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(b).rpartition(".")[2] == "World" for b in node.bases
+            ):
+                yield path, node
+
+
+def test_test_world_subclasses_override_only_what_world_has():
+    stray = []
+    own = set()
+    for path, cls in _world_subclasses():
+        for member in cls.body:
+            if not isinstance(member, ast.FunctionDef) or (
+                member.name.startswith("__") and member.name.endswith("__")
+            ):
+                continue
+            qualname = f"{cls.name}.{member.name}"
+            if qualname in TEST_WORLD_OWN_METHODS:
+                own.add(qualname)
+            elif not hasattr(World, member.name):
+                stray.append(f"{path.name}: {qualname}")
+    assert not stray, "overrides no World attribute: " + ", ".join(stray)
+    # an entry whose method is gone, or that World now has, must go too
+    assert own == set(TEST_WORLD_OWN_METHODS), sorted(set(TEST_WORLD_OWN_METHODS) - own)
+    overrides = [q for q in own if hasattr(World, q.rpartition(".")[2])]
+    assert not overrides, "listed as the test's own but World has it: " + ", ".join(overrides)
