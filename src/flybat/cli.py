@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 from . import endurance as en
 from . import mission
-from .docking import Pcg64, contact_made
+from .docking import DESCEND, FREE_FALL, Pcg64, contact_made
 from .engine import SimNumericsError, World
 from .mission import MissionSummary, run_mission
 from .scenario import (
@@ -124,7 +124,8 @@ SWEEP_METRICS = (
 # that differ in one of them fly the same mission until a draw's outcome
 # tells them apart; a sweep over one flies them as one group.
 DRAW_KEYS = ("docking.contact_failure_probability", "sim.seed")
-# steps between checkpoints of a shared world: a split re-runs fewer
+# steps between checkpoints of a shared world within one draw window
+# (see _fly): a split re-runs fewer
 CHECKPOINT_STEPS = 500
 
 
@@ -162,17 +163,30 @@ class _Draws:
 
 
 def _fly(world: World, runs: list[World]) -> MissionSummary:
-    """The summary of world, whose rng is a _Draws. While it flies more
-    than one point it is copied every CHECKPOINT_STEPS steps, and each
-    pending split joins runs as a copy of the last checkpoint led by its
-    first point; the copy holds the split's generators as they were then."""
+    """The summary of world, whose rng is a _Draws. A step draws only on
+    a unit's free-fall impact, and FREE_FALL is reached only from
+    DESCEND, so a step that draws starts with an active unit in one of
+    the two: it lies in a draw window, a run of such steps. While world
+    flies more than one point it is copied as a checkpoint at the start
+    of each window's first step and every CHECKPOINT_STEPS steps after,
+    and never outside a window. Each pending split joins runs as a copy
+    of the last checkpoint, taken in its draw's window, led by its first
+    point; the copy holds the split's generators as they were then."""
     draws = world.rng
     checkpoint = None
+    due = 0  # the step index from which a window takes its next checkpoint
 
     def step():
-        nonlocal checkpoint
-        if len(draws.points) > 1 and world.step_index % CHECKPOINT_STEPS == 0:
-            checkpoint = copy.deepcopy(world)
+        nonlocal checkpoint, due
+        if len(draws.points) > 1:
+            for u in world.active_units:
+                if u.phase is DESCEND or u.phase is FREE_FALL:
+                    if world.step_index >= due:
+                        checkpoint = copy.deepcopy(world)
+                        due = world.step_index + CHECKPOINT_STEPS
+                    break
+            else:
+                due = 0
         world.step()
         while draws.leaving:
             leave = {pt.index for pt in draws.leaving.pop()}

@@ -920,13 +920,14 @@ class World:
         admits only a finite bus. So a row with no column event pending,
         whose docked unit still holds the checked tuple, is its six leading
         values, computed as _write_row computes them, and the frame; any
-        other takes _check_finite and _write_row."""
+        other takes _check_finite and _write_row. A writer with no sink
+        gets no row (see _write_row)."""
         checked, tail, text = self._frame
         docked = self.docked_unit
         if self._column_due or (docked is not None and docked.state is not checked):
             self._check_finite()
             self._write_row(t)
-        else:
+        elif self.writer.sink:
             v, i_p, i_s, _ = self.bus
             i_total = i_p + i_s
             self.writer.write_row(t, v, i_total, i_p, i_s, v * i_total, tail, text)
@@ -985,12 +986,17 @@ class World:
         )
 
     def _write_row(self, t: float) -> None:
-        v, i_p, i_s, source = self.bus
-        i_total = i_p + i_s
+        """Write a due row and mark its events written. A writer with no
+        sink gets no row, and the row is not built; the caller's
+        _check_finite and this bookkeeping still run, so a row step checks
+        the same values with or without a sink."""
         events = self.log.events
-        mark = self._row_mark
-        tail = self._row_tail(source, events_column(events[mark:]) if len(events) > mark else "")
-        self.writer.write_row(t, v, i_total, i_p, i_s, v * i_total, tail)
+        if self.writer.sink:
+            v, i_p, i_s, source = self.bus
+            i_total = i_p + i_s
+            mark = self._row_mark
+            tail = self._row_tail(source, events_column(events[mark:]) if len(events) > mark else "")
+            self.writer.write_row(t, v, i_total, i_p, i_s, v * i_total, tail)
         self._row_mark = len(events)
         self._column_due = False
 

@@ -90,12 +90,15 @@ def parse_row(line: str) -> TelemetryRow:
 
 
 class TelemetryWriter:
-    """Incremental writer; optionally retains rows in memory."""
+    """Incremental writer; optionally retains rows in memory. sink is
+    whether a row goes anywhere: to a file or to the kept rows. A writer
+    with neither drops every row, so its caller need not build one."""
 
     def __init__(self, path=None, keep_rows: bool = False):
         self.path = path
         self.rows: list[TelemetryRow] | None = [] if keep_rows else None
         self._fh = open(path, "w", encoding="utf-8", newline="\n") if path else None
+        self.sink = self._fh is not None or keep_rows
         if self._fh is not None:
             self._fh.write(SCHEMA_LINE + "\n")
             self._fh.write(",".join(COLUMNS) + "\n")

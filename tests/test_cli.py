@@ -8,6 +8,7 @@ import pytest
 
 from conftest import DRAWS_CFG, contact_outcomes, run_optimized, scaled_mission_scenario
 from flybat.cli import main
+from flybat.docking import DESCEND, FREE_FALL
 from flybat.telemetry import read_telemetry
 
 
@@ -596,20 +597,31 @@ def _count_worlds(monkeypatch):
 
 
 def _count_world_copies(monkeypatch):
-    """Record the step index of every world deep-copied from now on."""
+    """Record every world deep-copied from now on as (its step index,
+    whether a World.step was running, the phases of its active units)."""
     import copy
 
     from flybat.engine import World
 
     copies = []
     deepcopy = copy.deepcopy
+    step = World.step
+    stepping = [0]
 
     def counting(x, *args):
         if isinstance(x, World):
-            copies.append(x.step_index)
+            copies.append((x.step_index, stepping[0] > 0, {u.phase for u in x.active_units}))
         return deepcopy(x, *args)
 
+    def counted_step(self):
+        stepping[0] += 1
+        try:
+            step(self)
+        finally:
+            stepping[0] -= 1
+
     monkeypatch.setattr(copy, "deepcopy", counting)
+    monkeypatch.setattr(World, "step", counted_step)
     return copies
 
 
@@ -619,8 +631,8 @@ def _count_world_copies(monkeypatch):
 @pytest.mark.parametrize(
     "param, values, copies",
     [
-        ("docking.contact_failure_probability", ["0", "0.3", "0.55", "1"], 84),
-        ("sim.seed", ["1000", "1001", "1002", "1003"], 70),
+        ("docking.contact_failure_probability", ["0", "0.3", "0.55", "1"], 24),
+        ("sim.seed", ["1000", "1001", "1002", "1003"], 20),
     ],
     ids=["probability", "seed"],
 )
@@ -638,11 +650,53 @@ def test_draw_key_sweep_matches_one_mission_per_point(
     argv = ["sweep", "--scenario", str(path), "--param", param, "--range", ",".join(values)]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert (tmp_path / f"sweep_{param.replace('.', '_')}.csv").read_bytes() == expected
-    # the points shared one world built from scratch. It and the two-point
-    # split are copied at each checkpoint, and each split is copied once
-    # more from the checkpoint it is cut from
+    # the points shared one world built from scratch. A world that flies
+    # more than one point is copied as a checkpoint only in a draw window
+    # (a unit descending or falling), on its first step and every 500
+    # steps after: four times in each ~1.6 s window up to a capture. Each
+    # split is copied once from the checkpoint it is cut from, and the
+    # two-point split copies itself once more on its first step, which
+    # lies in its draw's window
     assert len(built) == 1
     assert len(copied) == copies
+    # a draw comes only on a free-fall impact, and FREE_FALL only follows
+    # DESCEND: every copy, a checkpoint or a split cut from one, is of a
+    # world between two steps with a unit descending or falling
+    for step_index, stepping, phases in copied:
+        assert not stepping, step_index
+        assert phases & {DESCEND, FREE_FALL}, (step_index, phases)
+
+
+# a 0.02 m approach gap, the drop height too: the first unit centers
+# under the host with its legs 0.022 m below the platform surface, inside
+# the gap's 0.05 m tolerance, so it enters DESCEND, then falls and draws
+# on the next step, the first and only step of its draw window
+WINDOW_OPENS_ON_DRAW = """
+[docking]
+hover_above_gap = 0.02
+drop_height = 0.02
+descent_rate = 1.0
+"""
+
+
+def test_sweep_whose_draws_come_on_their_windows_first_step(tmp_path, monkeypatch):
+    path = tmp_path / "draws.cfg"
+    path.write_text(DRAWS_CFG + WINDOW_OPENS_ON_DRAW)
+    param, values = "docking.contact_failure_probability", ["0", "0.55", "1"]
+    expected, outcomes = _one_mission_per_point(path, param, values)
+    assert {o[0] for o in outcomes} == {True, False}
+    copied = _count_world_copies(monkeypatch)
+    argv = ["sweep", "--scenario", str(path), "--param", param, "--range", ",".join(values)]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "sweep_docking_contact_failure_probability.csv").read_bytes() == expected
+    # each window is its draw's own step, begun with the unit in DESCEND:
+    # the lead world's first draw splits 0.55 and 1 off at step 5,791,
+    # and their world splits again at its next draw, at step 12,035. The
+    # first split's world is copied as the checkpoint, as the split and as
+    # the split's own first checkpoint; the second split flies one point
+    # and takes no checkpoint
+    first, second = (5791, False, {DESCEND}), (12035, False, {DESCEND})
+    assert copied == [first] * 3 + [second] * 2
 
 
 def test_sweep_over_other_keys_builds_one_world_per_point(tmp_path, monkeypatch):

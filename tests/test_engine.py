@@ -14,6 +14,8 @@ import flybat.engine
 import flybat.powertrain
 from conftest import (
     DRAWS_CFG,
+    check_altitude_band,
+    check_energy_matches_telemetry,
     check_event_order,
     check_one_conducting_pack,
     check_phase_walk,
@@ -26,7 +28,7 @@ from conftest import (
     run_optimized,
     scaled_mission_scenario,
 )
-from flybat.docking import DOCKED, GROUNDED, Pcg64
+from flybat.docking import DESCEND, DOCKED, FREE_FALL, GROUNDED, Pcg64
 from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
 from flybat.engine import LEG_HEIGHT, SimNumericsError, World
 from flybat.powertrain import _OCV_SEGMENTS, PowertrainError, hover_power
@@ -628,33 +630,58 @@ def test_quiet_rows_come_from_a_few_frames_and_are_the_kept_rows(monkeypatch, tm
     assert 1 <= builds[0] <= 5
 
 
-def nan_unit_state_errors(at=3005):
-    """(step, subsystem) of the error that the fast path and the full
-    path each raise when, at step at (in a quiet stretch of the
-    start-docked churn), the docked unit's state becomes a tuple holding
-    a NaN; the two step in lockstep. Raises RuntimeError if the fast path
-    is not quiet there or either path runs on to the end."""
-    sc, duration = _churn_start_docked()
-    worlds = {"fast": World(sc), "full": World(sc)}
+def _nan_unit_state_errors(worlds, full_path, at):
+    """(step, subsystem) by name of the error each of worlds, built from
+    the start-docked churn, raises when at step at (in a quiet stretch of
+    the fast path) its docked unit's state becomes a tuple holding a NaN.
+    They step in lockstep, the ones named in full_path on the full path.
+    Raises RuntimeError if one on the fast path is not quiet there or any
+    runs on to the end."""
+    _, duration = _churn_start_docked()
+    dt = next(iter(worlds.values())).dt
     errors = {}
-    for _ in range(round(duration / worlds["fast"].dt)):
+    for _ in range(round(duration / dt)):
         for name, w in worlds.items():
             if name in errors:
                 continue
             if w.step_index == at:
-                if name == "fast" and not w._quiet_until > at * w.dt:
+                if name not in full_path and not w._quiet_until > at * w.dt:
                     raise RuntimeError(f"step {at} is not quiet")
                 s = w.docked_unit.state
                 w.docked_unit.state = (*s[:6], math.nan, *s[7:])
-            if name == "full":
+            if name in full_path:
                 w.main_state = tuple(list(w.main_state))
             try:
                 w.step()
             except SimNumericsError as exc:
                 errors[name] = (exc.step_index, exc.subsystem)
-        if len(errors) == 2:
-            return errors["fast"], errors["full"]
+        if len(errors) == len(worlds):
+            return errors
     raise RuntimeError(f"only {sorted(errors)} raised")
+
+
+def nan_unit_state_errors(at=3005):
+    """(step, subsystem) of the errors that the fast path and the full
+    path each raise (see _nan_unit_state_errors)."""
+    sc, _ = _churn_start_docked()
+    errors = _nan_unit_state_errors({"fast": World(sc), "full": World(sc)}, {"full"}, at)
+    return errors["fast"], errors["full"]
+
+
+def nan_unit_state_errors_by_sink(directory, at=3005):
+    """On the fast path, then on the full path: (step, subsystem) of the
+    errors that a world writing its telemetry to a file in directory and
+    a world with no sink each raise (see _nan_unit_state_errors)."""
+    sc, _ = _churn_start_docked()
+    out = []
+    for full_path in (set(), {"file", "none"}):
+        worlds = {"file": World(sc, telemetry_path=Path(directory) / "t.csv"), "none": World(sc)}
+        try:
+            errors = _nan_unit_state_errors(worlds, full_path, at)
+        finally:
+            worlds["file"].writer.close()
+        out.append((errors["file"], errors["none"]))
+    return out
 
 
 _OPTIMIZED_NAN_UNIT = """
@@ -673,6 +700,50 @@ def test_unit_state_set_to_nan_while_quiet_raises_as_on_the_full_path(tmp_path):
     assert fast == full == (3010, "unit 0 dynamics")
     run_optimized(_OPTIMIZED_NAN_UNIT, str(tmp_path / "errors.txt"))
     assert (tmp_path / "errors.txt").read_text() == repr((fast, full))
+
+
+def _draws_mission():
+    return parse_scenario(DRAWS_CFG), 32.0
+
+
+@pytest.mark.parametrize(
+    "case",
+    [lambda: (bundled_scenario("paper_demo"), 25.0), _draws_mission, _churn_start_docked],
+    ids=["paper_demo_25s", "draws", "churn_start_docked"],
+)
+def test_world_without_a_sink_is_the_world_with_a_file(tmp_path, case):
+    # a world with no telemetry file and no kept rows builds no row, yet
+    # keeps the row steps' checks and marks: it logs the same events and
+    # ends in the same state (the churn is dock_churn case 0)
+    sc, duration = case()
+    with_file = World(sc, telemetry_path=tmp_path / "telemetry.csv")
+    without = World(sc)
+    assert with_file.writer.sink and not without.writer.sink
+    for w in (with_file, without):
+        w.run(duration)
+    assert without.log.events == with_file.log.events
+    assert without.summary_totals() == with_file.summary_totals()
+    assert without.bus == with_file.bus
+    assert without.step_index == with_file.step_index
+
+
+_OPTIMIZED_NAN_BY_SINK = """
+import sys
+from test_engine import nan_unit_state_errors_by_sink
+errors = nan_unit_state_errors_by_sink(sys.argv[2])
+with open(sys.argv[1], "w") as fh:
+    fh.write(repr(errors))
+"""
+
+
+def test_unit_state_set_to_nan_raises_as_with_a_file_without_a_sink(tmp_path):
+    # a row step with no sink still checks the states, on a quiet step and
+    # on a full one: the NaN raises at the next row step and names the
+    # unit, as with a telemetry file, also under -O
+    errors = nan_unit_state_errors_by_sink(tmp_path)
+    assert errors == [((3010, "unit 0 dynamics"),) * 2] * 2
+    run_optimized(_OPTIMIZED_NAN_BY_SINK, str(tmp_path / "errors.txt"), str(tmp_path))
+    assert (tmp_path / "errors.txt").read_text() == repr(errors)
 
 
 @pytest.mark.parametrize(
@@ -808,7 +879,8 @@ def test_generated_missions_fast_path_matches_full_path(mission):
 def test_generated_missions_keep_the_mission_predicates(mission):
     # a finished mission walks the FSM graph, logs its events in order,
     # keeps its books, draws the primary only while no live contact
-    # carries the load and draws one pack at a time; while it runs, its
+    # carries the load, draws one pack at a time, draws the energy its
+    # telemetry shows and holds its altitude band; while it runs, its
     # unit lists hold, and no unit stays below the ground: one that falls
     # through it on a step rests on it from the next (a landing or a crash)
     sc, duration = mission
@@ -835,6 +907,8 @@ def test_generated_missions_keep_the_mission_predicates(mission):
     check_summary_bookkeeping(log)
     check_primary_conduction(log, w.writer.rows)
     check_one_conducting_pack(w.writer.rows)
+    check_energy_matches_telemetry(w)
+    check_altitude_band(log)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_MISSIONS))
@@ -940,7 +1014,8 @@ def test_quiet_steps_skip_the_mission_policy(monkeypatch, case):
         calls[name] = 0
         monkeypatch.setattr(World, name, counted(name))
     sc, duration = case()
-    w = World(sc)
+    # kept rows, so that a row is built (a world with no sink builds none)
+    w = World(sc, keep_rows=True)
     w.run(duration)
     assert w.step_index == round(duration / w.dt)
     assert max(calls.values()) <= 5, calls
@@ -1092,9 +1167,12 @@ def test_split_is_the_world_its_draw_inputs_reach():
     _fly(world, runs)
     split = runs.pop()
     assert not runs
-    # the split resumes from a checkpoint, taken every CHECKPOINT_STEPS steps
-    assert 0 < split.step_index < world.step_index
-    assert split.step_index % CHECKPOINT_STEPS == 0
+    # the split resumes from a checkpoint taken in the draw's window: with
+    # a unit descending or falling, less than CHECKPOINT_STEPS steps before
+    # the draw's step
+    draw_step = round(world.log.of_kind("contact_failure")[0].t / world.dt)
+    assert {u.phase for u in split.active_units} & {DESCEND, FREE_FALL}
+    assert 0 <= draw_step - split.step_index < CHECKPOINT_STEPS
     assert [pt.index for pt in split.rng.points] == [1]
     assert split.docking.contact_failure_probability == 0.3
     _fly(split, runs)
@@ -1148,7 +1226,7 @@ def test_benchmark_tracer_counts_powertrain_calls_and_restores_bindings():
 
 # run-phase calls of every binding the benchmark tracer wraps, over the
 # first 25 s of paper_demo (dispatch, approach, free-fall capture, docked
-# hover); a rebinding that hides calls from the tracer changes these. The
+# hover) written to a telemetry file; a rebinding that hides calls from the tracer changes these. The
 # 998 quiet steps before the dispatch at 1 s drain the primary inline, so
 # solve_bus and discharge count the other 24,002 steps
 PAPER_DEMO_25S_CALLS = {
@@ -1167,13 +1245,18 @@ PAPER_DEMO_25S_CALLS = {
 }
 
 
-def test_benchmark_tracer_counts_paper_demo_prefix_calls():
+def test_benchmark_tracer_counts_paper_demo_prefix_calls(tmp_path):
     tracer = _perfbench_tracer()
-    tr = tracer.Tracer()
-    with tr:
-        World(bundled_scenario("paper_demo")).run(25.0)
-    snap = tr.snapshot()
-    run = snap["tables"]["run"]
-    assert {name: run[name][0] for name in PAPER_DEMO_25S_CALLS} == PAPER_DEMO_25S_CALLS
-    assert snap["counts"]["engine.airborne_unit_steps"] == 20_291
-    assert snap["counts"]["engine.repeat_steps"] == 3_806
+    snaps = []
+    for path in (tmp_path / "telemetry.csv", None):
+        tr = tracer.Tracer()
+        with tr:
+            World(bundled_scenario("paper_demo"), telemetry_path=path).run(25.0)
+        snaps.append(tr.snapshot())
+    for snap, write_rows in zip(snaps, (2_504, 0)):
+        run = snap["tables"]["run"]
+        calls = {name: run.get(name, (0,))[0] for name in PAPER_DEMO_25S_CALLS}
+        # a world with no telemetry file and no kept rows writes no row
+        assert calls == {**PAPER_DEMO_25S_CALLS, "telemetry.write_row": write_rows}
+        assert snap["counts"]["engine.airborne_unit_steps"] == 20_291
+        assert snap["counts"]["engine.repeat_steps"] == 3_806

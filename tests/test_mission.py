@@ -1,7 +1,8 @@
-import numpy as np
 import pytest
 
 from conftest import (
+    check_altitude_band,
+    check_energy_matches_telemetry,
     check_event_order,
     check_one_conducting_pack,
     check_primary_conduction,
@@ -118,7 +119,7 @@ def test_one_pack_conducts_per_step(std_run):
 
 def test_altitude_band_held_throughout(std_run):
     result, _ = std_run
-    assert result.summary.max_altitude_error_m < 0.25
+    check_altitude_band(result.log)
 
 
 def test_summary_bookkeeping_consistent(std_run):
@@ -133,16 +134,8 @@ def test_summary_bookkeeping_consistent(std_run):
 
 
 def test_summary_energy_matches_telemetry_integral(std_run):
-    result, sc = std_run
-    rows = result.world.writer.rows
-    t = np.array([r.time for r in rows])
-    p = np.array([r.power for r in rows])
-    ip = np.array([r.current_primary for r in rows])
-    isec = np.array([r.current_secondary for r in rows])
-    r_ohm = sc.batteries.primary.internal_resistance
-    integral = (np.trapezoid(p, t) + np.trapezoid((ip**2 + isec**2) * r_ohm, t)) / 3600.0
-    drawn = result.summary.primary_energy_wh + result.summary.secondary_energy_wh
-    assert integral == pytest.approx(drawn, rel=1e-3)
+    result, _ = std_run
+    check_energy_matches_telemetry(result.world)
 
 
 def test_summarize_requires_totals():
