@@ -150,11 +150,6 @@ _OCV_SEGMENTS = tuple(
     (_OCV_S2, _OCV_V2, _OCV_K2, _OCV_S3),
     (_OCV_S3, _OCV_V3, _OCV_K3, _OCV_S4),
 ) = _OCV_SEGMENTS
-# the curve's mean over state of charge: the mean cell voltage of a
-# constant-power discharge, whose state of charge falls about evenly
-_OCV_MEAN = sum(
-    0.5 * (v0 + v1) * (s1 - s0) for (s0, v0), (s1, v1) in zip(OCV_KNOTS, OCV_KNOTS[1:])
-)
 
 
 # each segment as (s0, v0, slope, top): ocv_per_cell evaluates it at
@@ -424,6 +419,88 @@ def shadow_energy(
     return _drain(pack, energy_wh, load_power, steps, dt, diode_drop, False)[0]
 
 
+# the nodes of 4-point Gauss-Legendre quadrature on [-1, 1], each with
+# its weight
+_GAUSS_LEGENDRE_4 = (
+    (-0.8611363115940526, 0.34785484513745385),
+    (-0.33998104358485626, 0.6521451548625461),
+    (0.33998104358485626, 0.6521451548625461),
+    (0.8611363115940526, 0.34785484513745385),
+)
+
+
+def _kp_start(
+    pack: BatteryPack, vehicle_mass: float, steps: int, dt: float, diode_drop: float
+) -> tuple[float, float] | None:
+    """(k_p, d energy / d k_p) at which a model of the drain loop empties
+    the full pack in exactly `steps` steps, or None where the model fails.
+
+    One shadow step takes g(E) = (P + r * (P / B(E))**2) * dt / 3600 from
+    the energy E, with B the bus voltage. As forward Euler it follows, to
+    second order in g, the modified equation dE/dk = -g - g * g' / 2, so k
+    steps take the energy down by the integral of dE / (g * (1 + g' / 2)):
+    over each OCV segment, where B is linear in E, 4-point Gauss-Legendre.
+    Newton's method on the hover power P then solves "steps to empty =
+    steps", and the flow's dependence on P gives the slope of the energy
+    left after `steps` steps there. Only +, -, * and / run, so the start
+    is the same on every machine."""
+    c = dt / 3600.0
+    r, cells, cap = pack.internal_resistance, float(pack.cell_count), pack.capacity_wh
+
+    def rate(power, bus, dbus):
+        # (energy drained per step, d that / d power) at a bus voltage bus
+        # whose slope over energy is dbus
+        current = power / bus
+        loss = r * current * current * c
+        g = power * c + loss
+        dg = -2.0 * loss * dbus / bus
+        g_power = c + 2.0 * loss / power
+        dg_power = -4.0 * loss / power * dbus / bus
+        return g * (1.0 + 0.5 * dg), g_power * (1.0 + 0.5 * dg) + 0.5 * g * dg_power
+
+    # each node as (bus voltage, its slope over energy, weight in Wh)
+    nodes = []
+    for s0, v0, slope, s1 in _OCV_SEGMENTS:
+        half = 0.5 * (s1 - s0)
+        for x, w in _GAUSS_LEGENDRE_4:
+            bus = (v0 + slope * half * (1.0 + x)) * cells - diode_drop
+            nodes.append((bus, slope * cells / cap, w * half * cap))
+    _, v0, slope0, _ = _OCV_SEGMENTS[0]
+    empty = (v0 * cells - diode_drop, slope0 * cells / cap)
+
+    power = cap / (steps * c)  # the lossless hover power
+    if not 0.0 < power < inf:
+        return None
+    for _ in range(40):
+        k = k_power = 0.0
+        for bus, dbus, weight in nodes:
+            d, d_power = rate(power, bus, dbus)
+            if not d > 0.0:
+                return None
+            k += weight / d
+            k_power -= weight * d_power / d / d
+        if not k_power < 0.0:
+            return None
+        # Newton on 1 / k, which is near linear in power: from the
+        # lossless power it falls to the root without passing it
+        step = (k - steps) * k / (steps * k_power)
+        power -= step
+        if not (isfinite(power) and power > 0.0):
+            return None
+        if abs(step) <= 1.0e-12 * power:
+            break
+    else:
+        return None
+    # the energy left after `steps` steps at the root, by power: k_power
+    # times the drain per step at empty
+    scale = vehicle_mass * sqrt(vehicle_mass)  # may underflow to 0
+    k_p = power / vehicle_mass / sqrt(vehicle_mass)
+    slope = k_power * rate(power, *empty)[0] * scale
+    if not (isfinite(k_p) and slope < 0.0 and isfinite(slope)):
+        return None
+    return k_p, slope
+
+
 def solve_kp_for_endurance(
     pack: BatteryPack,
     vehicle_mass: float,
@@ -438,7 +515,7 @@ def solve_kp_for_endurance(
     the lossless k_p. Raises PowertrainError when the pack empties before
     target_time even at k_p = 1.
 
-    The search is exact but runs few shadow flights (6 for the default
+    The search is exact but runs few shadow flights (5 for the default
     host and pack, where the plain bisection ran 55):
     - Sign test. Let n be the first count of dt additions whose float sum
       exceeds target_time. time_to_depletion(k_p) > target_time exactly
@@ -448,8 +525,9 @@ def solve_kp_for_endurance(
       monotonically and the bus stays above 2.8 V, so the energy after
       n - 1 steps never rises as k_p grows: an outcome at one k_p decides
       every k_p beyond it on the same side.
-    - Same midpoints. A safeguarded secant on that energy brackets the
-      answer between evaluated outcomes. The bisection then runs
+    - Same midpoints. A safeguarded Newton search on that energy, from
+      the root of the drain's modified equation (`_kp_start`), brackets
+      the answer between evaluated outcomes. The bisection then runs
       unchanged; it evaluates a midpoint only when it lies strictly
       inside that bracket and takes every other outcome from it."""
     if not (isfinite(vehicle_mass) and vehicle_mass > 0.0):
@@ -479,30 +557,29 @@ def solve_kp_for_endurance(
     # the evaluated outcomes nearest the answer: every k_p <= reach flies
     # past target_time, every k_p >= fall does not
     reach, fall = 0.0, inf
-    # A secant on that energy, from k_p = 0 (which draws nothing) and the
-    # lossless k_p scaled down by the I^2 R loss that the lossless hover
-    # power adds at the bus of the curve's mean cell voltage. A step that
-    # leaves the bracket halves it instead, or doubles k_p while none has
-    # fallen short. Only 1 <= k_p <= hi can decide a midpoint.
-    x_prev, e_prev = 0.0, cap
-    lossless = cap * 3600.0 / target_time
-    bus = _OCV_MEAN * pack.cell_count - diode_drop
-    x = max(1.0, 0.25 * hi / (1.0 + lossless * pack.internal_resistance / (bus * bus)))
-    while reach < x < fall:
-        e = energy_left(x)
-        if e > 0.0:
-            reach = x
-        else:
-            fall = x
-        step = x - e * (x - x_prev) / (e - e_prev) if e != e_prev else inf
-        x_prev, e_prev = x, e
-        if reach < step < fall:
-            x = step
-        elif fall == inf:
-            x = 2.0 * x
-        else:
-            x = reach + 0.5 * (fall - reach)
-        x = max(1.0, min(x, hi))
+    # Newton steps on that energy with the model's slope. A step that
+    # leaves the bracket moves past the last outcome by the last step's
+    # size (from k_p = 0 at first: a doubling or a halving) or, where that
+    # leaves it too, halves the bracket. Where the model fails, the
+    # bisection runs alone. Only 1 <= k_p <= hi can decide a midpoint.
+    start = _kp_start(pack, vehicle_mass, n - 1, dt, diode_drop)
+    if start is not None:
+        x, slope = start
+        x, x_prev = max(1.0, min(x, hi)), 0.0
+        while reach < x < fall:
+            e = energy_left(x)
+            if e > 0.0:
+                reach = x
+            else:
+                fall = x
+            step = x - e / slope
+            if not reach < step < fall:
+                last = abs(x - x_prev)
+                step = x + last if e > 0.0 else x - last
+                if not reach < step < fall:
+                    step = reach + 0.5 * (fall - reach)
+            x_prev = x
+            x = max(1.0, min(step, hi))
 
     for _ in range(60):
         mid = 0.5 * (lo + hi)

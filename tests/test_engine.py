@@ -809,12 +809,12 @@ def _generated_mission(
 
 @st.composite
 def generated_missions(draw):
-    """(scenario, duration) of a short generated mission: up to two units,
+    """(scenario, duration) of a short generated mission: up to four units,
     docked from the start or flown in from 0.5 m away (a capture within
     about 8 s), with contact draws, slipping contacts, small secondaries,
     own packs that empty in the air (0.01 Ah lasts about 6 s of flight),
     planar drag and oscillation each on or off."""
-    fleet_size = draw(st.sampled_from([2, 1, 0]))
+    fleet_size = draw(st.sampled_from([4, 3, 2, 1, 0]))
     return _generated_mission(
         fleet_size,
         draw(st.sampled_from([1.0, 0.5, 0.0])),
@@ -865,7 +865,7 @@ def _stepped_outcome(sc, duration, full_path):
     return w.step_index, rows, text, w.summary_totals(), _host_bits(w)
 
 
-@settings(deadline=None, derandomize=True, database=None, max_examples=14)
+@settings(deadline=None, derandomize=True, database=None, max_examples=20)
 @given(generated_missions())
 @pinned_examples
 def test_generated_missions_fast_path_matches_full_path(mission):
@@ -873,7 +873,7 @@ def test_generated_missions_fast_path_matches_full_path(mission):
     assert _stepped_outcome(sc, duration, False) == _stepped_outcome(sc, duration, True)
 
 
-@settings(deadline=None, derandomize=True, database=None, max_examples=14)
+@settings(deadline=None, derandomize=True, database=None, max_examples=20)
 @given(generated_missions())
 @pinned_examples
 def test_generated_missions_keep_the_mission_predicates(mission):

@@ -20,6 +20,7 @@ from flybat.powertrain import (
     PowertrainError,
     SwitchCircuit,
     SwitchTarget,
+    _kp_start,
     command_switch,
     discharge,
     hover_power,
@@ -574,8 +575,8 @@ def count_flights(monkeypatch):
 
 
 def test_default_calibration_cost(monkeypatch):
-    # at most 7 shadow flights of 7,199 steps; the Illinois start of the
-    # search made 10 and the plain bisection 55
+    # 5 shadow flights of 7,199 steps; the secant start of the search made
+    # 6, the Illinois start 10 and the plain bisection 55
     flights = count_flights(monkeypatch)
     _calibrated_main_kp.cache_clear()
     try:
@@ -583,21 +584,86 @@ def test_default_calibration_cost(monkeypatch):
     finally:
         _calibrated_main_kp.cache_clear()
     assert k.hex() == "0x1.417b1cf9e528cp+7"
-    assert 0 < flights() <= 7
+    assert 0 < flights() <= 5
 
 
-def test_calibration_flights_over_seeded_solo_packs(monkeypatch):
-    # 60 hosts and packs drawn from solo_flights' ranges, every one
-    # reachable; the Illinois start of the search made 581 flights on them
+def seeded_solo_packs():
+    """(pack, vehicle mass, diode drop) of 60 hosts and packs drawn from
+    solo_flights' ranges, every one reachable in a 720 s hover."""
     rng = random.Random(720)
-    flights = count_flights(monkeypatch)
+    packs = []
     for _ in range(60):
         pack = BatteryPack(
             rng.randint(1, 6), rng.uniform(0.05, 6.0), internal_resistance=rng.uniform(0.0, 0.1)
         )
-        vehicle_mass, diode_drop = rng.uniform(0.3, 3.0), rng.uniform(0.01, 0.2)
+        packs.append((pack, rng.uniform(0.3, 3.0), rng.uniform(0.01, 0.2)))
+    return packs
+
+
+def test_calibration_flights_over_seeded_solo_packs(monkeypatch):
+    # the secant start of the search made 521 flights on them, and the
+    # Illinois start 581
+    flights = count_flights(monkeypatch)
+    for pack, vehicle_mass, diode_drop in seeded_solo_packs():
         solve_kp_for_endurance(pack, vehicle_mass, 720.0, 0.1, diode_drop)
-    assert flights() <= 581
+    assert flights() <= 365
+
+
+def test_model_start_lies_next_to_the_calibrated_kp():
+    # the modified equation's root is 3.7e-10 off for the default host,
+    # where the I^2 R-scaled lossless k_p was 4.2e-4 off; the slope it
+    # gives is the energy's own within 1e-4
+    hosts = [(pack_3s_22(r=0.025), 0.82, 0.05)] + seeded_solo_packs()
+    n = steps_past(720.0, 0.1)
+    for pack, vehicle_mass, diode_drop in hosts:
+        k = solve_kp_for_endurance(pack, vehicle_mass, 720.0, 0.1, diode_drop)
+        start, slope = _kp_start(pack, vehicle_mass, n - 1, 0.1, diode_drop)
+        assert start == pytest.approx(k, rel=1e-8, abs=0.0)
+        h = 1e-6 * k
+        left = [
+            shadow_energy(
+                pack, pack.capacity_wh, hover_power(vehicle_mass, x), n - 1, 0.1, diode_drop
+            )
+            for x in (k - h, k + h)
+        ]
+        assert slope == pytest.approx((left[1] - left[0]) / (2.0 * h), rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "pack, vehicle_mass, target_time, dt, diode_drop, has_start",
+    [
+        # the longest target at the longest step: 1,000 steps
+        (BatteryPack(6, 6.0, internal_resistance=0.025), 0.3, 1.0e6, 1000.0, 0.05, True),
+        # 24 steps of a 5 s hover whose I^2 R loss is 1.2 to 2.4 times its power
+        (pack_3s_22(r=0.025), 2.0, 5.0, 0.2, 0.05, True),
+        # 24 steps on a 1S pack whose drain per step, at the lossless power,
+        # would grow by more than twice itself within one step near empty:
+        # the modified equation's rate turns negative
+        (BatteryPack(1, 0.05, internal_resistance=0.5), 0.1, 5.0, 0.2, 0.2, False),
+        # a pack so small that a drain per step squared underflows to 0:
+        # the model's start lies far below k_p = 1, which the pack cannot
+        # reach
+        (BatteryPack(1, 1e-200), 0.82, 720.0, 0.1, 0.05, True),
+        # a pack whose lossless hover power underflows to 0
+        (BatteryPack(1, 1e-322), 0.3, 1.0e6, 1000.0, 0.05, False),
+    ],
+)
+def test_model_start_at_the_edges_of_the_search(
+    pack, vehicle_mass, target_time, dt, diode_drop, has_start
+):
+    # the model gives a start or None, and never raises; where it gives
+    # None the bisection runs alone, and the bits hold either way
+    start = _kp_start(pack, vehicle_mass, steps_past(target_time, dt) - 1, dt, diode_drop)
+    assert (start is not None) == has_start
+    if start is not None:
+        assert all(math.isfinite(v) for v in start) and start[0] > 0.0 > start[1]
+    k_ref, lo = reference_solve_kp(pack, vehicle_mass, target_time, dt, diode_drop)
+    if lo == 1.0:
+        with pytest.raises(PowertrainError, match="no k_p >= 1 reaches"):
+            solve_kp_for_endurance(pack, vehicle_mass, target_time, dt, diode_drop)
+    else:
+        k = solve_kp_for_endurance(pack, vehicle_mass, target_time, dt, diode_drop)
+        assert k.hex() == k_ref.hex()
 
 
 def test_unreachable_endurance_target_raises():

@@ -8,11 +8,16 @@ and `cos` are the C library's own, so their last bit may differ between
 libms. The scan below fails on any math name and on any power whose
 exponent is not an integer literal (or a `pow` call) that is not in its
 allow-list, so a new one is seen and given a reason (see ROADMAP item 5)
-rather than found by a moved digest.
+rather than found by a moved digest. Probes check each libm function on
+inputs recorded from the golden runs, so a libm that rounds them another
+way fails by the function's name.
 """
 
 import ast
+import math
 from pathlib import Path
+
+import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "flybat"
@@ -109,4 +114,51 @@ def test_libm_pow_rounds_the_quaternion_norm_as_the_golden_bytes_need():
         "this libm's pow(1 - 2**-53, 0.5) is not 1.0: rk4_flat's ** 0.5 quaternion "
         "norm rounds another way here, so the full paper_demo's golden bytes differ "
         "(ROADMAP item 5)"
+    )
+
+
+# Inputs recorded from the golden prefixes of tests/test_golden_bytes.py,
+# with the result each needs, as glibc 2.36 gives it. The exp and atan2
+# inputs are the ones nearest a rounding midpoint: glibc rounds the three
+# exp inputs and the first atan2 input away from the correctly rounded
+# result, as it does 73 of the 73,650 distinct exp inputs and 1 of the
+# 82,536 atan2 inputs. sin and cos take the fleet's home angles
+# 2 * pi * i / n of scenario.build_world_inputs, for n = 9 and 4.
+LIBM_PROBES = {
+    "exp": [
+        (("-0x1.eebe7eefab3a0p-1",), "0x1.859eff5e5dfa2p-2"),
+        (("-0x1.73876e213951ap+8",), "0x1.fee867bf15d12p-537"),
+        (("-0x1.df76281713d5cp+5",), "0x1.730835b6666c9p-87"),
+    ],
+    "atan2": [
+        (("0x1.4aae8ce221b18p-4", "0x1.fe5426c22a07ep-1"), "0x1.4b0ac8022ec16p-4"),
+        (("0x1.350aa0320ee39p-24", "0x1.fffffffffffe9p-1"), "0x1.350aa0320ee3dp-24"),
+        (("0x1.350a7fc6a1b8cp-24", "0x1.fffffffffffe9p-1"), "0x1.350a7fc6a1b91p-24"),
+    ],
+    "cos": [
+        (("0x1.657184ae74487p-1",), "0x1.8836fa2cf5039p-1"),
+        (("0x1.657184ae74487p+0",), "0x1.63a1a7e0b738cp-3"),
+        (("0x1.2d97c7f3321d2p+2",), "-0x1.a79394c9e8a0ap-53"),
+    ],
+    "sin": [
+        (("0x1.657184ae74487p-1",), "0x1.491b7523c161cp-1"),
+        (("0x1.0c152382d7365p+1",), "0x1.bb67ae8584cabp-1"),
+        (("0x1.921fb54442d18p+1",), "0x1.1a62633145c07p-53"),
+    ],
+}
+
+
+def test_libm_probes_cover_the_libm_functions_the_golden_bytes_use():
+    libm = {name for name, reason in MATH_ALLOWED.items() if "from libm" in reason}
+    assert set(LIBM_PROBES) == libm
+
+
+@pytest.mark.parametrize("name", sorted(LIBM_PROBES))
+def test_libm_rounds_golden_inputs_as_the_golden_bytes_need(name):
+    f = getattr(math, name)
+    results = [(args, f(*map(float.fromhex, args)).hex(), want) for args, want in LIBM_PROBES[name]]
+    wrong = [r for r in results if r[1] != r[2]]
+    assert not wrong, (
+        f"this libm's {name} rounds inputs of the golden runs another way, as "
+        f"(inputs, result, needed): {wrong}; the golden bytes differ here (ROADMAP item 5)"
     )
