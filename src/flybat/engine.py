@@ -55,10 +55,6 @@ GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
 # (bytes tell -0.0 from 0.0)
 _HOST_FIXED_POINT = struct.Struct("17d")
 
-# an OCV segment that holds no state of charge: a quiet step that finds it
-# looks the segment up again
-_NO_SPAN = (math.inf, 0.0, 0.0, -math.inf)
-
 # read on every step; an Enum class attribute read is slow on Python 3.11
 NO_SOURCE = pt.ActiveSource.NONE
 PRIMARY = pt.ActiveSource.PRIMARY
@@ -261,9 +257,8 @@ class World:
         self._slipping = False  # the docked contact slipped on the last step
         self.planar_drag_coeff = sim.planar_drag_coeff
         # log.events[_row_mark:] holds every event logged since the last
-        # telemetry row (a quiet row leaves it as it is, since no event
-        # shows in its column); _column_due is set when one of them shows
-        # in its column
+        # telemetry row (a quiet step logs none, and its row leaves the mark
+        # as it is); _column_due is set when one of them shows in its column
         self._row_mark = 0
         self._column_due = False
         self._alt_err_abs_max = 0.0
@@ -272,9 +267,10 @@ class World:
         self._host_memo_state: tuple | None = None
         self._host_memo: tuple = ()
         # quiet steps (see _arm_quiet) run before this time; every logged
-        # event ends them. _quiet holds their constants: the draining
-        # pack's capacity, cell count, internal resistance, the diode drop,
-        # the memo's rotor load and the OCV segment (s0, v0, slope, top).
+        # event and every new host memo ends them. _quiet holds their
+        # constants: the draining pack's capacity, cell count, internal
+        # resistance, the diode drop, the memo's rotor load and the OCV
+        # segment (s0, v0, slope, top).
         # _frame is their row frame: the docked unit's state tuple it
         # checked (None with no unit docked), and the row's values from
         # active_source on with their text
@@ -564,33 +560,27 @@ class World:
 
     def step(self) -> None:
         """Advance the world one dt. A quiet step (see _arm_quiet) drains
-        the one conducting pack inline and writes telemetry, calling no
-        powertrain function, and writes its row from the stretch's row
-        frame (see _quiet_row). Every other step is a full step and ends
-        in _finish_step."""
+        the one conducting pack inline, calling no powertrain function,
+        and writes a due row from the stretch's row frame. Every other
+        step is a full step and ends in _finish_step."""
         dt = self.dt
         i = self.step_index
         t = i * dt
 
-        # A quiet step repeats the last one but for the pack energies, so
-        # long as the pack it drains still holds some. It drains that pack
-        # with the float operations of solve_bus's one-source branch and
-        # discharge in their order, and writes a due telemetry row from the
-        # stretch's row frame. A full, empty or NaN state of charge, a bus
-        # that is not positive, a diode drop that rounds away or a current
-        # that underflows takes _finish_step for that step.
+        # A quiet step repeats the last one but for the pack energies. It
+        # drains the pack with the float operations of solve_bus's
+        # one-source branch and discharge in their order, and commits only
+        # when the state of charge lies in the stretch's OCV segment, the
+        # bus is live, the pack keeps some energy and, on a row step, a
+        # docked unit still holds the state tuple the frame checked. Any
+        # other step falls through to the full step, which drains and
+        # writes the same bits and re-arms the stretch or ends it.
         if t < self._quiet_until and self.main_state is self._host_memo_state:
             docked = self.docked_unit
             e = self.primary_wh if docked is None else docked.secondary_wh
-            if e > 0.0:
-                q = self._quiet
-                cap, cells, r, drop, load, s0, v0, k, top = q
-                soc = e / cap
-                if not s0 < soc <= top:
-                    # the next segment down, or an energy set from outside
-                    span = pt.ocv_segment(soc) or _NO_SPAN
-                    s0, v0, k, top = span
-                    self._quiet = q[:5] + span
+            cap, cells, r, drop, load, s0, v0, k, top = self._quiet
+            soc = e / cap
+            if s0 < soc <= top:
                 v = (v0 + k * (soc - s0)) * cells
                 bus = v - drop
                 c = load / bus if bus > 0.0 else 0.0
@@ -598,33 +588,31 @@ class World:
                 # that does not underflow leaves a current and a share > 0,
                 # as the bus is at least 2.8 V
                 share = load * c
-                if s0 < soc <= top and v - bus > 0.0 and share > 0.0:
-                    share = share / c
-                    left = e - (share + c * c * r) * dt / 3600.0
-                    if not left > 0.0:
-                        left = 0.0
-                    if docked is None:
-                        self.bus = _new_tuple(BusSample, (bus, c, c * 0.0, PRIMARY))
-                        self.primary_wh = left
-                        self.energy_drawn["primary"] += e - left
-                        self.time_on_primary += dt
-                        if left <= 0.0:
-                            self._event(t, "depleted", detail="primary")
-                    else:
-                        self.bus = _new_tuple(BusSample, (bus, c * 0.0, c, SECONDARY))
-                        docked.secondary_wh = left
-                        drawn = self.energy_drawn
-                        key = docked.secondary_key
-                        drawn[key] = drawn.get(key, 0.0) + (e - left)
-                        self.time_on_secondary += dt
-                        if left <= 0.0:
-                            self._event(t, "depleted", docked.uid, "secondary")
-                    if i % self.telemetry_decim == 0 or self._column_due:
-                        self._quiet_row(t)
-                    self.step_index = i + 1
-                    return
-                self._finish_step(t, dt, load, None)
-                return
+                if v - bus > 0.0 and share > 0.0:
+                    left = e - (share / c + c * c * r) * dt / 3600.0
+                    due = i % self.telemetry_decim == 0
+                    checked, tail, text = self._frame
+                    if left > 0.0 and (not due or docked is None or docked.state is checked):
+                        if docked is None:
+                            i_p, i_s = c, c * 0.0
+                            self.bus = _new_tuple(BusSample, (bus, i_p, i_s, PRIMARY))
+                            self.primary_wh = left
+                            self.energy_drawn["primary"] += e - left
+                            self.time_on_primary += dt
+                        else:
+                            i_p, i_s = c * 0.0, c
+                            self.bus = _new_tuple(BusSample, (bus, i_p, i_s, SECONDARY))
+                            docked.secondary_wh = left
+                            drawn = self.energy_drawn
+                            key = docked.secondary_key
+                            drawn[key] = drawn.get(key, 0.0) + (e - left)
+                            self.time_on_secondary += dt
+                        if due and self.writer.sink:
+                            # _write_row's six leading values (i_p + i_s is c,
+                            # as the other current is +0.0), then the frame
+                            self.writer.write_row(t, bus, c, i_p, i_s, bus * c, tail, text)
+                        self.step_index = i + 1
+                        return
 
         # cheap finiteness test: a nan or inf anywhere makes the sum one
         ms = self.main_state
@@ -863,23 +851,23 @@ class World:
         self.step_index += 1
 
     def _arm_quiet(self, docked: _Unit | None) -> None:
-        """Set the quiet steps' end time and constants after a step that
-        hit the host memo with no unit active but the docked one. While
-        the host keeps the memo's state tuple and no event is logged, such
-        a step repeats until then: the mission policy does nothing, the
-        host memo holds (it arms only under a standing setpoint), and a
-        docked contact carries the same load. A later step then only
-        drains the one conducting pack under the memo's rotor load and
-        writes telemetry (see step). The end time is a lone host's next
-        dispatch, else never: the clock is run's. A docked unit must sit
-        on an electrical contact that holds, with the relay open (a failed
-        contact is shed after a delay). So the pack that conducts is
-        the primary alone (relay closed, no secondary) or the docked
-        unit's secondary alone (relay open). The constants are that pack's
-        capacity, cell count and internal resistance, the diode drop, the
-        memo's rotor load and the OCV segment of the pack's state of
-        charge, if it has one (else the first quiet step looks again). A
-        zero load draws nothing, so its quiet steps take _finish_step.
+        """End the quiet stretch, then arm a new one after a step that hit
+        the host memo with no unit active but the docked one. While the
+        host keeps the memo's state tuple and no event is logged, such a
+        step repeats: the mission policy does nothing, the host memo holds
+        (it arms only under a standing setpoint), and a docked contact
+        carries the same load. A later step then only drains the one
+        conducting pack under the memo's rotor load and writes telemetry
+        (see step), until the stretch's end time: a lone host's next
+        dispatch, else never, as the clock is run's. A docked unit must
+        sit on an electrical contact that holds, with the relay open (a
+        failed contact is shed after a delay). So the pack that conducts
+        is the primary alone (relay closed, no secondary) or the docked
+        unit's secondary alone (relay open). The stretch's constants are
+        that pack's capacity, cell count and internal resistance, the
+        diode drop, the memo's rotor load and the OCV segment of the
+        pack's state of charge; a full, empty or NaN state of charge lies
+        in no segment and arms nothing.
 
         The row frame is set here too. The stretch holds the host state and
         the docked unit's state tuples fixed, so they pass _check_finite
@@ -889,6 +877,7 @@ class World:
         positions, the unit's id and phase, the contact force and an empty
         events cell) cannot change either; the frame keeps them and their
         text, format_tail's."""
+        self._quiet_until = -math.inf
         if docked is not None and (self._slipping or self.circuit.relay_closed):
             return
         try:
@@ -900,7 +889,9 @@ class World:
         else:
             pack, energy, source = self.secondary, docked.secondary_wh, SECONDARY
             checked = docked.state
-        span = pt.ocv_segment(energy / pack.capacity_wh) or _NO_SPAN
+        span = pt.ocv_segment(energy / pack.capacity_wh)
+        if span is None:
+            return
         self._quiet = (
             pack.capacity_wh, float(pack.cell_count), pack.internal_resistance,
             self.circuit.diode_drop, self._host_memo[4], *span,
@@ -912,25 +903,6 @@ class World:
             # the next dispatch (see _orchestrate)
             ready = min(u.available_at for u in self.units)
             self._quiet_until = max(self.mission.dispatch_delay, ready)
-
-    def _quiet_row(self, t: float) -> None:
-        """Write a quiet step's row from the stretch's frame (see
-        _arm_quiet). The frame checked the host state, which the quiet
-        entry test holds to its tuple, and the docked unit's; a quiet step
-        admits only a finite bus. So a row with no column event pending,
-        whose docked unit still holds the checked tuple, is its six leading
-        values, computed as _write_row computes them, and the frame; any
-        other takes _check_finite and _write_row. A writer with no sink
-        gets no row (see _write_row)."""
-        checked, tail, text = self._frame
-        docked = self.docked_unit
-        if self._column_due or (docked is not None and docked.state is not checked):
-            self._check_finite()
-            self._write_row(t)
-        elif self.writer.sink:
-            v, i_p, i_s, _ = self.bus
-            i_total = i_p + i_s
-            self.writer.write_row(t, v, i_total, i_p, i_s, v * i_total, tail, text)
 
     def _arm_host_memo(self, ms, ints, outputs) -> None:
         """Arm the host fast path if the step just taken from state ms and

@@ -3,7 +3,9 @@ line. Run with `pytest -v -s tests/test_acceptance.py` (the two golden
 missions make this the slow part of the suite; budget a few minutes)."""
 
 import math
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from flybat.docking import APPROACH_ABOVE
 from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
 from flybat.endurance import (
     OPTIMAL_PHI,
+    EnduranceInputs,
+    design_comparison,
     normalized_curve,
     normalized_flight_time,
     shape_factor,
@@ -36,6 +40,7 @@ from flybat.powertrain import (
     hover_power,
     ocv,
     solve_bus,
+    time_to_depletion,
 )
 from flybat.scenario import (
     _calibrated_main_kp,
@@ -502,3 +507,59 @@ def test_criterion_12_energy_audit(solo_run, demo_run):
         details.append(f"{label}: drawn={drawn:.3f}Wh integral={integral:.3f}Wh rel={rel:.2e}")
         ok = ok and rel <= 1e-3
     report(12, "energy-audit", ok, "; ".join(details))
+
+
+# ---------------------------------------------------------------------------
+# README's headline numbers
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _printed(text: str, pattern: str) -> str:
+    """The number that pattern's one group finds in text."""
+    found = re.search(pattern, text)
+    assert found, f"README's headline numbers lack {pattern!r}"
+    return found.group(1)
+
+
+def _as_printed(value: float, printed: str) -> str:
+    """value in printed's form: its decimals, with thousands commas."""
+    decimals = len(printed.partition(".")[2])
+    return f"{value:,.{decimals}f}"
+
+
+def test_readme_headline_numbers_are_the_programs(demo_run):
+    # every figure of README's "Headline numbers", at its printed
+    # precision, from the golden mission that criterion 4 flies and from
+    # the calls the section names; its "Step size" table is not checked
+    text = README.read_text(encoding="utf-8")
+    section = text.partition("## Headline numbers")[2].partition("\n## ")[0]
+    section = " ".join(section.split())
+    result, _, _ = demo_run
+    summary, world = result.summary, result.world
+    switches = [e for e in result.log.events if e.kind == "switch"]
+    spans = [
+        b.t - a.t
+        for a, b in zip(switches, switches[1:])
+        if (a.detail, b.detail) == ("secondary", "primary")
+    ]
+    shadow = time_to_depletion(
+        world.secondary, world.secondary.capacity_wh, hover_power(1.14, world.main_params.k_p),
+        0.001, 0.05,
+    )
+    design = design_comparison(EnduranceInputs(0.63, 0.2317, 128.5, 164.4), 720.0)
+    figures = {
+        r"flies ([\d,.]+) s:": summary.total_time_s,
+        r"([\d,.]+) s on the primary": summary.time_on_primary_s,
+        r"([\d,.]+) s on secondaries": summary.time_on_secondary_s,
+        r"solo life of ([\d,.]+) s": summary.solo_equivalent_time_s,
+        r"`extension_factor` ([\d.]+)\)": summary.extension_factor,
+        r"calibrated k_p, gives ([\d.]+) s": shadow,
+        r"`optimal_time_s` ([\d,.]+) s": design.optimal_time,
+    }
+    for pattern, value in figures.items():
+        printed = _printed(section, pattern)
+        assert _as_printed(value, printed) == printed, (pattern, value)
+    span = _printed(section, r"nine docks keeps the host on its secondary for ([\d.]+) s")
+    assert [_as_printed(s, span) for s in spans] == [span] * 9

@@ -196,10 +196,17 @@ BAD_INPUTS = {
     "sweep-max_thrust": (
         "", ["sweep", "--param", "vehicles.main.max_thrust", "--range", "5"], "max_thrust"
     ),
-    "run-pos_zeta": ("[control]\npos_zeta = -1\n", ["run"], "position gains"),
+    "run-pos_zeta": ("[control]\npos_zeta = -1\n", ["run"], "pos_zeta"),
     "sweep-pos_zeta": (
-        "", ["sweep", "--param", "control.pos_zeta", "--range=-1"], "position gains"
+        "", ["sweep", "--param", "control.pos_zeta", "--range=-1"], "pos_zeta"
     ),
+    # a zero natural frequency would fly on no position or attitude gain
+    **{
+        f"run-{key}=0": (
+            f"[control]\n{key} = 0\n", ["run"], f"error: line 2: control.{key} must be positive"
+        )
+        for key in ("pos_wn", "att_wn")
+    },
     "run-ff_csv_missing": (
         "[control]\nff_mode = csv\nff_csv_path = no_such_map.csv\n", ["run"], "no_such_map.csv"
     ),

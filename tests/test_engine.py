@@ -1,3 +1,5 @@
+import copy
+import functools
 import importlib
 import importlib.util
 import math
@@ -562,9 +564,9 @@ def test_quiet_steps_drain_the_pack_bit_for_bit(monkeypatch, case, raise_at):
     fast, full = World(sc), World(sc)
     fast._finish_step = counted(fast._finish_step)
     n = round(duration / fast.dt)
-    crossed = set()
-    quiet = 0
-    depleted_at = None  # the quiet steps before the pack emptied, and its step
+    crossed = {}  # step -> the knots a quiet step crossed on it
+    full_steps = []
+    first_quiet = None
     while fast.step_index < n and not fast.termination_reason:
         if fast.step_index == raise_at:
             # an energy set from outside: back to full, above the segment
@@ -573,25 +575,38 @@ def test_quiet_steps_drain_the_pack_bit_for_bit(monkeypatch, case, raise_at):
             assert _draining_soc(fast) < 0.9
             fast.primary_wh = full.primary_wh = fast.primary.capacity_wh
         before = _draining_soc(fast)
+        logged = len(fast.log.events)
         calls[0] = 0
         fast.step()
-        if not calls[0]:
-            quiet += 1
+        if calls[0]:
+            full_steps.append(fast.step_index - 1)
+        elif not fast.termination_reason:
+            # a quiet step logs no event
+            assert len(fast.log.events) == logged
+            if first_quiet is None:
+                first_quiet = fast.step_index - 1
             after = _draining_soc(fast)
-            crossed |= {s0 for s0, *_ in _OCV_SEGMENTS if after <= s0 < before}
-            if after == 0.0:
-                depleted_at = (quiet, fast.step_index - 1)
+            knots = {s0 for s0, *_ in _OCV_SEGMENTS if after <= s0 < before}
+            if knots:
+                crossed[fast.step_index - 1] = knots
         full.main_state = tuple(list(full.main_state))
         full.step()
         assert _pack_bits(fast) == _pack_bits(full), f"step {fast.step_index - 1}"
         assert _events(fast) == _events(full), f"step {fast.step_index - 1}"
     assert fast.step_index == full.step_index
-    assert crossed == {s0 for s0, *_ in _OCV_SEGMENTS}
-    # nearly every step up to the depletion was quiet, the depletion too
-    quiet_before, step = depleted_at
-    assert quiet_before > 0.9 * step
+    # quiet steps cross every knot above empty; the depletion is a full step
+    assert set().union(*crossed.values()) == {s0 for s0, *_ in _OCV_SEGMENTS} - {0.0}
     depleted = fast.log.of_kind("depleted")
-    assert len(depleted) == 1 and depleted[0].t == step * fast.dt
+    assert len(depleted) == 1
+    step = round(depleted[0].t / fast.dt)
+    assert depleted[0].t == step * fast.dt and step in full_steps
+    # nearly every step up to the depletion was quiet: after the first
+    # quiet step, the full steps up to the depletion are the step after
+    # each crossing, the refill and the step after it, and the depletion
+    assert first_quiet < 0.1 * step
+    refill = set() if raise_at is None else {raise_at, raise_at + 1}
+    expected = {s + 1 for s in crossed} | refill | {step}
+    assert {s for s in full_steps if first_quiet < s <= step} == expected
 
 
 def test_row_head_and_tail_formats_split_the_row_format():
@@ -628,6 +643,81 @@ def test_quiet_rows_come_from_a_few_frames_and_are_the_kept_rows(monkeypatch, tm
     w.run(duration)
     assert path.read_text(encoding="utf-8") == dump_telemetry(w.writer.rows)
     assert 1 <= builds[0] <= 5
+
+
+# worlds whose quiet stretches a copy test enters, with kept rows and no
+# file: the golden solo hover and the start-docked churn (dock_churn case
+# 0), each with the step of a quiet stretch to copy it at
+QUIET_COPY_WORLDS = {
+    "solo_hover_60s": (lambda: (bundled_scenario("solo_hover"), 60.0), 30_000),
+    "churn_start_docked_31s": (_churn_start_docked, 5_000),
+}
+COPIES = {"deepcopy": copy.deepcopy, "pickle": lambda w: pickle.loads(pickle.dumps(w))}
+
+
+@functools.cache
+def _straight_quiet_run(name):
+    """The straight run of QUIET_COPY_WORLDS[name]: its formatted rows,
+    its events and its summary totals, and the first step that drains
+    the pack across the 0.9 knot (None if none does)."""
+    sc, duration = QUIET_COPY_WORLDS[name][0]()
+    w = World(sc, keep_rows=True)
+    crossings = []
+
+    def step():
+        before = _draining_soc(w)
+        w.step()
+        if not crossings and _draining_soc(w) <= 0.9 < before:
+            crossings.append(w.step_index - 1)
+
+    w.run(duration, step=step)
+    rows = [format_row(r) for r in w.writer.rows]
+    return rows, w.log.events, w.log.totals, (crossings or [None])[0]
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize(
+    "name,point",
+    [
+        ("solo_hover_60s", "mid"),
+        ("churn_start_docked_31s", "mid"),
+        ("churn_start_docked_31s", "knot"),
+    ],
+)
+def test_world_copied_inside_a_quiet_stretch_resumes_quiet_and_identical(
+    monkeypatch, name, point, how
+):
+    # a copy keeps the host memo's state tuple, which the quiet entry test
+    # matches by identity, and the docked unit's tuple that the row frame
+    # checked: its next step is quiet, and it flies on to the straight
+    # run's rows, events and totals. Copied on the quiet step that crosses
+    # the first knot, it takes the full step after it and re-arms there
+    rows, events, totals, crossing = _straight_quiet_run(name)
+    case, mid = QUIET_COPY_WORLDS[name]
+    at = mid if point == "mid" else crossing
+    sc, duration = case()
+    w = World(sc, keep_rows=True)
+    while w.step_index < at:
+        w.step()
+    assert w._quiet_until > at * w.dt
+    c = COPIES[how](w)
+    calls = [0]
+    solve_bus = flybat.powertrain.solve_bus
+
+    def counted(*args):
+        calls[0] += 1
+        return solve_bus(*args)
+
+    monkeypatch.setattr(flybat.powertrain, "solve_bus", counted)
+    c.step()
+    assert calls[0] == 0
+    if point == "knot":
+        armed = c._quiet
+        c.step()
+        assert calls[0] == 1 and c._quiet_until == math.inf and c._quiet[5:] != armed[5:]
+    c.run(duration)
+    assert [format_row(r) for r in c.writer.rows] == rows
+    assert c.log.events == events and c.log.totals == totals
 
 
 def _nan_unit_state_errors(worlds, full_path, at):
