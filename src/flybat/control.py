@@ -19,12 +19,15 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import atan2, cos, hypot, inf, sin, sqrt
+from math import atan2, hypot, inf, sqrt
 
 from .dynamics import GRAVITY, VehicleParams
-from .geom import Quat, Vec3, q_from_yaw
+from .geom import Quat, Vec3
 
 log = logging.getLogger(__name__)
+
+POS_INT_LIMIT = 2.0  # m*s, clamp on each integrated position error
+YAW_INT_LIMIT = 0.5  # rad*s, clamp on the integrated yaw error
 
 
 class ControlError(ValueError):
@@ -33,25 +36,22 @@ class ControlError(ValueError):
 
 @dataclass(frozen=True)
 class CascadedPidConfig:
-    """Controller gains and limits."""
+    """Controller gains and thrust limit. Each position gain acts alike
+    on all three axes."""
 
-    pos_p: Vec3  # 1/s^2
-    pos_i: Vec3  # 1/s^3
-    pos_d: Vec3  # 1/s
+    pos_p: float  # 1/s^2
+    pos_i: float  # 1/s^3
+    pos_d: float  # 1/s
     att_p: Vec3  # N*m/rad
     att_d: Vec3  # N*m/(rad/s)
     yaw_i: float  # N*m/(rad*s)
-    pos_int_limit: float  # m*s, clamp on integrated position error
-    yaw_int_limit: float  # rad*s
     max_thrust: float  # N
 
     def __post_init__(self):
-        if any(g < 0.0 for g in (*self.pos_p, *self.pos_i, *self.pos_d)):
+        if any(g < 0.0 for g in (self.pos_p, self.pos_i, self.pos_d)):
             raise ControlError("position gains must be non-negative")
         if any(g < 0.0 for g in (*self.att_p, *self.att_d)) or self.yaw_i < 0.0:
             raise ControlError("attitude gains must be non-negative")
-        if self.pos_int_limit <= 0.0 or self.yaw_int_limit <= 0.0:
-            raise ControlError("integrator limits must be positive")
         if self.max_thrust <= 0.0:
             raise ControlError("max_thrust must be positive")
 
@@ -66,14 +66,12 @@ def default_config(
     att_p = tuple(i * att_wn * att_wn for i in params.inertia)
     att_d = tuple(i * 2.0 * att_zeta * att_wn for i in params.inertia)
     return CascadedPidConfig(
-        pos_p=(kp, kp, kp),
-        pos_i=(ki, ki, ki),
-        pos_d=(kd, kd, kd),
+        pos_p=kp,
+        pos_i=ki,
+        pos_d=kd,
         att_p=att_p,
         att_d=att_d,
         yaw_i=params.inertia[2] * 50.0,
-        pos_int_limit=2.0,
-        yaw_int_limit=0.5,
         max_thrust=params.max_thrust,
     )
 
@@ -99,21 +97,22 @@ class CascadedPid:
         """Swap gains and mass (dock/undock transitions); integrators
         carry over since they act in acceleration units."""
         self.mass = mass
-        self.pos_gains = (*cfg.pos_p, *cfg.pos_i, *cfg.pos_d, cfg.pos_int_limit, cfg.max_thrust)
-        self.att_gains = (*cfg.att_p, *cfg.att_d, cfg.yaw_i, cfg.yaw_int_limit)
+        self.pos_gains = (cfg.pos_p, cfg.pos_i, cfg.pos_d, cfg.max_thrust)
+        self.att_gains = (*cfg.att_p, *cfg.att_d, cfg.yaw_i)
 
     def position_flat(
         self, px, py, pz, vx, vy, vz, rx, ry, rz, rvx, rvy, rvz,
-        ffx, ffy, ffz, ff_thrust, yaw, dt,
+        ffx, ffy, ffz, ff_thrust, dt,
     ) -> tuple[float, Quat]:
         """Desired total thrust (N, clamped) and attitude for this step.
 
-        (rx, ry, rz) and yaw are the reference pose and (rvx, rvy, rvz)
-        the reference velocity (zero for a fixed hover point);
-        (ffx, ffy, ffz) is a feedforward acceleration for scripted
-        maneuvers, and ff_thrust the downwash-rejection term added
-        directly to the total thrust."""
-        kpx, kpy, kpz, kix, kiy, kiz, kdx, kdy, kdz, lim, max_thrust = self.pos_gains
+        (rx, ry, rz) is the reference position and (rvx, rvy, rvz) the
+        reference velocity (zero for a fixed hover point); (ffx, ffy,
+        ffz) is a feedforward acceleration for scripted maneuvers, and
+        ff_thrust the downwash-rejection term added directly to the
+        total thrust. The heading is held at 0, along world x."""
+        kp, ki, kd, max_thrust = self.pos_gains
+        lim = POS_INT_LIMIT
         ex, ey, ez = rx - px, ry - py, rz - pz
         ix = self.ix + ex * dt
         iy = self.iy + ey * dt
@@ -121,9 +120,9 @@ class CascadedPid:
         self.ix = ix = lim if ix > lim else (-lim if ix < -lim else ix)
         self.iy = iy = lim if iy > lim else (-lim if iy < -lim else iy)
         self.iz = iz = lim if iz > lim else (-lim if iz < -lim else iz)
-        ax = kpx * ex + kix * ix + kdx * (rvx - vx) + ffx
-        ay = kpy * ey + kiy * iy + kdy * (rvy - vy) + ffy
-        az = kpz * ez + kiz * iz + kdz * (rvz - vz) + ffz
+        ax = kp * ex + ki * ix + kd * (rvx - vx) + ffx
+        ay = kp * ey + ki * iy + kd * (rvy - vy) + ffy
+        az = kp * ez + ki * iz + kd * (rvz - vz) + ffz
         m = self.mass
         fx, fy, fz = m * ax, m * ay, m * (az + GRAVITY)
         n = sqrt(fx * fx + fy * fy + fz * fz)
@@ -132,25 +131,24 @@ class CascadedPid:
             thrust = 0.0
         elif thrust > max_thrust:
             thrust = max_thrust
-        # Attitude whose body z axis points along (fx, fy, fz) at the given
-        # yaw, or pure yaw when that force is near zero, points straight
-        # down or lies along the yaw heading. One 1 kHz call per vehicle,
-        # so the triad, the rotation matrix to quaternion step and the
+        # Attitude whose body z axis points along (fx, fy, fz) at heading
+        # 0, or level when that force is near zero, points straight down
+        # or lies along world x. One 1 kHz call per vehicle, so the
+        # triad, the rotation matrix to quaternion step and the
         # normalisation are written out; tests/test_control.py checks them
-        # bit for bit against the composed helpers.
+        # bit for bit against the composed helpers at heading 0.
         if n < 1.0e-9:
-            return thrust, q_from_yaw(yaw)
+            return thrust, (1.0, 0.0, 0.0, 0.0)
         zx, zy, zz = fx / n, fy / n, fz / n
         if zz < -0.999999:
-            return thrust, q_from_yaw(yaw)
-        # x_c is the yaw heading; y_b = z_b x x_c, then x_b = y_b x z_b
-        cx, cy = cos(yaw), sin(yaw)
-        yx = zy * 0.0 - zz * cy
-        yy = zz * cx - zx * 0.0
-        yz = zx * cy - zy * cx
+            return thrust, (1.0, 0.0, 0.0, 0.0)
+        # x_c = (1, 0, 0) is the heading; y_b = z_b x x_c, x_b = y_b x z_b
+        yx = zy * 0.0 - zz * 0.0
+        yy = zz - zx * 0.0
+        yz = zx * 0.0 - zy
         yn = sqrt(yx * yx + yy * yy + yz * yz)
         if yn == 0.0:
-            return thrust, q_from_yaw(yaw)
+            return thrust, (1.0, 0.0, 0.0, 0.0)
         yx, yy, yz = yx / yn, yy / yn, yz / yn
         xx = yy * zz - yz * zy
         xy = yz * zx - yx * zz
@@ -160,15 +158,11 @@ class CascadedPid:
         if tr > 0.0:
             s = sqrt(tr + 1.0) * 2.0
             w, x, y, z = 0.25 * s, (yz - zy) / s, (zx - xz) / s, (xy - yx) / s
-        elif xx > yy and xx > zz:
+        else:
+            # xx = (zz/yn)*zz + (zy/yn)*zy > 0, and tr <= 0 forces zz < 0,
+            # so yy = zz/yn < 0: xx is the largest diagonal entry
             s = sqrt(1.0 + xx - yy - zz) * 2.0
             w, x, y, z = (yz - zy) / s, 0.25 * s, (yx + xy) / s, (zx + xz) / s
-        elif yy > zz:
-            s = sqrt(1.0 + yy - xx - zz) * 2.0
-            w, x, y, z = (zx - xz) / s, (yx + xy) / s, 0.25 * s, (zy + yz) / s
-        else:
-            s = sqrt(1.0 + zz - xx - yy) * 2.0
-            w, x, y, z = (xy - yx) / s, (zx + xz) / s, (zy + yz) / s, 0.25 * s
         inv = 1.0 / sqrt(w * w + x * x + y * y + z * z)
         return thrust, (w * inv, x * inv, y * inv, z * inv)
 
@@ -193,7 +187,8 @@ class CascadedPid:
         else:
             k = 2.0 * atan2(s, w) / s
             ex, ey, ez = x * k, y * k, z * k
-        kpx, kpy, kpz, kdx, kdy, kdz, kiyaw, lim = self.att_gains
+        kpx, kpy, kpz, kdx, kdy, kdz, kiyaw = self.att_gains
+        lim = YAW_INT_LIMIT
         iyaw = self.iyaw + ez * dt
         self.iyaw = iyaw = lim if iyaw > lim else (-lim if iyaw < -lim else iyaw)
         return (

@@ -538,7 +538,7 @@ class World:
             u.thrust, q_des = pid.position_flat(
                 s[0], s[1], s[2], s[3], s[4], s[5],
                 ref[0], ref[1], ref[2], rvx, rvy, rvz,
-                0.0, 0.0, 0.0, 0.0, 0.0, dt,
+                0.0, 0.0, 0.0, 0.0, dt,
             )
             tqx, tqy, tqz = pid.attitude_flat(
                 s[6], s[7], s[8], s[9], s[10], s[11], s[12], q_des, dt
@@ -708,7 +708,7 @@ class World:
             thrust, q_des = pid.position_flat(
                 ms[0], ms[1], ms[2], ms[3], ms[4], ms[5],
                 hx, hy, hz, svx, 0.0, 0.0,
-                sax, 0.0, 0.0, ff, 0.0, dt,
+                sax, 0.0, 0.0, ff, dt,
             )
             atx, aty, atz = pid.attitude_flat(
                 ms[6], ms[7], ms[8], ms[9], ms[10], ms[11], ms[12], q_des, dt

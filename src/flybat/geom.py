@@ -7,8 +7,6 @@ Quaternions are (w, x, y, z), unit norm, body-to-world.
 
 from __future__ import annotations
 
-from math import cos, sin
-
 Vec3 = tuple[float, float, float]
 Quat = tuple[float, float, float, float]
 
@@ -26,8 +24,3 @@ def q_rotate(q: Quat, v: Vec3) -> Vec3:
         vy + w * ty + qz * tx - qx * tz,
         vz + w * tz + qx * ty - qy * tx,
     )
-
-
-def q_from_yaw(yaw: float) -> Quat:
-    half = 0.5 * yaw
-    return (cos(half), 0.0, 0.0, sin(half))

@@ -464,7 +464,7 @@ def test_criterion_11_feedforward_efficacy():
             for _ in range(dwell_steps):
                 world.step()
             # the thrust offset the vertical position integral sustains
-            offset = world.main_cfg.pos_i[2] * pid.iz * world.main_params.mass
+            offset = world.main_cfg.pos_i * pid.iz * world.main_params.mass
             samples.append(((float(lat), 0.0, float(gap)), offset))
     ff_map = build_ff_map(samples, *sc.control.ff_edges())
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from conftest import FF_EDGES, GAINS, REST_STATE, q_body_z
 from flybat.aero import DownwashModel, downwash_force
 from flybat.control import (
+    POS_INT_LIMIT,
+    YAW_INT_LIMIT,
     CascadedPid,
     ControlError,
     FeedforwardMap,
@@ -23,7 +25,6 @@ from flybat.control import (
     zero_map,
 )
 from flybat.dynamics import GRAVITY, VehicleParams, body_constants, rk4_flat
-from flybat.geom import q_from_yaw
 
 PARAMS = VehicleParams(mass=0.820, max_thrust=27.0, inertia=(0.008, 0.008, 0.014), k_p=164.4)
 CFG = default_config(PARAMS, *GAINS)
@@ -37,10 +38,8 @@ def make_pid():
 
 
 def position(pid, state, dt, ref=(0.0, 0.0, 0.0), ff_thrust=0.0):
-    """Hold a fixed reference point at zero yaw, no feedforward accel."""
-    return pid.position_flat(
-        *state[0:6], *ref, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ff_thrust, 0.0, dt
-    )
+    """Hold a fixed reference point, no feedforward accel."""
+    return pid.position_flat(*state[0:6], *ref, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ff_thrust, dt)
 
 
 def attitude(pid, state, q_des, dt):
@@ -68,7 +67,9 @@ def bits(*xs):
 
 # ---------------------------------------------------------------------------
 # reference control chain: the quaternion helpers that CascadedPid's
-# position_flat and attitude_flat write out, composed as separate functions
+# position_flat and attitude_flat write out, composed as separate functions.
+# The attitude construction takes any heading; position_flat is its
+# heading-0 case, so ReferencePid calls it at yaw 0.0
 # ---------------------------------------------------------------------------
 
 
@@ -91,6 +92,11 @@ def q_multiply(a, b):
 
 def q_conjugate(q):
     return (q[0], -q[1], -q[2], -q[3])
+
+
+def q_from_yaw(yaw):
+    half = 0.5 * yaw
+    return (math.cos(half), 0.0, 0.0, math.sin(half))
 
 
 def q_error_rotvec(q_current, q_desired):
@@ -155,7 +161,8 @@ def attitude_from_thrust_direction(f_des, yaw):
 
 class ReferencePid(CascadedPid):
     """CascadedPid with its control chain composed from the helpers
-    above; path records the attitude construction's last branch."""
+    above, at heading 0; path records the attitude construction's last
+    branch."""
 
     path = None
 
@@ -165,20 +172,20 @@ class ReferencePid(CascadedPid):
 
     def position_flat(
         self, px, py, pz, vx, vy, vz, rx, ry, rz, rvx, rvy, rvz,
-        ffx, ffy, ffz, ff_thrust, yaw, dt,
+        ffx, ffy, ffz, ff_thrust, dt,
     ):
         cfg = self.cfg
         ex, ey, ez = rx - px, ry - py, rz - pz
-        lim = cfg.pos_int_limit
+        lim = POS_INT_LIMIT
         ix = self.ix + ex * dt
         iy = self.iy + ey * dt
         iz = self.iz + ez * dt
         self.ix = ix = lim if ix > lim else (-lim if ix < -lim else ix)
         self.iy = iy = lim if iy > lim else (-lim if iy < -lim else iy)
         self.iz = iz = lim if iz > lim else (-lim if iz < -lim else iz)
-        ax = cfg.pos_p[0] * ex + cfg.pos_i[0] * ix + cfg.pos_d[0] * (rvx - vx) + ffx
-        ay = cfg.pos_p[1] * ey + cfg.pos_i[1] * iy + cfg.pos_d[1] * (rvy - vy) + ffy
-        az = cfg.pos_p[2] * ez + cfg.pos_i[2] * iz + cfg.pos_d[2] * (rvz - vz) + ffz
+        ax = cfg.pos_p * ex + cfg.pos_i * ix + cfg.pos_d * (rvx - vx) + ffx
+        ay = cfg.pos_p * ey + cfg.pos_i * iy + cfg.pos_d * (rvy - vy) + ffy
+        az = cfg.pos_p * ez + cfg.pos_i * iz + cfg.pos_d * (rvz - vz) + ffz
         m = self.mass
         fx, fy, fz = m * ax, m * ay, m * (az + GRAVITY)
         thrust = math.sqrt(fx * fx + fy * fy + fz * fz) + ff_thrust
@@ -186,13 +193,13 @@ class ReferencePid(CascadedPid):
             thrust = 0.0
         elif thrust > cfg.max_thrust:
             thrust = cfg.max_thrust
-        q_des, self.path = attitude_from_thrust_direction((fx, fy, fz), yaw)
+        q_des, self.path = attitude_from_thrust_direction((fx, fy, fz), 0.0)
         return thrust, q_des
 
     def attitude_flat(self, qw, qx, qy, qz, wx, wy, wz, q_des, dt):
         cfg = self.cfg
         ex, ey, ez = q_error_rotvec((qw, qx, qy, qz), q_des)
-        lim = cfg.yaw_int_limit
+        lim = YAW_INT_LIMIT
         iyaw = self.iyaw + ez * dt
         self.iyaw = iyaw = lim if iyaw > lim else (-lim if iyaw < -lim else iyaw)
         return (
@@ -255,7 +262,7 @@ def test_integrators_bounded():
     ref = (50.0, -50.0, 50.0)
     for _ in range(20000):
         position(pid, REST_STATE, 0.001, ref)
-    lim = CFG.pos_int_limit
+    lim = POS_INT_LIMIT
     assert abs(pid.ix) <= lim and abs(pid.iy) <= lim and abs(pid.iz) <= lim
 
 
@@ -346,10 +353,9 @@ def test_yaw_integral_removes_steady_yaw_error():
 
 LEVEL = (1.0, 0.0, 0.0, 0.0)
 
-# (desired force, yaw, attitude path): with unit mass, zero errors and
-# zero integrators, the feedforward acceleration (fx, fy, fz - g) asks
-# position_flat for this force
-FORCE_PATHS = [
+# (desired force, heading, path of the composed attitude construction):
+# only a heading other than 0 reaches the m11 and m22 branches
+ATTITUDE_PATHS = [
     ((0.0, 0.0, 1.0), 0.0, "trace"),
     ((1.0, 0.0, -0.5), 0.0, "m00"),
     ((-0.5, 1.0, -0.5), 3.0, "m11"),
@@ -357,6 +363,16 @@ FORCE_PATHS = [
     ((0.0, 0.0, 0.0), 0.0, "zero_force"),
     ((0.0, 0.0, -1.0), 0.0, "straight_down"),
 ]
+
+# (desired force, attitude path) at heading 0: with unit mass, zero
+# errors and zero integrators, the feedforward acceleration
+# (fx, fy, fz - g) asks position_flat for this force
+FORCE_PATHS = [(force, path) for force, yaw, path in ATTITUDE_PATHS if yaw == 0.0]
+
+# the paths the attitude construction can take at heading 0; a force
+# along world x leaves the triad's y axis at zero length, where the
+# composed reference divides by zero and position_flat holds heading 0
+HEADING_0_PATHS = {"trace", "m00", "zero_force", "straight_down", "along_heading"}
 
 # (current attitude, desired attitude, error path)
 ERROR_PATHS = [
@@ -388,11 +404,46 @@ def run_chain(pid, ints, pos_args, att_args):
     return out, bits(pid.ix, pid.iy, pid.iz, pid.iyaw)
 
 
-@pytest.mark.parametrize("force, yaw, path", FORCE_PATHS)
+@pytest.mark.parametrize("force, yaw, path", ATTITUDE_PATHS)
 def test_force_examples_reach_each_attitude_path(force, yaw, path):
-    pid = ReferencePid(default_config(PARAMS, *GAINS), 1.0)
-    pid.position_flat(*force_args(force), yaw, 0.001)
-    assert pid.path == path
+    assert attitude_from_thrust_direction(force, yaw)[1] == path
+    if yaw == 0.0:
+        pid = ReferencePid(default_config(PARAMS, *GAINS), 1.0)
+        pid.position_flat(*force_args(force), 0.001)
+        assert pid.path == path
+
+
+def _heading_0_path(force):
+    try:
+        return attitude_from_thrust_direction(force, 0.0)[1]
+    except ZeroDivisionError:
+        # only the triad's y axis, of squared length zy^2 + zz^2 at
+        # heading 0, may divide by zero
+        fx, fy, fz = force
+        n = math.sqrt(fx * fx + fy * fy + fz * fz)
+        zy, zz = fy / n, fz / n
+        assert zy * zy + zz * zz == 0.0, force
+        return "along_heading"
+
+
+# any finite float, and floats with full mantissas near the unit sphere
+_force_component = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1.0, 1.0).map(lambda v: v * 1.0123456789012345),
+)
+
+
+@settings(PROPERTY, max_examples=1000)
+@given(force=st.tuples(*[_force_component] * 3))
+@example(force=(1.0, 0.0, -0.5))
+@example(force=(-1.0, 1e-200, -1e-300))
+@example(force=(1e-300, 0.0, 5e-324))
+def test_heading_0_reaches_only_the_trace_or_m00_branch_or_a_fallback(force):
+    # position_flat keeps only these branches: at heading 0 and yn > 0,
+    # x_b's x component xx = (zz/yn)*zz + (zy/yn)*zy is positive, and a
+    # trace at or below zero forces zz < 0 and so y_b's y component
+    # zz/yn < 0: xx is the largest diagonal entry
+    assert _heading_0_path(force) in HEADING_0_PATHS
 
 
 @pytest.mark.parametrize("q, q_des, path", ERROR_PATHS)
@@ -407,10 +458,8 @@ def _floats(bound):
     return st.floats(-1.0, 1.0).map(lambda v: v * (bound * 0.9876543210987654))
 
 
-def _force_example(force, yaw):
-    return example(
-        mass=1.0, ints=(0.0,) * 4, pos=force_args(force), yaw=yaw, dt=0.001, att=REST_STATE[6:13]
-    )
+def _force_example(force):
+    return example(mass=1.0, ints=(0.0,) * 4, pos=force_args(force), dt=0.001, att=REST_STATE[6:13])
 
 
 @settings(PROPERTY, max_examples=200)
@@ -418,30 +467,27 @@ def _force_example(force, yaw):
     mass=st.sampled_from([1.0, PARAMS.mass]),
     ints=st.tuples(*[_floats(3.0)] * 4),
     pos=st.tuples(*[_floats(20.0)] * 16),
-    yaw=_floats(4.0),
     dt=st.sampled_from([0.001, 0.01]),
     att=st.tuples(*[_floats(1.0)] * 4, *[_floats(10.0)] * 3),
 )
-@_force_example(*FORCE_PATHS[0][:2])
-@_force_example(*FORCE_PATHS[1][:2])
-@_force_example(*FORCE_PATHS[2][:2])
-@_force_example(*FORCE_PATHS[3][:2])
-@_force_example(*FORCE_PATHS[4][:2])
-@_force_example(*FORCE_PATHS[5][:2])
-def test_position_and_attitude_match_reference_bit_for_bit(mass, ints, pos, yaw, dt, att):
+@_force_example(FORCE_PATHS[0][0])
+@_force_example(FORCE_PATHS[1][0])
+@_force_example(FORCE_PATHS[2][0])
+@_force_example(FORCE_PATHS[3][0])
+def test_position_and_attitude_match_reference_bit_for_bit(mass, ints, pos, dt, att):
     cfg = default_config(PARAMS, *GAINS)
-    pos_args = (*pos, yaw, dt)
+    pos_args = (*pos, dt)
     fused = run_chain(CascadedPid(cfg, mass), ints, pos_args, att)
     assert fused == run_chain(ReferencePid(cfg, mass), ints, pos_args, att)
 
 
 @pytest.mark.parametrize("fx", [1.0, -1.0])
 def test_force_along_heading_falls_back_to_pure_yaw(fx):
-    # a horizontal force along the yaw heading leaves the triad's y axis
-    # z_b x x_c at zero length: the composed reference divides by zero,
-    # and position_flat holds the heading instead
+    # a horizontal force along the heading, world x, leaves the triad's
+    # y axis z_b x x_c at zero length: the composed reference divides by
+    # zero, and position_flat holds the heading instead
     cfg = default_config(PARAMS, *GAINS)
-    pos_args = (*force_args((fx, 0.0, 0.0)), 0.0, 0.001)
+    pos_args = (*force_args((fx, 0.0, 0.0)), 0.001)
     with pytest.raises(ZeroDivisionError):
         ReferencePid(cfg, 1.0).position_flat(*pos_args)
     assert CascadedPid(cfg, 1.0).position_flat(*pos_args) == (1.0, q_from_yaw(0.0))
@@ -449,12 +495,12 @@ def test_force_along_heading_falls_back_to_pure_yaw(fx):
 
 def test_position_and_attitude_match_reference_on_uniform_draws():
     # hypothesis favours special values and small edits of one example;
-    # uniform draws reach generic roundings in every matrix branch
+    # uniform draws reach generic roundings in both matrix branches
     rnd = random.Random(7)
     cfg = default_config(PARAMS, *GAINS)
     for _ in range(4000):
         ints = tuple(rnd.uniform(-3.0, 3.0) for _ in range(4))
-        pos_args = (*(rnd.uniform(-20.0, 20.0) for _ in range(16)), rnd.uniform(-4.0, 4.0), 0.001)
+        pos_args = (*(rnd.uniform(-20.0, 20.0) for _ in range(16)), 0.001)
         att = (*(rnd.uniform(-1.0, 1.0) for _ in range(4)), *(rnd.uniform(-10.0, 10.0) for _ in range(3)))
         fused = run_chain(CascadedPid(cfg, PARAMS.mass), ints, pos_args, att)
         assert fused == run_chain(ReferencePid(cfg, PARAMS.mass), ints, pos_args, att), pos_args

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 import flybat.engine
 import flybat.powertrain
@@ -999,6 +1000,97 @@ def test_generated_missions_keep_the_mission_predicates(mission):
     check_one_conducting_pack(w.writer.rows)
     check_energy_matches_telemetry(w)
     check_altitude_band(log)
+
+
+def _api_outcome(w):
+    """What a user reads of a world: its events, totals, bus sample, step
+    index and rows, floats by their repr so that every bit counts."""
+    return (
+        w.log.events,
+        repr(w.summary_totals()),
+        repr(w.bus),
+        w.step_index,
+        [format_row(r) for r in w.writer.rows],
+    )
+
+
+class WorldApiMachine(RuleBasedStateMachine):
+    """A generated mission's world, kept rows and no file, stepped by hand,
+    deep-copied and pickled in any order, then run to its end; it ends as
+    one straight run() of the same mission does. run() ends a mission at
+    its duration, so it cannot resume and comes last, in teardown."""
+
+    world = None
+
+    @initialize(mission=generated_missions())
+    def fly_straight(self, mission):
+        sc, self.duration = mission
+        try:
+            straight = World(copy.deepcopy(sc), keep_rows=True)
+            straight.run(self.duration)
+            self.world = World(sc, keep_rows=True)
+        except (ScenarioError, SimNumericsError):
+            reject()
+        self.want = _api_outcome(straight)
+        self.last_step = straight.step_index
+
+    # one step, a row period less three, and spans of about 1, 3 and 9 s
+    @rule(n=st.sampled_from([1, 7, 997, 3000, 9000]))
+    def step(self, n):
+        w = self.world
+        for _ in range(min(n, self.last_step - w.step_index)):
+            w.step()
+
+    @rule()
+    def deep_copy(self):
+        self.world = copy.deepcopy(self.world)
+
+    @rule()
+    def pickle_round_trip(self):
+        self.world = pickle.loads(pickle.dumps(self.world))
+
+    @invariant()
+    def events_so_far_are_the_straight_runs(self):
+        if self.world is not None:
+            events = self.world.log.events
+            assert events == self.want[0][: len(events)]
+
+    def teardown(self):
+        w = self.world
+        if w is None:
+            return
+        log = w.run(self.duration)
+        assert _api_outcome(w) == self.want
+        check_phase_walk(log)
+        check_event_order(log)
+        check_summary_bookkeeping(log)
+        check_primary_conduction(log, w.writer.rows)
+        check_one_conducting_pack(w.writer.rows)
+        check_energy_matches_telemetry(w)
+        check_altitude_band(log)
+
+
+# 8 missions of up to 8 rules each, about 10 s
+TestWorldApiMachine = WorldApiMachine.TestCase
+TestWorldApiMachine.settings = settings(
+    deadline=None, derandomize=True, database=None, max_examples=8, stateful_step_count=8
+)
+
+
+def test_world_api_machine_resumes_the_draws_and_the_row_mark():
+    # two units at p = 0.5 whose seed draws a failed contact at 8.55 s and
+    # a contact at 17.12 s: pickled before the first draw and deep-copied
+    # between the two, the world must resume its contact draws' stream
+    # and its rows' event mark
+    m = WorldApiMachine()
+    m.fly_straight(_generated_mission(2, 0.5, 8, False, 0.02, 0.02, 0.8, False, False, 20))
+    assert [e.kind for e in m.want[0] if e.kind.startswith("contact")] == [
+        "contact_failure", "contact"
+    ]
+    for rule in (lambda: m.step(5000), m.pickle_round_trip, lambda: m.step(7000), m.deep_copy):
+        rule()
+        m.events_so_far_are_the_straight_runs()
+    m.teardown()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_MISSIONS))

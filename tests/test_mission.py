@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import (
+    DRAWS_CFG,
     check_altitude_band,
     check_energy_matches_telemetry,
     check_event_order,
@@ -11,7 +12,7 @@ from conftest import (
 )
 from flybat.engine import World
 from flybat.mission import run_mission, summarize
-from flybat.scenario import bundled_scenario
+from flybat.scenario import bundled_scenario, parse_scenario
 
 
 def run_scaled(**kwargs):
@@ -184,3 +185,38 @@ def test_paper_demo_prefix_converges_in_step_size():
         assert b[k] == pytest.approx(a[k], rel=1e-4)
     for k, wh in a["energy_drawn"].items():
         assert b["energy_drawn"][k] == pytest.approx(wh, rel=1e-4), k
+
+
+def test_fleet_with_contact_draws_converges_in_step_size():
+    # DRAWS_CFG's 32 s fleet mission (5 docks, 2 contact failures) at
+    # 1 ms and at 2 ms (the coarse step, DT)
+    worlds = []
+    for dt in (0.001, 0.002):
+        sc = parse_scenario(DRAWS_CFG)
+        sc.sim.dt = dt
+        world = World(sc)
+        world.run()
+        worlds.append(world)
+    fine, coarse = worlds
+    DT = 0.002
+    # The same 74 events in the same order: each capture draws once, in
+    # capture order, so the same captures draw the same outcomes
+    assert len(fine.log.events) == 74
+    assert [(e.kind, e.uid, e.detail) for e in fine.log.events] == [
+        (e.kind, e.uid, e.detail) for e in coarse.log.events
+    ]
+    # Each sortie is dispatched by the undock before it, and its approach,
+    # descent and free fall end where a threshold is crossed on the step
+    # grid, so each sortie adds at most 2 DT of drift (measured: 1 or 2).
+    # Four sorties follow the start-docked unit's: at most 8 DT (measured:
+    # 7 DT, 14 ms, on the last dock)
+    shifts = [abs(a.t - b.t) for a, b in zip(fine.log.events, coarse.log.events)]
+    assert max(shifts) <= 8 * DT + 1e-9
+    a, b = fine.summary_totals(), coarse.summary_totals()
+    # every docked secondary drains to empty, whatever its span
+    assert b["secondary_energy_wh"] == pytest.approx(a["secondary_energy_wh"], rel=1e-12)
+    # With the secondaries' energy and the mission's 32 s fixed, a moved
+    # event moves hover time between spans of the primary: one DT of host
+    # hover (128.5 W over 2 ms) is 6.5e-5 of its 1.103 Wh, so 8 DT is at
+    # most 5.2e-4 (measured: 2.7e-4)
+    assert b["primary_energy_wh"] == pytest.approx(a["primary_energy_wh"], rel=5.2e-4)

@@ -8,7 +8,9 @@ and `cos` are the C library's own, so their last bit may differ between
 libms. The scan below fails on any math name and on any power whose
 exponent is not an integer literal (or a `pow` call) that is not in its
 allow-list, so a new one is seen and given a reason (see ROADMAP item 5)
-rather than found by a moved digest. Probes check each libm function on
+rather than found by a moved digest. It also pins the functions that
+call each libm function, so a call that moves into another function
+fails by that function's name. Probes check each libm function on
 inputs recorded from the golden runs, so a libm that rounds them another
 way fails by the function's name.
 """
@@ -34,10 +36,18 @@ MATH_ALLOWED = {
     "inf": "exact",
     "nextafter": "exact",
     "hypot": "CPython's own code: depends on the Python version, not the libm",
-    "exp": "from libm (aero.downwash_force); the golden bytes depend on its rounding",
+    "exp": "from libm (aero._envelope); the golden bytes depend on its rounding",
     "atan2": "from libm (control.attitude_flat); the golden bytes depend on its rounding",
-    "sin": "from libm (host oscillation, the yaw heading); the golden bytes depend on its rounding",
-    "cos": "from libm (host oscillation, the yaw heading); the golden bytes depend on its rounding",
+    "sin": "from libm (the host oscillation setpoint); the golden bytes depend on its rounding",
+    "cos": "from libm (the host oscillation setpoint); the golden bytes depend on its rounding",
+}
+
+# the functions that call each libm function, as (module, qualified name)
+LIBM_CALL_SITES = {
+    "exp": {("aero", "_envelope")},
+    "atan2": {("control", "CascadedPid.attitude_flat")},
+    "sin": {("engine", "World.step")},
+    "cos": {("engine", "World.step")},
 }
 
 # float powers with an exponent that is not an integer literal, by
@@ -56,18 +66,33 @@ def _integer_literal(node) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) is int
 
 
-def _libm_uses(module: str) -> tuple[set[str], list[tuple[str, str, str]]]:
-    """The math names module uses, and its powers whose exponent is not
-    an integer literal as (module, enclosing function, source)."""
+def _libm_uses(module: str) -> tuple[set[str], list[tuple[str, str, str]], set[tuple]]:
+    """The math names module uses; its powers whose exponent is not an
+    integer literal as (module, enclosing function, source); and its
+    calls of a math function as (math name, module, qualified name of
+    the enclosing function)."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    names, powers = set(), []
+    imported = {
+        a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "math"
+        for a in node.names
+    }
+    names, powers, calls = set(imported), [], set()
 
-    def visit(node, func):
+    def visit(node, func, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
-        if isinstance(node, ast.ImportFrom) and node.module == "math":
-            names.update(a.name for a in node.names)
-        elif isinstance(node, ast.Import):
+            func = scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.ClassDef):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name) and f.id in imported:
+                calls.add((f.id, module, func))
+            elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                if f.value.id == "math":
+                    calls.add((f.attr, module, func))
+        if isinstance(node, ast.Import):
             # an alias would hide its names from the scan
             aliases = [a.asname for a in node.names if a.name == "math" and a.asname]
             names.update(f"import math as {alias}" for alias in aliases)
@@ -81,16 +106,16 @@ def _libm_uses(module: str) -> tuple[set[str], list[tuple[str, str, str]]]:
             if node.func.id == "pow":
                 powers.append((module, func, ast.unparse(node)))
         for child in ast.iter_child_nodes(node):
-            visit(child, func)
+            visit(child, func, scope)
 
-    visit(tree, None)
-    return names, powers
+    visit(tree, None, None)
+    return names, powers, calls
 
 
 def test_step_loop_calls_only_listed_libm_functions():
     unlisted_names, unlisted_powers = [], []
     for module in STEP_LOOP_MODULES:
-        names, powers = _libm_uses(module)
+        names, powers, _ = _libm_uses(module)
         unlisted_names += [(module, n) for n in sorted(names - MATH_ALLOWED.keys())]
         unlisted_powers += [p for p in powers if p not in POW_ALLOWED]
     assert unlisted_names == [], "math names not in MATH_ALLOWED"
@@ -101,11 +126,23 @@ def test_allow_lists_name_only_what_the_step_loop_uses():
     # an entry whose call is gone must leave its list
     names, powers = set(), []
     for module in STEP_LOOP_MODULES:
-        n, p = _libm_uses(module)
+        n, p, _ = _libm_uses(module)
         names |= n
         powers += p
     assert set(MATH_ALLOWED) <= names
     assert set(POW_ALLOWED) <= set(powers)
+
+
+def test_libm_functions_are_called_only_from_their_pinned_functions():
+    # a trig call that returns to position_flat, for one, fails here by
+    # that function's name
+    libm = {name for name, reason in MATH_ALLOWED.items() if "from libm" in reason}
+    sites = {name: set() for name in libm}
+    for module in STEP_LOOP_MODULES:
+        for name, mod, func in _libm_uses(module)[2]:
+            if name in libm:
+                sites[name].add((mod, func))
+    assert sites == LIBM_CALL_SITES
 
 
 def test_libm_pow_rounds_the_quaternion_norm_as_the_golden_bytes_need():
