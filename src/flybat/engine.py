@@ -47,6 +47,7 @@ from .dynamics import (
     rk4_flat,
 )
 from .geom import q_rotate
+from .powertrain import NO_SOURCE, PRIMARY, SECONDARY, BusSample
 from .telemetry import TelemetryWriter, format_tail
 
 GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
@@ -55,14 +56,9 @@ GROUND_COM = LEG_HEIGHT  # COM height of a grounded unit
 # (bytes tell -0.0 from 0.0)
 _HOST_FIXED_POINT = struct.Struct("17d")
 
-# read on every step; an Enum class attribute read is slow on Python 3.11
-NO_SOURCE = pt.ActiveSource.NONE
-PRIMARY = pt.ActiveSource.PRIMARY
-SECONDARY = pt.ActiveSource.SECONDARY
 # a quiet step builds its bus sample as solve_bus does, without the named
 # tuple's Python __new__
 _new_tuple = tuple.__new__
-BusSample = pt.BusSample
 
 
 class SimNumericsError(RuntimeError):
@@ -218,9 +214,7 @@ class World:
         self.primary_wh = inp.primary.capacity_wh
         drop = scenario.circuit.diode_drop
         self.circuit = pt.SwitchCircuit(diode_drop=drop)
-        self.bus = pt.BusSample(
-            pt.ocv(self.primary, self.primary_wh) - drop, 0.0, 0.0, pt.ActiveSource.PRIMARY
-        )
+        self.bus = BusSample(pt.ocv(self.primary, self.primary_wh) - drop, 0.0, 0.0, PRIMARY)
 
         # aero / feedforward
         self.downwash: DownwashModel = scenario.downwash
@@ -509,31 +503,28 @@ class World:
                 gx, gy, gz, speed = plat[0], plat[1], approach_z, cfg.vertical_speed
             elif ph is DEPART:
                 gx, gy, gz, speed = u.home[0], u.home[1], approach_z, cfg.depart_speed
-            elif ph is LANDING:
-                gx, gy, gz, speed = u.home[0], u.home[1], GROUND_COM, cfg.vertical_speed
             else:
-                gx = None
+                # LANDING, as a grounded unit returned above and a docked
+                # one is not stepped
+                gx, gy, gz, speed = u.home[0], u.home[1], GROUND_COM, cfg.vertical_speed
             ref = u.ref
-            if gx is None:
+            dx = gx - ref[0]
+            dy = gy - ref[1]
+            dz = gz - ref[2]
+            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+            step = speed * dt
+            if dist <= step:
+                ref[0], ref[1], ref[2] = gx, gy, gz
                 rvx = rvy = rvz = 0.0
             else:
-                dx = gx - ref[0]
-                dy = gy - ref[1]
-                dz = gz - ref[2]
-                dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-                step = speed * dt
-                if dist <= step or dist == 0.0:
-                    ref[0], ref[1], ref[2] = gx, gy, gz
-                    rvx = rvy = rvz = 0.0
-                else:
-                    k = step / dist
-                    ref[0] += dx * k
-                    ref[1] += dy * k
-                    ref[2] += dz * k
-                    kv = speed / dist
-                    rvx = dx * kv
-                    rvy = dy * kv
-                    rvz = dz * kv
+                k = step / dist
+                ref[0] += dx * k
+                ref[1] += dy * k
+                ref[2] += dz * k
+                kv = speed / dist
+                rvx = dx * kv
+                rvy = dy * kv
+                rvz = dz * kv
             pid = u.pid
             u.thrust, q_des = pid.position_flat(
                 s[0], s[1], s[2], s[3], s[4], s[5],
@@ -573,7 +564,7 @@ class World:
         # when the state of charge lies in the stretch's OCV segment, the
         # bus is live, the pack keeps some energy and, on a row step, a
         # docked unit still holds the state tuple the frame checked. Any
-        # other step falls through to the full step, which drains and
+        # other step goes on to the full step, which drains and
         # writes the same bits and re-arms the stretch or ends it.
         if t < self._quiet_until and self.main_state is self._host_memo_state:
             docked = self.docked_unit
@@ -583,7 +574,7 @@ class World:
             if s0 < soc <= top:
                 v = (v0 + k * (soc - s0)) * cells
                 bus = v - drop
-                c = load / bus if bus > 0.0 else 0.0
+                c = load / bus
                 # load * c / c is the pack's share of the load; a product
                 # that does not underflow leaves a current and a share > 0,
                 # as the bus is at least 2.8 V

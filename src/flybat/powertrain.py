@@ -82,7 +82,11 @@ class BatteryPack:
 class SwitchCircuit:
     """Relay + diode OR state. The relay coil is powered through the
     secondary input, so the relay can only be open while a secondary
-    source is present."""
+    source is present.
+
+    Every pack's OCV is at least CELL_EMPTY_V per cell, so a live bus, one
+    drop below it, is at least 3.0 - 0.2 = 2.8 V: the bus-side currents
+    divide by it unguarded."""
 
     relay_closed: bool = True
     diode_drop: float = 0.05
@@ -104,14 +108,13 @@ class BusSample(NamedTuple):
     active_source: ActiveSource
 
 
-# solve_bus runs every step: its sources are read from module constants
-# (an Enum class attribute read is slow on Python 3.11), and its samples
-# are built with tuple.__new__, skipping the named tuple's generated
-# Python __new__
-_PRIMARY = ActiveSource.PRIMARY
-_SECONDARY = ActiveSource.SECONDARY
+# solve_bus and the engine's step read the sources from module constants
+# (an Enum class attribute read is slow on Python 3.11), and build samples
+# with tuple.__new__, skipping the named tuple's generated Python __new__
+PRIMARY = ActiveSource.PRIMARY
+SECONDARY = ActiveSource.SECONDARY
 _BOTH = ActiveSource.BOTH
-_NO_SOURCE = ActiveSource.NONE
+NO_SOURCE = ActiveSource.NONE
 _new_tuple = tuple.__new__
 
 
@@ -137,27 +140,12 @@ def total_rotor_power(total_thrust: float, k_thrust_power: float) -> float:
     return 0.5 * k_thrust_power * total_thrust * sqrt(total_thrust)
 
 
-# per-segment (s0, v0, slope, s1) for fast interpolation
-_OCV_SEGMENTS = tuple(
-    (s0, v0, (v1 - v0) / (s1 - s0), s1)
-    for (s0, v0), (s1, v1) in zip(OCV_KNOTS, OCV_KNOTS[1:])
-)
-# the segments as module constants for ocv_per_cell's unrolled chain;
-# each segment starts at the knot the one before it ends at
-(
-    (_OCV_S0, _OCV_V0, _OCV_K0, _OCV_S1),
-    (_OCV_S1, _OCV_V1, _OCV_K1, _OCV_S2),
-    (_OCV_S2, _OCV_V2, _OCV_K2, _OCV_S3),
-    (_OCV_S3, _OCV_V3, _OCV_K3, _OCV_S4),
-) = _OCV_SEGMENTS
-
-
-# each segment as (s0, v0, slope, top): ocv_per_cell evaluates it at
-# s0 < soc <= top, where top is its upper knot, or on the last segment
-# the float below 1.0 (the curve reads CELL_FULL_V at 1.0)
+# each segment of OCV_KNOTS as (s0, v0, slope, top): ocv_per_cell
+# evaluates it at s0 < soc <= top, where top is its upper knot, or on the
+# last segment the float below 1.0 (the curve reads CELL_FULL_V at 1.0)
 _OCV_SPANS = tuple(
-    (s0, v0, slope, s1 if s1 < 1.0 else nextafter(1.0, 0.0))
-    for s0, v0, slope, s1 in _OCV_SEGMENTS
+    (s0, v0, (v1 - v0) / (s1 - s0), s1 if s1 < 1.0 else nextafter(1.0, 0.0))
+    for (s0, v0), (s1, v1) in zip(OCV_KNOTS, OCV_KNOTS[1:])
 )
 
 
@@ -180,22 +168,13 @@ def ocv(pack: BatteryPack, energy_wh: float) -> float:
 
 def ocv_per_cell(soc: float) -> float:
     """OCV_KNOTS interpolated, clamped outside [0, 1]; NaN reads as full.
-    A hot path (solve_bus calls it every step), hence unrolled. The drain
-    loop of the shadow flights evaluates the same chain one segment at a
-    time and calls it only at full, at empty and on NaN."""
-    if soc <= 0.0:
-        return CELL_EMPTY_V
-    if soc >= 1.0:
-        return CELL_FULL_V
-    if soc <= _OCV_S1:
-        return _OCV_V0 + _OCV_K0 * (soc - _OCV_S0)
-    if soc <= _OCV_S2:
-        return _OCV_V1 + _OCV_K1 * (soc - _OCV_S1)
-    if soc <= _OCV_S3:
-        return _OCV_V2 + _OCV_K2 * (soc - _OCV_S2)
-    if soc <= _OCV_S4:
-        return _OCV_V3 + _OCV_K3 * (soc - _OCV_S3)
-    return CELL_FULL_V
+    Inside the curve it is v0 + slope * (soc - s0) on the first segment of
+    _OCV_SPANS whose top is at least soc, which is at least v0."""
+    if 0.0 < soc < 1.0:
+        for s0, v0, slope, top in _OCV_SPANS:
+            if soc <= top:
+                return v0 + slope * (soc - s0)
+    return CELL_EMPTY_V if soc <= 0.0 else CELL_FULL_V
 
 
 def discharge(
@@ -213,8 +192,7 @@ def discharge(
     if load_power == 0.0:
         return energy_wh
     if current is None:
-        v = ocv(pack, energy_wh)
-        current = load_power / v if v > 0.0 else 0.0
+        current = load_power / ocv(pack, energy_wh)
     loss = current * current * pack.internal_resistance
     energy = energy_wh - (load_power + loss) * dt / 3600.0
     return energy if energy > 0.0 else 0.0
@@ -255,14 +233,14 @@ def solve_bus(
         # the diode drop rounds away.
         v = v_s if v_p is None else v_p
         if v is None:
-            return _new_tuple(BusSample, (0.0, 0.0, 0.0, _NO_SOURCE))
+            return _new_tuple(BusSample, (0.0, 0.0, 0.0, NO_SOURCE))
         bus = v - circuit.diode_drop
         if not v - bus > 0.0:
-            return _new_tuple(BusSample, (bus, 0.0, 0.0, _SECONDARY))
-        c = load_power / bus if bus > 0.0 else 0.0
+            return _new_tuple(BusSample, (bus, 0.0, 0.0, SECONDARY))
+        c = load_power / bus
         if v_p is None:
-            return _new_tuple(BusSample, (bus, c * 0.0, c, _SECONDARY))
-        return _new_tuple(BusSample, (bus, c, c * 0.0, _PRIMARY))
+            return _new_tuple(BusSample, (bus, c * 0.0, c, SECONDARY))
+        return _new_tuple(BusSample, (bus, c, c * 0.0, PRIMARY))
 
     bus = (v_s if v_s > v_p else v_p) - circuit.diode_drop
     # d if d > 0.0 else 0.0 is max(0.0, d), nan and -0.0 included
@@ -284,7 +262,7 @@ def solve_bus(
                 "simultaneous conduction outside the parallel-safe voltage window"
             )
 
-    total_current = load_power / bus if bus > 0.0 else 0.0
+    total_current = load_power / bus
     share = surplus_p + surplus_s
     i_p = total_current * (surplus_p / share) if share > 0.0 else 0.0
     i_s = total_current * (surplus_s / share) if share > 0.0 else 0.0
@@ -292,9 +270,9 @@ def solve_bus(
     if surplus_p > 0.0 and surplus_s > 0.0:
         source = _BOTH
     elif surplus_p > 0.0:
-        source = _PRIMARY
+        source = PRIMARY
     else:
-        source = _SECONDARY
+        source = SECONDARY
     return _new_tuple(BusSample, (bus, i_p, i_s, source))
 
 
@@ -326,32 +304,31 @@ def _drain(
     stop_when_empty: bool,
 ) -> tuple[float, int]:
     """(energy, steps run) after up to `steps` shadow steps from a pack
-    holding `energy` under a constant-power load. Each step does the float
-    operations of `ocv` and `discharge(pack, energy, load_power, dt,
-    current=...)` in the same order, with the bus-side current. With
-    stop_when_empty, no step starts from an energy that is not positive.
+    holding `energy` under a constant-power load >= 0 over a dt > 0 (its
+    callers check both). Each step does the float operations of `ocv` and
+    `discharge(pack, energy, load_power, dt, current=...)` in the same
+    order, with the bus-side current. With stop_when_empty, no step starts
+    from an energy that is not positive.
 
-    Under a load >= 0 and dt > 0 the energy never rises, so a stretch
-    strictly inside the OCV curve evaluates `ocv_per_cell`'s chain one
-    segment at a time and tests only the segment's lower knot. A state at
-    or above full, at or below empty, or NaN, and any other load or dt,
-    takes one step through `ocv_per_cell` and is looked at again."""
+    The energy never rises, so a stretch strictly inside the OCV curve
+    evaluates `ocv_per_cell` one segment at a time and tests only the
+    segment's lower knot. A state at or above full, at or below empty, or
+    NaN takes one step through `ocv_per_cell` and is looked at again."""
     cap, r = pack.capacity_wh, pack.internal_resistance
     # the int converts exactly, as float * int converts it, and a float
     # product is faster
     cells = float(pack.cell_count)
-    falls = load_power >= 0.0 and dt > 0.0
     left = steps
     while left > 0:
         soc = energy / cap
-        if falls and 0.0 < soc < 1.0:
+        if 0.0 < soc < 1.0:
             s0, v0, slope, _ = ocv_segment(soc)
             # steps while soc > s0, which holds on entry; Python 3.11
             # specializes a `while True` loop on the first call, but one
             # with its test on the `while` line only from the eighth
             while True:
                 bus = (v0 + slope * (soc - s0)) * cells - diode_drop
-                current = load_power / bus if bus > 0.0 else 0.0
+                current = load_power / bus
                 energy = energy - (load_power + current * current * r) * dt / 3600.0
                 soc = energy / cap
                 left -= 1
@@ -363,10 +340,21 @@ def _drain(
             if stop_when_empty and not energy > 0.0:
                 break
             bus = ocv_per_cell(soc) * cells - diode_drop
-            current = load_power / bus if bus > 0.0 else 0.0
+            current = load_power / bus
             energy = energy - (load_power + current * current * r) * dt / 3600.0
             left -= 1
     return energy, steps - left
+
+
+def _check_flight(load_power: float, dt: float, diode_drop: float) -> None:
+    """Raise PowertrainError unless dt is finite and positive, load_power
+    is not NaN and diode_drop is in (0, 0.2] V: the drain loop's inputs."""
+    if not (isfinite(dt) and dt > 0.0):
+        raise PowertrainError(f"dt must be finite and positive, got {dt}")
+    if load_power != load_power:
+        raise PowertrainError(f"load_power must not be NaN, got {load_power}")
+    if not 0.0 < diode_drop <= 0.2:
+        raise PowertrainError(f"diode_drop {diode_drop} outside (0, 0.2] V")
 
 
 def time_to_depletion(
@@ -383,14 +371,9 @@ def time_to_depletion(
     summary's solo-equivalent time runs it once. A non-finite dt or
     energy, dt <= 0, energy < 0, a NaN load or a diode drop outside
     (0, 0.2] V raises PowertrainError."""
-    if not (isfinite(dt) and dt > 0.0):
-        raise PowertrainError(f"dt must be finite and positive, got {dt}")
+    _check_flight(load_power, dt, diode_drop)
     if not (isfinite(energy_wh) and energy_wh >= 0.0):
         raise PowertrainError(f"energy_wh must be finite and non-negative, got {energy_wh}")
-    if load_power != load_power:
-        raise PowertrainError(f"load_power must not be NaN, got {load_power}")
-    if not 0.0 < diode_drop <= 0.2:
-        raise PowertrainError(f"diode_drop {diode_drop} outside (0, 0.2] V")
     if load_power <= 0.0:
         return float("inf")
     energy = energy_wh
@@ -399,8 +382,9 @@ def time_to_depletion(
         energy, ran = _drain(pack, energy, load_power, _DEPLETION_CHUNK, dt, diode_drop, True)
         for _ in range(ran):
             t += dt
-            if t > 1.0e7:
-                raise PowertrainError("pack does not deplete")
+        # t only grows, so it passed 1e7 s in the chunk if it ends past it
+        if t > 1.0e7:
+            raise PowertrainError("pack does not deplete")
     return t
 
 
@@ -414,8 +398,13 @@ def shadow_energy(
 ) -> float:
     """Energy left after `steps` steps of time_to_depletion's drain loop,
     with no stop: it goes on falling below zero once the pack is empty,
-    so while the bus stays positive it is a continuous function of the
-    load. One call is one shadow flight of solve_kp_for_endurance."""
+    so it is a continuous function of the load. One call is one shadow
+    flight of solve_kp_for_endurance. A non-finite dt, dt <= 0, a NaN or
+    negative load or a diode drop outside (0, 0.2] V raises
+    PowertrainError."""
+    _check_flight(load_power, dt, diode_drop)
+    if load_power < 0.0:
+        raise PowertrainError(f"load_power must be non-negative, got {load_power}")
     return _drain(pack, energy_wh, load_power, steps, dt, diode_drop, False)[0]
 
 
@@ -460,12 +449,12 @@ def _kp_start(
 
     # each node as (bus voltage, its slope over energy, weight in Wh)
     nodes = []
-    for s0, v0, slope, s1 in _OCV_SEGMENTS:
+    for (s0, v0, slope, _), (s1, _) in zip(_OCV_SPANS, OCV_KNOTS[1:]):
         half = 0.5 * (s1 - s0)
         for x, w in _GAUSS_LEGENDRE_4:
             bus = (v0 + slope * half * (1.0 + x)) * cells - diode_drop
             nodes.append((bus, slope * cells / cap, w * half * cap))
-    _, v0, slope0, _ = _OCV_SEGMENTS[0]
+    _, v0, slope0, _ = _OCV_SPANS[0]
     empty = (v0 * cells - diode_drop, slope0 * cells / cap)
 
     power = cap / (steps * c)  # the lossless hover power
@@ -482,7 +471,7 @@ def _kp_start(
         if not k_power < 0.0:
             return None
         # Newton on 1 / k, which is near linear in power: from the
-        # lossless power it falls to the root without passing it
+        # lossless power it descends to the root without passing it
         step = (k - steps) * k / (steps * k_power)
         power -= step
         if not (isfinite(power) and power > 0.0):
@@ -520,7 +509,7 @@ def solve_kp_for_endurance(
     - Sign test. Let n be the first count of dt additions whose float sum
       exceeds target_time. time_to_depletion(k_p) > target_time exactly
       when the shadow energy is still positive after n - 1 steps, since
-      t only grows and the energy only falls.
+      t only grows and the energy never rises.
     - Monotone in k_p. Every float operation of a step rounds
       monotonically and the bus stays above 2.8 V, so the energy after
       n - 1 steps never rises as k_p grows: an outcome at one k_p decides

@@ -676,7 +676,7 @@ def test_draw_key_sweep_matches_one_mission_per_point(
 
 # a 0.02 m approach gap, the drop height too: the first unit centers
 # under the host with its legs 0.022 m below the platform surface, inside
-# the gap's 0.05 m tolerance, so it enters DESCEND, then falls and draws
+# the gap's 0.05 m tolerance, so it enters DESCEND, then drops and draws
 # on the next step, the first and only step of its draw window
 WINDOW_OPENS_ON_DRAW = """
 [docking]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 import flybat.engine
 import flybat.powertrain
@@ -31,10 +31,11 @@ from conftest import (
     run_optimized,
     scaled_mission_scenario,
 )
+from flybat.cli import CHECKPOINT_STEPS
 from flybat.docking import DESCEND, DOCKED, FREE_FALL, GROUNDED, Pcg64
 from flybat.dynamics import GRAVITY, contact_load, docked_mass_share
 from flybat.engine import LEG_HEIGHT, SimNumericsError, World
-from flybat.powertrain import _OCV_SEGMENTS, PowertrainError, hover_power
+from flybat.powertrain import _OCV_SPANS, PowertrainError, hover_power
 from flybat.scenario import (
     ScenarioError,
     bundled_scenario,
@@ -259,7 +260,7 @@ def test_platform_acceleration_warning_during_free_fall():
     u = w.units[0]
     plat_z = sc.mission.hover_z + PLATFORM_HEIGHT
     # displace the host so its controller demands > 2 m/s^2; the unit
-    # falls centered above the displaced platform
+    # drops centered above the displaced platform
     w.main_state = (2.0, 0.0, sc.mission.hover_z) + w.main_state[3:]
     u.state = (2.0, 0.0, plat_z + 0.03 + LEG_HEIGHT, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
     u.phase = DockPhase.FREE_FALL
@@ -297,7 +298,7 @@ def test_phase_events_walk_the_fsm_graph(start_docked):
 
 
 def test_unit_whose_own_pack_empties_in_the_air_crashes_and_is_replaced():
-    # unit 0's own pack empties at 6.773 s on its approach: it falls,
+    # unit 0's own pack empties at 6.773 s on its approach: it drops,
     # rests where it hit the ground, and unit 1 is sent in its place
     sc = default_scenario()
     sc.batteries.fb.capacity_ah = 0.01
@@ -587,7 +588,7 @@ def test_quiet_steps_drain_the_pack_bit_for_bit(monkeypatch, case, raise_at):
             if first_quiet is None:
                 first_quiet = fast.step_index - 1
             after = _draining_soc(fast)
-            knots = {s0 for s0, *_ in _OCV_SEGMENTS if after <= s0 < before}
+            knots = {s0 for s0, *_ in _OCV_SPANS if after <= s0 < before}
             if knots:
                 crossed[fast.step_index - 1] = knots
         full.main_state = tuple(list(full.main_state))
@@ -596,7 +597,7 @@ def test_quiet_steps_drain_the_pack_bit_for_bit(monkeypatch, case, raise_at):
         assert _events(fast) == _events(full), f"step {fast.step_index - 1}"
     assert fast.step_index == full.step_index
     # quiet steps cross every knot above empty; the depletion is a full step
-    assert set().union(*crossed.values()) == {s0 for s0, *_ in _OCV_SEGMENTS} - {0.0}
+    assert set().union(*crossed.values()) == {s0 for s0, *_ in _OCV_SPANS} - {0.0}
     depleted = fast.log.of_kind("depleted")
     assert len(depleted) == 1
     step = round(depleted[0].t / fast.dt)
@@ -928,7 +929,7 @@ PINNED_MISSIONS = {
     # unit 0's contact fails at 8.6 s; it is shed and unit 1 sent at 9.6 s
     "failed_contact_redispatch": (2, 1.0, 0, False, 0.02, 0.02, 0.8, False, False, 10),
     # unit 0's 0.01 Ah own pack empties on the approach at 6.8 s; it
-    # falls and crashes at 7.4 s, and unit 1 is sent in its place
+    # drops and crashes at 7.4 s, and unit 1 is sent in its place
     "crash": (2, 0.0, 0, False, 0.5, 0.12, 0.01, False, False, 10),
     # unit 0 starts docked on a held electrical contact: a docked quiet
     # stretch until its 0.02 Ah secondary empties at 3.9 s
@@ -972,7 +973,7 @@ def test_generated_missions_keep_the_mission_predicates(mission):
     # keeps its books, draws the primary only while no live contact
     # carries the load, draws one pack at a time, draws the energy its
     # telemetry shows and holds its altitude band; while it runs, its
-    # unit lists hold, and no unit stays below the ground: one that falls
+    # unit lists hold, and no unit stays below the ground: one that sinks
     # through it on a step rests on it from the next (a landing or a crash)
     sc, duration = mission
     try:
@@ -1015,12 +1016,16 @@ def _api_outcome(w):
 
 
 class WorldApiMachine(RuleBasedStateMachine):
-    """A generated mission's world, kept rows and no file, stepped by hand,
-    deep-copied and pickled in any order, then run to its end; it ends as
-    one straight run() of the same mission does. run() ends a mission at
-    its duration, so it cannot resume and comes last, in teardown."""
+    """A generated mission's world, kept rows and no file, stepped by hand
+    or through the sweep driver's hook, deep-copied, pickled and resumed
+    from the hook's last checkpoint in any order, then run to its end; it
+    ends as one straight run() of the same mission does. run() ends a
+    mission at its duration, so it cannot resume and comes last, in
+    teardown."""
 
     world = None
+    checkpoint = None
+    due = 0  # the step index from which a draw window takes its next checkpoint
 
     @initialize(mission=generated_missions())
     def fly_straight(self, mission):
@@ -1040,6 +1045,28 @@ class WorldApiMachine(RuleBasedStateMachine):
         w = self.world
         for _ in range(min(n, self.last_step - w.step_index)):
             w.step()
+
+    # cli._fly's hook: a checkpoint copy at the start of each draw window
+    # (a unit in DESCEND or FREE_FALL) and every CHECKPOINT_STEPS steps
+    # inside it, then the step
+    @rule(n=st.sampled_from([997, 3000, 9000]))
+    def step_through_fly_hook(self, n):
+        w = self.world
+        for _ in range(min(n, self.last_step - w.step_index)):
+            if any(u.phase is DESCEND or u.phase is FREE_FALL for u in w.active_units):
+                if w.step_index >= self.due:
+                    self.checkpoint = copy.deepcopy(w)
+                    self.due = w.step_index + CHECKPOINT_STEPS
+            else:
+                self.due = 0
+            w.step()
+
+    # a sweep split goes on from a copy of the last checkpoint
+    @precondition(lambda self: self.checkpoint is not None)
+    @rule()
+    def resume_from_checkpoint(self):
+        self.world = copy.deepcopy(self.checkpoint)
+        self.due = 0
 
     @rule()
     def deep_copy(self):
@@ -1070,10 +1097,10 @@ class WorldApiMachine(RuleBasedStateMachine):
         check_altitude_band(log)
 
 
-# 8 missions of up to 8 rules each, about 10 s
+# 12 missions of up to 10 rules each
 TestWorldApiMachine = WorldApiMachine.TestCase
 TestWorldApiMachine.settings = settings(
-    deadline=None, derandomize=True, database=None, max_examples=8, stateful_step_count=8
+    deadline=None, derandomize=True, database=None, max_examples=12, stateful_step_count=10
 )
 
 
@@ -1088,6 +1115,59 @@ def test_world_api_machine_resumes_the_draws_and_the_row_mark():
         "contact_failure", "contact"
     ]
     for rule in (lambda: m.step(5000), m.pickle_round_trip, lambda: m.step(7000), m.deep_copy):
+        rule()
+        m.events_so_far_are_the_straight_runs()
+    m.teardown()
+
+
+_FINISH_PICKLED_WORLD = """
+import pickle, sys
+from flybat.telemetry import format_row
+
+with open(sys.argv[1], "rb") as f:
+    w = pickle.load(f)
+w.run(float(sys.argv[2]))
+outcome = (
+    w.log.events, repr(w.summary_totals()), repr(w.bus), w.step_index,
+    [format_row(r) for r in w.writer.rows],
+)
+with open(sys.argv[1], "wb") as f:
+    pickle.dump(outcome, f)
+"""
+
+
+def test_world_pickled_mid_mission_finishes_in_a_fresh_process(tmp_path):
+    # a sweep point handed to another process: pickled at 5 s, before its
+    # contact draw fails at 8.6 s, and finished by a fresh interpreter, the
+    # world ends with the straight run's events, totals, bus and rows
+    sc, duration = _generated_mission(*PINNED_MISSIONS["failed_contact_redispatch"])
+    straight = World(copy.deepcopy(sc), keep_rows=True)
+    straight.run(duration)
+    w = World(sc, keep_rows=True)
+    for _ in range(5000):
+        w.step()
+    path = tmp_path / "world.pickle"
+    path.write_bytes(pickle.dumps(w))
+    run_optimized(_FINISH_PICKLED_WORLD, str(path), repr(duration))
+    assert pickle.loads(path.read_bytes()) == _api_outcome(straight)
+    failed = straight.log.of_kind("contact_failure")
+    assert failed and failed[0].t > w.step_index * w.dt
+
+
+def test_world_api_machine_resumes_from_a_fly_hook_checkpoint():
+    # the two-unit p = 0.5 mission above, stepped through the sweep
+    # driver's hook past its failed contact at 8.55 s, then resumed from
+    # the last checkpoint, taken in the draw window before it, as a sweep
+    # split is; the generated sequences seldom reach a draw window
+    m = WorldApiMachine()
+    m.fly_straight(_generated_mission(2, 0.5, 8, False, 0.02, 0.02, 0.8, False, False, 20))
+    m.step_through_fly_hook(9000)
+    assert m.checkpoint is not None
+    failed = m.world.log.of_kind("contact_failure")
+    assert failed and m.checkpoint.step_index * m.world.dt < failed[0].t
+    for rule in (
+        m.resume_from_checkpoint, lambda: m.step_through_fly_hook(9000), m.pickle_round_trip
+    ):
         rule()
         m.events_so_far_are_the_straight_runs()
     m.teardown()

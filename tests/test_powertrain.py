@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import flybat.powertrain
 from conftest import finish, full_scale_main_kp, run_optimized, start_optimized
 from flybat.powertrain import (
-    _OCV_SEGMENTS,
     CELL_EMPTY_V,
     CELL_FULL_V,
     OCV_KNOTS,
@@ -158,14 +157,14 @@ def test_ocv_monotone_in_soc():
 
 
 def _ocv_per_cell_loop(soc):
-    """ocv_per_cell as the loop over the segments it unrolls."""
+    """ocv_per_cell as the interpolation of OCV_KNOTS, a pair at a time."""
     if soc <= 0.0:
         return CELL_EMPTY_V
     if soc >= 1.0:
         return CELL_FULL_V
-    for s0, v0, slope, s1 in _OCV_SEGMENTS:
+    for (s0, v0), (s1, v1) in zip(OCV_KNOTS, OCV_KNOTS[1:]):
         if soc <= s1:
-            return v0 + slope * (soc - s0)
+            return v0 + (v1 - v0) / (s1 - s0) * (soc - s0)
     return CELL_FULL_V
 
 
@@ -194,7 +193,8 @@ def test_ocv_segment_is_the_segment_ocv_per_cell_evaluates(rng):
             continue
         s0, v0, slope, top = span
         assert s0 < soc <= top < 1.0, soc
-        assert (s0, v0, slope) == _OCV_SEGMENTS[OCV_KNOTS.index((s0, v0))][:3]
+        s1, v1 = OCV_KNOTS[OCV_KNOTS.index((s0, v0)) + 1]
+        assert slope == (v1 - v0) / (s1 - s0)
         v = v0 + slope * (soc - s0)
         assert struct.pack("<d", v) == struct.pack("<d", ocv_per_cell(soc)), soc
 
@@ -294,8 +294,7 @@ def reference_solve_kp(pack, vehicle_mass, target_time, dt, diode_drop):
     soc=st.floats(0.0, 1.0),
     r=st.floats(0.0, 0.5),
     dt=st.floats(0.01, 1.0),
-    # time_to_depletion takes only a valid drop; the drain loop's collapsed
-    # bus past ~3 V per cell is test_shadow_energy_bit_identical_to_per_step_loop's
+    # time_to_depletion takes only a valid drop
     diode_drop=st.floats(0.0, 0.2, exclude_min=True),
     lossless_steps=st.integers(1, 3000),
 )
@@ -449,14 +448,14 @@ def shadow_flights(draw):
         )
     )
     steps = draw(st.integers(0, 3000))
-    dt = draw(st.one_of(st.floats(0.01, 1.0), st.just(-0.1)))
+    dt = draw(st.floats(0.01, 1.0))
     # a load that would empty the full pack in about lossless_steps steps;
     # fewer than `steps` drives the energy below zero
     lossless_steps = draw(st.integers(1, 6000))
-    lossless = pack.capacity_wh * 3600.0 / (lossless_steps * abs(dt))
-    load = draw(st.sampled_from((lossless, 0.0, -lossless, math.nan)))
-    # past ~3 V per cell the bus collapses and the current is taken as 0
-    diode_drop = draw(st.one_of(st.floats(0.0, 0.2), st.floats(3.0, 50.0)))
+    lossless = pack.capacity_wh * 3600.0 / (lossless_steps * dt)
+    load = draw(st.sampled_from((lossless, 0.0)))
+    # shadow_energy takes only a valid drop (see test_shadow_energy_rejects_bad_inputs)
+    diode_drop = draw(st.floats(0.0, 0.2, exclude_min=True))
     return pack, energy_at_soc(pack, soc), load, steps, dt, diode_drop
 
 
@@ -466,6 +465,82 @@ def shadow_flights(draw):
 def test_shadow_energy_bit_identical_to_per_step_loop(flight):
     expected = reference_shadow_energy(*flight)
     assert shadow_energy(*flight).hex() == expected.hex()
+
+
+# the flights test_shadow_energy_bit_identical_to_per_step_loop drew before
+# shadow_energy checked its inputs: a dt that is not positive, a load that
+# is negative or NaN, a drop outside (0, 0.2] V
+@pytest.mark.parametrize(
+    "load_share, dt, diode_drop",
+    [
+        (1.0, -0.1, 0.05),
+        (1.0, 0.0, 0.05),
+        (1.0, math.nan, 0.05),
+        (-1.0, 0.1, 0.05),
+        (math.nan, 0.1, 0.05),
+        (1.0, 0.1, 0.0),
+        (1.0, 0.1, 3.0),
+        (1.0, 0.1, 50.0),
+    ],
+)
+def test_shadow_energy_rejects_bad_inputs(load_share, dt, diode_drop):
+    # with time_to_depletion's message, or, for a negative load, which
+    # time_to_depletion reads as a pack that never empties, discharge's
+    pack = pack_3s_15(r=0.025)
+    full = pack.capacity_wh
+    load = load_share * full * 3600.0 / (1000 * 0.1)
+    with pytest.raises(PowertrainError) as expected:
+        if load < 0.0:
+            discharge(pack, full, load, dt)
+        else:
+            time_to_depletion(pack, full, load, dt, diode_drop)
+    with pytest.raises(PowertrainError, match=re.escape(str(expected.value))):
+        shadow_energy(pack, full, load, 1000, dt, diode_drop)
+
+
+@st.composite
+def admitted_buses(draw):
+    """(circuit, primary, primary_wh, secondary, secondary_wh, load) of
+    a circuit SwitchCircuit admits, at any energies."""
+    relay_closed = draw(st.booleans())
+    circuit = SwitchCircuit(
+        relay_closed=relay_closed,
+        diode_drop=draw(st.floats(0.0, 0.2, exclude_min=True)),
+        secondary_present=not relay_closed or draw(st.booleans()),
+    )
+    packs = []
+    for _ in range(2):
+        pack = BatteryPack(
+            draw(st.integers(1, 12)),
+            draw(st.floats(0.01, 10.0)),
+            internal_resistance=draw(st.floats(0.0, 0.5)),
+        )
+        energy = draw(
+            st.one_of(
+                st.floats(0.0, 1.0).map(lambda soc: soc * pack.capacity_wh),
+                st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 2.0 * pack.capacity_wh]),
+            )
+        )
+        packs.append((pack, energy))
+    (primary, primary_wh), (secondary, secondary_wh) = packs
+    load = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0e4)))
+    return circuit, primary, primary_wh, secondary, secondary_wh, load
+
+
+@settings(PROPERTY, max_examples=400)
+@given(admitted_buses())
+def test_admitted_circuit_keeps_the_bus_at_or_above_2_8_volts(case):
+    # every OCV is at least 3.0 V per cell and an admitted drop at most
+    # 0.2 V, so the divisions by a live bus or an OCV need no guard
+    circuit, primary, primary_wh, secondary, secondary_wh, load = case
+    s = solve_bus(circuit, primary, primary_wh, secondary, secondary_wh, load)
+    if s.active_source is not ActiveSource.NONE:
+        assert s.bus_voltage >= 2.8
+        for current in (s.current_primary, s.current_secondary):
+            assert math.isfinite(current) and current >= 0.0
+    for pack, energy in ((primary, primary_wh), (secondary, secondary_wh)):
+        left = discharge(pack, energy, load, 0.1)
+        assert math.isfinite(left) or not math.isfinite(energy)
 
 
 @st.composite

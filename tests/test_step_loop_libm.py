@@ -1,5 +1,7 @@
 """The float functions the 1 kHz step loop calls whose rounding is not
-fixed by IEEE 754, listed with the reason each is there.
+fixed by IEEE 754, listed with the reason each is there, and those of
+scenario.build_world_inputs, whose fleet home angles reach the golden
+bytes through cos and sin.
 
 The golden telemetry bytes hold only where every float operation of the
 step rounds the same way on every machine. +, -, *, / and sqrt are
@@ -24,9 +26,11 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "flybat"
 
-# the modules whose code runs inside World.step
+# the modules whose code runs inside World.step, and scenario, which
+# builds the world's inputs
 STEP_LOOP_MODULES = (
     "engine", "dynamics", "control", "aero", "powertrain", "docking", "geom", "telemetry",
+    "scenario",
 )
 
 # math names the step loop may use, each with its reason
@@ -34,20 +38,27 @@ MATH_ALLOWED = {
     "sqrt": "correctly rounded (IEEE 754)",
     "isfinite": "exact",
     "inf": "exact",
+    "pi": "exact (a constant)",
     "nextafter": "exact",
     "hypot": "CPython's own code: depends on the Python version, not the libm",
     "exp": "from libm (aero._envelope); the golden bytes depend on its rounding",
     "atan2": "from libm (control.attitude_flat); the golden bytes depend on its rounding",
-    "sin": "from libm (the host oscillation setpoint); the golden bytes depend on its rounding",
-    "cos": "from libm (the host oscillation setpoint); the golden bytes depend on its rounding",
+    "sin": (
+        "from libm (the host oscillation setpoint and the fleet's home angles); "
+        "the golden bytes depend on its rounding"
+    ),
+    "cos": (
+        "from libm (the host oscillation setpoint and the fleet's home angles); "
+        "the golden bytes depend on its rounding"
+    ),
 }
 
 # the functions that call each libm function, as (module, qualified name)
 LIBM_CALL_SITES = {
     "exp": {("aero", "_envelope")},
     "atan2": {("control", "CascadedPid.attitude_flat")},
-    "sin": {("engine", "World.step")},
-    "cos": {("engine", "World.step")},
+    "sin": {("engine", "World.step"), ("scenario", "build_world_inputs")},
+    "cos": {("engine", "World.step"), ("scenario", "build_world_inputs")},
 }
 
 # float powers with an exponent that is not an integer literal, by
