@@ -265,9 +265,8 @@ class World:
         # constants: the draining pack's capacity, cell count, internal
         # resistance, the diode drop, the memo's rotor load and the OCV
         # segment (s0, v0, slope, top).
-        # _frame is their row frame: the docked unit's state tuple it
-        # checked (None with no unit docked), and the row's values from
-        # active_source on with their text
+        # _frame is their row frame: the row's values from active_source
+        # on, and their text
         self._quiet_until = -math.inf
         self._quiet: tuple = ()
         self._frame: tuple = ()
@@ -324,8 +323,7 @@ class World:
         else:
             return
         u.pid.reset()
-        if u not in self.active_units:
-            self.active_units.append(u)
+        self.active_units.append(u)
         self.incoming = u
         self._event(t, "dispatch", u.uid)
 
@@ -395,8 +393,7 @@ class World:
             self._event(t, "contact", u.uid)
         else:
             self._event(t, "contact_failure", u.uid)
-        if self.incoming is u:
-            self.incoming = None
+        self.incoming = None
 
     def _detach(self, u: _Unit, t: float) -> None:
         ms = self.main_state
@@ -553,7 +550,11 @@ class World:
         """Advance the world one dt. A quiet step (see _arm_quiet) drains
         the one conducting pack inline, calling no powertrain function,
         and writes a due row from the stretch's row frame. Every other
-        step is a full step and ends in _finish_step."""
+        step is a full step and ends in _finish_step. A full step checks
+        each state it makes, right after making it: the host's here and
+        a flying unit's in _step_unit, so a NaN or inf raises on the step
+        that makes it, with or without a telemetry sink. It also checks
+        the host state it starts from, which a caller may have set."""
         dt = self.dt
         i = self.step_index
         t = i * dt
@@ -562,10 +563,9 @@ class World:
         # drains the pack with the float operations of solve_bus's
         # one-source branch and discharge in their order, and commits only
         # when the state of charge lies in the stretch's OCV segment, the
-        # bus is live, the pack keeps some energy and, on a row step, a
-        # docked unit still holds the state tuple the frame checked. Any
-        # other step goes on to the full step, which drains and
-        # writes the same bits and re-arms the stretch or ends it.
+        # bus is live and the pack keeps some energy. Any other step goes
+        # on to the full step, which drains and writes the same bits and
+        # re-arms the stretch or ends it.
         if t < self._quiet_until and self.main_state is self._host_memo_state:
             docked = self.docked_unit
             e = self.primary_wh if docked is None else docked.secondary_wh
@@ -581,9 +581,7 @@ class World:
                 share = load * c
                 if v - bus > 0.0 and share > 0.0:
                     left = e - (share / c + c * c * r) * dt / 3600.0
-                    due = i % self.telemetry_decim == 0
-                    checked, tail, text = self._frame
-                    if left > 0.0 and (not due or docked is None or docked.state is checked):
+                    if left > 0.0:
                         if docked is None:
                             i_p, i_s = c, c * 0.0
                             self.bus = _new_tuple(BusSample, (bus, i_p, i_s, PRIMARY))
@@ -598,10 +596,10 @@ class World:
                             key = docked.secondary_key
                             drawn[key] = drawn.get(key, 0.0) + (e - left)
                             self.time_on_secondary += dt
-                        if due and self.writer.sink:
+                        if i % self.telemetry_decim == 0 and self.writer.sink:
                             # _write_row's six leading values (i_p + i_s is c,
                             # as the other current is +0.0), then the frame
-                            self.writer.write_row(t, bus, c, i_p, i_s, bus * c, tail, text)
+                            self.writer.write_row(t, bus, c, i_p, i_s, bus * c, *self._frame)
                         self.step_index = i + 1
                         return
 
@@ -722,9 +720,9 @@ class World:
                 ty + aty,
                 tz + atz,
             )
-            nz = ns[2]
-            if nz != nz:
+            if not math.isfinite(sum(ns)):
                 raise SimNumericsError(self.step_index, "host dynamics")
+            nz = ns[2]
             if docked is None:
                 alt_err = nz - hz
             else:
@@ -837,7 +835,6 @@ class World:
 
         # --- telemetry ----------------------------------------------------
         if self.step_index % self.telemetry_decim == 0 or self._column_due:
-            self._check_finite()
             self._write_row(t)
         self.step_index += 1
 
@@ -860,26 +857,21 @@ class World:
         pack's state of charge; a full, empty or NaN state of charge lies
         in no segment and arms nothing.
 
-        The row frame is set here too. The stretch holds the host state and
-        the docked unit's state tuples fixed, so they pass _check_finite
-        once, here; a stretch whose states fail it is not quiet, and its
-        row steps raise in _finish_step as on the full path. The columns
-        from active_source on (the pack's source, the host and unit
-        positions, the unit's id and phase, the contact force and an empty
-        events cell) cannot change either; the frame keeps them and their
-        text, format_tail's."""
+        The row frame is set here too. The stretch holds the host state
+        fixed, and a docked unit's columns are placed on the host, so the
+        columns from active_source on (the pack's source, the host and
+        unit positions, the unit's id and phase, the contact force and an
+        empty events cell) cannot change; the frame keeps them and their
+        text, format_tail's. The host state was found finite when it was
+        made, and nothing reads a docked unit's own state until _detach
+        overwrites it."""
         self._quiet_until = -math.inf
         if docked is not None and (self._slipping or self.circuit.relay_closed):
             return
-        try:
-            self._check_finite()
-        except SimNumericsError:
-            return
         if docked is None:
-            pack, energy, source, checked = self.primary, self.primary_wh, PRIMARY, None
+            pack, energy, source = self.primary, self.primary_wh, PRIMARY
         else:
             pack, energy, source = self.secondary, docked.secondary_wh, SECONDARY
-            checked = docked.state
         span = pt.ocv_segment(energy / pack.capacity_wh)
         if span is None:
             return
@@ -888,7 +880,7 @@ class World:
             self.circuit.diode_drop, self._host_memo[4], *span,
         )
         tail = self._row_tail(source, "")
-        self._frame = (checked, tail, format_tail(tail))
+        self._frame = (tail, format_tail(tail))
         self._quiet_until = math.inf
         if docked is None and self.units:
             # the next dispatch (see _orchestrate)
@@ -907,15 +899,6 @@ class World:
         self._host_memo = outputs
         # the quiet steps' constants hold the last memo's rotor load
         self._quiet_until = -math.inf
-
-    def _check_finite(self) -> None:
-        if not all(map(math.isfinite, self.main_state)):
-            raise SimNumericsError(self.step_index, "host dynamics")
-        for u in self.active_units:
-            if not all(map(math.isfinite, u.state)):
-                raise SimNumericsError(self.step_index, f"unit {u.uid} dynamics")
-        if not math.isfinite(self.bus.bus_voltage):
-            raise SimNumericsError(self.step_index, "powertrain")
 
     def _telemetry_unit(self) -> _Unit | None:
         if self.docked_unit is not None:
@@ -950,9 +933,8 @@ class World:
 
     def _write_row(self, t: float) -> None:
         """Write a due row and mark its events written. A writer with no
-        sink gets no row, and the row is not built; the caller's
-        _check_finite and this bookkeeping still run, so a row step checks
-        the same values with or without a sink."""
+        sink gets no row, and the row is not built; the bookkeeping still
+        runs. The states a row reads were found finite where they were made."""
         events = self.log.events
         if self.writer.sink:
             v, i_p, i_s, source = self.bus

@@ -186,7 +186,10 @@ def discharge(
     current defaults to load_power / ocv(pack, energy_wh); the simulation
     passes the bus-apportioned current so the energy audit reconstructs
     losses from telemetry exactly. The result clamps at zero, which is
-    how callers detect depletion."""
+    how callers detect depletion. An energy that is NaN, infinite or
+    negative raises PowertrainError, as in time_to_depletion."""
+    if not 0.0 <= energy_wh < inf:
+        raise PowertrainError(f"energy_wh must be finite and non-negative, got {energy_wh}")
     if load_power < 0.0:
         raise PowertrainError(f"load_power must be non-negative, got {load_power}")
     if load_power == 0.0:

@@ -246,6 +246,12 @@ class Scenario:
             _require(thrust > mass * GRAVITY, f"vehicles.{name}.max_thrust", rule)
         drop = self.circuit.diode_drop
         _require(0.0 < drop <= 0.2, "circuit.diode_drop", f"must be in (0, 0.2], got {drop}")
+        # a drop that rounds away below a full pack's OCV leaves solve_bus a
+        # bus with no voltage across the diode, so the pack carries no current
+        for name in ("primary", "secondary"):
+            v = pt.CELL_FULL_V * getattr(self.batteries, name).cells
+            rule = f"must not round away below the full {name} pack's {v:g} V, got {drop}"
+            _require(v - (v - drop) > 0.0, "circuit.diode_drop", rule)
         m, s, d, w = self.mission, self.sim, self.docking, self.downwash
         _require(
             m.termination in TERMINATION_MODES,

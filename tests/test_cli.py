@@ -196,6 +196,15 @@ BAD_INPUTS = {
     "sweep-max_thrust": (
         "", ["sweep", "--param", "vehicles.main.max_thrust", "--range", "5"], "max_thrust"
     ),
+    # a drop that rounds away below a full pack's OCV leaves the pack no current
+    "run-diode_drop_rounds_away": (
+        "[circuit]\ndiode_drop = 1e-20\n",
+        ["run"],
+        "error: line 2: circuit.diode_drop must not round away",
+    ),
+    "sweep-diode_drop_rounds_away": (
+        "", ["sweep", "--param", "circuit.diode_drop", "--range", "1e-20"], "circuit.diode_drop"
+    ),
     "run-pos_zeta": ("[control]\npos_zeta = -1\n", ["run"], "pos_zeta"),
     "sweep-pos_zeta": (
         "", ["sweep", "--param", "control.pos_zeta", "--range=-1"], "pos_zeta"

@@ -722,76 +722,48 @@ def test_world_copied_inside_a_quiet_stretch_resumes_quiet_and_identical(
     assert c.log.events == events and c.log.totals == totals
 
 
-def _nan_unit_state_errors(worlds, full_path, at):
-    """(step, subsystem) by name of the error each of worlds, built from
-    the start-docked churn, raises when at step at (in a quiet stretch of
-    the fast path) its docked unit's state becomes a tuple holding a NaN.
-    They step in lockstep, the ones named in full_path on the full path.
-    Raises RuntimeError if one on the fast path is not quiet there or any
-    runs on to the end."""
-    _, duration = _churn_start_docked()
-    dt = next(iter(worlds.values())).dt
-    errors = {}
-    for _ in range(round(duration / dt)):
-        for name, w in worlds.items():
-            if name in errors:
-                continue
-            if w.step_index == at:
-                if name not in full_path and not w._quiet_until > at * w.dt:
-                    raise RuntimeError(f"step {at} is not quiet")
-                s = w.docked_unit.state
-                w.docked_unit.state = (*s[:6], math.nan, *s[7:])
-            if name in full_path:
-                w.main_state = tuple(list(w.main_state))
-            try:
-                w.step()
-            except SimNumericsError as exc:
-                errors[name] = (exc.step_index, exc.subsystem)
-        if len(errors) == len(worlds):
-            return errors
-    raise RuntimeError(f"only {sorted(errors)} raised")
-
-
-def nan_unit_state_errors(at=3005):
-    """(step, subsystem) of the errors that the fast path and the full
-    path each raise (see _nan_unit_state_errors)."""
+def test_nan_in_a_docked_units_state_while_quiet_changes_nothing():
+    # nothing reads a docked unit's own state: its row columns are placed
+    # on the host, and undocking overwrites the state. A NaN written into
+    # it in a quiet stretch leaves the churn's rows, events and totals as
+    # a straight run's, through the undock at 9.8 s and the flight after
     sc, _ = _churn_start_docked()
-    errors = _nan_unit_state_errors({"fast": World(sc), "full": World(sc)}, {"full"}, at)
-    return errors["fast"], errors["full"]
+    straight = World(sc, keep_rows=True)
+    straight.run(12.0)
+    w = World(sc, keep_rows=True)
+    while w.step_index < 3005:
+        w.step()
+    assert w._quiet_until > w.step_index * w.dt
+    s = w.docked_unit.state
+    w.docked_unit.state = (*s[:6], math.nan, *s[7:])
+    w.run(12.0)
+    assert w.log.of_kind("undock")
+    assert [format_row(r) for r in w.writer.rows] == [format_row(r) for r in straight.writer.rows]
+    assert w.log.events == straight.log.events
+    assert w.summary_totals() == straight.summary_totals()
 
 
-def nan_unit_state_errors_by_sink(directory, at=3005):
-    """On the fast path, then on the full path: (step, subsystem) of the
-    errors that a world writing its telemetry to a file in directory and
-    a world with no sink each raise (see _nan_unit_state_errors)."""
-    sc, _ = _churn_start_docked()
-    out = []
-    for full_path in (set(), {"file", "none"}):
-        worlds = {"file": World(sc, telemetry_path=Path(directory) / "t.csv"), "none": World(sc)}
-        try:
-            errors = _nan_unit_state_errors(worlds, full_path, at)
-        finally:
-            worlds["file"].writer.close()
-        out.append((errors["file"], errors["none"]))
-    return out
-
-
-_OPTIMIZED_NAN_UNIT = """
-import sys
-from test_engine import nan_unit_state_errors
-with open(sys.argv[1], "w") as fh:
-    fh.write(repr(nan_unit_state_errors()))
-"""
-
-
-def test_unit_state_set_to_nan_while_quiet_raises_as_on_the_full_path(tmp_path):
-    # the frame checks the docked unit's state once per stretch; a quiet
-    # row finds that the unit holds another tuple and checks it, so both
-    # paths raise on the next row step and name the unit, also under -O
-    fast, full = nan_unit_state_errors()
-    assert fast == full == (3010, "unit 0 dynamics")
-    run_optimized(_OPTIMIZED_NAN_UNIT, str(tmp_path / "errors.txt"))
-    assert (tmp_path / "errors.txt").read_text() == repr((fast, full))
+@pytest.mark.parametrize(
+    "case", [_churn_start_docked, lambda: (solo_scenario(), 5.0)], ids=["docked", "solo"]
+)
+@pytest.mark.parametrize("sink", ["file", "none"])
+def test_host_state_that_overflows_raises_on_the_step_that_makes_it(tmp_path, case, sink):
+    # a roll rate of 1e308 rad/s is finite, so the step starts; the host's
+    # integration overflows it, and that same step raises, on a step that
+    # writes no row, whether the world writes telemetry or not
+    sc, _ = case()
+    w = World(sc, telemetry_path=tmp_path / "t.csv" if sink == "file" else None)
+    while w.step_index < 3005:
+        w.step()
+    assert w.step_index % w.telemetry_decim != 0
+    s = w.main_state
+    w.main_state = (*s[:10], 1e308, *s[11:])
+    try:
+        with pytest.raises(SimNumericsError) as exc:
+            w.step()
+    finally:
+        w.writer.close()
+    assert (exc.value.step_index, exc.value.subsystem) == (3005, "host dynamics")
 
 
 def _draws_mission():
@@ -805,7 +777,7 @@ def _draws_mission():
 )
 def test_world_without_a_sink_is_the_world_with_a_file(tmp_path, case):
     # a world with no telemetry file and no kept rows builds no row, yet
-    # keeps the row steps' checks and marks: it logs the same events and
+    # keeps the row steps' marks: it logs the same events and
     # ends in the same state (the churn is dock_churn case 0)
     sc, duration = case()
     with_file = World(sc, telemetry_path=tmp_path / "telemetry.csv")
@@ -817,25 +789,6 @@ def test_world_without_a_sink_is_the_world_with_a_file(tmp_path, case):
     assert without.summary_totals() == with_file.summary_totals()
     assert without.bus == with_file.bus
     assert without.step_index == with_file.step_index
-
-
-_OPTIMIZED_NAN_BY_SINK = """
-import sys
-from test_engine import nan_unit_state_errors_by_sink
-errors = nan_unit_state_errors_by_sink(sys.argv[2])
-with open(sys.argv[1], "w") as fh:
-    fh.write(repr(errors))
-"""
-
-
-def test_unit_state_set_to_nan_raises_as_with_a_file_without_a_sink(tmp_path):
-    # a row step with no sink still checks the states, on a quiet step and
-    # on a full one: the NaN raises at the next row step and names the
-    # unit, as with a telemetry file, also under -O
-    errors = nan_unit_state_errors_by_sink(tmp_path)
-    assert errors == [((3010, "unit 0 dynamics"),) * 2] * 2
-    run_optimized(_OPTIMIZED_NAN_BY_SINK, str(tmp_path / "errors.txt"), str(tmp_path))
-    assert (tmp_path / "errors.txt").read_text() == repr(errors)
 
 
 @pytest.mark.parametrize(
@@ -920,6 +873,28 @@ def generated_missions(draw):
         draw(st.booleans()),
         draw(st.integers(10, 20)),
     )
+
+
+@st.composite
+def drawing_missions(draw):
+    """(scenario, duration) of a generated mission (see
+    generated_missions) whose every contact draw decides its outcome:
+    two to four units at p = 0.5, the first dispatched at once, so that
+    its capture draws inside the mission's 10-16 s."""
+    sc, duration = _generated_mission(
+        draw(st.sampled_from([2, 3, 4])),
+        0.5,
+        draw(st.integers(0, 2**32 - 1)),
+        False,
+        draw(st.sampled_from([0.02, 0.05, 0.2, 0.5])),
+        draw(st.sampled_from([0.02, 0.05, 0.12])),
+        0.8,
+        draw(st.booleans()),
+        False,
+        draw(st.integers(10, 16)),
+    )
+    sc.mission.dispatch_delay = 0.0
+    return sc, duration
 
 
 # generated missions that both generated-mission tests fly as examples,
@@ -1021,13 +996,15 @@ class WorldApiMachine(RuleBasedStateMachine):
     from the hook's last checkpoint in any order, then run to its end; it
     ends as one straight run() of the same mission does. run() ends a
     mission at its duration, so it cannot resume and comes last, in
-    teardown."""
+    teardown. Its missions draw contacts at p = 0.5 (drawing_missions),
+    so a world resumed from a checkpoint before a draw must draw what
+    the straight run drew."""
 
     world = None
     checkpoint = None
     due = 0  # the step index from which a draw window takes its next checkpoint
 
-    @initialize(mission=generated_missions())
+    @initialize(mission=drawing_missions())
     def fly_straight(self, mission):
         sc, self.duration = mission
         try:
@@ -1081,6 +1058,14 @@ class WorldApiMachine(RuleBasedStateMachine):
         if self.world is not None:
             events = self.world.log.events
             assert events == self.want[0][: len(events)]
+
+    # the relay opens on the step of an electrical contact and closes in
+    # the call that detaches, so no mission conducts both packs at once
+    @invariant()
+    def relay_is_open_exactly_while_a_secondary_is_present(self):
+        if self.world is not None:
+            circuit = self.world.circuit
+            assert circuit.relay_closed is not circuit.secondary_present
 
     def teardown(self):
         w = self.world
@@ -1259,8 +1244,7 @@ def test_quiet_steps_skip_the_mission_policy(monkeypatch, case):
     # a quiet step (host memo holding, nothing flying, a docked unit on a
     # held electrical contact) only drains the packs and writes telemetry;
     # only the full step runs the mission policy, and only a full row (or
-    # the frame, once per stretch) checks the states and builds the
-    # host's and the unit's columns
+    # the frame, once per stretch) builds the host's and the unit's columns
     calls = {}
 
     def counted(name):
@@ -1272,7 +1256,7 @@ def test_quiet_steps_skip_the_mission_policy(monkeypatch, case):
 
         return wrapper
 
-    for name in ("_orchestrate", "_check_finite", "main_position", "_telemetry_unit"):
+    for name in ("_orchestrate", "main_position", "_telemetry_unit"):
         calls[name] = 0
         monkeypatch.setattr(World, name, counted(name))
     sc, duration = case()

@@ -250,6 +250,15 @@ def test_discharge_conserves_energy(rng):
         discharge(p, e, -1.0, dt)
 
 
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("load", [0.0, 100.0])
+def test_discharge_rejects_an_energy_that_is_not_finite_and_non_negative(energy, load):
+    # a NaN under load came back as 0.0, a silent depletion; the message
+    # names the energy as time_to_depletion's does
+    with pytest.raises(PowertrainError, match=f"energy_wh .* got {re.escape(str(energy))}"):
+        discharge(pack_3s_15(r=0.025), energy, load, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # time_to_depletion / k_p calibration
 # ---------------------------------------------------------------------------
@@ -539,8 +548,12 @@ def test_admitted_circuit_keeps_the_bus_at_or_above_2_8_volts(case):
         for current in (s.current_primary, s.current_secondary):
             assert math.isfinite(current) and current >= 0.0
     for pack, energy in ((primary, primary_wh), (secondary, secondary_wh)):
-        left = discharge(pack, energy, load, 0.1)
-        assert math.isfinite(left) or not math.isfinite(energy)
+        if 0.0 <= energy < math.inf:
+            assert math.isfinite(discharge(pack, energy, load, 0.1))
+        else:
+            # a NaN, infinite or negative energy is rejected by name
+            with pytest.raises(PowertrainError, match="energy_wh"):
+                discharge(pack, energy, load, 0.1)
 
 
 @st.composite

@@ -324,6 +324,23 @@ def test_start_docked_check_names_its_line():
         parse_scenario("[mission]\nfleet_size = 0\nstart_docked = true\n")
 
 
+def test_diode_drop_that_rounds_away_below_a_full_pack_names_its_line():
+    # 1e-20 V below a full 3S pack's 12.6 V rounds to 12.6 V: solve_bus
+    # then gives the pack no current, and a solo host drew 0.0 Wh on the
+    # secondary source; 1e-15 V is over half an ulp of 12.6 V and stays
+    # admitted for 3S packs, but rounds away below a 12S pack's 50.4 V
+    assert parse_scenario("[circuit]\ndiode_drop = 1e-15\n").circuit.diode_drop == 1e-15
+    twelve_cells = "[batteries]\nsecondary.cells = 12\n[circuit]\ndiode_drop = 1e-15\n"
+    for text, line, pack in [
+        ("[circuit]\ndiode_drop = 1e-20\n", 2, "primary pack's 12.6 V"),
+        (twelve_cells, 4, "secondary pack's 50.4 V"),
+    ]:
+        rule = rf"^line {line}: circuit\.diode_drop must not round away below the full {pack}"
+        with pytest.raises(ScenarioError, match=rule) as exc:
+            parse_scenario(text)
+        assert exc.value.key == "circuit.diode_drop"
+
+
 def test_solo_host_thrust_rule_counts_only_the_host():
     # 10 N lifts the 0.82 kg host (8.04 N), not the docked pair (11.18 N)
     inp = build_world_inputs(
